@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError
 
@@ -47,6 +46,14 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14  # draws per seeded chunk; fixed so results do not depend on workers
+_BLOCK_ELEMS = 1 << 16  # horizon-by-rate entries per block of a discrete mixture
+
+
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -57,8 +64,11 @@ class DiscreteMixture:
     rates: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        r = np.asarray(self.rates, dtype=float)
+        try:
+            w = np.asarray(self.weights, dtype=float)
+            r = np.asarray(self.rates, dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError("weights and rates must be numeric") from None
         if w.ndim != 1 or r.ndim != 1 or w.shape != r.shape or w.size == 0:
             raise DomainError("weights and rates must be 1-d arrays of equal length")
         if not np.all(np.isfinite(w)) or not np.all(np.isfinite(r)):
@@ -84,7 +94,7 @@ class ExponentialMixture:
     mean_rate: float
 
     def __post_init__(self):
-        L = float(self.mean_rate)
+        L = _number(self.mean_rate, "mean rate")
         if not math.isfinite(L) or L <= 0.0:
             raise DomainError(f"mean rate must be positive, got {self.mean_rate!r}")
 
@@ -100,8 +110,8 @@ class GammaMixture:
     mean_rate: float
 
     def __post_init__(self):
-        lam = float(self.shape)
-        L = float(self.mean_rate)
+        lam = _number(self.shape, "shape")
+        L = _number(self.mean_rate, "mean rate")
         if not math.isfinite(lam) or lam <= 0.0:
             raise DomainError(f"shape must be positive, got {self.shape!r}")
         if not math.isfinite(L) or L <= 0.0:
@@ -118,15 +128,46 @@ def _check_time(t) -> np.ndarray:
     return tt
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """ln sum_j exp(a[i, j]) for each row i of a real 2-d array.
+
+    Same arithmetic as ``scipy.special.logsumexp(a, axis=1)`` (scipy 1.17),
+    the max-shifted form of Blanchard, Higham & Higham, "Accurately
+    computing the log-sum-exp and softmax functions", IMA J. Numer. Anal.
+    41(4), 2021: the ``count`` entries equal to the row maximum ``a_max``
+    are taken out of the sum s of exp(a - a_max) over the rest, and
+    ln sum = log1p(s / count) + ln(count) + a_max.  Rows where that is not
+    finite (e.g. every entry -inf) fall back to ln(sum exp(a)).
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    at_max = a == a_max
+    count = at_max.sum(axis=1, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = np.where(at_max, -np.inf, a)
+        terms -= a_max
+        np.exp(terms, out=terms)
+        s = terms.sum(axis=1, keepdims=True) / count
+        out = (np.log1p(s) + np.log(count) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
+
+
 def log_aggregate_discount(mixture: RateMixture, t):
     """ln P(0, t); safe at horizons where the factor itself underflows."""
     tt = _check_time(t)
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)
     if isinstance(mixture, DiscreteMixture):
-        # logsumexp over log p_i - r_i t, vectorised over t
-        a = np.log(mixture.weights)[None, :] - np.outer(tt, mixture.rates)
-        out = logsumexp(a, axis=1)
+        # log-sum-exp over log p_i - r_i t, in blocks of horizons so that the
+        # temporaries stay O(block * k); every row is computed on its own
+        log_w = np.log(mixture.weights)
+        rows = max(1, _BLOCK_ELEMS // log_w.size)
+        out = np.empty(tt.size)
+        for i in range(0, tt.size, rows):
+            a = log_w[None, :] - np.outer(tt[i : i + rows], mixture.rates)
+            out[i : i + rows] = _logsumexp_rows(a)
     elif isinstance(mixture, ExponentialMixture):
         out = -np.log1p(mixture.mean_rate * tt)
     elif isinstance(mixture, GammaMixture):

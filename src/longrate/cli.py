@@ -122,6 +122,13 @@ def _report_exit(*reports: AuditReport) -> int:
     return 1 if any(r.verdict == FAIL for r in reports) else 0
 
 
+def _parse_float(text: str, name: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DomainError(f"{name}: expected a number, got {text!r}") from None
+
+
 def _parse_floats(text: str, name: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip() != ""]
@@ -137,7 +144,14 @@ def _parse_grid(spec: str) -> np.ndarray:
         parts = rest.split(":")
         if len(parts) != 3:
             raise DomainError(f"grid spec {spec!r}: expected {kind}:start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start = _parse_float(parts[0], f"grid spec {spec!r} start")
+        stop = _parse_float(parts[1], f"grid spec {spec!r} stop")
+        try:
+            count = int(parts[2])
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise DomainError(f"grid spec {spec!r}: count must be a positive integer")
         if kind == "lin":
             grid = np.linspace(start, stop, count)
         else:
@@ -175,12 +189,16 @@ def _resolve_curve(ref: str) -> DiscountCurve:
     if os.path.exists(ref):
         return load_curve_csv(ref)
     if ref.startswith("flat:"):
-        return flat_exponential_curve(float(ref[5:]))
+        return flat_exponential_curve(_parse_float(ref[5:], "flat rate"))
     if ref.startswith("pareto:"):
         parts = ref.split(":")
         if len(parts) != 3:
             raise DomainError(f"curve spec {ref!r}: expected pareto:<lam>:<level>")
-        return tail_pareto_curve(float(parts[1]), float(parts[2]), grid=zoo.long_grid())
+        return tail_pareto_curve(
+            _parse_float(parts[1], "pareto index"),
+            _parse_float(parts[2], "pareto level"),
+            grid=zoo.long_grid(),
+        )
     try:
         return zoo.zoo_curve(ref)
     except DomainError:
@@ -265,7 +283,7 @@ def cmd_curve(args) -> int:
             parts = chunk.split(":")
             if len(parts) != 2:
                 raise DomainError(f"--probes entry {chunk!r}: expected t:x")
-            pairs.append((float(parts[0]), float(parts[1])))
+            pairs.append(tuple(_parse_float(part, f"--probes entry {chunk!r}") for part in parts))
         residual = time_consistency_residual(curve, pairs)
         doc["time_consistency_residual"] = residual
         print(f"time_consistency_residual {_fmt(residual)}")
@@ -295,7 +313,10 @@ def _mixture_from_config(cfg: dict):
 def cmd_aggregate(args) -> int:
     if os.path.exists(args.mix):
         with open(args.mix, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"{args.mix}: invalid JSON ({exc})") from None
     else:
         try:
             cfg = json.loads(args.mix)
@@ -349,9 +370,9 @@ def _parse_flow(spec: str, model: Model) -> CashFlow:
         fields[key.strip()] = value.strip()
     if "T" not in fields:
         raise DomainError(f"--flow {spec!r}: missing T=<time>")
-    T = float(fields.pop("T"))
+    T = _parse_float(fields.pop("T"), "--flow T")
     if set(fields) == {"amount"}:
-        return CashFlow(T, amount=float(fields["amount"]))
+        return CashFlow(T, amount=_parse_float(fields["amount"], "--flow amount"))
     if set(fields) == {"payoff"}:
         name = fields["payoff"]
         if name == "M":
@@ -445,7 +466,7 @@ def cmd_classify(args) -> int:
         parts = args.window.split(":")
         if len(parts) != 2:
             raise DomainError(f"--window {args.window!r}: expected lo:hi")
-        window = (float(parts[0]), float(parts[1]))
+        window = tuple(_parse_float(part, f"--window {args.window!r}") for part in parts)
     result = classify_curve(curve, window=window)
     _emit_json(result.as_dict(), args.json)
     if args.json:

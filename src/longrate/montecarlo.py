@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _CHUNK_PATHS = 4096
+_WRITE_ROWS = 1 << 12  # CSV rows formatted per block by write_ensemble_csv
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -536,12 +537,23 @@ def value_claim(
 
 
 def write_ensemble_csv(ensemble: PathEnsemble, path, fmt: str = "%.9g") -> None:
-    """Write paths as CSV columns path,t,M[,N] (UTF-8, LF)."""
+    """Write paths as CSV columns path,t,M[,N] (UTF-8, LF).
+
+    Rows are formatted a block of whole paths at a time, with one ``%``
+    over a repeated row template, so the buffers stay a few MB.
+    """
+    factors = (ensemble.m, ensemble.n) if ensemble.two_factor else (ensemble.m,)
+    columns = 2 + len(factors)
+    row = ",".join(["%d"] + [fmt] * (columns - 1)) + "\n"
+    steps = ensemble.grid.size
+    paths_per_block = max(1, _WRITE_ROWS // steps)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("path,t,M,N\n" if ensemble.two_factor else "path,t,M\n")
-        for i in range(ensemble.n_paths):
-            for j, t in enumerate(ensemble.grid):
-                row = f"{i},{fmt % t},{fmt % ensemble.m[i, j]}"
-                if ensemble.two_factor:
-                    row += f",{fmt % ensemble.n[i, j]}"
-                fh.write(row + "\n")
+        for start in range(0, ensemble.n_paths, paths_per_block):
+            stop = min(start + paths_per_block, ensemble.n_paths)
+            table = np.empty((stop - start, steps, columns))
+            table[:, :, 0] = np.arange(start, stop)[:, None]
+            table[:, :, 1] = ensemble.grid
+            for c, values in enumerate(factors, 2):
+                table[:, :, c] = values[start:stop]
+            fh.write((row * ((stop - start) * steps)) % tuple(table.ravel().tolist()))

@@ -76,6 +76,47 @@ def test_aggregate_discount_decreasing_in_t():
     assert np.all(np.diff(vals) < 0.0)
 
 
+def _scipy_log_aggregate(mix, t):
+    """The former scipy path that ``log_aggregate_discount`` must match bit for bit."""
+    logsumexp = pytest.importorskip("scipy.special").logsumexp
+    a = np.log(mix.weights)[None, :] - np.outer(t, mix.rates)
+    return logsumexp(a, axis=1)
+
+
+def _random_mixture(rng, k, ties=0, zero=False):
+    rates = rng.uniform(0.0, 0.2, k)
+    rates[:ties] = rates.min()
+    if zero:
+        rates[-1] = 0.0
+    weights = rng.dirichlet(np.ones(k))
+    return DiscreteMixture(weights / weights.sum(), rng.permutation(rates))
+
+
+@pytest.mark.parametrize(
+    "k, ties, zero",
+    [(1, 0, False), (2, 0, False), (7, 0, True), (300, 0, False), (1200, 0, False),
+     (5, 3, False), (900, 40, False), (64, 0, True), (64, 2, True)],
+)
+def test_log_aggregate_discount_matches_scipy_bitwise(k, ties, zero):
+    rng = np.random.default_rng(1000 * k + 10 * ties + zero)
+    mix = _random_mixture(rng, k, ties, zero)
+    # t = 0 first; several row blocks for large k; horizons up to 1e300
+    t = np.concatenate([[0.0], np.geomspace(1e-3, 1e300, 400)])
+    np.testing.assert_array_equal(log_aggregate_discount(mix, t), _scipy_log_aggregate(mix, t))
+    assert log_aggregate_discount(mix, 0.0) == _scipy_log_aggregate(mix, [0.0])[0]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_log_aggregate_discount_all_terms_vanish():
+    # every term underflows to a finite log, or r t overflows so every term is -inf
+    mix = DiscreteMixture(np.array([0.25, 0.75]), np.array([2.0, 3.0]))
+    t = np.array([0.0, 1e3, 1e300, 1e308])
+    out = log_aggregate_discount(mix, t)
+    np.testing.assert_array_equal(out, _scipy_log_aggregate(mix, t))
+    assert out[-1] == -math.inf
+    assert aggregate_discount(mix, 1e308) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Asymptotic exponential rate
 # ---------------------------------------------------------------------------

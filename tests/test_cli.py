@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,3 +175,37 @@ def test_all_numbers_use_nine_significant_digits():
     out = run_cli("value", "--model", "ref2f", "--flow", "T=10,amount=1", "--seed", 1)
     head = out.stdout.splitlines()[0]
     assert head == "0.104278075"  # 9 significant digits, no trailing noise
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("simulate", "--model", "ref1f", "--seed", 1, "--grid", "lin:0:10:x",
+         "--out", "{tmp}/paths.csv"),
+        ("audit", "kernel", "--model", "ref1f", "--seed", 1, "--grid", "lin:0:10:-1"),
+        ("curve", "--curve", "flat:abc"),
+        ("curve", "--curve", "pareto:a:b"),
+        ("curve", "--curve", "flat:0.03", "--probes", "1:x"),
+        ("aggregate", "--mix", "{tmp}/bad.json"),
+        ("aggregate", "--mix", '{"kind":"discrete","weights":"x","rates":[1]}'),
+        ("aggregate", "--mix", '{"kind":"gamma","shape":null,"mean_rate":0.04}'),
+        ("value", "--model", "ref1f", "--flow", "T=abc,amount=1"),
+        ("classify", "--curve", "flat:0.03", "--window", "1:y"),
+    ],
+)
+def test_malformed_input_exits_2_without_traceback(tmp_path, args):
+    (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+    out = run_cli(*(str(a).replace("{tmp}", str(tmp_path)) for a in args))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+
+
+def test_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, longrate, longrate.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

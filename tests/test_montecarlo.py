@@ -124,6 +124,41 @@ def test_write_ensemble_csv(tmp_path, ref1f):
     assert len(lines) == 1 + 3 * 2
 
 
+def _write_rows_reference(ensemble, path, fmt):
+    """Row-at-a-time writer that ``write_ensemble_csv`` must match byte for byte."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("path,t,M,N\n" if ensemble.two_factor else "path,t,M\n")
+        for i in range(ensemble.n_paths):
+            for j, t in enumerate(ensemble.grid):
+                row = f"{i},{fmt % t},{fmt % ensemble.m[i, j]}"
+                if ensemble.two_factor:
+                    row += f",{fmt % ensemble.n[i, j]}"
+                fh.write(row + "\n")
+
+
+@pytest.mark.parametrize(
+    "model, grid, n_paths, fmt, block_rows",
+    [
+        ("ref1f", GRID, 7, "%.9g", 12),  # 2 paths per block, 7 paths
+        ("ref2f", GRID, 7, "%.9g", 12),
+        ("ref2f", GRID, 3, "%.9g", None),  # fewer paths than one default block
+        ("ref1f", np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 11)]), 5, "%.9g", 30),
+        ("ref2f", GRID, 5, "%.17e", 18),
+        ("ref1f", GRID, 4, "%.17e", 1),  # block smaller than one path
+    ],
+)
+def test_write_ensemble_csv_matches_row_writer(
+    tmp_path, request, monkeypatch, model, grid, n_paths, fmt, block_rows
+):
+    if block_rows is not None:
+        monkeypatch.setattr("longrate.montecarlo._WRITE_ROWS", block_rows)
+    ens = ensemble_for_model(request.getfixturevalue(model), grid, n_paths, seed=8, rho=0.5)
+    got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+    write_ensemble_csv(ens, got, fmt=fmt)
+    _write_rows_reference(ens, ref, fmt)
+    assert got.read_bytes() == ref.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # Kernel audits
 # ---------------------------------------------------------------------------
