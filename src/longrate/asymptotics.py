@@ -21,20 +21,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .aggregation import default_horizon_schedule
 from .errors import DomainError, InadmissibleCurveError
 from .kernel_models import (
     Model,
     ModelState,
-    OneFactorModel,
-    TwoFactorModel,
+    _combine,
+    _factor_values,
+    _values_at,
     bond_evaluator,
     theta_value,
 )
-from .montecarlo import PathEnsemble, kernel_paths, _mean_se
+from .montecarlo import PathEnsemble, _mean_se, _z_score, kernel_paths
 from .reporting import FAIL, INCONCLUSIVE, PASS, AuditReport, CheckResult
 from .termstructure import (
     DiscountCurve,
@@ -107,10 +109,7 @@ def default_long_rate_horizons(
     start: float = 10.0, stop: float = 1e8, per_decade: int = 8
 ) -> np.ndarray:
     """Geometric tenor offsets x = T - t probed by the estimators."""
-    if not (start > 0.0 and stop > start and per_decade >= 1):
-        raise DomainError("need 0 < start < stop and per_decade >= 1")
-    n = int(round(per_decade * math.log10(stop / start))) + 1
-    return np.geomspace(start, stop, max(n, 2))
+    return default_horizon_schedule(start, stop, per_decade)
 
 
 @dataclass(frozen=True)
@@ -379,16 +378,10 @@ def _model_rate_estimates(
 ) -> np.ndarray:
     """Per-path exponential-rate estimate at grid index j, terminal horizon."""
     t = float(ensemble.grid[j])
-    m = ensemble.m[:, j]
-    n = ensemble.n[:, j] if ensemble.two_factor else None
-    pi = np.asarray(model.a(t), dtype=float) + np.asarray(model.b(t), dtype=float) * m
-    if isinstance(model, TwoFactorModel):
-        pi = pi + float(model.c(t)) * n
+    factors = [x[:, j] for x in _factor_values(model, ensemble)]
+    pi = _combine(_values_at(model.coefficients, t), factors)
     x = float(xs[-1])
-    T = t + x
-    num = float(model.a(T)) + float(model.b(T)) * m
-    if isinstance(model, TwoFactorModel):
-        num = num + float(model.c(T)) * n
+    num = _combine(_values_at(model.coefficients, t + x), factors)
     return -(np.log(num) - np.log(pi)) / x
 
 
@@ -663,29 +656,10 @@ def deterministic_long_rate(
 
 def _max_driver_variance(model: Model, t: float) -> float:
     """Largest log-variance V(0, t) over the model's declared drivers."""
-    if isinstance(model, TwoFactorModel):
-        drivers = model.drivers if model.drivers is not None else ()
-    else:
-        drivers = (model.driver,) if model.driver is not None else ()
+    drivers = model.drivers or ()
     if not drivers:
         return 0.0
     return max(d.variance(0.0, t) for d in drivers)
-
-
-def _z_gap(gap: float, se: float, scale: float) -> float:
-    """|gap| in standard errors; degenerate columns must agree exactly."""
-    floor = 1e-9 * max(1.0, abs(scale))
-    if se <= floor:
-        return 0.0 if gap <= floor else math.inf
-    return gap / se
-
-
-def _signed_z(mean: float, se: float, scale: float) -> float:
-    """Signed mean in standard errors (for one-sided inequality checks)."""
-    floor = 1e-9 * max(1.0, abs(scale))
-    if se <= floor:
-        return 0.0 if mean <= floor else math.inf
-    return mean / se
 
 
 def _decade_slices(grid: np.ndarray, n_decades: int = 3) -> list[np.ndarray]:
@@ -756,8 +730,9 @@ def pareto_kernel_certificate(
         )
     )
 
+    unit_state = ModelState(0.0, *[1.0] * model.factors)
     if probe_state is None:
-        probe_state = ModelState(0.0, 1.0, 1.0 if isinstance(model, TwoFactorModel) else None)
+        probe_state = unit_state
     ev = bond_evaluator(model, probe_state)
     scales = [
         math.exp(lam * math.log(T) + ev.log_df(probe_state.t, T)) for T in bond_horizons
@@ -774,14 +749,8 @@ def pareto_kernel_certificate(
         )
     )
 
-    theta0 = theta_value(
-        model, ModelState(0.0, 1.0, 1.0 if isinstance(model, TwoFactorModel) else None)
-    )
-    theta = (
-        model.a.tail_limit
-        + model.b.tail_limit * ensemble.m
-        + (model.c.tail_limit * ensemble.n if isinstance(model, TwoFactorModel) else 0.0)
-    )
+    theta0 = theta_value(model, unit_state)
+    theta = _combine([c.tail_limit for c in model.coefficients], ensemble.factor_values)
     # The mean of a driftless lognormal stops being sampleable once its
     # log-variance is large (the expectation sits on paths no finite sample
     # contains), so the mean-based benchmark checks only probe grid times
@@ -799,9 +768,9 @@ def pareto_kernel_certificate(
     for j in testable:
         diff = theta[:, j] - theta[:, j - 1]
         mean_d, se_d = _mean_se(diff)
-        worst_super = max(worst_super, _signed_z(mean_d, se_d, theta0))
+        worst_super = max(worst_super, _z_score(mean_d, se_d, theta0))
         mean_t, se_t = _mean_se(theta[:, j])
-        worst_const = max(worst_const, _z_gap(abs(mean_t - theta0), se_t, theta0))
+        worst_const = max(worst_const, _z_score(abs(mean_t - theta0), se_t, theta0))
     window = f"grid times <= {t_cap:g}" if testable else "no grid times in sampling window"
     checks.append(
         CheckResult(

@@ -47,12 +47,9 @@ from .errors import DomainError, LongrateError
 from .kernel_models import (
     Model,
     ModelState,
-    OneFactorModel,
-    TwoFactorModel,
     bond_evaluator,
     load_model_config,
-    long_libor_2f,
-    long_pareto_1f,
+    long_rate,
 )
 from .montecarlo import (
     CashFlow,
@@ -210,11 +207,12 @@ def _resolve_curve(ref: str) -> DiscountCurve:
 
 
 def _model_state(model: Model, args) -> ModelState:
-    if isinstance(model, TwoFactorModel):
-        return ModelState(args.t, args.m, 1.0 if args.n is None else args.n)
-    if getattr(args, "n", None) is not None:
-        raise DomainError("--n only applies to two-factor models")
-    return ModelState(args.t, args.m)
+    n = getattr(args, "n", None)
+    if model.factors == 1:
+        if n is not None:
+            raise DomainError("--n only applies to two-factor models")
+        return ModelState(args.t, args.m)
+    return ModelState(args.t, args.m, 1.0 if n is None else n)
 
 
 @dataclass(frozen=True)
@@ -375,15 +373,12 @@ def _parse_flow(spec: str, model: Model) -> CashFlow:
         return CashFlow(T, amount=_parse_float(fields["amount"], "--flow amount"))
     if set(fields) == {"payoff"}:
         name = fields["payoff"]
-        if name == "M":
-            payoff = (lambda m: m) if isinstance(model, OneFactorModel) else (lambda m, n: m)
-        elif name == "N":
-            if isinstance(model, OneFactorModel):
-                raise DomainError("payoff=N needs a two-factor model")
-            payoff = lambda m, n: n
-        else:
+        if name not in ("M", "N"):
             raise DomainError(f"--flow {spec!r}: payoff must be M or N, got {name!r}")
-        return CashFlow(T, payoff=payoff)
+        index = "MN".index(name)
+        if index >= model.factors:
+            raise DomainError(f"payoff={name} needs a two-factor model")
+        return CashFlow(T, payoff=lambda *factors: factors[index])
     raise DomainError(f"--flow {spec!r}: specify exactly one of amount=, payoff=")
 
 
@@ -414,10 +409,7 @@ def cmd_value(args) -> int:
 def _closed_form_long_rate(model: Model, state: ModelState, conv: RateConvention):
     if conv.kind not in ("libor", "tail_pareto"):
         return None
-    lam = conv.pareto_index
-    if isinstance(model, OneFactorModel):
-        return long_pareto_1f(model, state) if lam == model.lam else None
-    return long_libor_2f(model, state) if lam == 1.0 else None
+    return long_rate(model, state) if conv.pareto_index == model.lam else None
 
 
 def cmd_longrate(args) -> int:

@@ -61,7 +61,12 @@ class GBMDriver:
     @classmethod
     def from_schedule(cls, pairs: Iterable[Sequence[float]]) -> "GBMDriver":
         """Build from [(start_time, sigma), ...] pairs."""
-        pts = [(float(t), float(s)) for t, s in pairs]
+        try:
+            pts = [(float(t), float(s)) for t, s in pairs]
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"volatility schedule must be [start_time, sigma] pairs, got {pairs!r}"
+            ) from None
         if not pts:
             raise DomainError("empty volatility schedule")
         pts.sort(key=lambda p: p[0])

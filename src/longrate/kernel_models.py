@@ -1,39 +1,42 @@
 """Rational pricing-kernel models with power-law tails.
 
-A one-factor model is pi_t = a(t) + b(t) M_t where M is a positive
-martingale with M_0 = 1 and a, b are strictly positive C1 functions
-decaying like t^-lam with finite tail limits
+Every model here is one rational kernel over k = 1 or 2 positive
+martingales X = (M[, N]) with X_0 = 1:
 
-    A = lim t^lam a(t),   B = lim t^lam b(t),   A + B > 0.
+    pi_t = c_0(t) + c_1(t) X^1_t + ... + c_k(t) X^k_t,
 
-Bond prices are the conditional-expectation quotient
+with strictly positive C1 coefficients (a, b[, c]) decaying like t^-lam
+and finite tail limits C_i = lim t^lam c_i(t), not all zero.  Each
+quantity of the paper is the same left-to-right combination of a
+coefficient vector with the factor vector (1, X):
 
-    P(t, T) = (a(T) + b(T) M_t) / (a(t) + b(t) M_t),
+    pi_t       kernel_value     coefficients c_i(t)
+    E[pi_t]    expected_kernel  c_i(t) at X = 1
+    P(t, T)    bond_price       (c_i(T) . X_t) / (c_i(t) . X_t)
+    r_t        short_rate       -(c_i'(t) . X_t) / (c_i(t) . X_t)
+    L_t        long_rate        ((c_i(t) . X_t) / (cbar_i . X_t)) ** (1/lam)
+    theta_t    theta_value      C_i . X_t
 
-the short rate is r_t = -(a'(t) + b'(t) M_t) / (a(t) + b(t) M_t), and the
-long tail-Pareto rate of index lam is
+where cbar_i = C_i lam^-lam (for lam = 1, L is the long simple rate).
+The ``_1f``/``_2f`` names are aliases of these functions.
 
-    L_t = ((a(t) + b(t) M_t) / (abar + bbar M_t)) ** (1/lam),
+Operations tied to one factor count:
 
-with abar = A * lam**-lam, bbar = B * lam**-lam (for lam = 1 this is the
-long simple rate).  Because bond prices are monotone rational functions
-of the factor, the state can be recovered from either rate and bonds can
-be quoted directly against them.
-
-Two-factor models pi_t = a(t) + b(t) M_t + c(t) N_t (tail index fixed at
-1) additionally admit the linear pricing decomposition
-
-    P(t, T) = F + G * r_t + H / L_t
-
-whose coefficients solve a 3x3 linear system in (F, G, H); see
-``fgh_coefficients``.
+* one-factor only: the state inversions ``state_from_*_1f``, the
+  attainable-rate intervals and the bond quotes ``bond_from_*_1f``.
+  Bond prices are monotone in M, so the state can be recovered from
+  either rate.
+* two-factor only (tail index fixed at 1): the linear pricing
+  decomposition P(t, T) = F + G * r_t + H / L_t, whose coefficients
+  solve a 3x3 linear system; see ``fgh_coefficients``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,6 +61,8 @@ __all__ = [
     "theta_value",
     "bond_price",
     "bond_log_df",
+    "short_rate",
+    "long_rate",
     "BondEvaluator",
     "bond_evaluator",
     "bond_price_1f",
@@ -91,7 +96,10 @@ _TAIL_RTOL = 1e-3
 
 
 def _as_float(name, value):
-    v = float(value)
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(v):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return v
@@ -154,7 +162,13 @@ class CoefficientFunction:
                 )
             if self.deriv is not None and not math.isfinite(float(self.deriv(p))):
                 raise DomainError(f"coefficient derivative not finite at t={p!r}")
-        scaled = _TAIL_PROBE**self.lam * float(self.fn(_TAIL_PROBE))
+        try:
+            scaled = _TAIL_PROBE**self.lam * float(self.fn(_TAIL_PROBE))
+        except OverflowError:
+            raise DomainError(
+                f"tail index {self.lam!r} too large: t^lam overflows at "
+                f"t={_TAIL_PROBE:g}, so the declared tail limit cannot be checked"
+            ) from None
         tol = _TAIL_RTOL * max(1.0, abs(self.tail_limit))
         if not math.isfinite(scaled) or abs(scaled - self.tail_limit) > tol:
             raise DomainError(
@@ -255,6 +269,11 @@ class ModelState:
             if n <= 0.0:
                 raise DomainError(f"martingale factor n must be positive, got {n!r}")
 
+    @cached_property
+    def factor_values(self) -> tuple:
+        """(M,) or (M, N), in factor order."""
+        return (self.m,) if self.n is None else (self.m, self.n)
+
 
 def _check_same_lam(coeffs: Sequence[CoefficientFunction]) -> float:
     lams = {c.lam for c in coeffs}
@@ -263,21 +282,21 @@ def _check_same_lam(coeffs: Sequence[CoefficientFunction]) -> float:
     return lams.pop()
 
 
-@dataclass(frozen=True)
-class OneFactorModel:
-    """pi_t = a(t) + b(t) M_t with tail index lam shared by a and b."""
+def _validated_lam(coeffs: Sequence[CoefficientFunction]) -> float:
+    """Validate a coefficient vector; return its shared tail index."""
+    lam = _check_same_lam(coeffs)
+    for coef in coeffs:
+        coef.validate()
+    if not any(coef.tail_limit > 0.0 for coef in coeffs):
+        raise DomainError(
+            f"tail limits must satisfy {' + '.join('ABC'[: len(coeffs)])} > 0"
+        )
+    return lam
 
-    a: CoefficientFunction
-    b: CoefficientFunction
-    driver: GBMDriver | None = None
 
-    def __post_init__(self):
-        lam = _check_same_lam((self.a, self.b))
-        self.a.validate()
-        self.b.validate()
-        if self.a.tail_limit + self.b.tail_limit <= 0.0:
-            raise DomainError("tail limits must satisfy A + B > 0")
-        object.__setattr__(self, "_lam", lam)
+class _RationalKernel:
+    """Shared by the model classes, which supply ``coefficients`` (a, b[, c]),
+    ``drivers`` (None or one per factor) and ``_lam``."""
 
     @property
     def lam(self) -> float:
@@ -285,7 +304,31 @@ class OneFactorModel:
 
     @property
     def factors(self) -> int:
-        return 1
+        return len(self.coefficients) - 1
+
+    @property
+    def differentiable(self) -> bool:
+        return all(c.differentiable for c in self.coefficients)
+
+
+@dataclass(frozen=True)
+class OneFactorModel(_RationalKernel):
+    """pi_t = a(t) + b(t) M_t with tail index lam shared by a and b."""
+
+    a: CoefficientFunction
+    b: CoefficientFunction
+    driver: GBMDriver | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lam", _validated_lam(self.coefficients))
+
+    @cached_property
+    def coefficients(self) -> tuple[CoefficientFunction, ...]:
+        return (self.a, self.b)
+
+    @property
+    def drivers(self) -> tuple[GBMDriver] | None:
+        return None if self.driver is None else (self.driver,)
 
     @property
     def abar(self) -> float:
@@ -295,13 +338,9 @@ class OneFactorModel:
     def bbar(self) -> float:
         return self.b.tail_limit * self.lam ** -self.lam
 
-    @property
-    def differentiable(self) -> bool:
-        return self.a.differentiable and self.b.differentiable
-
 
 @dataclass(frozen=True)
-class TwoFactorModel:
+class TwoFactorModel(_RationalKernel):
     """pi_t = a(t) + b(t) M_t + c(t) N_t, tail index fixed at 1."""
 
     a: CoefficientFunction
@@ -310,59 +349,72 @@ class TwoFactorModel:
     drivers: tuple[GBMDriver, GBMDriver] | None = None
 
     def __post_init__(self):
-        lam = _check_same_lam((self.a, self.b, self.c))
+        lam = _check_same_lam(self.coefficients)
         if lam != 1.0:
             raise DomainError(f"two-factor models require tail index 1, got {lam!r}")
-        for coef in (self.a, self.b, self.c):
-            coef.validate()
-        if self.a.tail_limit + self.b.tail_limit + self.c.tail_limit <= 0.0:
-            raise DomainError("tail limits must satisfy A + B + C > 0")
+        _validated_lam(self.coefficients)
         if self.drivers is not None and len(self.drivers) != 2:
             raise DomainError("two-factor models need exactly two drivers")
+        object.__setattr__(self, "_lam", 1.0)
 
-    @property
-    def lam(self) -> float:
-        return 1.0
-
-    @property
-    def factors(self) -> int:
-        return 2
-
-    @property
-    def differentiable(self) -> bool:
-        return all(f.differentiable for f in (self.a, self.b, self.c))
+    @cached_property
+    def coefficients(self) -> tuple[CoefficientFunction, ...]:
+        return (self.a, self.b, self.c)
 
 
 Model = OneFactorModel | TwoFactorModel
 
 
-def _state_for(model, state: ModelState) -> ModelState:
-    if isinstance(model, OneFactorModel):
-        if state.n is not None:
-            raise DomainError("one-factor model takes a state without n")
-    elif isinstance(model, TwoFactorModel):
-        if state.n is None:
-            raise DomainError("two-factor model needs a state with n")
-    else:
-        raise DomainError(f"unknown model type {type(model).__name__}")
-    return state
+def _combine(coefs, xs):
+    """c_0 + c_1 X^1 + ... + c_k X^k, accumulated left to right.
+
+    Serves Python floats and path arrays alike; the fixed order keeps
+    every result bitwise reproducible.
+    """
+    v = coefs[0]
+    i = 1
+    for x in xs:
+        v = v + coefs[i] * x
+        i += 1
+    return v
+
+
+def _values_at(coefs, t) -> list[float]:
+    # On every scalar kernel evaluation: c.fn skips CoefficientFunction's
+    # call frame, and a plain loop is cheaper here than a comprehension.
+    values = []
+    for c in coefs:
+        values.append(float(c.fn(t)))
+    return values
+
+
+def _require_factors(model: Model, count: int, what: str) -> None:
+    if model.factors != count:
+        raise DomainError(
+            f"{what} needs a {count}-factor model, got a {model.factors}-factor model"
+        )
+
+
+def _factor_values(model: Model, holder) -> tuple:
+    """A state's factor values or an ensemble's factor paths, checked against the model."""
+    xs = holder.factor_values
+    if len(xs) != len(model.coefficients) - 1:
+        raise DomainError(
+            f"{model.factors}-factor model cannot use {len(xs)} factor value(s)"
+        )
+    return xs
 
 
 def kernel_value(model: Model, state: ModelState) -> float:
     """pi at the given state."""
-    _state_for(model, state)
-    v = float(model.a(state.t)) + float(model.b(state.t)) * state.m
-    if isinstance(model, TwoFactorModel):
-        v += float(model.c(state.t)) * state.n
-    return v
+    coefs = model.coefficients
+    xs = _factor_values(model, state)
+    return _combine(_values_at(coefs, state.t), xs)
 
 
 def expected_kernel(model: Model, t: float) -> float:
     """E[pi_t] = a(t) + b(t) (+ c(t)); the martingales have unit mean."""
-    v = float(model.a(t)) + float(model.b(t))
-    if isinstance(model, TwoFactorModel):
-        v += float(model.c(t))
-    return v
+    return _combine(_values_at(model.coefficients, t), (1.0,) * model.factors)
 
 
 def theta_value(model: Model, state: ModelState) -> float:
@@ -372,14 +424,9 @@ def theta_value(model: Model, state: ModelState) -> float:
     = A + B M_t (plus C N_t in the two-factor case), a positive
     martingale, so the supermartingale property holds with equality.
     """
-    _state_for(model, state)
-    if isinstance(model, OneFactorModel):
-        return model.a.tail_limit + model.b.tail_limit * state.m
-    return (
-        model.a.tail_limit
-        + model.b.tail_limit * state.m
-        + model.c.tail_limit * state.n
-    )
+    coefs = model.coefficients
+    xs = _factor_values(model, state)
+    return _combine([c.tail_limit for c in coefs], xs)
 
 
 # ---------------------------------------------------------------------------
@@ -392,39 +439,22 @@ def _check_maturity(t: float, T: float) -> None:
         raise DomainError(f"maturity must satisfy T >= t, got t={t!r}, T={T!r}")
 
 
-def bond_price_1f(model: OneFactorModel, state: ModelState, T: float) -> float:
-    """P(t, T) = (a(T) + b(T) M_t) / (a(t) + b(t) M_t)."""
-    _state_for(model, state)
-    _check_maturity(state.t, T)
-    num = float(model.a(T)) + float(model.b(T)) * state.m
-    return num / kernel_value(model, state)
-
-
-def bond_price_2f(model: TwoFactorModel, state: ModelState, T: float) -> float:
-    _state_for(model, state)
-    _check_maturity(state.t, T)
-    num = (
-        float(model.a(T))
-        + float(model.b(T)) * state.m
-        + float(model.c(T)) * state.n
-    )
-    return num / kernel_value(model, state)
-
-
 def bond_price(model: Model, state: ModelState, T: float) -> float:
-    if isinstance(model, OneFactorModel):
-        return bond_price_1f(model, state, T)
-    return bond_price_2f(model, state, T)
+    """P(t, T) = (a(T) + b(T) M_t (+ c(T) N_t)) / pi_t."""
+    coefs = model.coefficients
+    xs = _factor_values(model, state)
+    _check_maturity(state.t, T)
+    num = _combine(_values_at(coefs, T), xs)
+    return num / _combine(_values_at(coefs, state.t), xs)
 
 
 def bond_log_df(model: Model, state: ModelState, T: float) -> float:
     """ln P(t, T); numerator and denominator are positive by construction."""
-    _state_for(model, state)
+    coefs = model.coefficients
+    xs = _factor_values(model, state)
     _check_maturity(state.t, T)
-    num = float(model.a(T)) + float(model.b(T)) * state.m
-    if isinstance(model, TwoFactorModel):
-        num += float(model.c(T)) * state.n
-    return math.log(num) - math.log(kernel_value(model, state))
+    num = _combine(_values_at(coefs, T), xs)
+    return math.log(num) - math.log(_combine(_values_at(coefs, state.t), xs))
 
 
 @dataclass(frozen=True)
@@ -454,38 +484,32 @@ class BondEvaluator:
 
 def bond_evaluator(model: Model, state: ModelState) -> BondEvaluator:
     """Anchor a model at a state for use with the long-rate estimators."""
-    _state_for(model, state)
+    _factor_values(model, state)
     return BondEvaluator(model, state)
 
 
-def short_rate_1f(model: OneFactorModel, state: ModelState) -> float:
-    """r_t = -(a'(t) + b'(t) M_t) / (a(t) + b(t) M_t)."""
-    _state_for(model, state)
-    num = float(model.a.derivative(state.t)) + float(model.b.derivative(state.t)) * state.m
-    return -num / kernel_value(model, state)
+def short_rate(model: Model, state: ModelState) -> float:
+    """r_t = -(a'(t) + b'(t) M_t (+ c'(t) N_t)) / pi_t."""
+    coefs = model.coefficients
+    xs = _factor_values(model, state)
+    slope = _combine([float(c.derivative(state.t)) for c in coefs], xs)
+    return -slope / _combine(_values_at(coefs, state.t), xs)
 
 
-def short_rate_2f(model: TwoFactorModel, state: ModelState) -> float:
-    _state_for(model, state)
-    num = (
-        float(model.a.derivative(state.t))
-        + float(model.b.derivative(state.t)) * state.m
-        + float(model.c.derivative(state.t)) * state.n
-    )
-    return -num / kernel_value(model, state)
-
-
-def long_pareto_1f(model: OneFactorModel, state: ModelState) -> float:
+def long_rate(model: Model, state: ModelState) -> float:
     """Long tail-Pareto rate of the model's own index lam.
 
-    L = ((a(t) + b(t) M_t) / (abar + bbar M_t)) ** (1/lam).
+    L = (pi_t / (abar + bbar M_t (+ cbar N_t))) ** (1/lam); for lam = 1
+    this is the long simple rate.
     """
-    _state_for(model, state)
-    bench = model.abar + model.bbar * state.m
-    return (kernel_value(model, state) / bench) ** (1.0 / model.lam)
+    coefs = model.coefficients
+    xs = _factor_values(model, state)
+    scale = model.lam ** -model.lam  # cbar_i = C_i lam^-lam
+    bench = _combine([c.tail_limit * scale for c in coefs], xs)
+    return (_combine(_values_at(coefs, state.t), xs) / bench) ** (1.0 / model.lam)
 
 
-def long_libor_1f(model: OneFactorModel, state: ModelState) -> float:
+def long_libor_1f(model: Model, state: ModelState) -> float:
     """Long simple (Libor) rate; defined for tail index 1 models only.
 
     For lam != 1 the simple long rate is degenerate (0 or infinite); use
@@ -496,18 +520,13 @@ def long_libor_1f(model: OneFactorModel, state: ModelState) -> float:
             f"long simple rate needs tail index 1, model has lam={model.lam!r}; "
             "use long_pareto_1f"
         )
-    return long_pareto_1f(model, state)
+    return long_rate(model, state)
 
 
-def long_libor_2f(model: TwoFactorModel, state: ModelState) -> float:
-    """L = (a(t) + b(t) M_t + c(t) N_t) / (A + B M_t + C N_t)."""
-    _state_for(model, state)
-    bench = (
-        model.a.tail_limit
-        + model.b.tail_limit * state.m
-        + model.c.tail_limit * state.n
-    )
-    return kernel_value(model, state) / bench
+bond_price_1f = bond_price_2f = bond_price
+short_rate_1f = short_rate_2f = short_rate
+long_pareto_1f = long_rate
+long_libor_2f = long_libor_1f
 
 
 # ---------------------------------------------------------------------------
@@ -515,16 +534,12 @@ def long_libor_2f(model: TwoFactorModel, state: ModelState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _coef_at(model: OneFactorModel, t: float):
+def _short_rate_wronskian(model: OneFactorModel, t: float):
+    _require_factors(model, 1, "short-rate inversion")
     a_t = float(model.a(t))
     b_t = float(model.b(t))
     ap = float(model.a.derivative(t))
     bp = float(model.b.derivative(t))
-    return a_t, b_t, ap, bp
-
-
-def _short_rate_wronskian(model: OneFactorModel, t: float):
-    a_t, b_t, ap, bp = _coef_at(model, t)
     w = a_t * bp - b_t * ap
     scale = abs(a_t * bp) + abs(b_t * ap)
     if abs(w) <= _DEGENERACY_RTOL * scale:
@@ -573,6 +588,7 @@ def bond_from_short_rate_1f(
 
 
 def _long_rate_determinant(model: OneFactorModel, t: float):
+    _require_factors(model, 1, "long-rate inversion")
     a_t = float(model.a(t))
     b_t = float(model.b(t))
     abar, bbar = model.abar, model.bbar
@@ -658,6 +674,7 @@ def fgh_coefficients(model: TwoFactorModel, t: float, T: float) -> FGHCoefficien
     (rank drop without a matching right-hand side) reports
     NO_DECOMPOSITION.
     """
+    _require_factors(model, 2, "the (F, G, H) decomposition")
     _check_maturity(t, T)
     a_t, b_t, c_t = float(model.a(t)), float(model.b(t)), float(model.c(t))
     ap = float(model.a.derivative(t))
@@ -797,7 +814,7 @@ def _coefficient_from_config(cfg: dict, path: str, lam: float) -> CoefficientFun
         raise DomainError(f"model config {path}.family: unknown family {family!r}")
     node = _cfg_get(cfg, path)
     if "tail_limit" in node:
-        declared = float(node["tail_limit"])
+        declared = _as_float(f"model config {path}.tail_limit", node["tail_limit"])
         if abs(declared - coef.tail_limit) > 1e-9 * max(1.0, abs(coef.tail_limit)):
             raise DomainError(
                 f"model config {path}.tail_limit: declared {declared!r} but family "
@@ -814,6 +831,10 @@ def _driver_from_config(cfg: dict, path: str) -> GBMDriver:
     if isinstance(sched, (int, float)):
         return GBMDriver.constant(float(sched))
     return GBMDriver.from_schedule(sched)
+
+
+_COEFFICIENT_NAMES = ("a", "b", "c")
+_DRIVER_NAMES = ("m", "n")
 
 
 def model_from_config(cfg: dict) -> Model:
@@ -833,26 +854,22 @@ def model_from_config(cfg: dict) -> Model:
     [start_time, sigma] pairs.
     """
     factors = _cfg_get(cfg, "factors")
-    lam = float(_cfg_get(cfg, "lambda"))
-    if factors == 1:
-        a = _coefficient_from_config(cfg, "coefficients.a", lam)
-        b = _coefficient_from_config(cfg, "coefficients.b", lam)
-        driver = None
-        if "drivers" in cfg:
-            driver = _driver_from_config(cfg, "drivers.m")
-        return OneFactorModel(a, b, driver=driver)
-    if factors == 2:
-        a = _coefficient_from_config(cfg, "coefficients.a", lam)
-        b = _coefficient_from_config(cfg, "coefficients.b", lam)
-        c = _coefficient_from_config(cfg, "coefficients.c", lam)
-        drivers = None
-        if "drivers" in cfg:
-            drivers = (
-                _driver_from_config(cfg, "drivers.m"),
-                _driver_from_config(cfg, "drivers.n"),
-            )
-        return TwoFactorModel(a, b, c, drivers=drivers)
-    raise DomainError(f"model config factors: expected 1 or 2, got {factors!r}")
+    lam = _as_float("model config lambda", _cfg_get(cfg, "lambda"))
+    if factors not in (1, 2):
+        raise DomainError(f"model config factors: expected 1 or 2, got {factors!r}")
+    k = int(factors)
+    coefs = [
+        _coefficient_from_config(cfg, f"coefficients.{name}", lam)
+        for name in _COEFFICIENT_NAMES[: k + 1]
+    ]
+    drivers = None
+    if "drivers" in cfg:
+        drivers = tuple(
+            _driver_from_config(cfg, f"drivers.{name}") for name in _DRIVER_NAMES[:k]
+        )
+    if k == 1:
+        return OneFactorModel(*coefs, driver=None if drivers is None else drivers[0])
+    return TwoFactorModel(*coefs, drivers=drivers)
 
 
 def _coefficient_to_config(coef: CoefficientFunction) -> dict:
@@ -870,24 +887,15 @@ def _coefficient_to_config(coef: CoefficientFunction) -> dict:
 
 def model_to_config(model: Model) -> dict:
     cfg: dict = {"factors": model.factors, "lambda": model.lam}
-    if isinstance(model, OneFactorModel):
-        cfg["coefficients"] = {
-            "a": _coefficient_to_config(model.a),
-            "b": _coefficient_to_config(model.b),
+    cfg["coefficients"] = {
+        name: _coefficient_to_config(coef)
+        for name, coef in zip(_COEFFICIENT_NAMES, model.coefficients)
+    }
+    if model.drivers is not None:
+        cfg["drivers"] = {
+            name: {"type": "gbm", "sigma": driver.schedule()}
+            for name, driver in zip(_DRIVER_NAMES, model.drivers)
         }
-        if model.driver is not None:
-            cfg["drivers"] = {"m": {"type": "gbm", "sigma": model.driver.schedule()}}
-    else:
-        cfg["coefficients"] = {
-            "a": _coefficient_to_config(model.a),
-            "b": _coefficient_to_config(model.b),
-            "c": _coefficient_to_config(model.c),
-        }
-        if model.drivers is not None:
-            cfg["drivers"] = {
-                "m": {"type": "gbm", "sigma": model.drivers[0].schedule()},
-                "n": {"type": "gbm", "sigma": model.drivers[1].schedule()},
-            }
     return cfg
 
 

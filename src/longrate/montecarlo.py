@@ -28,8 +28,9 @@ from .errors import DomainError, LongrateError
 from .kernel_models import (
     Model,
     ModelState,
-    OneFactorModel,
-    TwoFactorModel,
+    _combine,
+    _factor_values,
+    _values_at,
     bond_price,
     expected_kernel,
     kernel_value,
@@ -95,16 +96,14 @@ class PathEnsemble:
             raise DomainError("grid must be increasing from 0 with at least two points")
         if self.m.shape != (self.m.shape[0], grid.size) or self.m.shape[0] < 1:
             raise DomainError("path array shape must be (n_paths, len(grid))")
-        if not np.all(self.m > 0.0):
-            raise DomainError("martingale paths must stay strictly positive")
-        if self.n is not None:
-            if self.n.shape != self.m.shape:
+        for x in self.factor_values:
+            if x.shape != self.m.shape:
                 raise DomainError("second factor must match the first factor's shape")
-            if not np.all(self.n > 0.0):
+            if not np.all(x > 0.0):
                 raise DomainError("martingale paths must stay strictly positive")
         if not -1.0 <= self.rho <= 1.0:
             raise DomainError(f"correlation must lie in [-1, 1], got {self.rho!r}")
-        for arr in (grid, self.m) + (() if self.n is None else (self.n,)):
+        for arr in (grid, *self.factor_values):
             arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
 
@@ -116,6 +115,11 @@ class PathEnsemble:
     def two_factor(self) -> bool:
         return self.n is not None
 
+    @property
+    def factor_values(self) -> tuple[np.ndarray, ...]:
+        """(m,) or (m, n), in factor order."""
+        return (self.m,) if self.n is None else (self.m, self.n)
+
     def time_index(self, t: float) -> int:
         hits = np.flatnonzero(np.isclose(self.grid, t, rtol=0.0, atol=1e-12))
         if hits.size != 1:
@@ -123,27 +127,17 @@ class PathEnsemble:
         return int(hits[0])
 
 
-def _chunk_paths(
-    variances: np.ndarray,
-    variances2: np.ndarray | None,
-    rho: float,
-    seed: int,
-    chunk: int,
-    k: int,
-):
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk,))
-    )
-    steps = variances.size
-    z_m = rng.standard_normal((k, steps))
-    log_m = np.cumsum(-0.5 * variances + np.sqrt(variances) * z_m, axis=1)
-    out_m = np.exp(log_m)
-    if variances2 is None:
-        return out_m, None
-    z_n = rng.standard_normal((k, steps))
-    z_n = rho * z_m + math.sqrt(1.0 - rho * rho) * z_n
-    log_n = np.cumsum(-0.5 * variances2 + np.sqrt(variances2) * z_n, axis=1)
-    return out_m, np.exp(log_n)
+def _factor_normals(rng, shape, rho: float, count: int):
+    """Standard normals for each of ``count`` factors, drawn in factor order.
+
+    The second factor's normals are correlated with the first's as
+    rho * z_m + sqrt(1 - rho^2) * z_n.
+    """
+    z_m = rng.standard_normal(shape)
+    yield z_m
+    for _ in range(1, count):
+        z_n = rng.standard_normal(shape)
+        yield rho * z_m + math.sqrt(1.0 - rho * rho) * z_n
 
 
 def simulate_paths(
@@ -166,36 +160,29 @@ def simulate_paths(
         raise DomainError("grid must be increasing from 0 with at least two points")
     if n_paths < 1:
         raise DomainError(f"n_paths must be positive, got {n_paths!r}")
-    if isinstance(drivers, GBMDriver):
-        driver_m, driver_n = drivers, None
-    else:
-        pair = tuple(drivers)
-        if len(pair) == 1:
-            driver_m, driver_n = pair[0], None
-        elif len(pair) == 2:
-            driver_m, driver_n = pair
-        else:
-            raise DomainError(f"expected one or two drivers, got {len(pair)}")
+    drivers = (drivers,) if isinstance(drivers, GBMDriver) else tuple(drivers)
+    if len(drivers) not in (1, 2):
+        raise DomainError(f"expected one or two drivers, got {len(drivers)}")
     if not -1.0 <= rho <= 1.0:
         raise DomainError(f"correlation must lie in [-1, 1], got {rho!r}")
 
-    v_m = driver_m.step_variances(g)
-    v_n = driver_n.step_variances(g) if driver_n is not None else None
-    m = np.empty((n_paths, g.size))
-    m[:, 0] = 1.0
-    n = None
-    if driver_n is not None:
-        n = np.empty_like(m)
-        n[:, 0] = 1.0
+    variances = [d.step_variances(g) for d in drivers]
+    paths = []
+    for _ in drivers:
+        x = np.empty((n_paths, g.size))
+        x[:, 0] = 1.0
+        paths.append(x)
 
     chunks = range(0, n_paths, _CHUNK_PATHS)
 
     def fill(start: int) -> None:
         k = min(_CHUNK_PATHS, n_paths - start)
-        cm, cn = _chunk_paths(v_m, v_n, rho, seed, start // _CHUNK_PATHS, k)
-        m[start : start + k, 1:] = cm
-        if cn is not None:
-            n[start : start + k, 1:] = cn
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=int(seed), spawn_key=(start // _CHUNK_PATHS,))
+        )
+        normals = _factor_normals(rng, (k, g.size - 1), rho, len(drivers))
+        for x, v, z in zip(paths, variances, normals):
+            x[start : start + k, 1:] = np.exp(np.cumsum(-0.5 * v + np.sqrt(v) * z, axis=1))
 
     workers = worker_count(max_workers)
     if workers == 1:
@@ -205,37 +192,39 @@ def simulate_paths(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, chunks))
 
-    if not np.all(m > 0.0) or (n is not None and not np.all(n > 0.0)):
+    if not all(np.all(x > 0.0) for x in paths):
         raise DomainError(
             "paths underflowed to zero; the horizon is too long for this "
             "volatility (shorten the grid or lower sigma)"
         )
-    return PathEnsemble(g, m, n, int(seed), float(rho))
+    n = paths[1] if len(paths) > 1 else None
+    return PathEnsemble(g, paths[0], n, int(seed), float(rho))
+
+
+def _declared_drivers(model: Model) -> tuple[GBMDriver, ...]:
+    drivers = model.drivers
+    if drivers is None or any(d is None for d in drivers):
+        raise DomainError("model declares no driver; cannot simulate")
+    return drivers
 
 
 def ensemble_for_model(
     model: Model, grid, n_paths: int, seed: int, rho: float = 0.0, max_workers=None
 ) -> PathEnsemble:
-    """Simulate an ensemble using the model's own declared drivers."""
-    if isinstance(model, OneFactorModel):
-        if model.driver is None:
-            raise DomainError("model declares no driver; cannot simulate")
-        return simulate_paths(model.driver, grid, n_paths, seed, 0.0, max_workers)
-    if model.drivers is None:
-        raise DomainError("model declares no drivers; cannot simulate")
-    return simulate_paths(model.drivers, grid, n_paths, seed, rho, max_workers)
+    """Simulate an ensemble using the model's own declared drivers.
+
+    ``rho`` applies to two-factor models only; one-factor ensembles record 0.
+    """
+    drivers = _declared_drivers(model)
+    rho = rho if len(drivers) > 1 else 0.0
+    return simulate_paths(drivers, grid, n_paths, seed, rho, max_workers)
 
 
 def kernel_paths(model: Model, ensemble: PathEnsemble) -> np.ndarray:
     """pi along every path: a(t) + b(t) M_t (+ c(t) N_t), shape like m."""
-    if isinstance(model, OneFactorModel) and ensemble.two_factor:
-        raise DomainError("one-factor model cannot price a two-factor ensemble")
-    if isinstance(model, TwoFactorModel) and not ensemble.two_factor:
-        raise DomainError("two-factor model needs a two-factor ensemble")
+    xs = _factor_values(model, ensemble)
     g = ensemble.grid
-    pi = np.asarray(model.a(g), dtype=float) + np.asarray(model.b(g), dtype=float) * ensemble.m
-    if isinstance(model, TwoFactorModel):
-        pi = pi + np.asarray(model.c(g), dtype=float) * ensemble.n
+    pi = _combine([np.asarray(c(g), dtype=float) for c in model.coefficients], xs)
     if not np.all(pi > 0.0):
         raise LongrateError("kernel positivity violated along simulated paths")
     return pi
@@ -250,7 +239,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def _z_score(gap: float, se: float, scale: float) -> float:
-    """Gap in standard errors, guarding degenerate columns.
+    """A gap (or a signed mean) in standard errors, guarding degenerate columns.
 
     At t = 0 every path agrees bitwise, so both the gap and the sample
     standard error are pure float-summation rounding; dividing one by the
@@ -337,19 +326,15 @@ def deflated_bond_martingale_check(
     """
     pi = kernel_paths(model, ensemble)
     target = expected_kernel(model, maturity)
-    a_T = float(model.a(maturity))
-    b_T = float(model.b(maturity))
-    c_T = float(model.c(maturity)) if isinstance(model, TwoFactorModel) else 0.0
+    coefs_T = _values_at(model.coefficients, maturity)
     checks = []
     rows = []
     for t in times:
         j = ensemble.time_index(float(t))
         if maturity < ensemble.grid[j]:
             raise DomainError(f"maturity {maturity!r} precedes audit time {t!r}")
-        num = a_T + b_T * ensemble.m[:, j]
-        if ensemble.two_factor:
-            num = num + c_T * ensemble.n[:, j]
-        deflated = pi[:, j] * (num / pi[:, j])
+        bond = _combine(coefs_T, [x[:, j] for x in ensemble.factor_values]) / pi[:, j]
+        deflated = pi[:, j] * bond
         mean, se = _mean_se(deflated)
         z = _z_score(abs(mean - target), se, target)
         rows.append({"t": float(t), "mean": mean, "se": se, "z": z})
@@ -442,36 +427,21 @@ def _state_spawn_key(state: ModelState) -> tuple[int, ...]:
 
 
 def _terminal_factors(model, state, T, seed, flow_index, n_paths, rho):
-    """Draw (M_T, N_T) given the state, chunk-seeded from (seed, state, flow)."""
+    """Draw (M_T[, N_T]) given the state, chunk-seeded from (seed, state, flow)."""
     base_key = _state_spawn_key(state)
-    if isinstance(model, OneFactorModel):
-        drivers = (model.driver,)
-    else:
-        drivers = model.drivers
-    if drivers is None or any(d is None for d in drivers):
-        raise DomainError("model declares no driver; cannot simulate")
-    v_m = drivers[0].variance(state.t, T)
-    v_n = drivers[1].variance(state.t, T) if len(drivers) > 1 else None
-    m_out = np.empty(n_paths)
-    n_out = np.empty(n_paths) if v_n is not None else None
+    drivers = _declared_drivers(model)
+    variances = [d.variance(state.t, T) for d in drivers]
+    outs = tuple(np.empty(n_paths) for _ in drivers)
     for start in range(0, n_paths, _CHUNK_PATHS):
         k = min(_CHUNK_PATHS, n_paths - start)
         ss = np.random.SeedSequence(
             entropy=int(seed),
             spawn_key=base_key + (int(flow_index), start // _CHUNK_PATHS),
         )
-        rng = np.random.default_rng(ss)
-        z_m = rng.standard_normal(k)
-        m_out[start : start + k] = state.m * np.exp(
-            -0.5 * v_m + math.sqrt(v_m) * z_m
-        )
-        if n_out is not None:
-            z_n = rng.standard_normal(k)
-            z_n = rho * z_m + math.sqrt(1.0 - rho * rho) * z_n
-            n_out[start : start + k] = state.n * np.exp(
-                -0.5 * v_n + math.sqrt(v_n) * z_n
-            )
-    return m_out, n_out
+        normals = _factor_normals(np.random.default_rng(ss), k, rho, len(drivers))
+        for x0, v, out, z in zip(state.factor_values, variances, outs, normals):
+            out[start : start + k] = x0 * np.exp(-0.5 * v + math.sqrt(v) * z)
+    return outs
 
 
 def value_claim(
@@ -512,17 +482,14 @@ def value_claim(
             out.append(FlowValuation(T, value, None, "closed_form"))
             total += value
             continue
-        m_T, n_T = _terminal_factors(model, state, T, seed, idx, n_paths, rho)
-        pi_T = float(model.a(T)) + float(model.b(T)) * m_T
-        if isinstance(model, TwoFactorModel):
-            pi_T = pi_T + float(model.c(T)) * n_T
+        terminal = _terminal_factors(model, state, T, seed, idx, n_paths, rho)
+        pi_T = _combine(_values_at(model.coefficients, T), terminal)
         if flow.amount is not None:
             h = float(flow.amount)
             samples = pi_T * h
         else:
-            h = flow.payoff(m_T) if n_T is None else flow.payoff(m_T, n_T)
-            h = np.asarray(h, dtype=float)
-            if h.shape != m_T.shape:
+            h = np.asarray(flow.payoff(*terminal), dtype=float)
+            if h.shape != pi_T.shape:
                 raise DomainError("payoff must return one value per path")
             if not np.all(np.isfinite(h)):
                 raise DomainError(
@@ -542,7 +509,7 @@ def write_ensemble_csv(ensemble: PathEnsemble, path, fmt: str = "%.9g") -> None:
     Rows are formatted a block of whole paths at a time, with one ``%``
     over a repeated row template, so the buffers stay a few MB.
     """
-    factors = (ensemble.m, ensemble.n) if ensemble.two_factor else (ensemble.m,)
+    factors = ensemble.factor_values
     columns = 2 + len(factors)
     row = ",".join(["%d"] + [fmt] * (columns - 1)) + "\n"
     steps = ensemble.grid.size

@@ -5,11 +5,44 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from conftest import run_cli
+
+_DROP = object()
+
+# ref1f.json with the listed (key path, value) edits; _DROP deletes the key.
+BAD_MODEL_CONFIGS = {
+    "lambda_text": [("lambda", "x")],
+    "lambda_null": [("lambda", None)],
+    "tail_limit_text": [("coefficients.a.tail_limit", "abc")],
+    "scale_text": [("coefficients.a.params.scale", "abc")],
+    "sigma_text": [("drivers.m.sigma", "abc")],
+    "lambda_60": [
+        ("lambda", 60),
+        ("coefficients.a.params.power", _DROP),
+        ("coefficients.b.params.power", _DROP),
+    ],
+}
+
+
+def _write_bad_model_configs(directory):
+    text = resources.files("longrate").joinpath("data", "ref1f.json").read_text()
+    for name, edits in BAD_MODEL_CONFIGS.items():
+        cfg = json.loads(text)
+        for path, value in edits:
+            *parents, key = path.split(".")
+            node = cfg
+            for part in parents:
+                node = node[part]
+            if value is _DROP:
+                del node[key]
+            else:
+                node[key] = value
+        (directory / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
 
 
 def test_convert_pinned_output():
@@ -191,10 +224,13 @@ def test_all_numbers_use_nine_significant_digits():
         ("aggregate", "--mix", '{"kind":"gamma","shape":null,"mean_rate":0.04}'),
         ("value", "--model", "ref1f", "--flow", "T=abc,amount=1"),
         ("classify", "--curve", "flat:0.03", "--window", "1:y"),
+        *(("longrate", "--model", f"{{tmp}}/{name}.json", "--conv", "libor")
+          for name in BAD_MODEL_CONFIGS),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+    _write_bad_model_configs(tmp_path)
     out = run_cli(*(str(a).replace("{tmp}", str(tmp_path)) for a in args))
     assert out.returncode == 2
     assert out.stderr.startswith("error: ")

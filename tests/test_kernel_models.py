@@ -202,6 +202,50 @@ def test_degenerate_model_has_no_inverse():
 
 
 # ---------------------------------------------------------------------------
+# Factor counts: one function per quantity, guarded factor-specific operations
+# ---------------------------------------------------------------------------
+
+
+def test_one_and_two_factor_names_serve_any_model(ref1f, ref2f):
+    s1, s2 = ModelState(0.0, 1.0), ModelState(0.0, 1.0, 1.0)
+    for short in (short_rate_1f, short_rate_2f, lr.short_rate):
+        assert short(ref2f, s2) == pytest.approx(0.9117647058823529, rel=1e-12)
+        assert short(ref1f, s1) == pytest.approx(0.8333333333333334, rel=1e-12)
+    # P(0, 5) = (0.4/6 + 0.3/6 + 0.3/7) / 0.85 keeps the c(T) N term
+    for bond in (lr.bond_price_1f, lr.bond_price_2f, bond_price):
+        assert bond(ref2f, s2, 5.0) == pytest.approx((0.7 / 6 + 0.3 / 7) / 0.85, rel=1e-14)
+    assert long_pareto_1f(ref2f, s2) == pytest.approx(0.85, rel=1e-14)
+    assert long_libor_2f(ref1f, s1) == pytest.approx(0.75, rel=1e-14)
+    with pytest.raises(DomainError):
+        long_libor_2f(lr.zoo.pareto_one_factor(2.0), s1)
+    with pytest.raises(DomainError, match="1-factor model cannot use 2 factor value"):
+        bond_price(ref1f, s2, 5.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: state_from_short_rate_1f(m, 0.0, 0.9),
+        lambda m: state_from_long_rate_1f(m, 0.0, 0.85),
+        lambda m: lr.attainable_short_rates(m, 0.0),
+        lambda m: lr.attainable_long_rates(m, 0.0),
+        lambda m: lr.bond_from_short_rate_1f(m, 0.0, 5.0, 0.9),
+        lambda m: lr.bond_from_long_rate_1f(m, 0.0, 5.0, 0.85),
+    ],
+    ids=["state_from_short", "state_from_long", "attainable_short", "attainable_long",
+         "bond_from_short", "bond_from_long"],
+)
+def test_one_factor_operations_reject_two_factor_models(ref2f, call):
+    with pytest.raises(DomainError, match="needs a 1-factor model, got a 2-factor model"):
+        call(ref2f)
+
+
+def test_fgh_rejects_one_factor_models(ref1f):
+    with pytest.raises(DomainError, match="needs a 2-factor model, got a 1-factor model"):
+        fgh_coefficients(ref1f, 0.0, 5.0)
+
+
+# ---------------------------------------------------------------------------
 # Two-factor pricing decomposition
 # ---------------------------------------------------------------------------
 

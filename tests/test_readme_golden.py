@@ -1,0 +1,75 @@
+"""The README CLI examples, run in-process, reproduce recorded outputs byte for byte.
+
+Each example runs through ``longrate.cli.main`` in a scratch directory.
+Its exit code, the sha256 of its stdout and the sha256 of every file it
+writes are compared with recorded digests, so any change to a number,
+a header or a detail string shows up here.  Re-record them only for an
+intended change of output.
+"""
+
+import hashlib
+
+import pytest
+
+from longrate.cli import main
+
+EXAMPLES = [
+    ("convert", "--T", "10", "--from", "exp", "--to", "libor", "--value", "0.05"),
+    ("longrate", "--model", "ref1f", "--t", "0", "--conv", "libor"),
+    ("value", "--model", "ref1f", "--flow", "T=10,amount=1"),
+    ("curve", "--curve", "flat:0.03", "--probes", "10:10;20:40", "--json", "out.json"),
+    ("aggregate", "--mix", '{"kind":"gamma","shape":2,"mean_rate":0.04}',
+     "--estimate", "--sample", "10000", "--seed", "11", "--out", "taus.csv"),
+    ("simulate", "--model", "ref2f", "--grid", "lin:0:10:21", "--n", "5000", "--seed", "3",
+     "--rho", "0.5", "--out", "paths.csv"),
+    ("classify", "--curve", "pareto:2:0.04"),
+    ("audit", "dir", "--model", "ref1f", "--seed", "7"),
+    ("audit", "strat", "--curve", "flat:0.03"),
+    ("audit", "kernel", "--model", "ref2f", "--seed", "11", "--n", "100000", "--rho", "0.5"),
+    ("audit", "pareto", "--model", "pareto2", "--seed", "5"),
+    ("greenbook", "--schedule", "greenbook_example", "--json", "report.json"),
+]
+
+# example index -> (exit code, sha256 of stdout, {written file: sha256})
+GOLDEN = {
+    0: (0, "d996991a51ae965eef98b1bb643c15e25767f51ab62f418b9ae82783ffaac516", {}),
+    1: (0, "aeb6e183c39ffd555c68aa619e1a916752a3bdf59470e279b468c6d598f6a81a", {}),
+    2: (0, "32d6a21ccae562d080ee6351e405038f9e45d8cbc8b001e415a924f30e966a72", {}),
+    3: (0, "84075339929e1a9326f4e0d0f24140cee8b9a7e1f0ea1fa13d9f0dec35c9b728",
+        {"out.json": "737d2c29d490c2b1b3d60c1800575d14abcadb1fc3124e9cc71fe7493e045287"}),
+    4: (0, "b65a3186416aa9da735c6b4711cd84e66ea1fcb491c0c19eab7064e82971b1f8",
+        {"taus.csv": "44fdfc314c7f83fd8e956ddaa93ac90205400352c56e21da90ffec4cf5a2a207"}),
+    5: (0, "73551ae501f2c9ab836947e2c68bb39df02dfbe4874de932222c89ee9a231661",
+        {"paths.csv": "fe14f421834a72d3c652bfc42a072299e9cd0113595b76fafd1dbca8232442c0"}),
+    6: (0, "945d9d3e3bc333db472d143e11b960e452ac983cf8ed7b3c6df3bc1a9985db1c", {}),
+    7: (0, "f66afb31cbac6950de558cc00fd2a4f9587269f5625bc20bb9c70caef60f3460", {}),
+    8: (0, "8c74a674e4c424937440f14a400cc5fc22e98494f21079187d9bd821b676a4b7", {}),
+    9: (0, "1fca74b4504209442f96de9987a74e83fa7057bac03d195e846fcc351b732783", {}),
+    10: (0, "515f8156f5dfecd63118f9a4193caa6a7f85c202666d7a08b4ff256f84989612", {}),
+    11: (0, "104e24511d8dc593ee354167390d8cc5ab13f7034d9ec3f8b0c54d692acfe007",
+         {"report.json": "53b0f2ab38e862e211b4d3682785203d8600d9ee695a7e7629c7720e612d4356"}),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_example(argv, workdir, capsys):
+    """Run one example in ``workdir``; return (exit code, stdout digest, file digests)."""
+    before = {p.name for p in workdir.iterdir()}
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    files = {
+        p.name: _sha(p.read_bytes())
+        for p in sorted(workdir.iterdir())
+        if p.name not in before
+    }
+    return code, _sha(out.encode("utf-8")), files
+
+
+@pytest.mark.parametrize("index", range(len(EXAMPLES)))
+def test_readme_example_is_byte_identical(index, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LONGRATE_THREADS", raising=False)
+    assert run_example(EXAMPLES[index], tmp_path, capsys) == GOLDEN[index]
