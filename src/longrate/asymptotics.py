@@ -26,14 +26,14 @@ from typing import Sequence
 import numpy as np
 
 from .aggregation import default_horizon_schedule
-from .errors import DomainError, InadmissibleCurveError
+from .errors import DomainError, InadmissibleCurveError, LongrateError
 from .kernel_models import (
     Model,
     ModelState,
     _combine,
     _factor_values,
     _values_at,
-    bond_evaluator,
+    bond_log_df,
     theta_value,
 )
 from .montecarlo import PathEnsemble, _mean_se, _z_score, kernel_paths
@@ -43,8 +43,7 @@ from .termstructure import (
     ExponentialTail,
     ParetoTail,
     RateConvention,
-    Tenor,
-    rate_from_log_discount,
+    rates_from_log_discount,
 )
 
 __all__ = [
@@ -81,28 +80,22 @@ class CurveForwardEvaluator:
 
     curve: DiscountCurve
 
-    def log_df(self, t: float, T: float) -> float:
-        return float(self.curve.log_df(T)) - float(self.curve.log_df(t))
+    def log_df(self, t: float, T) -> np.ndarray:
+        """ln P(t, T) over an array of maturities.
 
-    def df(self, t: float, T: float) -> float:
-        return math.exp(self.log_df(t, T))
-
-    def __call__(self, t: float, T: float) -> float:
-        return self.df(t, T)
+        A curve without an asymptotic tail cannot price maturities beyond
+        its grid; those entries are NaN.
+        """
+        T = np.asarray(T, dtype=float)
+        curve = self.curve
+        priced = T <= curve.horizon if curve.tail is None else np.full(T.shape, True)
+        ld = np.full(T.shape, np.nan)
+        ld[priced] = curve.log_df(T[priced]) - curve.log_df(t)
+        return ld
 
 
 def curve_evaluator(curve: DiscountCurve) -> CurveForwardEvaluator:
     return CurveForwardEvaluator(curve)
-
-
-def _log_df(bond, t: float, T: float) -> float:
-    """ln P(t,T) from an evaluator object (log_df method) or plain callable."""
-    if hasattr(bond, "log_df"):
-        return float(bond.log_df(t, T))
-    df = float(bond(t, T))
-    if not df > 0.0:
-        raise DomainError(f"bond evaluator returned nonpositive df {df!r}")
-    return math.log(df)
 
 
 def default_long_rate_horizons(
@@ -119,7 +112,9 @@ class LongRateEstimate:
     ``value`` equals ``tail_sup``, the supremum over the final probed
     decade.  ``decade_sups`` lists the window suprema in increasing
     horizon order (diagnostic trail for trend reading); ``trace`` holds
-    the raw (offset, rate) pairs.
+    the raw (offset, rate) pairs.  When the evaluator cannot price the
+    whole schedule, ``truncated_at`` is the first maturity it could not
+    price and ``truncation_reason`` says why; both are None otherwise.
     """
 
     convention: RateConvention
@@ -129,10 +124,105 @@ class LongRateEstimate:
     tail_sup: float
     decade_sups: tuple[float, ...]
     trace: tuple[tuple[float, float], ...]
+    truncated_at: float | None = None
+    truncation_reason: str | None = None
 
     @property
     def converged(self) -> bool:
         return self.status == CONVERGED
+
+
+@dataclass(frozen=True)
+class _LogDfTrace:
+    """ln P(t, t + x) over the priced prefix of a horizon schedule."""
+
+    t: float
+    xs: np.ndarray  # offsets x
+    lengths: np.ndarray  # tenor lengths (t + x) - t
+    log_df: np.ndarray
+    window_starts: np.ndarray  # first index of each decade window, increasing
+    truncated_at: float | None
+    truncation_reason: str | None
+
+    def rates(self, convention: RateConvention) -> np.ndarray:
+        return rates_from_log_discount(self.lengths, convention, self.log_df)
+
+
+def _decade_window_starts(xs: np.ndarray) -> np.ndarray:
+    """Where the decade windows (hi/10, hi] start, counting hi down from xs[-1].
+
+    Counting stops below xs[0] or at the first empty window; the windows
+    are adjacent and the last one ends at xs[-1].
+    """
+    edges = [float(xs[-1])]
+    while edges[-1] >= xs[0]:
+        edges.append(edges[-1] / 10.0)
+    ends = np.searchsorted(xs, edges, side="right")  # entries <= each edge
+    empty = np.flatnonzero(ends[1:] == ends[:-1])
+    count = int(empty[0]) if empty.size else len(edges) - 1
+    return ends[count:0:-1]
+
+
+def _log_df_trace(bond, t: float, horizons: np.ndarray | None) -> _LogDfTrace:
+    """One evaluator call over the schedule, cut at the first unpriced horizon.
+
+    A ``LongrateError`` from the evaluator leaves no horizon priced; a
+    non-finite ln P entry (how evaluators mark a maturity they cannot
+    price) cuts the schedule there.
+    """
+    xs = default_long_rate_horizons() if horizons is None else np.asarray(horizons, float)
+    if not (xs.ndim == 1 and xs.size >= 2 and np.all(np.isfinite(xs))
+            and xs[0] > 0 and np.all(np.diff(xs) > 0)):
+        raise DomainError("horizon offsets must be finite, positive and increasing")
+    t = float(t)
+    if t < 0.0:
+        raise DomainError(f"anchor time must be nonnegative, got {t!r}")
+    maturities = t + xs
+    too_short = "bond evaluator failed before two horizons were probed"
+    try:
+        ld = np.asarray(bond.log_df(t, maturities), dtype=float)
+    except LongrateError as exc:
+        raise DomainError(too_short) from exc
+    unpriced = np.flatnonzero(~np.isfinite(ld))
+    n = int(unpriced[0]) if unpriced.size else xs.size
+    if n < 2:
+        raise DomainError(too_short)
+    truncated_at = reason = None
+    if n < xs.size:
+        truncated_at = float(maturities[n])
+        reason = (
+            "discount factor underflows to 0" if ld[n] == -np.inf
+            else "evaluator cannot price this maturity"
+        )
+    lengths = maturities[:n] - t
+    if not lengths[0] > 0.0:
+        raise DomainError(f"horizon {xs[0]!r} vanishes against anchor time {t!r}")
+    xs = xs[:n]
+    return _LogDfTrace(t, xs, lengths, ld[:n], _decade_window_starts(xs), truncated_at, reason)
+
+
+def _read_estimate(
+    trace: _LogDfTrace,
+    convention: RateConvention,
+    rates: np.ndarray,
+    convergence_tol: float = _CONVERGENCE_TOL,
+    divergence_cap: float = _DIVERGENCE_CAP,
+) -> LongRateEstimate:
+    """Decade suprema and status of one convention's rates over a trace."""
+    sups = np.maximum.reduceat(rates, trace.window_starts).tolist()
+    final = sups[-1]
+    prev = sups[-2] if len(sups) >= 2 else math.nan
+    if math.isinf(final) or (final > divergence_cap and final >= prev):
+        status = DIVERGENT
+    elif len(sups) >= 2 and abs(final - prev) < convergence_tol:
+        status = CONVERGED
+    else:
+        status = UNCONVERGED
+    return LongRateEstimate(
+        convention, final, trace.t + float(trace.xs[-1]), status, final, tuple(sups),
+        tuple(zip(trace.xs.tolist(), rates.tolist())),
+        trace.truncated_at, trace.truncation_reason,
+    )
 
 
 def estimate_long_rate(
@@ -145,51 +235,17 @@ def estimate_long_rate(
 ) -> LongRateEstimate:
     """Estimate the long rate at time t from a bond evaluator.
 
-    ``bond`` is either a callable (t, T) -> discount factor or an object
-    with a ``log_df(t, T)`` method (preferred at extreme horizons, where
-    the factor itself can underflow).  Evaluator failures truncate the
-    schedule; rates that overflow the quote (e.g. the simple rate of an
-    exponentially decaying curve) become +inf and count as divergence
-    evidence.
+    ``bond`` implements ``log_df(t, T)``, returning ln P(t, T) over an
+    array of maturities T (logs stay accurate at extreme horizons, where
+    the factor itself can underflow); the whole schedule is priced in one
+    call.  The schedule is truncated at the first horizon the evaluator
+    cannot price (a non-finite entry); rates that overflow the quote
+    (e.g. the simple rate of an exponentially decaying curve) become +inf
+    and count as divergence evidence.
     """
-    xs = default_long_rate_horizons() if horizons is None else np.asarray(horizons, float)
-    if xs.ndim != 1 or xs.size < 2 or np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
-        raise DomainError("horizon offsets must be positive and increasing")
-    t = float(t)
-    if t < 0.0:
-        raise DomainError(f"anchor time must be nonnegative, got {t!r}")
-    trace: list[tuple[float, float]] = []
-    for x in xs:
-        try:
-            ld = _log_df(bond, t, t + float(x))
-        except Exception:
-            break  # partial data; the window logic below copes
-        trace.append((float(x), rate_from_log_discount(Tenor(t, t + float(x)), convention, ld)))
-    if len(trace) < 2:
-        raise DomainError("bond evaluator failed before two horizons were probed")
-    x_max = trace[-1][0]
-    sups: list[float] = []
-    hi = x_max
-    while True:
-        lo = hi / 10.0
-        window = [r for x, r in trace if lo < x <= hi]
-        if not window:
-            break
-        sups.append(max(window))
-        hi = lo
-        if hi < trace[0][0]:
-            break
-    sups.reverse()  # increasing horizon order
-    final = sups[-1]
-    prev = sups[-2] if len(sups) >= 2 else math.nan
-    if math.isinf(final) or (final > divergence_cap and final >= prev):
-        status = DIVERGENT
-    elif len(sups) >= 2 and abs(final - prev) < convergence_tol:
-        status = CONVERGED
-    else:
-        status = UNCONVERGED
-    return LongRateEstimate(
-        convention, final, t + x_max, status, final, tuple(sups), tuple(trace)
+    trace = _log_df_trace(bond, t, horizons)
+    return _read_estimate(
+        trace, convention, trace.rates(convention), convergence_tol, divergence_cap
     )
 
 
@@ -225,10 +281,10 @@ def _trend(est: LongRateEstimate) -> str:
     return _UNDECIDED
 
 
-def _check_admissible(bond, t: float, trace) -> None:
+def _check_admissible(trace: _LogDfTrace) -> None:
     """Reject discount data that never decays (no admissible kernel behind it)."""
-    x_max, _ = trace[-1]
-    df_end = math.exp(_log_df(bond, t, t + x_max))
+    x_max = float(trace.xs[-1])
+    df_end = math.exp(float(trace.log_df[-1]))
     if df_end >= 0.9:
         raise InadmissibleCurveError(
             f"discount factor is still {df_end:.6g} at horizon {x_max:g}; "
@@ -260,12 +316,15 @@ def stratification_audit(
     lams = sorted({float(a) for a in alphas}, reverse=True)
     if not lams or lams[-1] <= 0.0:
         raise DomainError("indices must be positive")
-    r_est = estimate_long_rate(bond, t, RateConvention.exponential(), horizons)
-    _check_admissible(bond, t, r_est.trace)
-    l_est = {
-        lam: estimate_long_rate(bond, t, RateConvention.tail_pareto(lam), horizons)
-        for lam in lams
-    }
+    trace = _log_df_trace(bond, t, horizons)
+    _check_admissible(trace)
+    conventions = [RateConvention.exponential()]
+    conventions += [RateConvention.tail_pareto(lam) for lam in lams]
+    rows = np.array([trace.rates(conv) for conv in conventions])
+    r_est, *lam_ests = [
+        _read_estimate(trace, conv, row) for conv, row in zip(conventions, rows)
+    ]
+    l_est = dict(zip(lams, lam_ests))
     trends = {lam: _trend(e) for lam, e in l_est.items()}
     r_trend = _trend(r_est)
 
@@ -327,14 +386,11 @@ def stratification_audit(
                         trend_name(other),
                     )
                 )
-    # Finite-horizon ordering: exponential <= higher index <= lower index.
-    order_ok = True
-    for i, (x, r_val) in enumerate(r_est.trace):
-        row = [r_val] + [l_est[lam].trace[i][1] for lam in lams if i < len(l_est[lam].trace)]
-        slack = 1e-12 * max(1.0, *(abs(v) for v in row if math.isfinite(v)))
-        for a, b in zip(row, row[1:]):
-            if math.isfinite(a) and math.isfinite(b) and b < a - slack:
-                order_ok = False
+    # Finite-horizon ordering: exponential <= higher index <= lower index,
+    # at every horizon (a column of ``rows``).
+    finite = np.isfinite(rows)
+    slack = 1e-12 * np.maximum(1.0, np.where(finite, np.abs(rows), 0.0).max(axis=0))
+    order_ok = not np.any(finite[:-1] & finite[1:] & (rows[1:] < rows[:-1] - slack))
     checks.append(
         CheckResult(
             "finite-horizon quotes ordered downward in index",
@@ -733,9 +789,8 @@ def pareto_kernel_certificate(
     unit_state = ModelState(0.0, *[1.0] * model.factors)
     if probe_state is None:
         probe_state = unit_state
-    ev = bond_evaluator(model, probe_state)
     scales = [
-        math.exp(lam * math.log(T) + ev.log_df(probe_state.t, T)) for T in bond_horizons
+        math.exp(lam * math.log(T) + bond_log_df(model, probe_state, T)) for T in bond_horizons
     ]
     ratios = [b / a for a, b in zip(scales, scales[1:])]
     stable = all(0.5 <= r <= 2.0 for r in ratios) and all(

@@ -449,37 +449,48 @@ def bond_price(model: Model, state: ModelState, T: float) -> float:
 
 
 def bond_log_df(model: Model, state: ModelState, T: float) -> float:
-    """ln P(t, T); numerator and denominator are positive by construction."""
+    """ln P(t, T).
+
+    Numerator and denominator are positive in exact arithmetic, but at
+    extreme maturities the numerator can underflow to 0 (coefficients
+    decaying like T^-lam with a large lam); ln P is then undefined and a
+    ``DomainError`` is raised.
+    """
     coefs = model.coefficients
     xs = _factor_values(model, state)
     _check_maturity(state.t, T)
     num = _combine(_values_at(coefs, T), xs)
+    if not num > 0.0:
+        raise DomainError(
+            f"bond price underflows to {num!r} at T={T!r}; ln P(t, T) is undefined"
+        )
     return math.log(num) - math.log(_combine(_values_at(coefs, state.t), xs))
 
 
 @dataclass(frozen=True)
 class BondEvaluator:
-    """Bond evaluator at a fixed state, exposing df and log df.
-
-    The asymptotics estimators accept this object (they use ``log_df`` to
-    stay accurate at extreme horizons).
-    """
+    """A model anchored at a state, pricing ln P(t, T) for the long-rate estimators."""
 
     model: Model
     state: ModelState
 
-    def log_df(self, t: float, T: float) -> float:
-        if float(t) != float(self.state.t):
-            raise DomainError(
-                f"evaluator is anchored at t={self.state.t!r}, got t={t!r}"
-            )
-        return bond_log_df(self.model, self.state, T)
+    def log_df(self, t: float, T) -> np.ndarray:
+        """ln P(t, T) over an array of maturities; -inf where P underflows to 0.
 
-    def df(self, t: float, T: float) -> float:
-        return math.exp(self.log_df(t, T))
-
-    def __call__(self, t: float, T: float) -> float:
-        return self.df(t, T)
+        Each coefficient is evaluated once on the whole array; pi_t is the
+        scalar kernel value at the anchor state.
+        """
+        t0 = self.state.t
+        if float(t) != float(t0):
+            raise DomainError(f"evaluator is anchored at t={t0!r}, got t={t!r}")
+        T = np.asarray(T, dtype=float)
+        if not np.all(np.isfinite(T) & (T >= t0)):
+            raise DomainError(f"maturities must be finite and at least t={t0!r}")
+        coefs = self.model.coefficients
+        xs = _factor_values(self.model, self.state)
+        num = _combine([c.fn(T) for c in coefs], xs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(num) - math.log(_combine(_values_at(coefs, t0), xs))
 
 
 def bond_evaluator(model: Model, state: ModelState) -> BondEvaluator:

@@ -35,6 +35,7 @@ __all__ = [
     "discount_from_rate",
     "rate_from_discount",
     "rate_from_log_discount",
+    "rates_from_log_discount",
     "log_discount_from_rate",
     "convert_rate",
     "ordering_audit",
@@ -245,6 +246,25 @@ def rate_from_log_discount(tenor: Tenor, conv: RateConvention, log_df: float) ->
         return kappa * math.expm1(-ld / (kappa * x))
     except OverflowError:
         return math.inf
+
+
+def rates_from_log_discount(lengths, conv: RateConvention, log_df) -> np.ndarray:
+    """Array form of ``rate_from_log_discount``: one rate per (tenor length, ln P).
+
+    Same formulas, evaluated elementwise; quotes that overflow are +inf.
+    """
+    x = np.asarray(lengths, dtype=float)
+    ld = np.asarray(log_df, dtype=float)
+    if not np.all(np.isfinite(ld)):
+        raise DomainError("log discount factors must be finite")
+    if conv.kind == _EXP:
+        return -ld / x
+    lam = conv.pareto_index
+    with np.errstate(over="ignore"):
+        if lam is not None:
+            return lam * np.expm1(-ld / lam) / x
+        kappa = float(conv.index)
+        return kappa * np.expm1(-ld / (kappa * x))
 
 
 def rate_from_discount(tenor: Tenor, conv: RateConvention, df: float) -> float:

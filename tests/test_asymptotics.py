@@ -83,6 +83,12 @@ def test_estimate_needs_enough_horizons(ref1f):
             bond_evaluator(ref1f, ModelState(0.0, 1.0)), 0.0, LIBOR,
             horizons=np.array([10.0]),
         )
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            estimate_long_rate(
+                bond_evaluator(ref1f, ModelState(0.0, 1.0)), 0.0, LIBOR,
+                horizons=np.array([10.0, 100.0, bad]),
+            )
 
 
 def test_constant_curve_is_inadmissible():
@@ -93,6 +99,201 @@ def test_constant_curve_is_inadmissible():
     )
     with pytest.raises(InadmissibleCurveError):
         stratification_audit(curve_evaluator(curve), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The array estimator against a scalar reference
+# ---------------------------------------------------------------------------
+
+EQUIV_TIMES = (0.0, 1.0, 10.0, 100.0)
+EQUIV_CONVENTIONS = [
+    EXP, LIBOR, RateConvention.tail_pareto(0.5), RateConvention.tail_pareto(2.0),
+    RateConvention.tail_pareto(3.0), RateConvention.zero_coupon(1.0),
+]
+
+
+def _reference_estimate(log_df, t, conv, xs):
+    """The estimator as a scalar loop: price each horizon, quote it, read decade suprema.
+
+    ``log_df(T)`` is ln P(t, T) for one maturity; a ``DomainError`` ends the schedule.
+    """
+    trace = []
+    for x in xs:
+        T = t + float(x)
+        try:
+            ld = log_df(T)
+        except DomainError:
+            break
+        trace.append((float(x), lr.rate_from_log_discount(lr.Tenor(t, T), conv, ld)))
+    sups, hi = [], trace[-1][0]
+    while True:
+        lo = hi / 10.0
+        window = [r for x, r in trace if lo < x <= hi]
+        if not window:
+            break
+        sups.append(max(window))
+        hi = lo
+        if hi < trace[0][0]:
+            break
+    sups.reverse()
+    final = sups[-1]
+    prev = sups[-2] if len(sups) >= 2 else math.nan
+    if math.isinf(final) or (final > 1e3 and final >= prev):
+        status = "DIVERGENT"
+    elif len(sups) >= 2 and abs(final - prev) < 1e-6:
+        status = "CONVERGED"
+    else:
+        status = "UNCONVERGED"
+    return lr.LongRateEstimate(
+        conv, final, t + trace[-1][0], status, final, tuple(sups), tuple(trace)
+    )
+
+
+def _close(a, b, rtol=1e-12):
+    return a == b or abs(a - b) <= rtol * max(abs(a), abs(b))
+
+
+def _assert_equivalent(est, ref):
+    assert est.status == ref.status
+    assert len(est.trace) == len(ref.trace)
+    assert len(est.decade_sups) == len(ref.decade_sups)
+    assert all(_close(a, b) for a, b in zip(est.decade_sups, ref.decade_sups))
+    assert _close(est.value, ref.value)
+    assert est.horizon == ref.horizon
+
+
+def _zoo_subjects():
+    """(label, evaluator, scalar ln P(t, .), t, own index or None) for every zoo input."""
+    for name, model in sorted(lr.zoo.model_zoo().items()):
+        for t in EQUIV_TIMES:
+            state = ModelState(t, 1.3, 0.8 if model.factors == 2 else None)
+            yield (f"{name} t={t:g}", bond_evaluator(model, state),
+                   lambda T, m=model, s=state: lr.bond_log_df(m, s, T), t, model.lam)
+    for name, curve in sorted(lr.zoo.curve_zoo().items()):
+        lam = curve.tail.lam if isinstance(curve.tail, lr.ParetoTail) else None
+        for t in EQUIV_TIMES:
+            yield (f"{name} t={t:g}", curve_evaluator(curve),
+                   lambda T, c=curve, t=t: c.log_df(T) - c.log_df(t), t, lam)
+
+
+class _ScalarLoop:
+    """An evaluator pricing one maturity at a time with a scalar ln P."""
+
+    def __init__(self, log_df):
+        self.scalar = log_df
+
+    def log_df(self, t, T):
+        return np.array([self.scalar(float(x)) for x in T])
+
+
+@pytest.mark.parametrize("conv", EQUIV_CONVENTIONS, ids=lambda c: c.label())
+def test_estimator_matches_scalar_reference(conv):
+    xs = default_long_rate_horizons()
+    for label, ev, log_df, t, _ in _zoo_subjects():
+        est = estimate_long_rate(ev, t, conv)
+        ref = _reference_estimate(log_df, t, conv, xs)
+        try:
+            _assert_equivalent(est, ref)
+        except AssertionError:
+            pytest.fail(f"{label} {conv.label()}: {est} vs {ref}")
+
+
+def test_stratification_matches_scalar_reference():
+    xs = default_long_rate_horizons()
+    for label, ev, log_df, t, lam in _zoo_subjects():
+        alphas = sorted({0.5, 1.0, 2.0, 3.0} | ({lam} if lam else set()))
+        rep = stratification_audit(ev, t, alphas=alphas)
+        # Trends read off the scalar reference estimates by the audit's own rule.
+        ref_exp = _reference_estimate(log_df, t, EXP, xs)
+        assert rep.data["exponential"]["status"] == ref_exp.status, label
+        assert rep.data["exponential"]["trend"] == lr.asymptotics._trend(ref_exp), label
+        for alpha in alphas:
+            ref = _reference_estimate(log_df, t, RateConvention.tail_pareto(alpha), xs)
+            entry = rep.data["indices"][f"{alpha:g}"]
+            assert entry["status"] == ref.status, (label, alpha)
+            assert entry["trend"] == lr.asymptotics._trend(ref), (label, alpha)
+            assert _close(entry["value"], ref.value), (label, alpha)
+        # The same audit fed one scalar ln P per maturity reaches the same checks.
+        scalar = stratification_audit(_ScalarLoop(log_df), t, alphas=alphas)
+        assert rep.verdict == scalar.verdict, label
+        assert [(c.name, c.status) for c in rep.checks] == [
+            (c.name, c.status) for c in scalar.checks
+        ], label
+
+
+class _CountingEvaluator:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def log_df(self, t, T):
+        self.calls += 1
+        return self.inner.log_df(t, T)
+
+
+def test_one_evaluator_call_per_estimate_and_audit(pareto2):
+    ev = _CountingEvaluator(bond_evaluator(pareto2, ModelState(0.0, 1.0)))
+    estimate_long_rate(ev, 0.0, LIBOR)
+    assert ev.calls == 1
+    stratification_audit(ev, 0.0, alphas=(0.5, 1.0, 2.0, 3.0))
+    assert ev.calls == 2
+
+
+# ---------------------------------------------------------------------------
+# Truncated schedules
+# ---------------------------------------------------------------------------
+
+
+def test_tailless_curve_truncates_at_its_grid_horizon():
+    curve = lr.curve_from_function(lambda t: np.exp(-0.03 * t))  # grid ends at 1000
+    xs = default_long_rate_horizons()
+    est = estimate_long_rate(curve_evaluator(curve), 0.0, EXP)
+    assert est.status == "CONVERGED"
+    assert est.value == pytest.approx(0.03, abs=1e-15)
+    assert est.horizon == 1000.0 and len(est.trace) == 17
+    assert est.truncated_at == xs[17]
+    assert est.truncation_reason is not None
+    est = estimate_long_rate(curve_evaluator(curve), 5.0, LIBOR)
+    assert est.status == "DIVERGENT"
+    assert est.horizon == pytest.approx(754.8942093324558, rel=1e-15)
+    assert len(est.trace) == 16
+    assert est.truncated_at == 5.0 + xs[16]
+    with pytest.raises(DomainError, match="before two horizons"):
+        estimate_long_rate(curve_evaluator(curve), 999.0, EXP)
+
+
+def test_untruncated_estimate_records_no_truncation(ref1f):
+    est = estimate_long_rate(bond_evaluator(ref1f, ModelState(0.0, 1.0)), 0.0, LIBOR)
+    assert est.truncated_at is None and est.truncation_reason is None
+
+
+def test_underflowing_bond_truncates_instead_of_raising():
+    """lam = 45: a(T) = 0.5 (1 + T)^-45 underflows to 0 before T = 1e8."""
+    model = lr.zoo.pareto_one_factor(45.0)
+    state = ModelState(0.0, 1.0)
+    with pytest.raises(DomainError, match="underflows"):
+        lr.bond_log_df(model, state, 1e8)
+    ld = bond_evaluator(model, state).log_df(0.0, np.array([10.0, 1e8]))
+    assert math.isfinite(ld[0]) and ld[1] == -math.inf
+    conv = RateConvention.tail_pareto(45.0)
+    est = estimate_long_rate(bond_evaluator(model, state), 0.0, conv)
+    ref = _reference_estimate(
+        lambda T: lr.bond_log_df(model, state, T), 0.0, conv, default_long_rate_horizons()
+    )
+    _assert_equivalent(est, ref)
+    assert est.status == "UNCONVERGED"
+    assert est.horizon == pytest.approx(1.3335214321633e7, rel=1e-12)
+    assert est.truncated_at == pytest.approx(1.7782794100389e7, rel=1e-12)
+    assert "underflows" in est.truncation_reason
+    assert est.value == pytest.approx(44.31217595445062, rel=1e-12)
+
+
+def test_nearly_flat_curve_is_inadmissible_from_one_trace():
+    """P(0, 1e8) = exp(-0.01) >= 0.9: rejected off the shared ln P trace."""
+    ev = _CountingEvaluator(curve_evaluator(lr.flat_exponential_curve(1e-10)))
+    with pytest.raises(InadmissibleCurveError):
+        stratification_audit(ev, 0.0)
+    assert ev.calls == 1
 
 
 # ---------------------------------------------------------------------------

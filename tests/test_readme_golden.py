@@ -1,6 +1,8 @@
 """The README CLI examples, run in-process, reproduce recorded outputs byte for byte.
 
 Each example runs through ``longrate.cli.main`` in a scratch directory.
+``ESTIMATOR_CASES`` add long-rate and stratification runs whose ``%.9g``
+and JSON numbers the README examples do not reach.
 Its exit code, the sha256 of its stdout and the sha256 of every file it
 writes are compared with recorded digests, so any change to a number,
 a header or a detail string shows up here.  Re-record them only for an
@@ -51,6 +53,24 @@ GOLDEN = {
 }
 
 
+ESTIMATOR_CASES = [
+    ("longrate", "--model", "pareto2", "--t", "10", "--m", "1.3", "--conv", "pareto:2",
+     "--json", "out.json", "--trace", "trace.csv"),
+    ("longrate", "--curve", "gamma2", "--t", "25", "--conv", "pareto:2", "--json", "out.json"),
+    ("audit", "strat", "--model", "ref2f", "--json", "report.json"),
+]
+
+ESTIMATOR_GOLDEN = {
+    0: (0, "78a9b16e6bb352aafcd2743b7a8863829ae71f8e41c82d44592527231acd9907",
+        {"out.json": "0244a17e5b09d621f674dd1de83c46251798b9d692efbdebc1d9584e7a965da0",
+         "trace.csv": "e8899f03842ea92847e5c0c76c0fac3dfdf5d10e084e53369476b667665a044f"}),
+    1: (0, "a25e67ee8fb77f4037ff491a83ecb677df11a2f73ebc8e331f45fc1e8e0987d7",
+        {"out.json": "a98b71a2001f0202265df21a75acba74bf9f51c21cab4baef92551a0b7ccb5e9"}),
+    2: (0, "bcd86b5dc170ad2be5bc9cb7face1f58785b47322ce497407620fcc761ecf9ea",
+        {"report.json": "9e9407d0c7fedc9c3b2a4c9ce073dd0677700d165b1d01ba7cceb84d0dd312ce"}),
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -73,3 +93,10 @@ def test_readme_example_is_byte_identical(index, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("LONGRATE_THREADS", raising=False)
     assert run_example(EXAMPLES[index], tmp_path, capsys) == GOLDEN[index]
+
+
+@pytest.mark.parametrize("index", range(len(ESTIMATOR_CASES)))
+def test_estimator_output_is_byte_identical(index, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LONGRATE_THREADS", raising=False)
+    assert run_example(ESTIMATOR_CASES[index], tmp_path, capsys) == ESTIMATOR_GOLDEN[index]

@@ -208,6 +208,26 @@ def test_exponential_divergence_maps_to_inf():
     assert discount_from_rate(Tenor(0, 1000), EXP, -2.0) == math.inf
 
 
+@pytest.mark.parametrize("conv", [EXP, LIBOR, P2, RateConvention.tail_pareto(0.5), ZC1])
+def test_array_rates_match_scalar_rates(conv):
+    rng = np.random.default_rng(4)
+    t = rng.uniform(0.0, 100.0, 200)
+    lengths = (t + np.geomspace(1e-3, 1e8, 200)) - t
+    lds = np.log(rng.uniform(0.2, 1.15, 200)) * rng.choice([1e-6, 1.0, 1e3, 1e5], 200)
+    out = lr.rates_from_log_discount(lengths, conv, lds)
+    for x, ld, rate in zip(lengths, lds, out):
+        ref = rate_from_log_discount(Tenor(0.0, float(x)), conv, float(ld))
+        assert rate == ref or abs(rate - ref) <= 1e-12 * max(abs(rate), abs(ref))
+
+
+def test_array_rates_overflow_to_inf_and_reject_nonfinite_logs():
+    out = lr.rates_from_log_discount(np.array([1.0, 1.0]), LIBOR, np.array([-1.0, -1e4]))
+    assert math.isfinite(out[0]) and out[1] == math.inf
+    assert rate_from_log_discount(Tenor(0, 1), LIBOR, -1e4) == math.inf
+    with pytest.raises(DomainError):
+        lr.rates_from_log_discount(np.array([1.0]), EXP, np.array([-np.inf]))
+
+
 def test_parse_labels_round_trip():
     for text in ("exp", "libor", "pareto:2", "pareto:0.5", "zc:1", "zc:4"):
         conv = RateConvention.parse(text)
