@@ -47,6 +47,10 @@ __all__ = [
 
 _CHUNK = 1 << 14  # draws per seeded chunk; fixed so results do not depend on workers
 _BLOCK_ELEMS = 1 << 16  # horizon-by-rate entries per block of a discrete mixture
+_HORIZON_START = 10.0
+_HORIZONS_PER_DECADE = 8
+# Successive long-rate estimates closer than this count as converged.
+_CONVERGENCE_TOL = 1e-6
 
 
 def _number(value, name: str) -> float:
@@ -183,14 +187,17 @@ def aggregate_discount(mixture: RateMixture, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def default_horizon_schedule(
-    start: float = 10.0, stop: float = 1e6, per_decade: int = 8
-) -> np.ndarray:
-    """Geometric horizon schedule used by the asymptotic estimators."""
-    if not (start > 0.0 and stop > start and per_decade >= 1):
+def default_horizon_schedule(stop: float = 1e6) -> np.ndarray:
+    """Geometric horizon schedule used by the asymptotic estimators.
+
+    It runs from 10 to ``stop`` with 8 points per decade.
+    """
+    if not stop > _HORIZON_START:
         raise DomainError("need 0 < start < stop and per_decade >= 1")
-    n = int(round(per_decade * math.log10(stop / start))) + 1
-    return np.geomspace(start, stop, max(n, 2))
+    if not math.isfinite(stop):
+        raise DomainError(f"horizon stop must be finite, got {stop!r}")
+    n = int(round(_HORIZONS_PER_DECADE * math.log10(stop / _HORIZON_START))) + 1
+    return np.geomspace(_HORIZON_START, stop, max(n, 2))
 
 
 @dataclass(frozen=True)
@@ -198,7 +205,7 @@ class AsymptoticRateEstimate:
     """Tail behaviour of -ln(P)/t along a horizon schedule.
 
     ``status`` is CONVERGED when the last two successive estimates agree
-    within the absolute tolerance, else UNCONVERGED.  ``target`` is the
+    within 1e-6 (absolute), else UNCONVERGED.  ``target`` is the
     known limit implied by the mixture (min rate for discrete mixtures,
     0 for the continuous laws).
     """
@@ -214,22 +221,16 @@ class AsymptoticRateEstimate:
         return self.status == "CONVERGED"
 
 
-def asymptotic_exponential_rate(
-    mixture: RateMixture,
-    horizons: np.ndarray | None = None,
-    tolerance: float = 1e-6,
-) -> AsymptoticRateEstimate:
+def asymptotic_exponential_rate(mixture: RateMixture) -> AsymptoticRateEstimate:
     """Estimate the long-horizon exponential rate of the aggregate curve.
 
-    The estimate at horizon t is -ln(P(0,t))/t, evaluated in log space so
-    that discrete mixtures remain computable at t = 1e6 where the factor
-    itself underflows.
+    The estimate at horizon t is -ln(P(0,t))/t over the default horizon
+    schedule, evaluated in log space so that discrete mixtures remain
+    computable at t = 1e6 where the factor itself underflows.
     """
-    hs = default_horizon_schedule() if horizons is None else np.asarray(horizons, float)
-    if hs.ndim != 1 or hs.size < 2 or np.any(hs <= 0) or np.any(np.diff(hs) <= 0):
-        raise DomainError("horizon schedule must be increasing and positive")
+    hs = default_horizon_schedule()
     est = -log_aggregate_discount(mixture, hs) / hs
-    status = "CONVERGED" if abs(est[-1] - est[-2]) < tolerance else "UNCONVERGED"
+    status = "CONVERGED" if abs(est[-1] - est[-2]) < _CONVERGENCE_TOL else "UNCONVERGED"
     if isinstance(mixture, DiscreteMixture):
         target = float(mixture.rates.min())
     else:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import default_horizon_schedule
+from .aggregation import _CONVERGENCE_TOL, default_horizon_schedule
 from .errors import DomainError, InadmissibleCurveError, LongrateError
 from .kernel_models import (
     Model,
@@ -66,12 +66,13 @@ CONVERGED = "CONVERGED"
 UNCONVERGED = "UNCONVERGED"
 DIVERGENT = "DIVERGENT"
 
-_CONVERGENCE_TOL = 1e-6
 _DIVERGENCE_CAP = 1e3
+_FIT_POINTS = 33
 _FIT_RESIDUAL_TOL = 1e-3
 _ZERO_TOL = 1e-6
 # A decade-over-decade shrink factor below this reads as "sliding to zero".
 _SHRINK_RATIO = 0.9
+_BOND_HORIZONS = (1e6, 1e7, 1e8)  # where the certificate reads T^lam P(0, T)
 
 
 @dataclass(frozen=True)
@@ -98,11 +99,9 @@ def curve_evaluator(curve: DiscountCurve) -> CurveForwardEvaluator:
     return CurveForwardEvaluator(curve)
 
 
-def default_long_rate_horizons(
-    start: float = 10.0, stop: float = 1e8, per_decade: int = 8
-) -> np.ndarray:
+def default_long_rate_horizons(stop: float = 1e8) -> np.ndarray:
     """Geometric tenor offsets x = T - t probed by the estimators."""
-    return default_horizon_schedule(start, stop, per_decade)
+    return default_horizon_schedule(stop)
 
 
 @dataclass(frozen=True)
@@ -202,19 +201,15 @@ def _log_df_trace(bond, t: float, horizons: np.ndarray | None) -> _LogDfTrace:
 
 
 def _read_estimate(
-    trace: _LogDfTrace,
-    convention: RateConvention,
-    rates: np.ndarray,
-    convergence_tol: float = _CONVERGENCE_TOL,
-    divergence_cap: float = _DIVERGENCE_CAP,
+    trace: _LogDfTrace, convention: RateConvention, rates: np.ndarray
 ) -> LongRateEstimate:
     """Decade suprema and status of one convention's rates over a trace."""
     sups = np.maximum.reduceat(rates, trace.window_starts).tolist()
     final = sups[-1]
     prev = sups[-2] if len(sups) >= 2 else math.nan
-    if math.isinf(final) or (final > divergence_cap and final >= prev):
+    if math.isinf(final) or (final > _DIVERGENCE_CAP and final >= prev):
         status = DIVERGENT
-    elif len(sups) >= 2 and abs(final - prev) < convergence_tol:
+    elif len(sups) >= 2 and abs(final - prev) < _CONVERGENCE_TOL:
         status = CONVERGED
     else:
         status = UNCONVERGED
@@ -230,8 +225,6 @@ def estimate_long_rate(
     t: float,
     convention: RateConvention,
     horizons: np.ndarray | None = None,
-    convergence_tol: float = _CONVERGENCE_TOL,
-    divergence_cap: float = _DIVERGENCE_CAP,
 ) -> LongRateEstimate:
     """Estimate the long rate at time t from a bond evaluator.
 
@@ -244,9 +237,7 @@ def estimate_long_rate(
     and count as divergence evidence.
     """
     trace = _log_df_trace(bond, t, horizons)
-    return _read_estimate(
-        trace, convention, trace.rates(convention), convergence_tol, divergence_cap
-    )
+    return _read_estimate(trace, convention, trace.rates(convention))
 
 
 def save_trace_csv(estimate: LongRateEstimate, path) -> None:
@@ -447,7 +438,6 @@ def dir_monotonicity_audit(
     ensemble: PathEnsemble | None = None,
     horizons: np.ndarray | None = None,
     kappa: float = 1.0,
-    tol: float = _CONVERGENCE_TOL,
 ) -> AuditReport:
     """Check that the long exponential rate never falls through time.
 
@@ -472,7 +462,7 @@ def dir_monotonicity_audit(
         ests = [estimate_long_rate(ev, t, RateConvention.exponential(), xs) for t in ts]
         values = [e.value for e in ests]
         drops = [
-            (a, b) for a, b in zip(values, values[1:]) if b < a - tol
+            (a, b) for a, b in zip(values, values[1:]) if b < a - _CONVERGENCE_TOL
         ]
         checks.append(
             CheckResult(
@@ -482,7 +472,9 @@ def dir_monotonicity_audit(
             )
         )
         z_values = [kappa * math.expm1(v / kappa) for v in values]
-        z_drops = [(a, b) for a, b in zip(z_values, z_values[1:]) if b < a - tol]
+        z_drops = [
+            (a, b) for a, b in zip(z_values, z_values[1:]) if b < a - _CONVERGENCE_TOL
+        ]
         checks.append(
             CheckResult(
                 f"zero-coupon translation (kappa={kappa:g}) nondecreasing",
@@ -504,15 +496,15 @@ def dir_monotonicity_audit(
     checks.append(
         CheckResult(
             "long exponential rate nondecreasing along every path",
-            PASS if worst_drop <= tol else FAIL,
-            f"worst decrease {worst_drop:.3g} against tolerance {tol:g}",
+            PASS if worst_drop <= _CONVERGENCE_TOL else FAIL,
+            f"worst decrease {worst_drop:.3g} against tolerance {_CONVERGENCE_TOL:g}",
         )
     )
     max_rate = float(np.max(sups))
     checks.append(
         CheckResult(
             "power-law kernel long exponential rate vanishes",
-            PASS if max_rate <= tol else FAIL,
+            PASS if max_rate <= _CONVERGENCE_TOL else FAIL,
             f"max estimate {max_rate:.3g} over {sups.shape[1]} paths x {len(ts)} times",
         )
     )
@@ -520,7 +512,7 @@ def dir_monotonicity_audit(
     checks.append(
         CheckResult(
             f"zero-coupon translation (kappa={kappa:g}) nondecreasing",
-            PASS if worst_drop <= tol else FAIL,
+            PASS if worst_drop <= _CONVERGENCE_TOL else FAIL,
             f"monotone in the exponential rate; worst decrease {z_worst:.3g}",
         )
     )
@@ -584,17 +576,14 @@ class AsymptoticClass:
 
 
 def classify_curve(
-    curve: DiscountCurve,
-    window: tuple[float, float] | None = None,
-    n_points: int = 33,
-    residual_tol: float = _FIT_RESIDUAL_TOL,
+    curve: DiscountCurve, window: tuple[float, float] | None = None
 ) -> AsymptoticClass:
     """Fit the curve's tail against the two canonical decay laws.
 
-    Over a geometric maturity window the audit regresses -ln P on T
-    (exponential type) and on ln T (tail-Pareto type), both with
+    Over 33 geometric maturities of the window the audit regresses -ln P
+    on T (exponential type) and on ln T (tail-Pareto type), both with
     intercept, and accepts a law when its maximum absolute residual is
-    below ``residual_tol``.  The tail-Pareto level is recovered from the
+    at most 1e-3.  The tail-Pareto level is recovered from the
     fitted intercept: -ln P ~ lam ln T - ln K with L = lam * K**(-1/lam).
     If both laws fit, the lower residual wins and the result is flagged
     ambiguous.
@@ -617,7 +606,7 @@ def classify_curve(
             (lo, hi), False, note,
         )
         return AsymptoticClass("undetermined", None, None, None, diag)
-    T = np.geomspace(lo, hi, n_points)
+    T = np.geomspace(lo, hi, _FIT_POINTS)
     neglog = -np.asarray(curve.log_df(T), dtype=float)
 
     def fit(regressor):
@@ -637,8 +626,8 @@ def classify_curve(
         except OverflowError:
             level_hat = math.inf
 
-    exp_ok = resid_exp <= residual_tol and r_hat > 0.0
-    par_ok = resid_par <= residual_tol and lam_hat > 0.0 and math.isfinite(level_hat)
+    exp_ok = resid_exp <= _FIT_RESIDUAL_TOL and r_hat > 0.0
+    par_ok = resid_par <= _FIT_RESIDUAL_TOL and lam_hat > 0.0 and math.isfinite(level_hat)
     ambiguous = exp_ok and par_ok
     note = ""
     if exp_ok and (not par_ok or resid_exp <= resid_par):
@@ -735,17 +724,16 @@ def pareto_kernel_certificate(
     model: Model,
     ensemble: PathEnsemble,
     lam: float | None = None,
-    probe_state: ModelState | None = None,
-    bond_horizons: Sequence[float] = (1e6, 1e7, 1e8),
 ) -> AuditReport:
     """Certify tail-Pareto behaviour of the kernel at index ``lam``.
 
-    Checks along simulated paths and at a probe state:
+    Checks along simulated paths and at the unit state (t = 0, every
+    factor 1):
 
     (a) the pathwise minimum of t^lam pi_t over the final decades does
         not slide to zero;
     (b) the cross-section mean of t^lam pi_t does not grow without bound;
-    (c) T^lam P(t,T) is stable in (0, inf) at long bond horizons;
+    (c) T^lam P(t,T) is stable in (0, inf) at bond horizons 1e6, 1e7, 1e8;
     (d) the benchmark theta_t = lim inf E_t[T^lam pi_T] is an empirical
         supermartingale (here a martingale, so its mean also stays at
         the time-0 value within Monte Carlo error).
@@ -787,10 +775,8 @@ def pareto_kernel_certificate(
     )
 
     unit_state = ModelState(0.0, *[1.0] * model.factors)
-    if probe_state is None:
-        probe_state = unit_state
     scales = [
-        math.exp(lam * math.log(T) + bond_log_df(model, probe_state, T)) for T in bond_horizons
+        math.exp(lam * math.log(T) + bond_log_df(model, unit_state, T)) for T in _BOND_HORIZONS
     ]
     ratios = [b / a for a, b in zip(scales, scales[1:])]
     stable = all(0.5 <= r <= 2.0 for r in ratios) and all(
@@ -800,7 +786,7 @@ def pareto_kernel_certificate(
         CheckResult(
             "bond tail scale stable",
             PASS if stable else FAIL,
-            f"T^lam P at horizons {list(bond_horizons)!r}: {['%.6g' % s for s in scales]}",
+            f"T^lam P at horizons {list(_BOND_HORIZONS)!r}: {['%.6g' % s for s in scales]}",
         )
     )
 

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -54,6 +53,7 @@ from .kernel_models import (
 from .montecarlo import (
     CashFlow,
     CashFlowSchedule,
+    PathEnsemble,
     deflated_bond_martingale_check,
     ensemble_for_model,
     kernel_condition_audit,
@@ -63,11 +63,10 @@ from .montecarlo import (
 from .reporting import FAIL, AuditReport
 from .termstructure import (
     DiscountCurve,
-    ExponentialTail,
     RateConvention,
+    STPRSchedule,
     Tenor,
     convert_rate,
-    default_curve_grid,
     flat_exponential_curve,
     load_curve_csv,
     rate_from_log_discount,
@@ -76,7 +75,7 @@ from .termstructure import (
     time_consistency_residual,
 )
 
-__all__ = ["main", "build_parser", "STPRSchedule", "RunConfig"]
+__all__ = ["main", "build_parser", "STPRSchedule"]
 
 
 def _fmt(x) -> str:
@@ -143,6 +142,8 @@ def _parse_grid(spec: str) -> np.ndarray:
             raise DomainError(f"grid spec {spec!r}: expected {kind}:start:stop:count")
         start = _parse_float(parts[0], f"grid spec {spec!r} start")
         stop = _parse_float(parts[1], f"grid spec {spec!r} stop")
+        if kind == "geom" and not (start > 0.0 and stop > 0.0):
+            raise DomainError(f"grid spec {spec!r}: geom start and stop must be positive")
         try:
             count = int(parts[2])
         except ValueError:
@@ -162,17 +163,24 @@ def _parse_grid(spec: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _packaged(name: str):
-    return resources.files("longrate").joinpath("data", name)
+def _load_file(ref: str, load):
+    """``load`` the file at path ``ref``, else the packaged data file ``ref``
+    (``.json`` appended if missing); None when neither exists."""
+    if os.path.exists(ref):
+        return load(ref)
+    packaged = resources.files("longrate").joinpath(
+        "data", ref if ref.endswith(".json") else ref + ".json"
+    )
+    if not packaged.is_file():
+        return None
+    with resources.as_file(packaged) as fp:
+        return load(fp)
 
 
 def _resolve_model(ref: str) -> Model:
-    if os.path.exists(ref):
-        return load_model_config(ref)
-    packaged = _packaged(ref if ref.endswith(".json") else ref + ".json")
-    if packaged.is_file():
-        with resources.as_file(packaged) as fp:
-            return load_model_config(fp)
+    model = _load_file(ref, load_model_config)
+    if model is not None:
+        return model
     try:
         return zoo.zoo_model(ref)
     except DomainError:
@@ -215,30 +223,19 @@ def _model_state(model: Model, args) -> ModelState:
     return ModelState(args.t, args.m, 1.0 if n is None else n)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs for a simulation-backed run.
+def _model_ensemble(args, grid: np.ndarray) -> tuple[Model, PathEnsemble]:
+    """The ``--model`` and its ensemble on ``grid`` from ``--seed``, ``--n``, ``--rho``.
 
     Seeds are always explicit: no command draws entropy implicitly, which
-    is what makes repeated runs byte-identical.
+    is what makes repeated runs byte-identical.  Seed and path count are
+    checked before the model is resolved.
     """
-
-    model_ref: str
-    seed: int
-    n_paths: int
-    grid: np.ndarray
-    horizons: np.ndarray | None = None
-    out: str | None = None
-    json_out: str | None = None
-
-    def __post_init__(self):
-        if self.seed is None:
-            raise DomainError("an explicit --seed is required")
-        if self.n_paths < 1:
-            raise DomainError(f"n_paths must be positive, got {self.n_paths!r}")
-
-    def model(self) -> Model:
-        return _resolve_model(self.model_ref)
+    if args.seed is None:
+        raise DomainError("an explicit --seed is required")
+    if args.n < 1:
+        raise DomainError(f"n_paths must be positive, got {args.n!r}")
+    model = _resolve_model(args.model)
+    return model, ensemble_for_model(model, grid, args.n, args.seed, rho=args.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +342,8 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = RunConfig(args.model, args.seed, args.n, _parse_grid(args.grid), out=args.out)
-    model = config.model()
-    ensemble = ensemble_for_model(
-        model, config.grid, config.n_paths, config.seed, rho=args.rho
-    )
-    write_ensemble_csv(ensemble, config.out)
+    _, ensemble = _model_ensemble(args, _parse_grid(args.grid))
+    write_ensemble_csv(ensemble, args.out)
     final = ensemble.m[:, -1]
     mean = float(np.mean(final))
     se = float(np.std(final, ddof=1) / math.sqrt(final.size)) if final.size > 1 else 0.0
@@ -470,14 +463,8 @@ def _audit_dir(args) -> int:
     times = _parse_floats(args.times, "--times")
     horizons = default_long_rate_horizons(stop=args.horizon)
     if args.model:
-        config = RunConfig(
-            args.model, args.seed, args.n,
-            np.unique(np.concatenate([[0.0], np.asarray(times)])),
-            json_out=args.json,
-        )
-        model = config.model()
-        ensemble = ensemble_for_model(
-            model, config.grid, config.n_paths, config.seed, rho=args.rho
+        model, ensemble = _model_ensemble(
+            args, np.unique(np.concatenate([[0.0], np.asarray(times)]))
         )
         report = dir_monotonicity_audit(
             model, times, ensemble=ensemble, horizons=horizons, kappa=args.kappa
@@ -510,11 +497,7 @@ def _audit_strat(args) -> int:
 
 
 def _audit_kernel(args) -> int:
-    config = RunConfig(args.model, args.seed, args.n, _parse_grid(args.grid), json_out=args.json)
-    model = config.model()
-    ensemble = ensemble_for_model(
-        model, config.grid, config.n_paths, config.seed, rho=args.rho
-    )
+    model, ensemble = _model_ensemble(args, _parse_grid(args.grid))
     conditions = kernel_condition_audit(model, ensemble)
     times = [t for t in ensemble.grid if t <= args.maturity]
     deflated = deflated_bond_martingale_check(model, ensemble, times, args.maturity)
@@ -529,11 +512,7 @@ def _audit_kernel(args) -> int:
 
 
 def _audit_pareto(args) -> int:
-    config = RunConfig(args.model, args.seed, args.n, _parse_grid(args.grid), json_out=args.json)
-    model = config.model()
-    ensemble = ensemble_for_model(
-        model, config.grid, config.n_paths, config.seed, rho=args.rho
-    )
+    model, ensemble = _model_ensemble(args, _parse_grid(args.grid))
     report = pareto_kernel_certificate(model, ensemble, lam=args.lam)
     _print_report(report)
     if args.json:
@@ -541,116 +520,10 @@ def _audit_pareto(args) -> int:
     return _report_exit(report)
 
 
-# ---------------------------------------------------------------------------
-# Green-Book-style schedules
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class STPRSchedule:
-    """Banded flat-rate schedule covering [0, inf).
-
-    ``bands`` is a tuple of (start, end, rate) with end None for the
-    final open band.  Bands must be contiguous from 0 and rates positive.
-    By default each band's rate acts as the forward rate over the band,
-    so the discount curve is continuous and piecewise exponential; the
-    spot interpretation (P = exp(-rate(t) * t)) is also available but
-    makes P discontinuous at band boundaries.
-    """
-
-    bands: tuple[tuple[float, float | None, float], ...]
-    components: dict | None = None
-
-    def __post_init__(self):
-        if not self.bands:
-            raise DomainError("schedule needs at least one band")
-        object.__setattr__(self, "bands", tuple(tuple(b) for b in self.bands))
-        prev_end = 0.0
-        for i, band in enumerate(self.bands):
-            if len(band) != 3:
-                raise DomainError(f"band {i}: expected [start, end, rate], got {band!r}")
-            start, end, rate = band
-            start = float(start)
-            last = i == len(self.bands) - 1
-            if start != prev_end:
-                raise DomainError(
-                    f"band {i}: starts at {start!r} but previous band ends at "
-                    f"{prev_end!r} (bands must tile [0, inf) with no gaps)"
-                )
-            if end is None:
-                if not last:
-                    raise DomainError(f"band {i}: only the final band may be open-ended")
-            else:
-                end = float(end)
-                if end <= start:
-                    raise DomainError(f"band {i}: end {end!r} must exceed start {start!r}")
-                if last:
-                    raise DomainError("final band must be open-ended (end null)")
-                prev_end = end
-            rate = float(rate)
-            if not (math.isfinite(rate) and rate > 0.0):
-                raise DomainError(f"band {i}: rate must be positive, got {rate!r}")
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "STPRSchedule":
-        if not isinstance(cfg, dict) or "bands" not in cfg:
-            raise DomainError("schedule config must be an object with a 'bands' key")
-        return cls(tuple(tuple(b) for b in cfg["bands"]), cfg.get("components"))
-
-    @classmethod
-    def load(cls, path) -> "STPRSchedule":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DomainError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_config(cfg)
-
-    @property
-    def boundaries(self) -> list[float]:
-        return [float(b[1]) for b in self.bands if b[1] is not None]
-
-    def rate_at(self, t: float) -> float:
-        t = float(t)
-        if t < 0.0:
-            raise DomainError(f"time must be nonnegative, got {t!r}")
-        for start, end, rate in self.bands:
-            if end is None or t < float(end):
-                return float(rate)
-        raise AssertionError("bands must cover [0, inf)")
-
-    def neg_log_df(self, t: float) -> float:
-        """-ln P(0,t) under forward-band compounding (continuous P)."""
-        t = float(t)
-        total = 0.0
-        for start, end, rate in self.bands:
-            hi = t if end is None else min(float(end), t)
-            if hi <= float(start):
-                break
-            total += float(rate) * (hi - float(start))
-        return total
-
-    def curve(self, grid=None, spot: bool = False) -> DiscountCurve:
-        g = default_curve_grid() if grid is None else np.asarray(grid, dtype=float)
-        g = np.unique(np.concatenate([g, self.boundaries]))
-        if spot:
-            values = np.array([math.exp(-self.rate_at(t) * t) for t in g])
-        else:
-            values = np.array([math.exp(-self.neg_log_df(t)) for t in g])
-        tail_rate = float(self.bands[-1][2])
-        return DiscountCurve(g, values, ExponentialTail(tail_rate))
-
-
 def cmd_greenbook(args) -> int:
-    ref = args.schedule
-    if os.path.exists(ref):
-        schedule = STPRSchedule.load(ref)
-    else:
-        packaged = _packaged(ref if ref.endswith(".json") else ref + ".json")
-        if not packaged.is_file():
-            raise DomainError(f"cannot resolve schedule {ref!r}")
-        with resources.as_file(packaged) as fp:
-            schedule = STPRSchedule.load(fp)
+    schedule = _load_file(args.schedule, STPRSchedule.load)
+    if schedule is None:
+        raise DomainError(f"cannot resolve schedule {args.schedule!r}")
     curve = schedule.curve(spot=args.spot_rates)
     maturities = (
         _parse_floats(args.times, "--times")

@@ -237,17 +237,6 @@ class CoefficientFunction:
         return cls(fn, deriv, lam, 0.0, "exp_rational",
                    {"scale": scale, "shift": shift, "power": power, "decay": decay})
 
-    @classmethod
-    def user_defined(
-        cls,
-        fn: Callable,
-        deriv: Callable | None,
-        lam: float,
-        tail_limit: float,
-    ) -> "CoefficientFunction":
-        """Wrap user callables; the declared tail limit is checked numerically."""
-        return cls(fn, deriv, lam, tail_limit, "user", None)
-
 
 @dataclass(frozen=True)
 class ModelState:

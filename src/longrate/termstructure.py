@@ -20,6 +20,7 @@ for zero-coupon quotes.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -51,6 +52,7 @@ __all__ = [
     "load_curve_csv",
     "save_curve_csv",
     "default_curve_grid",
+    "STPRSchedule",
 ]
 
 _EXP = "exponential"
@@ -317,23 +319,19 @@ class OrderingReport:
 
 
 def ordering_audit(
-    tenor: Tenor, df: float, alphas: Iterable[float] = (2.0,), include_libor: bool = True
+    tenor: Tenor, df: float, alphas: Iterable[float] = (2.0,)
 ) -> OrderingReport:
     """Check the systematic ordering R <= L^(alpha) <= L^(beta) for alpha > beta.
 
     Computes the exponential rate and the tail-Pareto rate at each index in
-    ``alphas`` (plus index 1, the Libor rate, unless disabled) for the given
+    ``alphas`` (plus index 1, the Libor rate) for the given
     discount factor, and verifies the quotes are monotone in the convention
     order.  Equality across conventions only occurs at df == 1.
     """
     d = _require_finite("discount factor", df)
     if d <= 0.0:
         raise DomainError(f"discount factor must be positive, got {df!r}")
-    lams = {float(a) for a in alphas}
-    if include_libor:
-        lams.add(1.0)
-    if not lams:
-        raise DomainError("ordering audit needs at least one tail-Pareto index")
+    lams = {float(a) for a in alphas} | {1.0}
     if min(lams) <= 0.0:
         raise DomainError("tail-Pareto indices must be positive")
     ld = math.log(d)
@@ -557,6 +555,119 @@ def time_consistency_residual(
 
 
 # ---------------------------------------------------------------------------
+# Green-Book-style schedules
+# ---------------------------------------------------------------------------
+
+
+def _band_number(i: int, field: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"band {i}: {field} must be a number, got {value!r}") from None
+
+
+@dataclass(frozen=True)
+class STPRSchedule:
+    """Banded flat-rate schedule covering [0, inf).
+
+    ``bands`` is a tuple of (start, end, rate) with end None for the
+    final open band.  Bands must be contiguous from 0 and rates positive.
+    By default each band's rate acts as the forward rate over the band,
+    so the discount curve is continuous and piecewise exponential; the
+    spot interpretation (P = exp(-rate(t) * t)) is also available but
+    makes P discontinuous at band boundaries.
+    """
+
+    bands: tuple[tuple[float, float | None, float], ...]
+    components: dict | None = None
+
+    def __post_init__(self):
+        if not self.bands:
+            raise DomainError("schedule needs at least one band")
+        try:
+            bands = tuple(tuple(b) for b in self.bands)
+        except TypeError:
+            raise DomainError(
+                f"bands must be a list of [start, end, rate] lists, got {self.bands!r}"
+            ) from None
+        object.__setattr__(self, "bands", bands)
+        prev_end = 0.0
+        for i, band in enumerate(self.bands):
+            if len(band) != 3:
+                raise DomainError(f"band {i}: expected [start, end, rate], got {band!r}")
+            start, end, rate = band
+            start = _band_number(i, "start", start)
+            last = i == len(self.bands) - 1
+            if start != prev_end:
+                raise DomainError(
+                    f"band {i}: starts at {start!r} but previous band ends at "
+                    f"{prev_end!r} (bands must tile [0, inf) with no gaps)"
+                )
+            if end is None:
+                if not last:
+                    raise DomainError(f"band {i}: only the final band may be open-ended")
+            else:
+                end = _band_number(i, "end", end)
+                if end <= start:
+                    raise DomainError(f"band {i}: end {end!r} must exceed start {start!r}")
+                if last:
+                    raise DomainError("final band must be open-ended (end null)")
+                prev_end = end
+            rate = _band_number(i, "rate", rate)
+            if not (math.isfinite(rate) and rate > 0.0):
+                raise DomainError(f"band {i}: rate must be positive, got {rate!r}")
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> "STPRSchedule":
+        if not isinstance(cfg, dict) or "bands" not in cfg:
+            raise DomainError("schedule config must be an object with a 'bands' key")
+        return cls(cfg["bands"], cfg.get("components"))
+
+    @classmethod
+    def load(cls, path) -> "STPRSchedule":
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"{path}: invalid JSON ({exc})") from None
+        return cls.from_config(cfg)
+
+    @property
+    def boundaries(self) -> list[float]:
+        return [float(b[1]) for b in self.bands if b[1] is not None]
+
+    def rate_at(self, t: float) -> float:
+        t = float(t)
+        if t < 0.0:
+            raise DomainError(f"time must be nonnegative, got {t!r}")
+        for start, end, rate in self.bands:
+            if end is None or t < float(end):
+                return float(rate)
+        raise AssertionError("bands must cover [0, inf)")
+
+    def neg_log_df(self, t: float) -> float:
+        """-ln P(0,t) under forward-band compounding (continuous P)."""
+        t = float(t)
+        total = 0.0
+        for start, end, rate in self.bands:
+            hi = t if end is None else min(float(end), t)
+            if hi <= float(start):
+                break
+            total += float(rate) * (hi - float(start))
+        return total
+
+    def curve(self, grid=None, spot: bool = False) -> DiscountCurve:
+        g = default_curve_grid() if grid is None else np.asarray(grid, dtype=float)
+        g = np.unique(np.concatenate([g, self.boundaries]))
+        if spot:
+            values = np.array([math.exp(-self.rate_at(t) * t) for t in g])
+        else:
+            values = np.array([math.exp(-self.neg_log_df(t)) for t in g])
+        tail_rate = float(self.bands[-1][2])
+        return DiscountCurve(g, values, ExponentialTail(tail_rate))
+
+
+# ---------------------------------------------------------------------------
 # CSV interchange
 # ---------------------------------------------------------------------------
 
@@ -599,10 +710,10 @@ def load_curve_csv(
     return DiscountCurve(grid, values, tail)
 
 
-def save_curve_csv(curve: DiscountCurve, path, fmt: str = "%.9g") -> None:
+def save_curve_csv(curve: DiscountCurve, path) -> None:
     """Write the curve grid as CSV (UTF-8, LF line endings)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_CSV_HEADER) + "\n")
         fh.write("0,1.0\n")
         for t, p in zip(curve.grid[1:], curve.values[1:]):
-            fh.write(f"{fmt % t},{fmt % p}\n")
+            fh.write("%.9g,%.9g\n" % (t, p))

@@ -29,6 +29,14 @@ BAD_MODEL_CONFIGS = {
 }
 
 
+# Schedule files whose band fields are not [start, end, rate] numbers.
+BAD_SCHEDULES = {
+    "bands_not_lists": {"bands": [5, 6]},
+    "end_text": {"bands": [[0, "x", 0.03], [10, None, 0.02]]},
+    "rate_text": {"bands": [[0, 10, "abc"], [10, None, 0.02]]},
+}
+
+
 def _write_bad_model_configs(directory):
     text = resources.files("longrate").joinpath("data", "ref1f.json").read_text()
     for name, edits in BAD_MODEL_CONFIGS.items():
@@ -226,11 +234,20 @@ def test_all_numbers_use_nine_significant_digits():
         ("classify", "--curve", "flat:0.03", "--window", "1:y"),
         *(("longrate", "--model", f"{{tmp}}/{name}.json", "--conv", "libor")
           for name in BAD_MODEL_CONFIGS),
+        ("longrate", "--model", "ref1f", "--conv", "libor", "--horizon", "inf"),
+        ("longrate", "--model", "ref1f", "--conv", "libor", "--horizon", "1e400"),
+        ("audit", "strat", "--curve", "gamma2", "--horizon", "inf"),
+        ("audit", "dir", "--curve", "gamma2", "--horizon", "inf"),
+        ("simulate", "--model", "ref1f", "--seed", 1, "--grid", "geom:0:10:3",
+         "--out", "{tmp}/paths.csv"),
+        *(("greenbook", "--schedule", f"{{tmp}}/{name}.json") for name in BAD_SCHEDULES),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
     _write_bad_model_configs(tmp_path)
+    for name, cfg in BAD_SCHEDULES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
     out = run_cli(*(str(a).replace("{tmp}", str(tmp_path)) for a in args))
     assert out.returncode == 2
     assert out.stderr.startswith("error: ")

@@ -2,7 +2,8 @@
 
 Each example runs through ``longrate.cli.main`` in a scratch directory.
 ``ESTIMATOR_CASES`` add long-rate and stratification runs whose ``%.9g``
-and JSON numbers the README examples do not reach.
+and JSON numbers the README examples do not reach; ``REPORT_CASES`` add
+the curve and schedule files and the audit JSON reports they do not write.
 Its exit code, the sha256 of its stdout and the sha256 of every file it
 writes are compared with recorded digests, so any change to a number,
 a header or a detail string shows up here.  Re-record them only for an
@@ -71,6 +72,33 @@ ESTIMATOR_GOLDEN = {
 }
 
 
+REPORT_CASES = [
+    ("greenbook", "--schedule", "greenbook_example", "--spot-rates", "--out", "table.csv",
+     "--json", "report.json"),
+    ("curve", "--curve", "gamma2", "--out", "c.csv"),
+    ("classify", "--curve", "gamma2", "--json", "out.json"),
+    ("audit", "dir", "--curve", "hyperbolic2", "--json", "report.json"),
+    ("audit", "kernel", "--model", "ref1f", "--seed", "3", "--n", "2000", "--json", "report.json"),
+    ("audit", "pareto", "--model", "pareto2", "--seed", "5", "--n", "2000", "--json", "report.json"),
+]
+
+REPORT_GOLDEN = {
+    0: (0, "a45e98842f7bd9f71fb7027edf33fb1124c274d766d74014395e251f6fc51967",
+        {"report.json": "5c25932182ed6b2e2d20fc5bc2fa540069f0ed778b4c7a1229cb38b4b84979a4",
+         "table.csv": "598b48a69c24480f05f71c99f1f748c4f59a1e7fa900de045ddad5bfbd585ab3"}),
+    1: (0, "8d763b62531d721ef68e12f5778b67caf3bca74b0b17953007ca7b6bd7807afe",
+        {"c.csv": "b8e0e1f29c1dab7aff267fe53b6d68c4018129eca01a3072288e5e0e6d7f0fbd"}),
+    2: (0, "7ca4441b5bd2ce3f667273fb1aec5d6ee932de15230bed402f0ce1805de288d5",
+        {"out.json": "945d9d3e3bc333db472d143e11b960e452ac983cf8ed7b3c6df3bc1a9985db1c"}),
+    3: (0, "b2cc61f9d7e52b66bab722f8267a35d1cbe0669fc6d3e6adb2495ca20970e731",
+        {"report.json": "bdfb709e8e8d344c51f660a524eeb591d42fe38c313bb319f3edaac17f2f9b56"}),
+    4: (0, "f1a09e404668eaf233d5271f9a947d2073ea7b45c815cc939f1cfea156787731",
+        {"report.json": "2e8eaa34298848d6827e8ae632a63116fd53b5d7d7b51f350b8ee137567b6a24"}),
+    5: (0, "7125a372819d4f150b87a8923c067245e8724e66665545370dacd95befebf393",
+        {"report.json": "6f513e6aa237024c66f385719348061e75114ff8f43b59494ce7ea8165cb2ba6"}),
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -100,3 +128,10 @@ def test_estimator_output_is_byte_identical(index, tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("LONGRATE_THREADS", raising=False)
     assert run_example(ESTIMATOR_CASES[index], tmp_path, capsys) == ESTIMATOR_GOLDEN[index]
+
+
+@pytest.mark.parametrize("index", range(len(REPORT_CASES)))
+def test_report_output_is_byte_identical(index, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LONGRATE_THREADS", raising=False)
+    assert run_example(REPORT_CASES[index], tmp_path, capsys) == REPORT_GOLDEN[index]
