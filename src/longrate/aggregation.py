@@ -274,6 +274,13 @@ def _draw_rates(mixture: RateMixture, rng: np.random.Generator, k: int) -> np.nd
     raise DomainError(f"unknown mixture type {type(mixture).__name__}")
 
 
+def _check_seed(seed: int) -> int:
+    """A seed as SeedSequence entropy, which must be nonnegative."""
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed!r}")
+    return int(seed)
+
+
 def sample_calamity_time(
     mixture: RateMixture, n: int, seed: int, cap: float = 1e4
 ) -> CalamityTimeSample:
@@ -287,11 +294,12 @@ def sample_calamity_time(
         raise DomainError(f"sample size must be positive, got {n!r}")
     if not (math.isfinite(cap) and cap > 0.0):
         raise DomainError(f"censoring cap must be positive and finite, got {cap!r}")
+    seed = _check_seed(seed)
     times = np.empty(n)
     for start in range(0, n, _CHUNK):
         k = min(_CHUNK, n - start)
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=int(seed), spawn_key=(start // _CHUNK,))
+            np.random.SeedSequence(entropy=seed, spawn_key=(start // _CHUNK,))
         )
         rates = _draw_rates(mixture, rng, k)
         z = rng.exponential(scale=1.0, size=k)
@@ -300,7 +308,7 @@ def sample_calamity_time(
     censored = times > cap
     out = times.copy()
     out[censored] = cap
-    return CalamityTimeSample(out, censored, float(cap), int(seed))
+    return CalamityTimeSample(out, censored, float(cap), seed)
 
 
 def empirical_survival(sample: CalamityTimeSample, t: float) -> tuple[float, float]:

@@ -450,6 +450,7 @@ def dir_monotonicity_audit(
     translation z = kappa*(exp(R/kappa) - 1) is monotone in R, so its
     monotonicity is checked on the same data.
     """
+    RateConvention.zero_coupon(kappa)  # kappa must be finite and positive
     ts = [float(x) for x in times]
     if len(ts) < 2 or any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("need at least two strictly increasing audit times")
@@ -594,7 +595,7 @@ def classify_curve(
         else:
             window = (curve.horizon / 10.0, curve.horizon)
     lo, hi = float(window[0]), float(window[1])
-    if not (0.0 < lo < hi):
+    if not (0.0 < lo < hi < math.inf):
         raise DomainError(f"bad fit window {window!r}")
     if hi < 1e3:
         note = (

@@ -1,13 +1,15 @@
 """Rational pricing-kernel models with power-law tails.
 
-Every model here is one rational kernel over k = 1 or 2 positive
-martingales X = (M[, N]) with X_0 = 1:
+Every model is one ``Model``: a rational kernel over k positive
+martingales X = (M, N, ...) with X_0 = 1,
 
     pi_t = c_0(t) + c_1(t) X^1_t + ... + c_k(t) X^k_t,
 
-with strictly positive C1 coefficients (a, b[, c]) decaying like t^-lam
-and finite tail limits C_i = lim t^lam c_i(t), not all zero.  Each
-quantity of the paper is the same left-to-right combination of a
+held as its coefficient vector (c_0, ..., c_k) and, for simulation, one
+driver per factor.  The catalogue and the config format have k = 1 or 2.
+The coefficients are strictly positive C1 functions (a, b[, c]) decaying
+like t^-lam with finite tail limits C_i = lim t^lam c_i(t), not all zero.
+Each quantity of the paper is the same left-to-right combination of a
 coefficient vector with the factor vector (1, X):
 
     pi_t       kernel_value     coefficients c_i(t)
@@ -53,8 +55,7 @@ from .termstructure import DiscountCurve, ParetoTail
 __all__ = [
     "CoefficientFunction",
     "ModelState",
-    "OneFactorModel",
-    "TwoFactorModel",
+    "Model",
     "FGHCoefficients",
     "kernel_value",
     "expected_kernel",
@@ -264,32 +265,47 @@ class ModelState:
         return (self.m,) if self.n is None else (self.m, self.n)
 
 
-def _check_same_lam(coeffs: Sequence[CoefficientFunction]) -> float:
+def _validate_coefficients(coeffs: Sequence[CoefficientFunction]) -> None:
+    """One shared tail index (1 for two factors), positivity, declared tails."""
     lams = {c.lam for c in coeffs}
     if len(lams) != 1:
         raise DomainError(f"coefficients must share one tail index, got {sorted(lams)}")
-    return lams.pop()
-
-
-def _validated_lam(coeffs: Sequence[CoefficientFunction]) -> float:
-    """Validate a coefficient vector; return its shared tail index."""
-    lam = _check_same_lam(coeffs)
+    lam = lams.pop()
+    if len(coeffs) == 3 and lam != 1.0:
+        raise DomainError(f"two-factor models require tail index 1, got {lam!r}")
     for coef in coeffs:
         coef.validate()
     if not any(coef.tail_limit > 0.0 for coef in coeffs):
         raise DomainError(
             f"tail limits must satisfy {' + '.join('ABC'[: len(coeffs)])} > 0"
         )
-    return lam
 
 
-class _RationalKernel:
-    """Shared by the model classes, which supply ``coefficients`` (a, b[, c]),
-    ``drivers`` (None or one per factor) and ``_lam``."""
+@dataclass(frozen=True)
+class Model:
+    """pi_t = c_0(t) + c_1(t) X^1_t + ... + c_k(t) X^k_t over k positive martingales.
+
+    ``coefficients`` is (c_0, ..., c_k), sharing one tail index ``lam``;
+    ``drivers`` is None or one GBMDriver per factor.  Two-factor models
+    have tail index 1.
+    """
+
+    coefficients: tuple[CoefficientFunction, ...]
+    drivers: tuple[GBMDriver, ...] | None = None
+
+    def __post_init__(self):
+        k = len(self.coefficients) - 1
+        if k < 1:
+            raise DomainError(f"a kernel model needs at least one factor, got {k}")
+        _validate_coefficients(self.coefficients)
+        if self.drivers is not None and len(self.drivers) != k:
+            raise DomainError(
+                f"{k}-factor model needs one driver per factor, got {len(self.drivers)}"
+            )
 
     @property
     def lam(self) -> float:
-        return self._lam
+        return self.coefficients[0].lam
 
     @property
     def factors(self) -> int:
@@ -299,59 +315,23 @@ class _RationalKernel:
     def differentiable(self) -> bool:
         return all(c.differentiable for c in self.coefficients)
 
-
-@dataclass(frozen=True)
-class OneFactorModel(_RationalKernel):
-    """pi_t = a(t) + b(t) M_t with tail index lam shared by a and b."""
-
-    a: CoefficientFunction
-    b: CoefficientFunction
-    driver: GBMDriver | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "_lam", _validated_lam(self.coefficients))
-
-    @cached_property
-    def coefficients(self) -> tuple[CoefficientFunction, ...]:
-        return (self.a, self.b)
+    # Names of the first coefficients and the first driver, for callers that
+    # write the paper's a, b, c and M.
+    @property
+    def a(self) -> CoefficientFunction:
+        return self.coefficients[0]
 
     @property
-    def drivers(self) -> tuple[GBMDriver] | None:
-        return None if self.driver is None else (self.driver,)
+    def b(self) -> CoefficientFunction:
+        return self.coefficients[1]
 
     @property
-    def abar(self) -> float:
-        return self.a.tail_limit * self.lam ** -self.lam
+    def c(self) -> CoefficientFunction:
+        return self.coefficients[2]
 
     @property
-    def bbar(self) -> float:
-        return self.b.tail_limit * self.lam ** -self.lam
-
-
-@dataclass(frozen=True)
-class TwoFactorModel(_RationalKernel):
-    """pi_t = a(t) + b(t) M_t + c(t) N_t, tail index fixed at 1."""
-
-    a: CoefficientFunction
-    b: CoefficientFunction
-    c: CoefficientFunction
-    drivers: tuple[GBMDriver, GBMDriver] | None = None
-
-    def __post_init__(self):
-        lam = _check_same_lam(self.coefficients)
-        if lam != 1.0:
-            raise DomainError(f"two-factor models require tail index 1, got {lam!r}")
-        _validated_lam(self.coefficients)
-        if self.drivers is not None and len(self.drivers) != 2:
-            raise DomainError("two-factor models need exactly two drivers")
-        object.__setattr__(self, "_lam", 1.0)
-
-    @cached_property
-    def coefficients(self) -> tuple[CoefficientFunction, ...]:
-        return (self.a, self.b, self.c)
-
-
-Model = OneFactorModel | TwoFactorModel
+    def driver(self) -> GBMDriver | None:
+        return None if self.drivers is None else self.drivers[0]
 
 
 def _combine(coefs, xs):
@@ -534,7 +514,7 @@ long_libor_2f = long_libor_1f
 # ---------------------------------------------------------------------------
 
 
-def _short_rate_wronskian(model: OneFactorModel, t: float):
+def _short_rate_wronskian(model: Model, t: float):
     _require_factors(model, 1, "short-rate inversion")
     a_t = float(model.a(t))
     b_t = float(model.b(t))
@@ -551,14 +531,14 @@ def _short_rate_wronskian(model: OneFactorModel, t: float):
     return a_t, b_t, ap, bp, w
 
 
-def attainable_short_rates(model: OneFactorModel, t: float) -> tuple[float, float]:
+def attainable_short_rates(model: Model, t: float) -> tuple[float, float]:
     """Open interval of short rates the model can attain at time t."""
     a_t, b_t, ap, bp, _ = _short_rate_wronskian(model, t)
     lo, hi = sorted((-ap / a_t, -bp / b_t))
     return lo, hi
 
 
-def state_from_short_rate_1f(model: OneFactorModel, t: float, r: float) -> ModelState:
+def state_from_short_rate_1f(model: Model, t: float, r: float) -> ModelState:
     """Invert r_t for the factor: M = -(a'(t) + r a(t)) / (b'(t) + r b(t))."""
     r = _as_float("short rate", r)
     a_t, b_t, ap, bp, _ = _short_rate_wronskian(model, t)
@@ -569,9 +549,7 @@ def state_from_short_rate_1f(model: OneFactorModel, t: float, r: float) -> Model
     return ModelState(t, m)
 
 
-def bond_from_short_rate_1f(
-    model: OneFactorModel, t: float, T: float, r: float
-) -> float:
+def bond_from_short_rate_1f(model: Model, t: float, T: float, r: float) -> float:
     """Bond price linear in the short rate:
 
     P = ((a(T) b'(t) - b(T) a'(t)) + (a(T) b(t) - b(T) a(t)) r) / (a(t) b'(t) - b(t) a'(t)).
@@ -587,11 +565,12 @@ def bond_from_short_rate_1f(
     return ((a_T * bp - b_T * ap) + (a_T * b_t - b_T * a_t) * r) / w
 
 
-def _long_rate_determinant(model: OneFactorModel, t: float):
+def _long_rate_determinant(model: Model, t: float):
     _require_factors(model, 1, "long-rate inversion")
     a_t = float(model.a(t))
     b_t = float(model.b(t))
-    abar, bbar = model.abar, model.bbar
+    abar = model.a.tail_limit * model.lam ** -model.lam
+    bbar = model.b.tail_limit * model.lam ** -model.lam
     det = a_t * bbar - b_t * abar
     scale = abs(a_t * bbar) + abs(b_t * abar)
     if abs(det) <= _DEGENERACY_RTOL * scale:
@@ -603,7 +582,7 @@ def _long_rate_determinant(model: OneFactorModel, t: float):
     return a_t, b_t, abar, bbar, det
 
 
-def attainable_long_rates(model: OneFactorModel, t: float) -> tuple[float, float]:
+def attainable_long_rates(model: Model, t: float) -> tuple[float, float]:
     """Open interval of long rates (model's own index) attainable at time t."""
     a_t, b_t, abar, bbar, _ = _long_rate_determinant(model, t)
     inv = 1.0 / model.lam
@@ -611,7 +590,7 @@ def attainable_long_rates(model: OneFactorModel, t: float) -> tuple[float, float
     return lo, hi
 
 
-def state_from_long_rate_1f(model: OneFactorModel, t: float, L: float) -> ModelState:
+def state_from_long_rate_1f(model: Model, t: float, L: float) -> ModelState:
     """Invert the long rate for the factor via y = L^-lam:
 
     M = (abar - y a(t)) / (y b(t) - bbar).
@@ -628,7 +607,7 @@ def state_from_long_rate_1f(model: OneFactorModel, t: float, L: float) -> ModelS
     return ModelState(t, m)
 
 
-def bond_from_long_rate_1f(model: OneFactorModel, t: float, T: float, L: float) -> float:
+def bond_from_long_rate_1f(model: Model, t: float, T: float, L: float) -> float:
     """Bond price inversely linear in the long rate (y = L^-lam):
 
     P = ((a(T) bbar - b(T) abar) + (a(t) b(T) - b(t) a(T)) y) / (a(t) bbar - b(t) abar).
@@ -656,7 +635,7 @@ class FGHCoefficients:
     h: float
 
 
-def fgh_coefficients(model: TwoFactorModel, t: float, T: float) -> FGHCoefficients:
+def fgh_coefficients(model: Model, t: float, T: float) -> FGHCoefficients:
     """Solve the pricing decomposition P = F + G r + H / L at (t, T).
 
     Writing pi = a + bM + cN, each of P, r and 1/L is a ratio with
@@ -722,7 +701,8 @@ def fit_initial_curve(
     Each coefficient is w_i(t) * P(0, t) for a weight w_i in (0, 1); the
     weights (constants or callables of t) must sum to 1, so the fitted
     model reproduces the input curve at time 0 exactly.  Two weights give
-    a one-factor model, three a two-factor model (index 1).
+    a one-factor model, three a two-factor model (index 1); ``drivers`` is
+    None or one GBMDriver per factor.
 
     The curve must carry a tail-Pareto asymptotic model: the coefficient
     tail limits are w_i * K with K = lim t^lam P(0, t), which a curve
@@ -771,9 +751,7 @@ def fit_initial_curve(
         coeffs.append(
             CoefficientFunction(fn, None, lam, w_inf * K, "curve_split", None)
         )
-    if n == 2:
-        return OneFactorModel(coeffs[0], coeffs[1], driver=drivers)
-    return TwoFactorModel(coeffs[0], coeffs[1], coeffs[2], drivers=drivers)
+    return Model(tuple(coeffs), drivers)
 
 
 # ---------------------------------------------------------------------------
@@ -858,18 +836,16 @@ def model_from_config(cfg: dict) -> Model:
     if factors not in (1, 2):
         raise DomainError(f"model config factors: expected 1 or 2, got {factors!r}")
     k = int(factors)
-    coefs = [
+    coefs = tuple(
         _coefficient_from_config(cfg, f"coefficients.{name}", lam)
         for name in _COEFFICIENT_NAMES[: k + 1]
-    ]
+    )
     drivers = None
     if "drivers" in cfg:
         drivers = tuple(
             _driver_from_config(cfg, f"drivers.{name}") for name in _DRIVER_NAMES[:k]
         )
-    if k == 1:
-        return OneFactorModel(*coefs, driver=None if drivers is None else drivers[0])
-    return TwoFactorModel(*coefs, drivers=drivers)
+    return Model(coefs, drivers)
 
 
 def _coefficient_to_config(coef: CoefficientFunction) -> dict:

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .aggregation import _check_seed
 from .drivers import GBMDriver
 from .errors import DomainError, LongrateError
 from .kernel_models import (
@@ -76,19 +77,24 @@ def worker_count(requested: int | None = None) -> int:
     return min(n, cap) if cap else n
 
 
+def _check_correlation(rho: float) -> None:
+    if not -1.0 <= rho <= 1.0:
+        raise DomainError(f"correlation must lie in [-1, 1], got {rho!r}")
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
     """Simulated martingale paths on a fixed time grid.
 
-    ``m`` (and ``n`` for two-factor ensembles) has shape
-    (n_paths, len(grid)) with the first column identically 1.  Arrays are
-    frozen after construction; the generating seed and correlation are
-    recorded so the ensemble is reproducible from its metadata.
+    ``factors`` has shape (k, n_paths, len(grid)), one slab per factor in
+    factor order, with the first column identically 1.  ``m`` and ``n``
+    are views of the first two slabs (``n`` is None for k = 1).  Arrays
+    are frozen after construction; the generating seed and correlation
+    are recorded so the ensemble is reproducible from its metadata.
     """
 
     grid: np.ndarray
-    m: np.ndarray
-    n: np.ndarray | None
+    factors: np.ndarray
     seed: int
     rho: float = 0.0
 
@@ -96,31 +102,32 @@ class PathEnsemble:
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
             raise DomainError("grid must be increasing from 0 with at least two points")
-        if self.m.shape != (self.m.shape[0], grid.size) or self.m.shape[0] < 1:
-            raise DomainError("path array shape must be (n_paths, len(grid))")
-        for x in self.factor_values:
-            if x.shape != self.m.shape:
-                raise DomainError("second factor must match the first factor's shape")
-            if not np.all(x > 0.0):
-                raise DomainError("martingale paths must stay strictly positive")
-        if not -1.0 <= self.rho <= 1.0:
-            raise DomainError(f"correlation must lie in [-1, 1], got {self.rho!r}")
-        for arr in (grid, *self.factor_values):
-            arr.setflags(write=False)
+        shape = self.factors.shape
+        if len(shape) != 3 or shape[0] < 1 or shape[1] < 1 or shape[2] != grid.size:
+            raise DomainError("path array shape must be (k, n_paths, len(grid))")
+        if not all(np.all(x > 0.0) for x in self.factors):
+            raise DomainError("martingale paths must stay strictly positive")
+        _check_correlation(self.rho)
+        grid.setflags(write=False)
+        self.factors.setflags(write=False)
         object.__setattr__(self, "grid", grid)
 
     @property
+    def m(self) -> np.ndarray:
+        return self.factors[0]
+
+    @property
+    def n(self) -> np.ndarray | None:
+        return self.factors[1] if len(self.factors) > 1 else None
+
+    @property
+    def factor_values(self) -> np.ndarray:
+        """The factor paths; iterating gives M, N, ... in factor order."""
+        return self.factors
+
+    @property
     def n_paths(self) -> int:
-        return int(self.m.shape[0])
-
-    @property
-    def two_factor(self) -> bool:
-        return self.n is not None
-
-    @property
-    def factor_values(self) -> tuple[np.ndarray, ...]:
-        """(m,) or (m, n), in factor order."""
-        return (self.m,) if self.n is None else (self.m, self.n)
+        return int(self.factors.shape[1])
 
     def time_index(self, t: float) -> int:
         hits = np.flatnonzero(np.isclose(self.grid, t, rtol=0.0, atol=1e-12))
@@ -132,7 +139,7 @@ class PathEnsemble:
 def _factor_normals(rng, shape, rho: float, count: int):
     """Standard normals for each of ``count`` factors, drawn in factor order.
 
-    The second factor's normals are correlated with the first's as
+    Every later factor's normals are correlated with the first's as
     rho * z_m + sqrt(1 - rho^2) * z_n.
     """
     z_m = rng.standard_normal(shape)
@@ -152,8 +159,8 @@ def simulate_paths(
 ) -> PathEnsemble:
     """Simulate martingale paths with exact lognormal stepping.
 
-    ``drivers`` is one GBMDriver or a pair; a pair produces a
-    two-factor ensemble with instantaneous correlation ``rho``
+    ``drivers`` is one GBMDriver or one per factor; every factor after
+    the first has instantaneous correlation ``rho`` with the first
     (ignored for a single driver).  The per-chunk seeding makes output
     independent of ``max_workers`` and of LONGRATE_THREADS.
     """
@@ -162,28 +169,23 @@ def simulate_paths(
         raise DomainError("grid must be increasing from 0 with at least two points")
     if n_paths < 1:
         raise DomainError(f"n_paths must be positive, got {n_paths!r}")
+    seed = _check_seed(seed)
     drivers = (drivers,) if isinstance(drivers, GBMDriver) else tuple(drivers)
-    if len(drivers) not in (1, 2):
-        raise DomainError(f"expected one or two drivers, got {len(drivers)}")
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError(f"correlation must lie in [-1, 1], got {rho!r}")
+    _check_correlation(rho)
 
     variances = [d.step_variances(g) for d in drivers]
-    paths = []
-    for _ in drivers:
-        x = np.empty((n_paths, g.size))
-        x[:, 0] = 1.0
-        paths.append(x)
+    factors = np.empty((len(drivers), n_paths, g.size))
+    factors[:, :, 0] = 1.0
 
     chunks = range(0, n_paths, _CHUNK_PATHS)
 
     def fill(start: int) -> None:
         k = min(_CHUNK_PATHS, n_paths - start)
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=int(seed), spawn_key=(start // _CHUNK_PATHS,))
+            np.random.SeedSequence(entropy=seed, spawn_key=(start // _CHUNK_PATHS,))
         )
         normals = _factor_normals(rng, (k, g.size - 1), rho, len(drivers))
-        for x, v, z in zip(paths, variances, normals):
+        for x, v, z in zip(factors, variances, normals):
             x[start : start + k, 1:] = np.exp(np.cumsum(-0.5 * v + np.sqrt(v) * z, axis=1))
 
     workers = worker_count(max_workers)
@@ -194,13 +196,12 @@ def simulate_paths(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, chunks))
 
-    if not all(np.all(x > 0.0) for x in paths):
+    if not all(np.all(x > 0.0) for x in factors):
         raise DomainError(
             "paths underflowed to zero; the horizon is too long for this "
             "volatility (shorten the grid or lower sigma)"
         )
-    n = paths[1] if len(paths) > 1 else None
-    return PathEnsemble(g, paths[0], n, int(seed), float(rho))
+    return PathEnsemble(g, factors, seed, float(rho))
 
 
 def _declared_drivers(model: Model) -> tuple[GBMDriver, ...]:
@@ -291,7 +292,7 @@ def kernel_condition_audit(model: Model, ensemble: PathEnsemble) -> AuditReport:
         CheckResult(
             "mean kernel matches coefficients",
             PASS if worst_z <= 4.0 else FAIL,
-            f"max |mean - (a+b{'+c' if ensemble.two_factor else ''})| = {worst_z:.3g} SE",
+            f"max |mean - ({'+'.join('abc'[: model.factors + 1])})| = {worst_z:.3g} SE",
         )
     )
     decay = expected_kernel(model, _HORIZON_PROBE)
@@ -330,7 +331,7 @@ def deflated_bond_martingale_check(
         j = ensemble.time_index(float(t))
         if maturity < ensemble.grid[j]:
             raise DomainError(f"maturity {maturity!r} precedes audit time {t!r}")
-        bond = _combine(coefs_T, [x[:, j] for x in ensemble.factor_values]) / pi[:, j]
+        bond = _combine(coefs_T, ensemble.factors[:, :, j]) / pi[:, j]
         deflated = pi[:, j] * bond
         mean, se = _mean_se(deflated)
         z = _z_score(abs(mean - target), se, target)
@@ -428,11 +429,11 @@ def _terminal_factors(model, state, T, seed, flow_index, n_paths, rho):
     base_key = _state_spawn_key(state)
     drivers = _declared_drivers(model)
     variances = [d.variance(state.t, T) for d in drivers]
-    outs = tuple(np.empty(n_paths) for _ in drivers)
+    outs = np.empty((len(drivers), n_paths))
     for start in range(0, n_paths, _CHUNK_PATHS):
         k = min(_CHUNK_PATHS, n_paths - start)
         ss = np.random.SeedSequence(
-            entropy=int(seed),
+            entropy=seed,
             spawn_key=base_key + (int(flow_index), start // _CHUNK_PATHS),
         )
         normals = _factor_normals(np.random.default_rng(ss), k, rho, len(drivers))
@@ -467,6 +468,9 @@ def value_claim(
             raise DomainError("simulation-based valuation needs an explicit seed")
         if n_paths < 2:
             raise DomainError(f"n_paths must be at least 2, got {n_paths!r}")
+        seed = _check_seed(seed)
+        if model.factors > 1:
+            _check_correlation(rho)
     out = []
     total = 0.0
     for idx, flow in enumerate(schedule.flows):
@@ -501,18 +505,19 @@ def value_claim(
 
 
 def write_ensemble_csv(ensemble: PathEnsemble, path, fmt: str = "%.9g") -> None:
-    """Write paths as CSV columns path,t,M[,N] (UTF-8, LF).
+    """Write paths as CSV columns path,t,M[,N] (UTF-8, LF); X3, X4, ... follow N.
 
     Rows are formatted a block of whole paths at a time, with one ``%``
     over a repeated row template, so the buffers stay a few MB.
     """
-    factors = ensemble.factor_values
+    factors = ensemble.factors
+    names = ["M", "N", *(f"X{i}" for i in range(3, len(factors) + 1))][: len(factors)]
     columns = 2 + len(factors)
     row = ",".join(["%d"] + [fmt] * (columns - 1)) + "\n"
     steps = ensemble.grid.size
     paths_per_block = max(1, _WRITE_ROWS // steps)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("path,t,M,N\n" if ensemble.two_factor else "path,t,M\n")
+        fh.write(",".join(["path", "t", *names]) + "\n")
         for start in range(0, ensemble.n_paths, paths_per_block):
             stop = min(start + paths_per_block, ensemble.n_paths)
             table = np.empty((stop - start, steps, columns))

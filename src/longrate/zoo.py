@@ -15,7 +15,7 @@ import numpy as np
 
 from .drivers import GBMDriver
 from .errors import DomainError
-from .kernel_models import CoefficientFunction, Model, OneFactorModel, TwoFactorModel
+from .kernel_models import CoefficientFunction, Model
 from .termstructure import (
     DiscountCurve,
     default_curve_grid,
@@ -36,61 +36,48 @@ __all__ = [
     "long_grid",
 ]
 
-_SIGMA_M = 0.2
-_SIGMA_N = 0.15
+_ONE_DRIVER = (GBMDriver.constant(0.2),)
+_TWO_DRIVERS = (GBMDriver.constant(0.2), GBMDriver.constant(0.15))
 
 
-def reference_one_factor() -> OneFactorModel:
+def _rational(*scale_shift, lam: float) -> tuple[CoefficientFunction, ...]:
+    """scale / (shift + t)**lam for each (scale, shift) pair."""
+    return tuple(CoefficientFunction.rational(s, h, lam) for s, h in scale_shift)
+
+
+def reference_one_factor() -> Model:
     """a(t) = 0.5/(1+t), b(t) = 0.5/(2+t); tail index 1, sigma = 0.2."""
-    return OneFactorModel(
-        CoefficientFunction.rational(0.5, 1.0, 1.0),
-        CoefficientFunction.rational(0.5, 2.0, 1.0),
-        driver=GBMDriver.constant(_SIGMA_M),
-    )
+    return Model(_rational((0.5, 1.0), (0.5, 2.0), lam=1.0), _ONE_DRIVER)
 
 
-def pareto_one_factor(lam: float) -> OneFactorModel:
+def pareto_one_factor(lam: float) -> Model:
     """a(t) = 0.5/(1+t)**lam, b(t) = 0.5/(2+t)**lam at tail index lam."""
     lam = float(lam)
     if lam <= 0.0:
         raise DomainError(f"tail index must be positive, got {lam!r}")
-    return OneFactorModel(
-        CoefficientFunction.rational(0.5, 1.0, lam),
-        CoefficientFunction.rational(0.5, 2.0, lam),
-        driver=GBMDriver.constant(_SIGMA_M),
-    )
+    return Model(_rational((0.5, 1.0), (0.5, 2.0), lam=lam), _ONE_DRIVER)
 
 
-def reference_two_factor() -> TwoFactorModel:
+def reference_two_factor() -> Model:
     """a(t) = 0.4/(1+t), b(t) = 0.3/(1+t), c(t) = 0.3/(2+t); index 1.
 
     a and b are proportional, so the (F, G, H) pricing decomposition of
     this model is consistent but not unique; see staggered_two_factor
     for the generic case.
     """
-    return TwoFactorModel(
-        CoefficientFunction.rational(0.4, 1.0, 1.0),
-        CoefficientFunction.rational(0.3, 1.0, 1.0),
-        CoefficientFunction.rational(0.3, 2.0, 1.0),
-        drivers=(GBMDriver.constant(_SIGMA_M), GBMDriver.constant(_SIGMA_N)),
-    )
+    return Model(_rational((0.4, 1.0), (0.3, 1.0), (0.3, 2.0), lam=1.0), _TWO_DRIVERS)
 
 
-def staggered_two_factor() -> TwoFactorModel:
+def staggered_two_factor() -> Model:
     """a(t) = 0.4/(1+t), b(t) = 0.3/(2+t), c(t) = 0.3/(3+t); index 1.
 
     Distinct shifts keep the coefficient rows independent at every t, so
     the (F, G, H) decomposition is unique.
     """
-    return TwoFactorModel(
-        CoefficientFunction.rational(0.4, 1.0, 1.0),
-        CoefficientFunction.rational(0.3, 2.0, 1.0),
-        CoefficientFunction.rational(0.3, 3.0, 1.0),
-        drivers=(GBMDriver.constant(_SIGMA_M), GBMDriver.constant(_SIGMA_N)),
-    )
+    return Model(_rational((0.4, 1.0), (0.3, 2.0), (0.3, 3.0), lam=1.0), _TWO_DRIVERS)
 
 
-def degenerate_one_factor(a_share: float = 0.5) -> OneFactorModel:
+def degenerate_one_factor(a_share: float = 0.5) -> Model:
     """a(t) = A/(1+t), b(t) = (1-A)/(1+t): proportional coefficients.
 
     The short rate is 1/(1+t) for every factor value and the long simple
@@ -100,11 +87,7 @@ def degenerate_one_factor(a_share: float = 0.5) -> OneFactorModel:
     a_share = float(a_share)
     if not 0.0 < a_share < 1.0:
         raise DomainError(f"a_share must lie in (0, 1), got {a_share!r}")
-    return OneFactorModel(
-        CoefficientFunction.rational(a_share, 1.0, 1.0),
-        CoefficientFunction.rational(1.0 - a_share, 1.0, 1.0),
-        driver=GBMDriver.constant(_SIGMA_M),
-    )
+    return Model(_rational((a_share, 1.0), (1.0 - a_share, 1.0), lam=1.0), _ONE_DRIVER)
 
 
 def model_zoo() -> dict[str, Model]:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,9 +36,13 @@ def curves():
     return lr.zoo.curve_zoo()
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args, env_extra=None, cwd=None):
-    """Run the CLI in a subprocess and return the CompletedProcess."""
+    """Run the CLI in a subprocess (``src`` first on its path); return the CompletedProcess."""
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

@@ -241,6 +241,22 @@ def test_all_numbers_use_nine_significant_digits():
         ("simulate", "--model", "ref1f", "--seed", 1, "--grid", "geom:0:10:3",
          "--out", "{tmp}/paths.csv"),
         *(("greenbook", "--schedule", f"{{tmp}}/{name}.json") for name in BAD_SCHEDULES),
+        ("value", "--model", "ref2f", "--rho", 2, "--flow", "T=1,payoff=M", "--seed", 1,
+         "--paths", 100),
+        ("value", "--model", "ref2f", "--rho", "nan", "--flow", "T=1,payoff=M", "--seed", 1,
+         "--paths", 100),
+        ("simulate", "--model", "ref1f", "--seed", -1, "--n", 5, "--out", "{tmp}/x.csv"),
+        ("audit", "kernel", "--model", "ref1f", "--seed", -1, "--n", 5),
+        ("audit", "pareto", "--model", "ref1f", "--seed", -1, "--n", 5),
+        ("audit", "dir", "--model", "ref1f", "--seed", -1, "--n", 5),
+        ("value", "--model", "ref1f", "--flow", "T=1,payoff=M", "--seed", -1, "--paths", 100),
+        ("aggregate", "--mix", '{"kind":"gamma","shape":2,"mean_rate":0.04}', "--sample", 5,
+         "--seed", -1, "--out", "{tmp}/x.csv"),
+        ("audit", "dir", "--curve", "flat:0.03", "--kappa", 0),
+        ("audit", "dir", "--curve", "flat:0.03", "--kappa", "nan"),
+        ("audit", "dir", "--curve", "flat:0.03", "--kappa", -1),
+        ("audit", "dir", "--model", "ref1f", "--seed", 1, "--n", 5, "--kappa", 0),
+        ("classify", "--curve", "flat:0.03", "--window", "1:inf"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, args):

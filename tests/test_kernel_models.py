@@ -9,9 +9,8 @@ import pytest
 import longrate as lr
 from longrate import (
     CoefficientFunction,
+    Model,
     ModelState,
-    OneFactorModel,
-    TwoFactorModel,
     bond_price,
     fgh_coefficients,
     fit_initial_curve,
@@ -317,20 +316,22 @@ def test_fgh_rejects_inconsistent_singular_system():
         )
 
     base = lr.zoo.reference_two_factor()
-    model = TwoFactorModel(
-        a=CoefficientFunction(
-            lambda t: 0.4 / (1.0 + np.asarray(t, dtype=float)),
-            lambda t: -0.4 / (1.0 + np.asarray(t, dtype=float)) ** 2,
-            lam=1.0,
-            tail_limit=0.4,
+    model = Model(
+        coefficients=(
+            CoefficientFunction(
+                lambda t: 0.4 / (1.0 + np.asarray(t, dtype=float)),
+                lambda t: -0.4 / (1.0 + np.asarray(t, dtype=float)) ** 2,
+                lam=1.0,
+                tail_limit=0.4,
+            ),
+            CoefficientFunction(
+                lambda t: 0.3 / (1.0 + np.asarray(t, dtype=float)),
+                lambda t: -0.3 / (1.0 + np.asarray(t, dtype=float)) ** 2,
+                lam=1.0,
+                tail_limit=0.3,
+            ),
+            CoefficientFunction(c_fn, c_deriv, lam=1.0, tail_limit=0.3),
         ),
-        b=CoefficientFunction(
-            lambda t: 0.3 / (1.0 + np.asarray(t, dtype=float)),
-            lambda t: -0.3 / (1.0 + np.asarray(t, dtype=float)) ** 2,
-            lam=1.0,
-            tail_limit=0.3,
-        ),
-        c=CoefficientFunction(c_fn, c_deriv, lam=1.0, tail_limit=0.3),
         drivers=base.drivers,
     )
     with pytest.raises(DegenerateModelError) as err:
@@ -392,20 +393,29 @@ def test_declared_tail_limit_cross_checked():
         tail_limit=0.9,
     )
     with pytest.raises(DomainError) as err:
-        OneFactorModel(a=bogus, b=CoefficientFunction.rational(0.5, 2.0, 1.0))
+        Model(coefficients=(bogus, CoefficientFunction.rational(0.5, 2.0, 1.0)))
     assert "tail limit" in str(err.value)
+
+
+def test_model_needs_a_factor_and_one_driver_per_factor(ref2f):
+    with pytest.raises(DomainError, match="at least one factor"):
+        Model(ref2f.coefficients[:1])
+    with pytest.raises(DomainError, match="one driver per factor"):
+        Model(ref2f.coefficients, ref2f.drivers[:1])
 
 
 def test_negative_coefficient_rejected():
     with pytest.raises(DomainError) as err:
-        OneFactorModel(
-            a=CoefficientFunction(
-                lambda t: 0.5 - 0.1 * np.asarray(t, dtype=float),
-                lambda t: np.full_like(np.asarray(t, dtype=float), -0.1),
-                lam=1.0,
-                tail_limit=0.0,
+        Model(
+            coefficients=(
+                CoefficientFunction(
+                    lambda t: 0.5 - 0.1 * np.asarray(t, dtype=float),
+                    lambda t: np.full_like(np.asarray(t, dtype=float), -0.1),
+                    lam=1.0,
+                    tail_limit=0.0,
+                ),
+                CoefficientFunction.rational(0.5, 2.0, 1.0),
             ),
-            b=CoefficientFunction.rational(0.5, 2.0, 1.0),
         )
     assert "positive" in str(err.value)
 

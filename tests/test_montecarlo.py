@@ -1,5 +1,6 @@
 """Path simulation: exact stepping, seeding, audits, claim valuation."""
 
+import hashlib
 import math
 import os
 
@@ -76,6 +77,29 @@ def test_path_count_prefix_stability():
     np.testing.assert_array_equal(large.m[:4096], small.m)
 
 
+# sha256 of the M then the N path bytes of ref2f (seed 7, rho 0.5, 21 points on
+# [0, 10]) at path counts around the 4096-path chunk; the digests depend only on
+# the draws, so any change to the seeding, draw order or chunking shows here.
+CHUNK_BOUNDARY_DIGESTS = {
+    4095: "0f8e81ed342749cdb45ad24f85cb3502f79a2c96cf0c09132d62e88d298f1841",
+    4096: "8ff20d11f61be85f54e084aae9f3760c6c901980f28a9d0bde650e6255ec94d6",
+    4097: "11a559265f0f5485f95ce061caded621e6695995c7e51d6ba652b9d410db5990",
+    8193: "987bf3fc9d86c4a9dca9321a065661cdf2a5032d8f03bd4203f44da25c2c99bc",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_paths", sorted(CHUNK_BOUNDARY_DIGESTS))
+def test_two_factor_paths_at_chunk_boundaries(ref2f, n_paths, workers, monkeypatch):
+    monkeypatch.delenv("LONGRATE_THREADS", raising=False)
+    grid = np.linspace(0.0, 10.0, 21)
+    ens = simulate_paths(ref2f.drivers, grid, n_paths, seed=7, rho=0.5, max_workers=workers)
+    assert ens.factors.shape == (2, n_paths, grid.size)
+    assert np.shares_memory(ens.m, ens.factors) and np.shares_memory(ens.n, ens.factors)
+    digest = hashlib.sha256(ens.m.tobytes() + ens.n.tobytes()).hexdigest()
+    assert digest == CHUNK_BOUNDARY_DIGESTS[n_paths]
+
+
 def test_two_factor_correlation():
     d = GBMDriver.constant(0.2)
     ens = simulate_paths((d, d), np.array([0.0, 1.0]), 200_000, seed=11, rho=0.5)
@@ -127,11 +151,11 @@ def test_write_ensemble_csv(tmp_path, ref1f):
 def _write_rows_reference(ensemble, path, fmt):
     """Row-at-a-time writer that ``write_ensemble_csv`` must match byte for byte."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("path,t,M,N\n" if ensemble.two_factor else "path,t,M\n")
+        fh.write("path,t,M,N\n" if ensemble.n is not None else "path,t,M\n")
         for i in range(ensemble.n_paths):
             for j, t in enumerate(ensemble.grid):
                 row = f"{i},{fmt % t},{fmt % ensemble.m[i, j]}"
-                if ensemble.two_factor:
+                if ensemble.n is not None:
                     row += f",{fmt % ensemble.n[i, j]}"
                 fh.write(row + "\n")
 

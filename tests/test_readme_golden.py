@@ -3,7 +3,8 @@
 Each example runs through ``longrate.cli.main`` in a scratch directory.
 ``ESTIMATOR_CASES`` add long-rate and stratification runs whose ``%.9g``
 and JSON numbers the README examples do not reach; ``REPORT_CASES`` add
-the curve and schedule files and the audit JSON reports they do not write.
+the curve and schedule files and the audit JSON reports they do not write;
+``TWO_FACTOR_CASES`` add two-factor valuation, certificate and DIR runs.
 Its exit code, the sha256 of its stdout and the sha256 of every file it
 writes are compared with recorded digests, so any change to a number,
 a header or a detail string shows up here.  Re-record them only for an
@@ -99,6 +100,25 @@ REPORT_GOLDEN = {
 }
 
 
+TWO_FACTOR_CASES = [
+    ("value", "--model", "ref2f", "--m", "1.2", "--n", "0.8", "--flow", "T=5,payoff=N",
+     "--flow", "T=2,amount=1", "--simulate-constants", "--seed", "9", "--paths", "5000",
+     "--rho", "0.5", "--json", "out.json"),
+    ("audit", "pareto", "--model", "ref2f", "--seed", "4", "--n", "5000", "--rho", "0.5",
+     "--json", "report.json"),
+    ("audit", "dir", "--model", "ref2f", "--seed", "7", "--rho", "-0.3", "--json", "report.json"),
+]
+
+TWO_FACTOR_GOLDEN = {
+    0: (0, "c877daa787733dde524c1f4f15e15642a3d6b046e800018b9fe014732aa4c0fc",
+        {"out.json": "eee011169c70f69d0e0633bd678bd79ecd029a0d5bb4389abc4935ba413210e9"}),
+    1: (0, "e737e6d4df2de9effeba227a2e12d472991891c1a6626503826359d22b1da7d8",
+        {"report.json": "8df94fb1490f3bae58d0ac42dc536455ccee4478cb39787f3a3034fea2765f87"}),
+    2: (0, "23a70d3e5a1a88a6e932d9528cc1f233e68fa4025163e28276fc02b017f80530",
+        {"report.json": "bda407170c0bff5a4fa91e3717035cd1a949446733105ac72654fe9f8f9ba48e"}),
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -135,3 +155,10 @@ def test_report_output_is_byte_identical(index, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("LONGRATE_THREADS", raising=False)
     assert run_example(REPORT_CASES[index], tmp_path, capsys) == REPORT_GOLDEN[index]
+
+
+@pytest.mark.parametrize("index", range(len(TWO_FACTOR_CASES)))
+def test_two_factor_output_is_byte_identical(index, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LONGRATE_THREADS", raising=False)
+    assert run_example(TWO_FACTOR_CASES[index], tmp_path, capsys) == TWO_FACTOR_GOLDEN[index]
