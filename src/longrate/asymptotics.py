@@ -36,7 +36,7 @@ from .kernel_models import (
     bond_log_df,
     theta_value,
 )
-from .montecarlo import PathEnsemble, _mean_se, _z_score, kernel_paths
+from .montecarlo import PathEnsemble, _mean_se, _time_major, _z_score, kernel_paths
 from .reporting import FAIL, INCONCLUSIVE, PASS, AuditReport, CheckResult
 from .termstructure import (
     DiscountCurve,
@@ -432,6 +432,16 @@ def _model_rate_estimates(
     return -(np.log(num) - np.log(pi)) / x
 
 
+def _zero_coupon_quote(rate: float, kappa: float) -> float:
+    """kappa * (exp(rate / kappa) - 1), the zero-coupon translation of a rate."""
+    try:
+        return kappa * math.expm1(rate / kappa)
+    except OverflowError:
+        raise DomainError(
+            f"zero-coupon translation overflows at kappa={kappa:g} for rate {rate:.9g}"
+        ) from None
+
+
 def dir_monotonicity_audit(
     subject,
     times: Sequence[float],
@@ -472,7 +482,7 @@ def dir_monotonicity_audit(
                 f"estimates {['%.9g' % v for v in values]}",
             )
         )
-        z_values = [kappa * math.expm1(v / kappa) for v in values]
+        z_values = [_zero_coupon_quote(v, kappa) for v in values]
         z_drops = [
             (a, b) for a, b in zip(z_values, z_values[1:]) if b < a - _CONVERGENCE_TOL
         ]
@@ -509,7 +519,7 @@ def dir_monotonicity_audit(
             f"max estimate {max_rate:.3g} over {sups.shape[1]} paths x {len(ts)} times",
         )
     )
-    z_worst = kappa * math.expm1(worst_drop / kappa) if math.isfinite(worst_drop) else worst_drop
+    z_worst = _zero_coupon_quote(worst_drop, kappa) if math.isfinite(worst_drop) else worst_drop
     checks.append(
         CheckResult(
             f"zero-coupon translation (kappa={kappa:g}) nondecreasing",
@@ -682,8 +692,7 @@ def deterministic_long_rate(
         if convention.kind == "exponential":
             return r
         if convention.kind == "zero_coupon":
-            kappa = float(convention.index)
-            return kappa * math.expm1(r / kappa)
+            return _zero_coupon_quote(r, float(convention.index))
         return math.inf  # simple-type quotes diverge against exponential decay
     lam0, level = float(lam0), float(level)
     if convention.kind in ("exponential", "zero_coupon"):
@@ -744,16 +753,20 @@ def pareto_kernel_certificate(
     blows up).
     """
     lam = model.lam if lam is None else float(lam)
-    if lam <= 0.0:
-        raise DomainError(f"index must be positive, got {lam!r}")
+    if not math.isfinite(lam) or lam <= 0.0:
+        raise DomainError(f"index must be finite and positive, got {lam!r}")
     pi = kernel_paths(model, ensemble)
     grid = ensemble.grid
-    scaled = grid**lam * pi  # broadcasts across paths
     slices = _decade_slices(grid)
     if len(slices) < 2:
         raise DomainError("ensemble grid too short: need at least two tail decades")
-    minima = [float(scaled[:, s].min()) for s in slices]
-    means = [float(scaled[:, s].mean()) for s in slices]
+    # one power call over the whole grid: numpy's SIMD and scalar loops can round apart
+    weights = grid**lam
+    minima, means = [], []
+    for s in slices:
+        scaled = weights[s] * pi[:, s]  # t^lam pi_t over one decade
+        minima.append(float(scaled.min()))
+        means.append(float(scaled.mean()))
     checks: list[CheckResult] = []
 
     min_ratios = [b / a for a, b in zip(minima, minima[1:])]
@@ -792,7 +805,6 @@ def pareto_kernel_certificate(
     )
 
     theta0 = theta_value(model, unit_state)
-    theta = _combine([c.tail_limit for c in model.coefficients], ensemble.factor_values)
     # The mean of a driftless lognormal stops being sampleable once its
     # log-variance is large (the expectation sits on paths no finite sample
     # contains), so the mean-based benchmark checks only probe grid times
@@ -805,13 +817,21 @@ def pareto_kernel_certificate(
         if _max_driver_variance(model, float(grid[j])) <= v_cap
     ]
     t_cap = float(grid[testable[-1]]) if testable else math.nan
+    if testable:
+        tails = [c.tail_limit for c in model.coefficients]
+        width = testable[-1] + 1
+        theta = _time_major(  # theta_t = A + B M_t (+ C N_t), time-major
+            ensemble.n_paths,
+            width,
+            lambda paths: _combine(tails, ensemble.factors[:, paths, :width]),
+        )
     worst_super = -math.inf
     worst_const = 0.0
     for j in testable:
-        diff = theta[:, j] - theta[:, j - 1]
+        diff = theta[j] - theta[j - 1]
         mean_d, se_d = _mean_se(diff)
         worst_super = max(worst_super, _z_score(mean_d, se_d, theta0))
-        mean_t, se_t = _mean_se(theta[:, j])
+        mean_t, se_t = _mean_se(theta[j])
         worst_const = max(worst_const, _z_score(abs(mean_t - theta0), se_t, theta0))
     window = f"grid times <= {t_cap:g}" if testable else "no grid times in sampling window"
     checks.append(

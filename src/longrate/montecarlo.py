@@ -18,7 +18,7 @@ import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,12 +91,17 @@ class PathEnsemble:
     are views of the first two slabs (``n`` is None for k = 1).  Arrays
     are frozen after construction; the generating seed and correlation
     are recorded so the ensemble is reproducible from its metadata.
+
+    ``kernel_paths`` caches pi with the ensemble, read-only, for the model
+    last passed to it: each model audited costs one more path array for
+    as long as it stays the cached one.
     """
 
     grid: np.ndarray
     factors: np.ndarray
     seed: int
     rho: float = 0.0
+    _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -105,7 +110,7 @@ class PathEnsemble:
         shape = self.factors.shape
         if len(shape) != 3 or shape[0] < 1 or shape[1] < 1 or shape[2] != grid.size:
             raise DomainError("path array shape must be (k, n_paths, len(grid))")
-        if not all(np.all(x > 0.0) for x in self.factors):
+        if not self.factors.min() > 0.0:  # also false for nan
             raise DomainError("martingale paths must stay strictly positive")
         _check_correlation(self.rho)
         grid.setflags(write=False)
@@ -140,13 +145,18 @@ def _factor_normals(rng, shape, rho: float, count: int):
     """Standard normals for each of ``count`` factors, drawn in factor order.
 
     Every later factor's normals are correlated with the first's as
-    rho * z_m + sqrt(1 - rho^2) * z_n.
+    sqrt(1 - rho^2) * z_n + rho * z_m.  Each yielded array is the
+    caller's to overwrite, so rho * z_m is formed before z_m is yielded.
     """
     z_m = rng.standard_normal(shape)
+    rho_z_m = rho * z_m if count > 1 else None
     yield z_m
+    scale = math.sqrt(1.0 - rho * rho)
     for _ in range(1, count):
         z_n = rng.standard_normal(shape)
-        yield rho * z_m + math.sqrt(1.0 - rho * rho) * z_n
+        z_n *= scale
+        z_n += rho_z_m
+        yield z_n
 
 
 def simulate_paths(
@@ -173,7 +183,8 @@ def simulate_paths(
     drivers = (drivers,) if isinstance(drivers, GBMDriver) else tuple(drivers)
     _check_correlation(rho)
 
-    variances = [d.step_variances(g) for d in drivers]
+    # per factor: the step volatilities and the mean log-steps -V/2
+    steps = [(np.sqrt(v), -0.5 * v) for v in (d.step_variances(g) for d in drivers)]
     factors = np.empty((len(drivers), n_paths, g.size))
     factors[:, :, 0] = 1.0
 
@@ -185,8 +196,16 @@ def simulate_paths(
             np.random.SeedSequence(entropy=seed, spawn_key=(start // _CHUNK_PATHS,))
         )
         normals = _factor_normals(rng, (k, g.size - 1), rho, len(drivers))
-        for x, v, z in zip(factors, variances, normals):
-            x[start : start + k, 1:] = np.exp(np.cumsum(-0.5 * v + np.sqrt(v) * z, axis=1))
+        for x, (vol, drift), z in zip(factors, steps, normals):
+            z *= vol
+            z += drift
+            slab = x[start : start + k, 1:]
+            np.exp(np.cumsum(z, axis=1, out=z), out=slab)
+            if not slab.min() > 0.0:
+                raise DomainError(
+                    "paths underflowed to zero; the horizon is too long for this "
+                    "volatility (shorten the grid or lower sigma)"
+                )
 
     workers = worker_count(max_workers)
     if workers == 1:
@@ -195,12 +214,6 @@ def simulate_paths(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, chunks))
-
-    if not all(np.all(x > 0.0) for x in factors):
-        raise DomainError(
-            "paths underflowed to zero; the horizon is too long for this "
-            "volatility (shorten the grid or lower sigma)"
-        )
     return PathEnsemble(g, factors, seed, float(rho))
 
 
@@ -224,13 +237,44 @@ def ensemble_for_model(
 
 
 def kernel_paths(model: Model, ensemble: PathEnsemble) -> np.ndarray:
-    """pi along every path: a(t) + b(t) M_t (+ c(t) N_t), shape like m."""
+    """pi along every path: a(t) + b(t) M_t (+ c(t) N_t), shape like m.
+
+    The array is read-only and cached with the ensemble for the model
+    last passed (matched by identity), so every audit of that model on
+    the ensemble reads one array; the cache costs one path array.
+    """
+    cached = ensemble._kernel
+    if cached is not None and cached[0] is model:
+        return cached[1]
     xs = _factor_values(model, ensemble)
     g = ensemble.grid
-    pi = _combine([np.asarray(c(g), dtype=float) for c in model.coefficients], xs)
-    if not np.all(pi > 0.0):
+    c0, *cs = [np.asarray(c(g), dtype=float) for c in model.coefficients]
+    # _combine's c0 + c1 X1 + ... + ck Xk in place, with one scratch array;
+    # IEEE addition commutes, so the sum is bitwise the same
+    pi = np.multiply(cs[0], xs[0])
+    pi += c0
+    scratch = np.empty_like(pi) if len(cs) > 1 else None
+    for c, x in zip(cs[1:], xs[1:]):
+        pi += np.multiply(c, x, out=scratch)
+    if not pi.min() > 0.0:
         raise LongrateError("kernel positivity violated along simulated paths")
+    pi.setflags(write=False)
+    object.__setattr__(ensemble, "_kernel", (model, pi))
     return pi
+
+
+def _time_major(n_paths: int, n_times: int, block: Callable) -> np.ndarray:
+    """A (n_times, n_paths) array filled from ``block(rows)`` of shape (rows, n_times).
+
+    Blocks of _CHUNK_PATHS path rows keep temporaries small, and each
+    per-time statistic then reads one contiguous row instead of a column
+    strided across the path array.
+    """
+    out = np.empty((n_times, n_paths))
+    for start in range(0, n_paths, _CHUNK_PATHS):
+        rows = slice(start, min(start + _CHUNK_PATHS, n_paths))
+        out[:, rows] = block(rows).T
+    return out
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -284,8 +328,9 @@ def kernel_condition_audit(model: Model, ensemble: PathEnsemble) -> AuditReport:
         )
     )
     worst_z = 0.0
-    for j, t in enumerate(ensemble.grid):
-        mean, se = _mean_se(pi[:, j])
+    columns = _time_major(ensemble.n_paths, ensemble.grid.size, lambda paths: pi[paths])
+    for t, values in zip(ensemble.grid, columns):
+        mean, se = _mean_se(values)
         target_t = expected_kernel(model, float(t))
         worst_z = max(worst_z, _z_score(abs(mean - target_t), se, target_t))
     checks.append(
@@ -322,18 +367,31 @@ def deflated_bond_martingale_check(
     audit prices the bond path by path and compares the cross-section
     mean with the analytic constant within 4 standard errors.
     """
+    if not math.isfinite(maturity) or maturity < 0.0:
+        raise DomainError(f"maturity must be finite and nonnegative, got {maturity!r}")
+    if len(times) == 0:
+        raise DomainError("deflated bond check needs at least one audit time")
     pi = kernel_paths(model, ensemble)
     target = expected_kernel(model, maturity)
     coefs_T = _values_at(model.coefficients, maturity)
-    checks = []
-    rows = []
+    cols = []
     for t in times:
         j = ensemble.time_index(float(t))
         if maturity < ensemble.grid[j]:
             raise DomainError(f"maturity {maturity!r} precedes audit time {t!r}")
-        bond = _combine(coefs_T, ensemble.factors[:, :, j]) / pi[:, j]
-        deflated = pi[:, j] * bond
-        mean, se = _mean_se(deflated)
+        cols.append(j)
+    if cols == list(range(cols[0], cols[0] + len(cols))):
+        cols = slice(cols[0], cols[0] + len(cols))  # read views, not gathered copies
+
+    def deflated_bonds(paths):
+        pi_t = pi[paths, cols]
+        return pi_t * (_combine(coefs_T, ensemble.factors[:, paths, cols]) / pi_t)
+
+    deflated = _time_major(ensemble.n_paths, len(times), deflated_bonds)
+    checks = []
+    rows = []
+    for t, values in zip(times, deflated):
+        mean, se = _mean_se(values)
         z = _z_score(abs(mean - target), se, target)
         rows.append({"t": float(t), "mean": mean, "se": se, "z": z})
         checks.append(

@@ -436,6 +436,17 @@ def test_dir_audit_flat_curve(curves):
     assert max(ests) - min(ests) <= 1e-9
 
 
+@pytest.mark.parametrize("use_model", [False, True])
+def test_dir_audit_overflowing_zero_coupon_translation(curves, ref1f, use_model):
+    if use_model:
+        ens = lr.ensemble_for_model(ref1f, np.array([0.0, 1.0, 2.0]), 5, seed=1)
+        args = (ref1f, [0.0, 1.0, 2.0], ens)
+    else:
+        args = (curves["flat3"], [0.0, 1.0])
+    with pytest.raises(DomainError, match="overflows at kappa=1e-300"):
+        dir_monotonicity_audit(*args, kappa=1e-300)
+
+
 def test_dir_audit_model_degenerate_case(ref1f):
     grid = np.array([0.0, 1.0, 2.0, 5.0, 10.0])
     ens = lr.ensemble_for_model(ref1f, grid, 2000, seed=7)
@@ -475,3 +486,9 @@ def test_certificate_fails_at_wrong_index(pareto2, cert_ensemble):
 def test_certificate_rejects_bad_index(pareto2, cert_ensemble):
     with pytest.raises(DomainError):
         pareto_kernel_certificate(pareto2, cert_ensemble, lam=-2.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_certificate_rejects_non_finite_index(pareto2, cert_ensemble, lam):
+    with pytest.raises(DomainError, match="finite"):
+        pareto_kernel_certificate(pareto2, cert_ensemble, lam=lam)

@@ -257,6 +257,12 @@ def test_all_numbers_use_nine_significant_digits():
         ("audit", "dir", "--curve", "flat:0.03", "--kappa", -1),
         ("audit", "dir", "--model", "ref1f", "--seed", 1, "--n", 5, "--kappa", 0),
         ("classify", "--curve", "flat:0.03", "--window", "1:inf"),
+        ("audit", "kernel", "--model", "ref1f", "--seed", 1, "--n", 5, "--maturity", "nan"),
+        ("audit", "kernel", "--model", "ref1f", "--seed", 1, "--n", 5, "--maturity", -1),
+        ("audit", "pareto", "--model", "ref1f", "--seed", 1, "--n", 50, "--lam", "nan"),
+        ("audit", "pareto", "--model", "ref1f", "--seed", 1, "--n", 50, "--lam", "inf"),
+        ("audit", "dir", "--curve", "flat:0.03", "--kappa", "1e-300"),
+        ("audit", "dir", "--model", "ref1f", "--seed", 1, "--n", 5, "--kappa", "1e-300"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, args):
@@ -267,6 +273,14 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     out = run_cli(*(str(a).replace("{tmp}", str(tmp_path)) for a in args))
     assert out.returncode == 2
     assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+
+
+def test_zero_coupon_long_rate_overflow_falls_back_to_estimate():
+    """kappa (exp(r / kappa) - 1) overflows at a tiny kappa; the estimate diverges."""
+    out = run_cli("longrate", "--curve", "flat:0.03", "--conv", "zc:1e-300")
+    assert out.returncode == 0
+    assert out.stdout == "inf DIVERGENT\n"
     assert "Traceback" not in out.stderr
 
 

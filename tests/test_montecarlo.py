@@ -100,6 +100,60 @@ def test_two_factor_paths_at_chunk_boundaries(ref2f, n_paths, workers, monkeypat
     assert digest == CHUNK_BOUNDARY_DIGESTS[n_paths]
 
 
+AUDIT_GRID = np.concatenate([[0.0], np.geomspace(1.0, 1e4, 29)])
+
+# sha256 of every check's detail and the data repr of the kernel audit, the
+# deflated-bond check (all grid times, T = 1e4; then unordered, repeated grid
+# times, whose columns are gathered rather than sliced) and the certificate at the
+# declared index and one above it, then of a simulate_constants valuation
+# (flows at T = 1 and 10); ensembles of ref1f and of ref2f (rho 0.5), seed 7.
+# The path counts straddle the 4096-path chunk that both the simulation and
+# the blocked audit statistics work in.
+AUDIT_DIGESTS = {
+    ("ref1f", 4095): ("a92634fcf0b2ee4f10d44c6062794f498f295ec8b144850bcc7c23c40f5f175f",
+                      "c4bcebbd8ef210897789832197192d0c9c3db9f927538d1775a404cbda2e86cb"),
+    ("ref1f", 4096): ("3d35471465c8270ace4defcb10d0ddbec162ab0117c84f72988cd9c2e761a265",
+                      "80dc161071419c011c228e68eb6141d1f905c013b08abbc031ef0cc75e35193f"),
+    ("ref1f", 4097): ("9f1945d8710ea8b9c31b0e7d83ddb14c18c5617f11bbd2389ca2d8cc6e02bb13",
+                      "0779c5008438ba74427b36b5e8739e35414cea85460f7d9853dfae85767669b9"),
+    ("ref1f", 8193): ("745456380d00be4325b6799ebdb9d6ddb3823a94338a209fc3f244c69a835526",
+                      "96d54a5de695c5b9d0c648b0613638dee3b5cc6d4a5e18898a31c62dde43b9da"),
+    ("ref2f", 4095): ("f0c9d114d0219b5f8637a3005e8eaa08520b4cd22638deca5238d52d4ab79901",
+                      "49a4fafc78275f28ad71f50f099f5b8d27c9e978b4badba3f4b0df3bab70c731"),
+    ("ref2f", 4096): ("ca91ab683684c716fd0d04cf619bd4aa5b3b830e25e7aa6c3d7bff84741048e0",
+                      "814091ac4d6214cafb4a3daee95c7ed3283e8b43ee54930fd478376d8b581fb9"),
+    ("ref2f", 4097): ("0aa7efe771c642a785f09aba8d1765923f102d3bfddb98eb740a4dff9cdf3ae9",
+                      "79a3c92a0b18e67234e629f08ecaaec2e2a34922b367d11a70db87a329a3c5c8"),
+    ("ref2f", 8193): ("ed71a88f8a16fde8a76e7bc6bcc6df048d16361f6a5c627b8af3d7ccf5283679",
+                      "0aee37beae07cf2d735b42472f38b14cbc6177a99228eca0ed9a95183ea9943e"),
+}
+
+
+@pytest.mark.parametrize("name, n_paths", sorted(AUDIT_DIGESTS))
+def test_audits_and_valuation_at_chunk_boundaries(request, name, n_paths):
+    model = request.getfixturevalue(name)
+    rho = 0.5 if model.factors == 2 else 0.0
+    ens = ensemble_for_model(model, AUDIT_GRID, n_paths, seed=7, rho=rho)
+    g = AUDIT_GRID
+    reports = [
+        kernel_condition_audit(model, ens),
+        deflated_bond_martingale_check(model, ens, list(AUDIT_GRID), 1e4),
+        deflated_bond_martingale_check(model, ens, [g[20], 0.0, g[3], g[20]], g[25]),
+        lr.pareto_kernel_certificate(model, ens),
+        lr.pareto_kernel_certificate(model, ens, lam=model.lam + 1.0),
+    ]
+    h = hashlib.sha256()
+    for report in reports:
+        for check in report.checks:
+            h.update(check.detail.encode())
+        h.update(repr(report.data).encode())
+    state = ModelState(0.0, *[1.0] * model.factors)
+    flows = CashFlowSchedule((CashFlow(1.0, amount=1.0), CashFlow(10.0, amount=2.0)))
+    val = value_claim(model, state, flows, n_paths, seed=7, rho=rho, simulate_constants=True)
+    value_digest = hashlib.sha256(repr(val.as_dict()).encode()).hexdigest()
+    assert (h.hexdigest(), value_digest) == AUDIT_DIGESTS[(name, n_paths)]
+
+
 def test_two_factor_correlation():
     d = GBMDriver.constant(0.2)
     ens = simulate_paths((d, d), np.array([0.0, 1.0]), 200_000, seed=11, rho=0.5)
@@ -194,9 +248,31 @@ def test_kernel_paths_shape_and_positivity(ref1f, small_ensemble):
     assert np.all(pi > 0.0)
 
 
-def test_kernel_paths_model_ensemble_mismatch(ref2f, small_ensemble):
-    with pytest.raises(DomainError):
+def test_kernel_paths_model_ensemble_mismatch(ref1f, ref2f, small_ensemble):
+    kernel_paths(ref1f, small_ensemble)  # a cached pi must not serve another model
+    with pytest.raises(DomainError, match="cannot use 1 factor value"):
         kernel_paths(ref2f, small_ensemble)
+
+
+def test_kernel_paths_cached_read_only(ref2f):
+    ens = ensemble_for_model(ref2f, GRID, 5000, seed=12, rho=0.5)
+    pi = kernel_paths(ref2f, ens)
+    assert kernel_paths(ref2f, ens) is pi
+    assert not pi.flags.writeable
+    coefs = [np.asarray(c(ens.grid), dtype=float) for c in ref2f.coefficients]
+    reference = coefs[0] + coefs[1] * ens.m + coefs[2] * ens.n
+    assert pi.tobytes() == reference.tobytes()
+
+
+def test_kernel_paths_equal_distinct_model_gets_fresh_build(ref1f):
+    ens = ensemble_for_model(ref1f, GRID, 5000, seed=13)
+    other = lr.zoo.reference_one_factor()
+    assert other is not ref1f
+    first = kernel_paths(ref1f, ens)
+    second = kernel_paths(other, ens)
+    assert second is not first
+    fresh = kernel_paths(other, ensemble_for_model(ref1f, GRID, 5000, seed=13))
+    assert second.tobytes() == fresh.tobytes() == first.tobytes()
 
 
 def test_kernel_condition_audit_passes(ref1f, small_ensemble):
@@ -221,6 +297,13 @@ def test_deflated_bond_martingale(ref1f, small_ensemble):
 def test_deflated_check_needs_future_maturity(ref1f, small_ensemble):
     with pytest.raises(DomainError):
         deflated_bond_martingale_check(ref1f, small_ensemble, [5.0], 2.0)
+
+
+@pytest.mark.parametrize("times, maturity", [([0.0], math.nan), ([0.0], -1.0), ([0.0], math.inf),
+                                             ([], 10.0)])
+def test_deflated_check_rejects_bad_maturity_or_no_times(ref1f, small_ensemble, times, maturity):
+    with pytest.raises(DomainError):
+        deflated_bond_martingale_check(ref1f, small_ensemble, times, maturity)
 
 
 # ---------------------------------------------------------------------------
