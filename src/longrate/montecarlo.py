@@ -266,9 +266,10 @@ def kernel_paths(model: Model, ensemble: PathEnsemble) -> np.ndarray:
 def _time_major(n_paths: int, n_times: int, block: Callable) -> np.ndarray:
     """A (n_times, n_paths) array filled from ``block(rows)`` of shape (rows, n_times).
 
-    Blocks of _CHUNK_PATHS path rows keep temporaries small, and each
-    per-time statistic then reads one contiguous row instead of a column
-    strided across the path array.
+    Blocks of _CHUNK_PATHS path rows keep temporaries small and make the
+    transpose cache-friendly (a bare 200,000 x 21 ``ascontiguousarray(pi.T)``
+    takes about twice as long), and each per-time statistic then reads one
+    contiguous row instead of a column strided across the path array.
     """
     out = np.empty((n_times, n_paths))
     for start in range(0, n_paths, _CHUNK_PATHS):
@@ -367,8 +368,8 @@ def deflated_bond_martingale_check(
     audit prices the bond path by path and compares the cross-section
     mean with the analytic constant within 4 standard errors.
     """
-    if not math.isfinite(maturity) or maturity < 0.0:
-        raise DomainError(f"maturity must be finite and nonnegative, got {maturity!r}")
+    if not math.isfinite(maturity):
+        raise DomainError(f"maturity must be finite, got {maturity!r}")
     if len(times) == 0:
         raise DomainError("deflated bond check needs at least one audit time")
     pi = kernel_paths(model, ensemble)
@@ -380,18 +381,19 @@ def deflated_bond_martingale_check(
         if maturity < ensemble.grid[j]:
             raise DomainError(f"maturity {maturity!r} precedes audit time {t!r}")
         cols.append(j)
-    if cols == list(range(cols[0], cols[0] + len(cols))):
-        cols = slice(cols[0], cols[0] + len(cols))  # read views, not gathered copies
+    # Price every grid column from the earliest audit time to the latest: basic
+    # slices are views, where a gather of the audit columns copies twice.
+    span = slice(min(cols), max(cols) + 1)
 
     def deflated_bonds(paths):
-        pi_t = pi[paths, cols]
-        return pi_t * (_combine(coefs_T, ensemble.factors[:, paths, cols]) / pi_t)
+        pi_t = pi[paths, span]
+        return pi_t * (_combine(coefs_T, ensemble.factors[:, paths, span]) / pi_t)
 
-    deflated = _time_major(ensemble.n_paths, len(times), deflated_bonds)
+    deflated = _time_major(ensemble.n_paths, span.stop - span.start, deflated_bonds)
     checks = []
     rows = []
-    for t, values in zip(times, deflated):
-        mean, se = _mean_se(values)
+    for t, j in zip(times, cols):
+        mean, se = _mean_se(deflated[j - span.start])
         z = _z_score(abs(mean - target), se, target)
         rows.append({"t": float(t), "mean": mean, "se": se, "z": z})
         checks.append(
