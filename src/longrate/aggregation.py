@@ -39,7 +39,7 @@ __all__ = [
     "log_aggregate_discount",
     "asymptotic_exponential_rate",
     "AsymptoticRateEstimate",
-    "default_horizon_schedule",
+    "default_long_rate_horizons",
     "sample_calamity_time",
     "CalamityTimeSample",
     "empirical_survival",
@@ -187,13 +187,15 @@ def aggregate_discount(mixture: RateMixture, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def default_horizon_schedule(stop: float = 1e6) -> np.ndarray:
-    """Geometric horizon schedule used by the asymptotic estimators.
+def default_long_rate_horizons(stop: float = 1e8) -> np.ndarray:
+    """Geometric tenor offsets x = T - t probed by the long-rate estimators.
 
-    It runs from 10 to ``stop`` with 8 points per decade.
+    They run from 10 to ``stop`` with 8 points per decade.
     """
     if not stop > _HORIZON_START:
-        raise DomainError("need 0 < start < stop and per_decade >= 1")
+        raise DomainError(
+            f"horizon must exceed {_HORIZON_START:g}, the first probed offset; got {stop!r}"
+        )
     if not math.isfinite(stop):
         raise DomainError(f"horizon stop must be finite, got {stop!r}")
     n = int(round(_HORIZONS_PER_DECADE * math.log10(stop / _HORIZON_START))) + 1
@@ -224,11 +226,11 @@ class AsymptoticRateEstimate:
 def asymptotic_exponential_rate(mixture: RateMixture) -> AsymptoticRateEstimate:
     """Estimate the long-horizon exponential rate of the aggregate curve.
 
-    The estimate at horizon t is -ln(P(0,t))/t over the default horizon
-    schedule, evaluated in log space so that discrete mixtures remain
+    The estimate at horizon t is -ln(P(0,t))/t over the long-rate horizons
+    up to 1e6, evaluated in log space so that discrete mixtures remain
     computable at t = 1e6 where the factor itself underflows.
     """
-    hs = default_horizon_schedule()
+    hs = default_long_rate_horizons(1e6)
     est = -log_aggregate_discount(mixture, hs) / hs
     status = "CONVERGED" if abs(est[-1] - est[-2]) < _CONVERGENCE_TOL else "UNCONVERGED"
     if isinstance(mixture, DiscreteMixture):
@@ -281,6 +283,12 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _chunk_rng(seed: int, key: tuple[int, ...], chunk: int) -> np.random.Generator:
+    """The generator of one fixed-size chunk of draws, seeded by (seed, key, chunk)
+    alone, so no result depends on how chunks are scheduled across workers."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(*key, chunk)))
+
+
 def sample_calamity_time(
     mixture: RateMixture, n: int, seed: int, cap: float = 1e4
 ) -> CalamityTimeSample:
@@ -298,9 +306,7 @@ def sample_calamity_time(
     times = np.empty(n)
     for start in range(0, n, _CHUNK):
         k = min(_CHUNK, n - start)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(start // _CHUNK,))
-        )
+        rng = _chunk_rng(seed, (), start // _CHUNK)
         rates = _draw_rates(mixture, rng, k)
         z = rng.exponential(scale=1.0, size=k)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import _CONVERGENCE_TOL, default_horizon_schedule
+from .aggregation import _CONVERGENCE_TOL, default_long_rate_horizons
 from .errors import DomainError, InadmissibleCurveError, LongrateError
 from .kernel_models import (
     Model,
@@ -97,11 +97,6 @@ class CurveForwardEvaluator:
 
 def curve_evaluator(curve: DiscountCurve) -> CurveForwardEvaluator:
     return CurveForwardEvaluator(curve)
-
-
-def default_long_rate_horizons(stop: float = 1e8) -> np.ndarray:
-    """Geometric tenor offsets x = T - t probed by the estimators."""
-    return default_horizon_schedule(stop)
 
 
 @dataclass(frozen=True)
@@ -717,19 +712,6 @@ def _max_driver_variance(model: Model, t: float) -> float:
     return max(d.variance(0.0, t) for d in drivers)
 
 
-def _decade_slices(grid: np.ndarray, n_decades: int = 3) -> list[np.ndarray]:
-    """Index masks for the last ``n_decades`` decades of a time grid."""
-    hi = float(grid[-1])
-    out = []
-    for d in range(n_decades - 1, -1, -1):
-        top = hi / 10.0**d
-        bottom = top / 10.0
-        mask = (grid > bottom) & (grid <= top)
-        if np.any(mask):
-            out.append(np.flatnonzero(mask))
-    return out
-
-
 def pareto_kernel_certificate(
     model: Model,
     ensemble: PathEnsemble,
@@ -740,8 +722,9 @@ def pareto_kernel_certificate(
     Checks along simulated paths and at the unit state (t = 0, every
     factor 1):
 
-    (a) the pathwise minimum of t^lam pi_t over the final decades does
-        not slide to zero;
+    (a) the pathwise minimum of t^lam pi_t over the final three decade
+        windows (read as the long-rate estimator reads them) does not
+        slide to zero;
     (b) the cross-section mean of t^lam pi_t does not grow without bound;
     (c) T^lam P(t,T) is stable in (0, inf) at bond horizons 1e6, 1e7, 1e8;
     (d) the benchmark theta_t = lim inf E_t[T^lam pi_T] is an empirical
@@ -757,13 +740,17 @@ def pareto_kernel_certificate(
         raise DomainError(f"index must be finite and positive, got {lam!r}")
     pi = kernel_paths(model, ensemble)
     grid = ensemble.grid
-    slices = _decade_slices(grid)
-    if len(slices) < 2:
+    # the final (at most three) adjacent decade windows of the grid after t = 0
+    bounds = [*(_decade_window_starts(grid[1:]) + 1)[-3:], grid.size]
+    if len(bounds) < 3:
         raise DomainError("ensemble grid too short: need at least two tail decades")
     # one power call over the whole grid: numpy's SIMD and scalar loops can round apart
     weights = grid**lam
     minima, means = [], []
-    for s in slices:
+    for a, b in zip(bounds, bounds[1:]):
+        # An index array, not a slice: the layout of the gathered copy fixes
+        # the summation order of the decade mean.
+        s = np.arange(a, b)
         scaled = weights[s] * pi[:, s]  # t^lam pi_t over one decade
         minima.append(float(scaled.min()))
         means.append(float(scaled.mean()))

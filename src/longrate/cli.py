@@ -54,6 +54,7 @@ from .montecarlo import (
     CashFlow,
     CashFlowSchedule,
     PathEnsemble,
+    _mean_se,
     deflated_bond_martingale_check,
     ensemble_for_model,
     kernel_condition_audit,
@@ -109,12 +110,14 @@ def _emit_json(doc, path=None) -> None:
         sys.stdout.write(text)
 
 
-def _print_report(report: AuditReport) -> None:
-    for line in report.lines():
-        print(line)
-
-
-def _report_exit(*reports: AuditReport) -> int:
+def _finish_audit(args, *reports: AuditReport, doc=None) -> int:
+    """Print the reports, write ``--json`` (``doc``, by default the first
+    report's dict) and return the exit code: 1 on any FAIL, else 0."""
+    for report in reports:
+        for line in report.lines():
+            print(line)
+    if args.json:
+        _emit_json(reports[0].as_dict() if doc is None else doc, args.json)
     return 1 if any(r.verdict == FAIL for r in reports) else 0
 
 
@@ -344,9 +347,7 @@ def cmd_aggregate(args) -> int:
 def cmd_simulate(args) -> int:
     _, ensemble = _model_ensemble(args, _parse_grid(args.grid))
     write_ensemble_csv(ensemble, args.out)
-    final = ensemble.m[:, -1]
-    mean = float(np.mean(final))
-    se = float(np.std(final, ddof=1) / math.sqrt(final.size)) if final.size > 1 else 0.0
+    mean, se = _mean_se(ensemble.m[:, -1])
     print(f"paths {ensemble.n_paths} grid_points {ensemble.grid.size}")
     print(f"terminal_mean {_fmt(mean)} se {_fmt(se)}")
     return 0
@@ -472,10 +473,7 @@ def _audit_dir(args) -> int:
     else:
         curve = _resolve_curve(args.curve)
         report = dir_monotonicity_audit(curve, times, horizons=horizons, kappa=args.kappa)
-    _print_report(report)
-    if args.json:
-        _emit_json(report.as_dict(), args.json)
-    return _report_exit(report)
+    return _finish_audit(args, report)
 
 
 def _audit_strat(args) -> int:
@@ -490,10 +488,7 @@ def _audit_strat(args) -> int:
         evaluator = curve_evaluator(_resolve_curve(args.curve))
         t = args.t
     report = stratification_audit(evaluator, t, alphas=indices, horizons=horizons)
-    _print_report(report)
-    if args.json:
-        _emit_json(report.as_dict(), args.json)
-    return _report_exit(report)
+    return _finish_audit(args, report)
 
 
 def _audit_kernel(args) -> int:
@@ -501,23 +496,13 @@ def _audit_kernel(args) -> int:
     conditions = kernel_condition_audit(model, ensemble)
     times = [t for t in ensemble.grid if t <= args.maturity]
     deflated = deflated_bond_martingale_check(model, ensemble, times, args.maturity)
-    _print_report(conditions)
-    _print_report(deflated)
-    if args.json:
-        _emit_json(
-            {"kernel_conditions": conditions.as_dict(), "deflated_bond": deflated.as_dict()},
-            args.json,
-        )
-    return _report_exit(conditions, deflated)
+    doc = {"kernel_conditions": conditions.as_dict(), "deflated_bond": deflated.as_dict()}
+    return _finish_audit(args, conditions, deflated, doc=doc)
 
 
 def _audit_pareto(args) -> int:
     model, ensemble = _model_ensemble(args, _parse_grid(args.grid))
-    report = pareto_kernel_certificate(model, ensemble, lam=args.lam)
-    _print_report(report)
-    if args.json:
-        _emit_json(report.as_dict(), args.json)
-    return _report_exit(report)
+    return _finish_audit(args, pareto_kernel_certificate(model, ensemble, lam=args.lam))
 
 
 def cmd_greenbook(args) -> int:

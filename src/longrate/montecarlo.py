@@ -5,7 +5,8 @@ step are Gaussian with variance int sigma^2 and mean minus half that, so
 no discretisation bias enters at any step size.  Paths are generated in
 fixed-size chunks, each chunk seeded from (seed, chunk index); results
 therefore depend only on the request, never on how many workers ran it.
-The LONGRATE_THREADS environment variable caps the worker count.
+The LONGRATE_THREADS environment variable, the only worker setting,
+gives the worker count (default 1).
 
 All sample means use numpy's pairwise summation; agreement checks are
 quoted against 4 standard errors.
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregation import _check_seed
+from .aggregation import _check_seed, _chunk_rng
 from .drivers import GBMDriver
 from .errors import DomainError, LongrateError
 from .kernel_models import (
@@ -55,26 +56,29 @@ __all__ = [
 ]
 
 _CHUNK_PATHS = 4096
+_KERNEL_BLOCK = 2048  # paths per kernel_paths block: temporaries stay cache-sized
 _WRITE_ROWS = 1 << 12  # CSV rows formatted per block by write_ensemble_csv
+_CSV_FORMAT = "%.9g"  # write_ensemble_csv's format for every column after the path index
 _HORIZON_PROBE = 1e6
 _VANISH_TOL = 1e-3
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Effective worker count: the request (default 1) capped by LONGRATE_THREADS."""
-    cap_text = os.environ.get("LONGRATE_THREADS", "").strip()
-    cap = None
-    if cap_text:
-        try:
-            cap = max(1, int(cap_text))
-        except ValueError:
-            raise DomainError(
-                f"LONGRATE_THREADS must be an integer, got {cap_text!r}"
-            ) from None
-    n = requested if requested is not None else (cap or 1)
-    if n < 1:
-        raise DomainError(f"worker count must be at least 1, got {requested!r}")
-    return min(n, cap) if cap else n
+def worker_count() -> int:
+    """Simulation workers: LONGRATE_THREADS (at least 1), else 1."""
+    text = os.environ.get("LONGRATE_THREADS", "").strip()
+    if not text:
+        return 1
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise DomainError(f"LONGRATE_THREADS must be an integer, got {text!r}") from None
+
+
+def _check_grid(grid) -> np.ndarray:
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size < 2 or g[0] != 0.0 or np.any(np.diff(g) <= 0):
+        raise DomainError("grid must be increasing from 0 with at least two points")
+    return g
 
 
 def _check_correlation(rho: float) -> None:
@@ -104,9 +108,7 @@ class PathEnsemble:
     _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-            raise DomainError("grid must be increasing from 0 with at least two points")
+        grid = _check_grid(self.grid)
         shape = self.factors.shape
         if len(shape) != 3 or shape[0] < 1 or shape[1] < 1 or shape[2] != grid.size:
             raise DomainError("path array shape must be (k, n_paths, len(grid))")
@@ -165,18 +167,15 @@ def simulate_paths(
     n_paths: int,
     seed: int,
     rho: float = 0.0,
-    max_workers: int | None = None,
 ) -> PathEnsemble:
     """Simulate martingale paths with exact lognormal stepping.
 
     ``drivers`` is one GBMDriver or one per factor; every factor after
     the first has instantaneous correlation ``rho`` with the first
     (ignored for a single driver).  The per-chunk seeding makes output
-    independent of ``max_workers`` and of LONGRATE_THREADS.
+    independent of LONGRATE_THREADS.
     """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 2 or g[0] != 0.0 or np.any(np.diff(g) <= 0):
-        raise DomainError("grid must be increasing from 0 with at least two points")
+    g = _check_grid(grid)
     if n_paths < 1:
         raise DomainError(f"n_paths must be positive, got {n_paths!r}")
     seed = _check_seed(seed)
@@ -192,9 +191,7 @@ def simulate_paths(
 
     def fill(start: int) -> None:
         k = min(_CHUNK_PATHS, n_paths - start)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(start // _CHUNK_PATHS,))
-        )
+        rng = _chunk_rng(seed, (), start // _CHUNK_PATHS)
         normals = _factor_normals(rng, (k, g.size - 1), rho, len(drivers))
         for x, (vol, drift), z in zip(factors, steps, normals):
             z *= vol
@@ -207,12 +204,12 @@ def simulate_paths(
                     "volatility (shorten the grid or lower sigma)"
                 )
 
-    workers = worker_count(max_workers)
+    workers = worker_count()
     if workers == 1:
         for start in chunks:
             fill(start)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(workers) as pool:
             list(pool.map(fill, chunks))
     return PathEnsemble(g, factors, seed, float(rho))
 
@@ -225,7 +222,7 @@ def _declared_drivers(model: Model) -> tuple[GBMDriver, ...]:
 
 
 def ensemble_for_model(
-    model: Model, grid, n_paths: int, seed: int, rho: float = 0.0, max_workers=None
+    model: Model, grid, n_paths: int, seed: int, rho: float = 0.0
 ) -> PathEnsemble:
     """Simulate an ensemble using the model's own declared drivers.
 
@@ -233,7 +230,7 @@ def ensemble_for_model(
     """
     drivers = _declared_drivers(model)
     rho = rho if len(drivers) > 1 else 0.0
-    return simulate_paths(drivers, grid, n_paths, seed, rho, max_workers)
+    return simulate_paths(drivers, grid, n_paths, seed, rho)
 
 
 def kernel_paths(model: Model, ensemble: PathEnsemble) -> np.ndarray:
@@ -241,21 +238,19 @@ def kernel_paths(model: Model, ensemble: PathEnsemble) -> np.ndarray:
 
     The array is read-only and cached with the ensemble for the model
     last passed (matched by identity), so every audit of that model on
-    the ensemble reads one array; the cache costs one path array.
+    the ensemble reads one array; the cache costs one path array.  It is
+    built through ``_combine`` a block of paths at a time, so temporaries
+    stay small.
     """
     cached = ensemble._kernel
     if cached is not None and cached[0] is model:
         return cached[1]
     xs = _factor_values(model, ensemble)
-    g = ensemble.grid
-    c0, *cs = [np.asarray(c(g), dtype=float) for c in model.coefficients]
-    # _combine's c0 + c1 X1 + ... + ck Xk in place, with one scratch array;
-    # IEEE addition commutes, so the sum is bitwise the same
-    pi = np.multiply(cs[0], xs[0])
-    pi += c0
-    scratch = np.empty_like(pi) if len(cs) > 1 else None
-    for c, x in zip(cs[1:], xs[1:]):
-        pi += np.multiply(c, x, out=scratch)
+    coefs = [np.asarray(c(ensemble.grid), dtype=float) for c in model.coefficients]
+    pi = np.empty(xs.shape[1:])
+    for start in range(0, ensemble.n_paths, _KERNEL_BLOCK):
+        paths = slice(start, start + _KERNEL_BLOCK)
+        pi[paths] = _combine(coefs, xs[:, paths])
     if not pi.min() > 0.0:
         raise LongrateError("kernel positivity violated along simulated paths")
     pi.setflags(write=False)
@@ -492,11 +487,8 @@ def _terminal_factors(model, state, T, seed, flow_index, n_paths, rho):
     outs = np.empty((len(drivers), n_paths))
     for start in range(0, n_paths, _CHUNK_PATHS):
         k = min(_CHUNK_PATHS, n_paths - start)
-        ss = np.random.SeedSequence(
-            entropy=seed,
-            spawn_key=base_key + (int(flow_index), start // _CHUNK_PATHS),
-        )
-        normals = _factor_normals(np.random.default_rng(ss), k, rho, len(drivers))
+        rng = _chunk_rng(seed, (*base_key, int(flow_index)), start // _CHUNK_PATHS)
+        normals = _factor_normals(rng, k, rho, len(drivers))
         for x0, v, out, z in zip(state.factor_values, variances, outs, normals):
             out[start : start + k] = x0 * np.exp(-0.5 * v + math.sqrt(v) * z)
     return outs
@@ -564,7 +556,7 @@ def value_claim(
     return ValuationResult(total, tuple(out))
 
 
-def write_ensemble_csv(ensemble: PathEnsemble, path, fmt: str = "%.9g") -> None:
+def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:
     """Write paths as CSV columns path,t,M[,N] (UTF-8, LF); X3, X4, ... follow N.
 
     Rows are formatted a block of whole paths at a time, with one ``%``
@@ -573,7 +565,7 @@ def write_ensemble_csv(ensemble: PathEnsemble, path, fmt: str = "%.9g") -> None:
     factors = ensemble.factors
     names = ["M", "N", *(f"X{i}" for i in range(3, len(factors) + 1))][: len(factors)]
     columns = 2 + len(factors)
-    row = ",".join(["%d"] + [fmt] * (columns - 1)) + "\n"
+    row = ",".join(["%d"] + [_CSV_FORMAT] * (columns - 1)) + "\n"
     steps = ensemble.grid.size
     paths_per_block = max(1, _WRITE_ROWS // steps)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

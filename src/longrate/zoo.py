@@ -77,17 +77,14 @@ def staggered_two_factor() -> Model:
     return Model(_rational((0.4, 1.0), (0.3, 2.0), (0.3, 3.0), lam=1.0), _TWO_DRIVERS)
 
 
-def degenerate_one_factor(a_share: float = 0.5) -> Model:
-    """a(t) = A/(1+t), b(t) = (1-A)/(1+t): proportional coefficients.
+def degenerate_one_factor() -> Model:
+    """a(t) = b(t) = 0.5/(1+t): proportional coefficients.
 
     The short rate is 1/(1+t) for every factor value and the long simple
     rate is identically 1, so the state inversions have no solution and
     must report the degeneracy.
     """
-    a_share = float(a_share)
-    if not 0.0 < a_share < 1.0:
-        raise DomainError(f"a_share must lie in (0, 1), got {a_share!r}")
-    return Model(_rational((a_share, 1.0), (1.0 - a_share, 1.0), lam=1.0), _ONE_DRIVER)
+    return Model(_rational((0.5, 1.0), (0.5, 1.0), lam=1.0), _ONE_DRIVER)
 
 
 def model_zoo() -> dict[str, Model]:
@@ -110,10 +107,10 @@ def zoo_model(name: str) -> Model:
     return zoo[name]
 
 
-def long_grid(horizon: float = 1e6) -> np.ndarray:
-    """Curve grid reaching far enough for tail classification without a model."""
+def long_grid() -> np.ndarray:
+    """Curve grid reaching 1e6, far enough for tail classification without a model."""
     base = default_curve_grid()
-    extra = np.geomspace(base[-1], horizon, 41)[1:]
+    extra = np.geomspace(base[-1], 1e6, 41)[1:]
     return np.concatenate([base, extra])
 
 

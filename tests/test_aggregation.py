@@ -1,5 +1,6 @@
 """Aggregate discounting over rate mixtures and calamity-time sampling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -177,6 +178,32 @@ def test_zero_rate_atom_censors_at_cap():
     # the r=0 atom never decays, so about half the draws must censor
     assert 1800 <= n_censored <= 2200
     assert np.all(sample.times[sample.censored] == 100.0)
+
+
+# sha256 of the times then the censoring flags (seed 7, cap 1e4) at draw counts
+# around the 16384-draw chunk; any change to the seeding, draw order or chunking
+# shows here.
+CALAMITY_CHUNK_DIGESTS = {
+    ("gamma", 16383): "e5fc1832f52ccc367d7b70d8d7904a7eb5dbdc158f0572c7338f209f3a9f169f",
+    ("gamma", 16384): "336cf0b2668f8e5d9036f138e1662a3a9d1c269a85e1142d9577252fc03dd734",
+    ("gamma", 16385): "83bbad440471a441d7b011e513e64d6079fb116bd1b451f641199e8e4c8fe26d",
+    ("gamma", 32769): "60e247a56f9529d5ab619788aa744acb65d525c77ba743c2d3b9d8d2ab3b1d61",
+    ("discrete", 16383): "fcdf52fc3360ffbe1e2e26fb5ffd4dc25ae60febcaa22763316d79041fdbc1d7",
+    ("discrete", 16384): "df7bffe7bea59f6f4023c5d5da4fa5ea62b9a6152b1afb988cd93328ce7b3d4b",
+    ("discrete", 16385): "1a28ce6a7ef10d56b4c2b3d5d82663f8cc46bd19e2b752b56fc549255ec4e250",
+    ("discrete", 32769): "84a9977380073fb1afdf3e6d0a9a5891c2c7efa76f393524de31dd7567327370",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(CALAMITY_CHUNK_DIGESTS))
+def test_sampling_at_chunk_boundaries(kind, n):
+    mix = {
+        "gamma": GammaMixture(2.0, 0.04),
+        "discrete": DiscreteMixture([0.2, 0.3, 0.5], [0.0, 0.01, 0.05]),
+    }[kind]
+    sample = sample_calamity_time(mix, n, seed=7)
+    digest = hashlib.sha256(sample.times.tobytes() + sample.censored.tobytes()).hexdigest()
+    assert digest == CALAMITY_CHUNK_DIGESTS[kind, n]
 
 
 def test_seed_is_required():

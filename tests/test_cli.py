@@ -218,6 +218,13 @@ def test_all_numbers_use_nine_significant_digits():
     assert head == "0.104278075"  # 9 significant digits, no trailing noise
 
 
+# malformed inputs whose error line must also say what the bound is
+MALFORMED_INPUT_MESSAGES = {
+    ("longrate", "--model", "ref1f", "--conv", "libor", "--horizon", 5):
+        "error: horizon must exceed 10, the first probed offset",
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -263,6 +270,7 @@ def test_all_numbers_use_nine_significant_digits():
         ("audit", "pareto", "--model", "ref1f", "--seed", 1, "--n", 50, "--lam", "inf"),
         ("audit", "dir", "--curve", "flat:0.03", "--kappa", "1e-300"),
         ("audit", "dir", "--model", "ref1f", "--seed", 1, "--n", 5, "--kappa", "1e-300"),
+        *MALFORMED_INPUT_MESSAGES,
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, args):
@@ -273,7 +281,16 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     out = run_cli(*(str(a).replace("{tmp}", str(tmp_path)) for a in args))
     assert out.returncode == 2
     assert out.stderr.startswith("error: ")
+    assert MALFORMED_INPUT_MESSAGES.get(args, "") in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_certificate_rejects_non_adjacent_tail_decades():
+    """(2e3, 2e4] holds 20000 and (200, 2e3] is empty: (20, 200] is no neighbour."""
+    out = run_cli("audit", "pareto", "--model", "pareto2", "--seed", 5, "--n", 2000,
+                  "--grid", "0,20,200,20000")
+    assert out.returncode == 2
+    assert out.stderr == "error: ensemble grid too short: need at least two tail decades\n"
 
 
 def test_zero_coupon_long_rate_overflow_falls_back_to_estimate():

@@ -64,9 +64,11 @@ def test_same_seed_same_paths():
     assert not np.array_equal(a.m, c.m)
 
 
-def test_worker_count_does_not_change_paths():
-    a = simulate_paths(GBMDriver.constant(0.2), GRID, 10_000, seed=7, max_workers=1)
-    b = simulate_paths(GBMDriver.constant(0.2), GRID, 10_000, seed=7, max_workers=8)
+def test_worker_count_does_not_change_paths(monkeypatch):
+    monkeypatch.setenv("LONGRATE_THREADS", "1")
+    a = simulate_paths(GBMDriver.constant(0.2), GRID, 10_000, seed=7)
+    monkeypatch.setenv("LONGRATE_THREADS", "8")
+    b = simulate_paths(GBMDriver.constant(0.2), GRID, 10_000, seed=7)
     np.testing.assert_array_equal(a.m, b.m)
 
 
@@ -91,9 +93,9 @@ CHUNK_BOUNDARY_DIGESTS = {
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n_paths", sorted(CHUNK_BOUNDARY_DIGESTS))
 def test_two_factor_paths_at_chunk_boundaries(ref2f, n_paths, workers, monkeypatch):
-    monkeypatch.delenv("LONGRATE_THREADS", raising=False)
+    monkeypatch.setenv("LONGRATE_THREADS", str(workers))
     grid = np.linspace(0.0, 10.0, 21)
-    ens = simulate_paths(ref2f.drivers, grid, n_paths, seed=7, rho=0.5, max_workers=workers)
+    ens = simulate_paths(ref2f.drivers, grid, n_paths, seed=7, rho=0.5)
     assert ens.factors.shape == (2, n_paths, grid.size)
     assert np.shares_memory(ens.m, ens.factors) and np.shares_memory(ens.n, ens.factors)
     digest = hashlib.sha256(ens.m.tobytes() + ens.n.tobytes()).hexdigest()
@@ -230,9 +232,10 @@ def test_write_ensemble_csv_matches_row_writer(
 ):
     if block_rows is not None:
         monkeypatch.setattr("longrate.montecarlo._WRITE_ROWS", block_rows)
+    monkeypatch.setattr("longrate.montecarlo._CSV_FORMAT", fmt)
     ens = ensemble_for_model(request.getfixturevalue(model), grid, n_paths, seed=8, rho=0.5)
     got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
-    write_ensemble_csv(ens, got, fmt=fmt)
+    write_ensemble_csv(ens, got)
     _write_rows_reference(ens, ref, fmt)
     assert got.read_bytes() == ref.read_bytes()
 

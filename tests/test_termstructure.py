@@ -315,6 +315,20 @@ def test_tail_continuation_is_continuous():
         assert above == pytest.approx(below, rel=1e-6)
 
 
+@given(
+    st.floats(min_value=0.1, max_value=10.0),
+    st.floats(min_value=1e-4, max_value=1.0),
+    st.floats(min_value=1.0, max_value=1e6),
+)
+@settings(max_examples=200, deadline=None)
+def test_pareto_tail_continuous_at_grid_end(lam, level, horizon):
+    """ln P at the last knot and one ulp past it agree within 1e-12 relative."""
+    curve = lr.tail_pareto_curve(lam, level, grid=np.linspace(0.0, horizon, 17))
+    end = curve.horizon
+    at, beyond = curve.log_df(np.array([end, np.nextafter(end, math.inf)]))
+    assert beyond == pytest.approx(at, rel=1e-12, abs=0.0)
+
+
 def test_curve_requires_unit_start():
     grid = np.array([0.0, 1.0])
     with pytest.raises(DomainError):
