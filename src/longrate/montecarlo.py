@@ -6,7 +6,10 @@ no discretisation bias enters at any step size.  Paths are generated in
 fixed-size chunks, each chunk seeded from (seed, chunk index); results
 therefore depend only on the request, never on how many workers ran it.
 The LONGRATE_THREADS environment variable, the only worker setting,
-gives the worker count (default 1).
+gives the worker count (default: the CPUs the process may use).  Every
+per-block loop (path chunks, kernel blocks, time-major transposes and
+terminal draws) runs through ``_in_blocks``; the reductions after it stay
+serial, so the count never changes a result.
 
 All sample means use numpy's pairwise summation; agreement checks are
 quoted against 4 standard errors.
@@ -64,14 +67,44 @@ _VANISH_TOL = 1e-3
 
 
 def worker_count() -> int:
-    """Simulation workers: LONGRATE_THREADS (at least 1), else 1."""
+    """Monte Carlo workers: LONGRATE_THREADS (at least 1), else the usable CPUs.
+
+    The usable CPUs are those the process may run on (``os.cpu_count()``
+    where the platform cannot tell).  The count never changes a result.
+    """
     text = os.environ.get("LONGRATE_THREADS", "").strip()
     if not text:
-        return 1
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         return max(1, int(text))
     except ValueError:
         raise DomainError(f"LONGRATE_THREADS must be an integer, got {text!r}") from None
+
+
+def _in_blocks(total: int, size: int, task: Callable, scratch: Callable = lambda: None) -> None:
+    """Call ``task(start, stop, buffers)`` on each ``size``-long block of range(total).
+
+    Up to worker_count() workers run, never more than there are blocks.
+    Worker w runs blocks w, w + W, w + 2W, ... as one task, passing every
+    block the one buffer set ``scratch()`` made for it.  Blocks must
+    write disjoint outputs, so no result depends on the schedule.
+    """
+    starts = range(0, total, size)
+    workers = min(worker_count(), len(starts))
+
+    def run(share):
+        buffers = scratch()
+        for start in share:
+            task(start, min(start + size, total), buffers)
+
+    if workers == 1:
+        run(starts)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        for done in [pool.submit(run, starts[w::workers]) for w in range(workers)]:
+            done.result()
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -143,19 +176,22 @@ class PathEnsemble:
         return int(hits[0])
 
 
-def _factor_normals(rng, shape, rho: float, count: int):
-    """Standard normals for each of ``count`` factors, drawn in factor order.
+def _factor_normals(rng, buffers, rho: float):
+    """Standard normals for each factor, drawn in factor order into ``buffers[:-1]``.
 
     Every later factor's normals are correlated with the first's as
-    sqrt(1 - rho^2) * z_n + rho * z_m.  Each yielded array is the
-    caller's to overwrite, so rho * z_m is formed before z_m is yielded.
+    sqrt(1 - rho^2) * z_n + rho * z_m, with rho * z_m held in
+    ``buffers[-1]``.  Each yielded array is the caller's to overwrite, so
+    rho * z_m is formed before z_m is yielded.
     """
-    z_m = rng.standard_normal(shape)
-    rho_z_m = rho * z_m if count > 1 else None
+    *zs, rho_z_m = buffers
+    z_m = rng.standard_normal(out=zs[0])
+    if len(zs) > 1:
+        np.multiply(rho, z_m, out=rho_z_m)
     yield z_m
     scale = math.sqrt(1.0 - rho * rho)
-    for _ in range(1, count):
-        z_n = rng.standard_normal(shape)
+    for z_n in zs[1:]:
+        rng.standard_normal(out=z_n)
         z_n *= scale
         z_n += rho_z_m
         yield z_n
@@ -180,38 +216,35 @@ def simulate_paths(
         raise DomainError(f"n_paths must be positive, got {n_paths!r}")
     seed = _check_seed(seed)
     drivers = (drivers,) if isinstance(drivers, GBMDriver) else tuple(drivers)
+    if not drivers:
+        raise DomainError("simulation needs at least one driver")
     _check_correlation(rho)
 
     # per factor: the step volatilities and the mean log-steps -V/2
     steps = [(np.sqrt(v), -0.5 * v) for v in (d.step_variances(g) for d in drivers)]
     factors = np.empty((len(drivers), n_paths, g.size))
-    factors[:, :, 0] = 1.0
 
-    chunks = range(0, n_paths, _CHUNK_PATHS)
-
-    def fill(start: int) -> None:
-        k = min(_CHUNK_PATHS, n_paths - start)
+    def fill(start: int, stop: int, buffers: np.ndarray) -> None:
         rng = _chunk_rng(seed, (), start // _CHUNK_PATHS)
-        normals = _factor_normals(rng, (k, g.size - 1), rho, len(drivers))
+        normals = _factor_normals(rng, buffers[:, : stop - start], rho)
         for x, (vol, drift), z in zip(factors, steps, normals):
+            x[start:stop, 0] = 1.0
             z *= vol
             z += drift
-            slab = x[start : start + k, 1:]
-            np.exp(np.cumsum(z, axis=1, out=z), out=slab)
-            if not slab.min() > 0.0:
-                raise DomainError(
-                    "paths underflowed to zero; the horizon is too long for this "
-                    "volatility (shorten the grid or lower sigma)"
-                )
+            np.exp(np.cumsum(z, axis=1, out=z), out=x[start:stop, 1:])
 
-    workers = worker_count()
-    if workers == 1:
-        for start in chunks:
-            fill(start)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, chunks))
-    return PathEnsemble(g, factors, seed, float(rho))
+    # per worker: one chunk of normals per factor, and one for rho * z_m
+    _in_blocks(n_paths, _CHUNK_PATHS, fill,
+               lambda: np.empty((len(drivers) + 1, _CHUNK_PATHS, g.size - 1)))
+    # The grid, shape and correlation are checked above, so the ensemble's one
+    # contiguous positivity scan is the only check left that can fail.
+    try:
+        return PathEnsemble(g, factors, seed, float(rho))
+    except DomainError:
+        raise DomainError(
+            "paths underflowed to zero; the horizon is too long for this "
+            "volatility (shorten the grid or lower sigma)"
+        ) from None
 
 
 def _declared_drivers(model: Model) -> tuple[GBMDriver, ...]:
@@ -248,9 +281,11 @@ def kernel_paths(model: Model, ensemble: PathEnsemble) -> np.ndarray:
     xs = _factor_values(model, ensemble)
     coefs = [np.asarray(c(ensemble.grid), dtype=float) for c in model.coefficients]
     pi = np.empty(xs.shape[1:])
-    for start in range(0, ensemble.n_paths, _KERNEL_BLOCK):
-        paths = slice(start, start + _KERNEL_BLOCK)
-        pi[paths] = _combine(coefs, xs[:, paths])
+
+    def combine(start: int, stop: int, _) -> None:
+        pi[start:stop] = _combine(coefs, xs[:, start:stop])
+
+    _in_blocks(ensemble.n_paths, _KERNEL_BLOCK, combine)
     if not pi.min() > 0.0:
         raise LongrateError("kernel positivity violated along simulated paths")
     pi.setflags(write=False)
@@ -267,9 +302,11 @@ def _time_major(n_paths: int, n_times: int, block: Callable) -> np.ndarray:
     contiguous row instead of a column strided across the path array.
     """
     out = np.empty((n_times, n_paths))
-    for start in range(0, n_paths, _CHUNK_PATHS):
-        rows = slice(start, min(start + _CHUNK_PATHS, n_paths))
-        out[:, rows] = block(rows).T
+
+    def transpose(start: int, stop: int, _) -> None:
+        out[:, start:stop] = block(slice(start, stop)).T
+
+    _in_blocks(n_paths, _CHUNK_PATHS, transpose)
     return out
 
 
@@ -485,12 +522,16 @@ def _terminal_factors(model, state, T, seed, flow_index, n_paths, rho):
     drivers = _declared_drivers(model)
     variances = [d.variance(state.t, T) for d in drivers]
     outs = np.empty((len(drivers), n_paths))
-    for start in range(0, n_paths, _CHUNK_PATHS):
-        k = min(_CHUNK_PATHS, n_paths - start)
+
+    def draw(start: int, stop: int, buffers: np.ndarray) -> None:
         rng = _chunk_rng(seed, (*base_key, int(flow_index)), start // _CHUNK_PATHS)
-        normals = _factor_normals(rng, k, rho, len(drivers))
+        normals = _factor_normals(rng, buffers[:, : stop - start], rho)
         for x0, v, out, z in zip(state.factor_values, variances, outs, normals):
-            out[start : start + k] = x0 * np.exp(-0.5 * v + math.sqrt(v) * z)
+            z *= math.sqrt(v)
+            z += -0.5 * v
+            np.multiply(x0, np.exp(z, out=z), out=out[start:stop])
+
+    _in_blocks(n_paths, _CHUNK_PATHS, draw, lambda: np.empty((len(drivers) + 1, _CHUNK_PATHS)))
     return outs
 
 

@@ -59,6 +59,7 @@ _EXP = "exponential"
 _LIBOR = "libor"
 _PARETO = "tail_pareto"
 _ZC = "zero_coupon"
+_CURVE_HORIZON = 1000.0  # years: the last knot of default_curve_grid
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -481,12 +482,10 @@ class DiscountCurve:
         return np.exp(self.log_df(t)) if np.ndim(t) else float(math.exp(self.log_df(t)))
 
 
-def default_curve_grid(horizon: float = 1000.0) -> np.ndarray:
-    """Annual knots to 100y, then 10 knots per decade out to ``horizon``."""
-    dense = np.arange(0.0, min(100.0, horizon) + 0.5, 1.0)
-    if horizon <= 100.0:
-        return dense
-    sparse = np.geomspace(100.0, horizon, int(10 * math.log10(horizon / 100.0)) + 1)
+def default_curve_grid() -> np.ndarray:
+    """Annual knots to 100y, then 10 knots per decade out to _CURVE_HORIZON."""
+    dense = np.arange(0.0, 100.5, 1.0)
+    sparse = np.geomspace(100.0, _CURVE_HORIZON, int(10 * math.log10(_CURVE_HORIZON / 100.0)) + 1)
     return np.unique(np.concatenate([dense, sparse]))
 
 

@@ -3,11 +3,13 @@
 import hashlib
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import longrate as lr
+import longrate.montecarlo as mc
 from longrate import (
     CashFlow,
     CashFlowSchedule,
@@ -22,6 +24,7 @@ from longrate import (
     value_claim,
     write_ensemble_csv,
 )
+from longrate import cli
 from longrate.errors import DomainError
 
 GRID = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
@@ -131,9 +134,7 @@ AUDIT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name, n_paths", sorted(AUDIT_DIGESTS))
-def test_audits_and_valuation_at_chunk_boundaries(request, name, n_paths):
-    model = request.getfixturevalue(name)
+def _audit_digests(model, n_paths):
     rho = 0.5 if model.factors == 2 else 0.0
     ens = ensemble_for_model(model, AUDIT_GRID, n_paths, seed=7, rho=rho)
     g = AUDIT_GRID
@@ -152,8 +153,65 @@ def test_audits_and_valuation_at_chunk_boundaries(request, name, n_paths):
     state = ModelState(0.0, *[1.0] * model.factors)
     flows = CashFlowSchedule((CashFlow(1.0, amount=1.0), CashFlow(10.0, amount=2.0)))
     val = value_claim(model, state, flows, n_paths, seed=7, rho=rho, simulate_constants=True)
-    value_digest = hashlib.sha256(repr(val.as_dict()).encode()).hexdigest()
-    assert (h.hexdigest(), value_digest) == AUDIT_DIGESTS[(name, n_paths)]
+    return h.hexdigest(), hashlib.sha256(repr(val.as_dict()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, n_paths", sorted(AUDIT_DIGESTS))
+def test_audits_and_valuation_at_chunk_boundaries(request, name, n_paths, monkeypatch):
+    monkeypatch.delenv("LONGRATE_THREADS", raising=False)  # the default worker count
+    model = request.getfixturevalue(name)
+    assert _audit_digests(model, n_paths) == AUDIT_DIGESTS[(name, n_paths)]
+
+
+# The kernel blocks, time-major transposes and terminal draws run on every
+# worker count with the digests recorded on one worker.
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("name, n_paths", sorted(AUDIT_DIGESTS))
+def test_audits_and_valuation_at_chunk_boundaries_on_workers(
+    request, name, n_paths, threads, monkeypatch
+):
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    model = request.getfixturevalue(name)
+    assert _audit_digests(model, n_paths) == AUDIT_DIGESTS[(name, n_paths)]
+
+
+def test_worker_count_defaults_to_usable_cpus(monkeypatch):
+    monkeypatch.delenv("LONGRATE_THREADS", raising=False)
+    if hasattr(os, "sched_getaffinity"):
+        assert mc.worker_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert mc.worker_count() == (os.cpu_count() or 1)
+    for text in ("0", "-2"):
+        monkeypatch.setenv("LONGRATE_THREADS", text)
+        assert mc.worker_count() == 1
+    monkeypatch.setenv("LONGRATE_THREADS", "x")
+    with pytest.raises(DomainError, match="LONGRATE_THREADS must be an integer"):
+        mc.worker_count()
+
+
+def test_bad_thread_setting_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LONGRATE_THREADS", "x")
+    argv = ["simulate", "--model", "ref1f", "--seed", "3", "--n", "10",
+            "--grid", "lin:0:2:5", "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: LONGRATE_THREADS must be an integer")
+
+
+def test_pool_never_outnumbers_blocks(ref2f, monkeypatch):
+    asked = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setenv("LONGRATE_THREADS", "16")
+    grid = np.linspace(0.0, 10.0, 21)
+    ens = simulate_paths(ref2f.drivers, grid, 8193, seed=7, rho=0.5)  # three 4096-path chunks
+    assert asked == [3]
+    digest = hashlib.sha256(ens.m.tobytes() + ens.n.tobytes()).hexdigest()
+    assert digest == CHUNK_BOUNDARY_DIGESTS[8193]
 
 
 def test_two_factor_correlation():
@@ -181,6 +239,19 @@ def test_underflow_reported():
     with pytest.raises(DomainError) as err:
         simulate_paths(GBMDriver.constant(0.2), grid, 50, seed=1)
     assert "underflow" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_hand_built_ensemble_must_be_positive(bad):
+    factors = np.ones((1, 3, GRID.size))
+    factors[0, 1, 2] = bad
+    with pytest.raises(DomainError, match="martingale paths must stay strictly positive"):
+        PathEnsemble(GRID, factors, seed=1)
+
+
+def test_simulation_needs_a_driver():
+    with pytest.raises(DomainError, match="at least one driver"):
+        simulate_paths((), GRID, 10, seed=1)
 
 
 def test_ensemble_arrays_read_only(small_ensemble):
