@@ -8,10 +8,10 @@ the aggregate discount factor is the Laplace transform
 Three mixing laws are supported:
 
 * a discrete mixture sum_i p_i exp(-r_i t),
-* an exponential law with mean rate L, giving the hyperbolic curve
-  P = 1 / (1 + L t),
 * a gamma law with shape lam and mean rate L (inverse scale lam / L),
-  giving P = (1 + L t / lam) ** -lam.
+  giving P = (1 + L t / lam) ** -lam,
+* an exponential law with mean rate L, which is the gamma law at shape 1
+  and gives the hyperbolic curve P = 1 / (1 + L t).
 
 The asymptotic exponential rate -ln(P)/t of a discrete mixture tends to
 the smallest represented rate; for the continuous laws (support reaching
@@ -92,23 +92,8 @@ class DiscreteMixture:
 
 
 @dataclass(frozen=True)
-class ExponentialMixture:
-    """Exponentially distributed rates with mean ``mean_rate``."""
-
-    mean_rate: float
-
-    def __post_init__(self):
-        L = _number(self.mean_rate, "mean rate")
-        if not math.isfinite(L) or L <= 0.0:
-            raise DomainError(f"mean rate must be positive, got {self.mean_rate!r}")
-
-
-@dataclass(frozen=True)
 class GammaMixture:
-    """Gamma-distributed rates: shape lam, mean ``mean_rate`` (so inverse scale lam/L).
-
-    shape == 1 coincides with ``ExponentialMixture`` at the same mean.
-    """
+    """Gamma-distributed rates: shape lam, mean ``mean_rate`` (so inverse scale lam/L)."""
 
     shape: float
     mean_rate: float
@@ -122,7 +107,17 @@ class GammaMixture:
             raise DomainError(f"mean rate must be positive, got {self.mean_rate!r}")
 
 
-RateMixture = Union[DiscreteMixture, ExponentialMixture, GammaMixture]
+def ExponentialMixture(mean_rate: float) -> GammaMixture:
+    """Exponentially distributed rates with mean ``mean_rate``: the gamma law at shape 1.
+
+    Draw for draw and bit for bit the same as the exponential law: numpy's
+    gamma sampler at shape 1 is its exponential sampler, and
+    -1 * log1p(L t / 1) is -log1p(L t).
+    """
+    return GammaMixture(1.0, mean_rate)
+
+
+RateMixture = Union[DiscreteMixture, GammaMixture]
 
 
 def _check_time(t) -> np.ndarray:
@@ -172,8 +167,6 @@ def log_aggregate_discount(mixture: RateMixture, t):
         for i in range(0, tt.size, rows):
             a = log_w[None, :] - np.outer(tt[i : i + rows], mixture.rates)
             out[i : i + rows] = _logsumexp_rows(a)
-    elif isinstance(mixture, ExponentialMixture):
-        out = -np.log1p(mixture.mean_rate * tt)
     elif isinstance(mixture, GammaMixture):
         out = -mixture.shape * np.log1p(mixture.mean_rate * tt / mixture.shape)
     else:
@@ -269,8 +262,6 @@ class CalamityTimeSample:
 def _draw_rates(mixture: RateMixture, rng: np.random.Generator, k: int) -> np.ndarray:
     if isinstance(mixture, DiscreteMixture):
         return rng.choice(mixture.rates, size=k, p=mixture.weights)
-    if isinstance(mixture, ExponentialMixture):
-        return rng.exponential(scale=mixture.mean_rate, size=k)
     if isinstance(mixture, GammaMixture):
         return rng.gamma(shape=mixture.shape, scale=mixture.mean_rate / mixture.shape, size=k)
     raise DomainError(f"unknown mixture type {type(mixture).__name__}")

@@ -226,6 +226,15 @@ def _model_state(model: Model, args) -> ModelState:
     return ModelState(args.t, args.m, 1.0 if n is None else n)
 
 
+def _anchored_evaluator(args):
+    """The ``--model`` at its state, or the ``--curve``: (bond evaluator, anchor time)."""
+    if args.model:
+        model = _resolve_model(args.model)
+        state = _model_state(model, args)
+        return bond_evaluator(model, state), state.t
+    return curve_evaluator(_resolve_curve(args.curve)), args.t
+
+
 def _model_ensemble(args, grid: np.ndarray) -> tuple[Model, PathEnsemble]:
     """The ``--model`` and its ensemble on ``grid`` from ``--seed``, ``--n``, ``--rho``.
 
@@ -409,18 +418,12 @@ def _closed_form_long_rate(model: Model, state: ModelState, conv: RateConvention
 def cmd_longrate(args) -> int:
     conv = RateConvention.parse(args.conv)
     horizons = default_long_rate_horizons(stop=args.horizon)
+    evaluator, t = _anchored_evaluator(args)
     if args.model:
-        model = _resolve_model(args.model)
-        state = _model_state(model, args)
-        evaluator = bond_evaluator(model, state)
-        closed = _closed_form_long_rate(model, state, conv)
-        t = state.t
+        closed = _closed_form_long_rate(evaluator.model, evaluator.state, conv)
     else:
-        curve = _resolve_curve(args.curve)
-        evaluator = curve_evaluator(curve)
-        t = args.t
         try:
-            closed = deterministic_long_rate(curve, t, conv)
+            closed = deterministic_long_rate(evaluator.curve, t, conv)
         except LongrateError:
             closed = None
     est = estimate_long_rate(evaluator, t, conv, horizons)
@@ -479,14 +482,7 @@ def _audit_dir(args) -> int:
 def _audit_strat(args) -> int:
     indices = _parse_floats(args.indices, "--indices")
     horizons = default_long_rate_horizons(stop=args.horizon)
-    if args.model:
-        model = _resolve_model(args.model)
-        state = _model_state(model, args)
-        evaluator = bond_evaluator(model, state)
-        t = state.t
-    else:
-        evaluator = curve_evaluator(_resolve_curve(args.curve))
-        t = args.t
+    evaluator, t = _anchored_evaluator(args)
     report = stratification_audit(evaluator, t, alphas=indices, horizons=horizons)
     return _finish_audit(args, report)
 

@@ -26,8 +26,10 @@ Operations tied to one factor count:
 
 * one-factor only: the state inversions ``state_from_*_1f``, the
   attainable-rate intervals and the bond quotes ``bond_from_*_1f``.
-  Bond prices are monotone in M, so the state can be recovered from
-  either rate.
+  Both rates are Moebius maps of the factor,
+  x = (p + q M) / (a(t) + b(t) M), with (p, q) = (-a'(t), -b'(t)) for
+  x = r and (abar, bbar) for x = L^-lam.  One inversion serves both:
+  M = (p - x a(t)) / (x b(t) - q), and P(t, T) is linear in x.
 * two-factor only (tail index fixed at 1): the linear pricing
   decomposition P(t, T) = F + G * r_t + H / L_t, whose coefficients
   solve a 3x3 linear system; see ``fgh_coefficients``.
@@ -514,39 +516,82 @@ long_libor_2f = long_libor_1f
 # ---------------------------------------------------------------------------
 
 
-def _short_rate_wronskian(model: Model, t: float):
-    _require_factors(model, 1, "short-rate inversion")
+_SHORT, _LONG = "short rate", "long rate"
+# The determinant (up to sign) as each NO_INVERSE message names it.
+_DETERMINANT = {_SHORT: "a'b - ab'", _LONG: "a bbar - b abar"}
+
+
+def _inversion(model: Model, t: float, rate: str):
+    """(a(t), b(t), p, q, det, attainable interval) of a one-factor rate at t.
+
+    x = (p + q M) / (a(t) + b(t) M) (see the module docstring).  When
+    det = a(t) q - b(t) p vanishes against its terms, x does not depend
+    on M (NO_INVERSE).  The interval is the rate's image of M in
+    (0, inf): (p/a, q/b) for r and ((a/abar)^(1/lam), (b/bbar)^(1/lam))
+    for L, each sorted.
+    """
+    _require_factors(model, 1, f"{rate.replace(' ', '-')} inversion")
     a_t = float(model.a(t))
     b_t = float(model.b(t))
-    ap = float(model.a.derivative(t))
-    bp = float(model.b.derivative(t))
-    w = a_t * bp - b_t * ap
-    scale = abs(a_t * bp) + abs(b_t * ap)
-    if abs(w) <= _DEGENERACY_RTOL * scale:
+    if rate == _SHORT:
+        p, q = -float(model.a.derivative(t)), -float(model.b.derivative(t))
+    else:
+        p, q = (c.tail_limit * model.lam ** -model.lam for c in model.coefficients)
+    det = a_t * q - b_t * p
+    if abs(det) <= _DEGENERACY_RTOL * (abs(a_t * q) + abs(b_t * p)):
         raise DegenerateModelError(
             "NO_INVERSE",
-            f"short rate at t={t:g} does not depend on the factor "
-            "(a'b - ab' vanishes); the state cannot be recovered",
+            f"{rate} at t={t:g} does not depend on the factor "
+            f"({_DETERMINANT[rate]} vanishes); the state cannot be recovered",
         )
-    return a_t, b_t, ap, bp, w
+    if rate == _SHORT:
+        ends = (p / a_t, q / b_t)
+    else:
+        ends = ((a_t / p) ** (1.0 / model.lam), (b_t / q) ** (1.0 / model.lam))
+    return a_t, b_t, p, q, det, tuple(sorted(ends))
+
+
+def _attained(model: Model, t: float, value: float, rate: str):
+    """The inversion at t of an attainable ``value``, with x = r or y = L^-lam."""
+    a_t, b_t, p, q, det, (lo, hi) = _inversion(model, t, rate)
+    if not lo < value < hi:
+        raise UnattainableRateError(value, (lo, hi), rate)
+    return a_t, b_t, p, q, det, value if rate == _SHORT else value ** -model.lam
+
+
+def _state_from_rate(model: Model, t: float, value: float, rate: str) -> ModelState:
+    a_t, b_t, p, q, _, x = _attained(model, t, value, rate)
+    return ModelState(t, (p - x * a_t) / (x * b_t - q))
+
+
+def _bond_from_rate(model: Model, t: float, T: float, value: float, rate: str) -> float:
+    _check_maturity(t, T)
+    a_t, b_t, p, q, det, x = _attained(model, t, value, rate)
+    a_T = float(model.a(T))
+    b_T = float(model.b(T))
+    return ((a_T * q - b_T * p) + (a_t * b_T - b_t * a_T) * x) / det
+
+
+def _long_rate_value(L) -> float:
+    L = _as_float(_LONG, L)
+    if L <= 0.0:
+        raise DomainError(f"long rate must be positive, got {L!r}")
+    return L
 
 
 def attainable_short_rates(model: Model, t: float) -> tuple[float, float]:
     """Open interval of short rates the model can attain at time t."""
-    a_t, b_t, ap, bp, _ = _short_rate_wronskian(model, t)
-    lo, hi = sorted((-ap / a_t, -bp / b_t))
-    return lo, hi
+    return _inversion(model, t, _SHORT)[-1]
+
+
+def attainable_long_rates(model: Model, t: float) -> tuple[float, float]:
+    """Open interval of long rates (model's own index) attainable at time t."""
+    return _inversion(model, t, _LONG)[-1]
 
 
 def state_from_short_rate_1f(model: Model, t: float, r: float) -> ModelState:
     """Invert r_t for the factor: M = -(a'(t) + r a(t)) / (b'(t) + r b(t))."""
-    r = _as_float("short rate", r)
-    a_t, b_t, ap, bp, _ = _short_rate_wronskian(model, t)
-    lo, hi = sorted((-ap / a_t, -bp / b_t))
-    if not lo < r < hi:
-        raise UnattainableRateError(r, (lo, hi), "short rate")
-    m = -(ap + r * a_t) / (bp + r * b_t)
-    return ModelState(t, m)
+    return _state_from_rate(model, t, _as_float(_SHORT, r), _SHORT)
 
 
 def bond_from_short_rate_1f(model: Model, t: float, T: float, r: float) -> float:
@@ -554,40 +599,7 @@ def bond_from_short_rate_1f(model: Model, t: float, T: float, r: float) -> float
 
     P = ((a(T) b'(t) - b(T) a'(t)) + (a(T) b(t) - b(T) a(t)) r) / (a(t) b'(t) - b(t) a'(t)).
     """
-    r = _as_float("short rate", r)
-    _check_maturity(t, T)
-    a_t, b_t, ap, bp, w = _short_rate_wronskian(model, t)
-    lo, hi = sorted((-ap / a_t, -bp / b_t))
-    if not lo < r < hi:
-        raise UnattainableRateError(r, (lo, hi), "short rate")
-    a_T = float(model.a(T))
-    b_T = float(model.b(T))
-    return ((a_T * bp - b_T * ap) + (a_T * b_t - b_T * a_t) * r) / w
-
-
-def _long_rate_determinant(model: Model, t: float):
-    _require_factors(model, 1, "long-rate inversion")
-    a_t = float(model.a(t))
-    b_t = float(model.b(t))
-    abar = model.a.tail_limit * model.lam ** -model.lam
-    bbar = model.b.tail_limit * model.lam ** -model.lam
-    det = a_t * bbar - b_t * abar
-    scale = abs(a_t * bbar) + abs(b_t * abar)
-    if abs(det) <= _DEGENERACY_RTOL * scale:
-        raise DegenerateModelError(
-            "NO_INVERSE",
-            f"long rate at t={t:g} does not depend on the factor "
-            "(a bbar - b abar vanishes); the state cannot be recovered",
-        )
-    return a_t, b_t, abar, bbar, det
-
-
-def attainable_long_rates(model: Model, t: float) -> tuple[float, float]:
-    """Open interval of long rates (model's own index) attainable at time t."""
-    a_t, b_t, abar, bbar, _ = _long_rate_determinant(model, t)
-    inv = 1.0 / model.lam
-    lo, hi = sorted(((a_t / abar) ** inv, (b_t / bbar) ** inv))
-    return lo, hi
+    return _bond_from_rate(model, t, T, _as_float(_SHORT, r), _SHORT)
 
 
 def state_from_long_rate_1f(model: Model, t: float, L: float) -> ModelState:
@@ -595,16 +607,7 @@ def state_from_long_rate_1f(model: Model, t: float, L: float) -> ModelState:
 
     M = (abar - y a(t)) / (y b(t) - bbar).
     """
-    L = _as_float("long rate", L)
-    if L <= 0.0:
-        raise DomainError(f"long rate must be positive, got {L!r}")
-    a_t, b_t, abar, bbar, _ = _long_rate_determinant(model, t)
-    lo, hi = attainable_long_rates(model, t)
-    if not lo < L < hi:
-        raise UnattainableRateError(L, (lo, hi), "long rate")
-    y = L ** -model.lam
-    m = (abar - y * a_t) / (y * b_t - bbar)
-    return ModelState(t, m)
+    return _state_from_rate(model, t, _long_rate_value(L), _LONG)
 
 
 def bond_from_long_rate_1f(model: Model, t: float, T: float, L: float) -> float:
@@ -612,18 +615,7 @@ def bond_from_long_rate_1f(model: Model, t: float, T: float, L: float) -> float:
 
     P = ((a(T) bbar - b(T) abar) + (a(t) b(T) - b(t) a(T)) y) / (a(t) bbar - b(t) abar).
     """
-    L = _as_float("long rate", L)
-    if L <= 0.0:
-        raise DomainError(f"long rate must be positive, got {L!r}")
-    _check_maturity(t, T)
-    a_t, b_t, abar, bbar, det = _long_rate_determinant(model, t)
-    lo, hi = attainable_long_rates(model, t)
-    if not lo < L < hi:
-        raise UnattainableRateError(L, (lo, hi), "long rate")
-    y = L ** -model.lam
-    a_T = float(model.a(T))
-    b_T = float(model.b(T))
-    return ((a_T * bbar - b_T * abar) + (a_t * b_T - b_t * a_T) * y) / det
+    return _bond_from_rate(model, t, T, _long_rate_value(L), _LONG)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,13 @@
 
 Simulation is exact in distribution: GBM log-increments over each grid
 step are Gaussian with variance int sigma^2 and mean minus half that, so
-no discretisation bias enters at any step size.  Paths are generated in
-fixed-size chunks, each chunk seeded from (seed, chunk index); results
-therefore depend only on the request, never on how many workers ran it.
+no discretisation bias enters at any step size.  One lognormal step,
+``_factor_normals``, forms these log-increments (correlated across
+factors) for path simulation and for claim valuation's terminal draws,
+which take a single step from the state time to the flow.  Paths are
+generated in fixed-size chunks, each chunk seeded from (seed, chunk
+index); results therefore depend only on the request, never on how many
+workers ran it.
 The LONGRATE_THREADS environment variable, the only worker setting,
 gives the worker count (default: the CPUs the process may use).  Every
 per-block loop (path chunks, kernel blocks, time-major transposes and
@@ -176,25 +180,29 @@ class PathEnsemble:
         return int(hits[0])
 
 
-def _factor_normals(rng, buffers, rho: float):
-    """Standard normals for each factor, drawn in factor order into ``buffers[:-1]``.
+def _factor_normals(rng, buffers, rho: float, steps):
+    """Lognormal log-steps vol * z + drift for each factor, in factor order.
 
-    Every later factor's normals are correlated with the first's as
-    sqrt(1 - rho^2) * z_n + rho * z_m, with rho * z_m held in
-    ``buffers[-1]``.  Each yielded array is the caller's to overwrite, so
-    rho * z_m is formed before z_m is yielded.
+    ``steps`` holds one (vol, drift) pair per factor, scalars or arrays
+    over the steps.  Standard normals are drawn in factor order into
+    ``buffers[:-1]``; every later factor's are correlated with the
+    first's as sqrt(1 - rho^2) * z_n + rho * z_m, with rho * z_m held in
+    ``buffers[-1]`` and formed before z_m is scaled.  Each yielded array
+    is the caller's to overwrite.
     """
     *zs, rho_z_m = buffers
     z_m = rng.standard_normal(out=zs[0])
     if len(zs) > 1:
         np.multiply(rho, z_m, out=rho_z_m)
-    yield z_m
     scale = math.sqrt(1.0 - rho * rho)
-    for z_n in zs[1:]:
-        rng.standard_normal(out=z_n)
-        z_n *= scale
-        z_n += rho_z_m
-        yield z_n
+    for i, (z, (vol, drift)) in enumerate(zip(zs, steps)):
+        if i:
+            rng.standard_normal(out=z)
+            z *= scale
+            z += rho_z_m
+        z *= vol
+        z += drift
+        yield z
 
 
 def simulate_paths(
@@ -226,11 +234,8 @@ def simulate_paths(
 
     def fill(start: int, stop: int, buffers: np.ndarray) -> None:
         rng = _chunk_rng(seed, (), start // _CHUNK_PATHS)
-        normals = _factor_normals(rng, buffers[:, : stop - start], rho)
-        for x, (vol, drift), z in zip(factors, steps, normals):
+        for x, z in zip(factors, _factor_normals(rng, buffers[:, : stop - start], rho, steps)):
             x[start:stop, 0] = 1.0
-            z *= vol
-            z += drift
             np.exp(np.cumsum(z, axis=1, out=z), out=x[start:stop, 1:])
 
     # per worker: one chunk of normals per factor, and one for rho * z_m
@@ -404,15 +409,15 @@ def deflated_bond_martingale_check(
         raise DomainError(f"maturity must be finite, got {maturity!r}")
     if len(times) == 0:
         raise DomainError("deflated bond check needs at least one audit time")
-    pi = kernel_paths(model, ensemble)
-    target = expected_kernel(model, maturity)
-    coefs_T = _values_at(model.coefficients, maturity)
     cols = []
     for t in times:
         j = ensemble.time_index(float(t))
         if maturity < ensemble.grid[j]:
             raise DomainError(f"maturity {maturity!r} precedes audit time {t!r}")
         cols.append(j)
+    pi = kernel_paths(model, ensemble)
+    target = expected_kernel(model, maturity)
+    coefs_T = _values_at(model.coefficients, maturity)
     # Price every grid column from the earliest audit time to the latest: basic
     # slices are views, where a gather of the audit columns copies twice.
     span = slice(min(cols), max(cols) + 1)
@@ -520,15 +525,14 @@ def _terminal_factors(model, state, T, seed, flow_index, n_paths, rho):
     """Draw (M_T[, N_T]) given the state, chunk-seeded from (seed, state, flow)."""
     base_key = _state_spawn_key(state)
     drivers = _declared_drivers(model)
-    variances = [d.variance(state.t, T) for d in drivers]
+    # per factor: the volatility and the mean log-step -V/2 over (t, T]
+    steps = [(math.sqrt(v), -0.5 * v) for v in (d.variance(state.t, T) for d in drivers)]
     outs = np.empty((len(drivers), n_paths))
 
     def draw(start: int, stop: int, buffers: np.ndarray) -> None:
         rng = _chunk_rng(seed, (*base_key, int(flow_index)), start // _CHUNK_PATHS)
-        normals = _factor_normals(rng, buffers[:, : stop - start], rho)
-        for x0, v, out, z in zip(state.factor_values, variances, outs, normals):
-            z *= math.sqrt(v)
-            z += -0.5 * v
+        normals = _factor_normals(rng, buffers[:, : stop - start], rho, steps)
+        for x0, out, z in zip(state.factor_values, outs, normals):
             np.multiply(x0, np.exp(z, out=z), out=out[start:stop])
 
     _in_blocks(n_paths, _CHUNK_PATHS, draw, lambda: np.empty((len(drivers) + 1, _CHUNK_PATHS)))

@@ -12,11 +12,15 @@ import time
 from importlib import resources
 
 import numpy as np
+import pytest
 
 import longrate as lr
 from longrate.cli import STPRSchedule
 from longrate.zoo import curve_zoo, model_zoo, zoo_curve, zoo_model
 from conftest import run_cli
+
+# Any RuntimeWarning (divide by zero, overflow, invalid value) fails a test here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 GRID_KERNEL = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
 

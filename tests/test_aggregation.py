@@ -57,7 +57,7 @@ def test_gamma_shape_one_matches_exponential():
     g = GammaMixture(1.0, 0.03)
     e = ExponentialMixture(0.03)
     ts = np.array([0.5, 3.0, 77.0])
-    np.testing.assert_allclose(aggregate_discount(g, ts), aggregate_discount(e, ts), rtol=1e-13)
+    np.testing.assert_array_equal(aggregate_discount(g, ts), aggregate_discount(e, ts))
 
 
 @given(st.floats(min_value=0.2, max_value=5.0), st.floats(min_value=1e-3, max_value=0.2))
@@ -192,6 +192,11 @@ CALAMITY_CHUNK_DIGESTS = {
     ("discrete", 16384): "df7bffe7bea59f6f4023c5d5da4fa5ea62b9a6152b1afb988cd93328ce7b3d4b",
     ("discrete", 16385): "1a28ce6a7ef10d56b4c2b3d5d82663f8cc46bd19e2b752b56fc549255ec4e250",
     ("discrete", 32769): "84a9977380073fb1afdf3e6d0a9a5891c2c7efa76f393524de31dd7567327370",
+    # recorded when the exponential law drew through rng.exponential
+    ("exponential", 16383): "05513e8000d9a5ba04f88d49c790a77f91af8bea0807e09ed7666df4c9f89d27",
+    ("exponential", 16384): "64531f5af234226ab66ce7a6311b829636feb6b23f587485f11555582678e025",
+    ("exponential", 16385): "c5f8cfc6e8c248ab05d86fc7bca6d8c66261025acb041642933b00ed45ba259f",
+    ("exponential", 32769): "6f9ca39c860e34f77129381d6cc46f8a5cb2205aeb0b74154e193cd851d1efc2",
 }
 
 
@@ -200,6 +205,7 @@ def test_sampling_at_chunk_boundaries(kind, n):
     mix = {
         "gamma": GammaMixture(2.0, 0.04),
         "discrete": DiscreteMixture([0.2, 0.3, 0.5], [0.0, 0.01, 0.05]),
+        "exponential": ExponentialMixture(0.04),
     }[kind]
     sample = sample_calamity_time(mix, n, seed=7)
     digest = hashlib.sha256(sample.times.tobytes() + sample.censored.tobytes()).hexdigest()

@@ -21,6 +21,9 @@ from longrate import (
 )
 from longrate.errors import DomainError, InadmissibleCurveError
 
+# Any RuntimeWarning (divide by zero, overflow, invalid value) fails a test here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 EXP = RateConvention.exponential()
 LIBOR = RateConvention.libor()
 

@@ -12,6 +12,9 @@ import pytest
 
 from conftest import run_cli
 
+# Any RuntimeWarning (divide by zero, overflow, invalid value) fails a test here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 _DROP = object()
 
 # ref1f.json with the listed (key path, value) edits; _DROP deletes the key.

@@ -29,6 +29,9 @@ from longrate.errors import (
     UnsupportedOperationError,
 )
 
+# Any RuntimeWarning (divide by zero, overflow, invalid value) fails a test here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 RNG = np.random.default_rng(1234)
 
 
@@ -195,9 +198,18 @@ def test_degenerate_model_has_no_inverse():
     r0 = short_rate_1f(model, ModelState(1.0, 0.5))
     r1 = short_rate_1f(model, ModelState(1.0, 2.0))
     assert r0 == pytest.approx(r1, rel=1e-12)
-    with pytest.raises(DegenerateModelError) as err:
-        state_from_short_rate_1f(model, 1.0, r0)
-    assert err.value.code == "NO_INVERSE"
+    # ... and neither does the long rate, since abar = bbar as a = b
+    for call in (
+        lambda: state_from_short_rate_1f(model, 1.0, r0),
+        lambda: lr.bond_from_short_rate_1f(model, 1.0, 5.0, r0),
+        lambda: lr.attainable_short_rates(model, 1.0),
+        lambda: state_from_long_rate_1f(model, 1.0, long_libor_1f(model, ModelState(1.0, 0.5))),
+        lambda: lr.bond_from_long_rate_1f(model, 1.0, 5.0, 0.5),
+        lambda: lr.attainable_long_rates(model, 1.0),
+    ):
+        with pytest.raises(DegenerateModelError) as err:
+            call()
+        assert err.value.code == "NO_INVERSE"
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import longrate as lr
 from longrate import ModelState
@@ -93,3 +93,71 @@ def test_kernel_paths_equal_kernel_value_on_every_path(name, seed, steps, rho):
             xs = [float(x[i, j]) for x in ensemble.factor_values]
             want = lr.kernel_value(model, ModelState(float(t), *xs))
             assert pi[i, j] == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# One-factor inversions against the separate short- and long-rate formulas
+# ---------------------------------------------------------------------------
+
+INVERTIBLE = {name: lr.zoo.zoo_model(name) for name in ("pareto05", "pareto2", "pareto3", "ref1f")}
+
+
+def short_rate_reference(model, t, T, u):
+    """(interval, r, M, P(t, T)) at the short rate a fraction u into its interval.
+
+    The formulas as written for the short rate alone: Wronskian
+    w = a b' - b a', interval sorted(-a'/a, -b'/b).
+    """
+    a_t, b_t = float(model.a(t)), float(model.b(t))
+    ap, bp = float(model.a.derivative(t)), float(model.b.derivative(t))
+    w = a_t * bp - b_t * ap
+    lo, hi = sorted((-ap / a_t, -bp / b_t))
+    r = lo + u * (hi - lo)
+    assume(lo < r < hi)
+    m = -(ap + r * a_t) / (bp + r * b_t)
+    a_T, b_T = float(model.a(T)), float(model.b(T))
+    bond = ((a_T * bp - b_T * ap) + (a_T * b_t - b_T * a_t) * r) / w
+    return (lo, hi), r, m, bond
+
+
+def long_rate_reference(model, t, T, u):
+    """(interval, L, M, P(t, T)) at the long rate a fraction u into its interval.
+
+    The formulas as written for the long rate alone, through y = L^-lam:
+    det = a bbar - b abar, interval sorted((a/abar)^(1/lam), (b/bbar)^(1/lam)).
+    """
+    a_t, b_t = float(model.a(t)), float(model.b(t))
+    abar = model.a.tail_limit * model.lam ** -model.lam
+    bbar = model.b.tail_limit * model.lam ** -model.lam
+    det = a_t * bbar - b_t * abar
+    inv = 1.0 / model.lam
+    lo, hi = sorted(((a_t / abar) ** inv, (b_t / bbar) ** inv))
+    L = lo + u * (hi - lo)
+    assume(lo < L < hi)
+    y = L ** -model.lam
+    m = (abar - y * a_t) / (y * b_t - bbar)
+    a_T, b_T = float(model.a(T)), float(model.b(T))
+    bond = ((a_T * bbar - b_T * abar) + (a_t * b_T - b_t * a_T) * y) / det
+    return (lo, hi), L, m, bond
+
+
+INVERSIONS = {
+    "short": (short_rate_reference, lr.attainable_short_rates,
+              lr.state_from_short_rate_1f, lr.bond_from_short_rate_1f),
+    "long": (long_rate_reference, lr.attainable_long_rates,
+             lr.state_from_long_rate_1f, lr.bond_from_long_rate_1f),
+}
+
+
+@pytest.mark.parametrize("rate", sorted(INVERSIONS))
+@pytest.mark.parametrize("name", sorted(INVERTIBLE))
+@settings(max_examples=100, deadline=None)
+@given(t=times, tenor=tenors, u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_one_factor_inversions_match_reference_bitwise(name, rate, t, tenor, u):
+    model = INVERTIBLE[name]
+    reference, interval, state_from, bond_from = INVERSIONS[rate]
+    T = t + tenor
+    (lo, hi), x, m, bond = reference(model, t, T, u)
+    assert interval(model, t) == (lo, hi)
+    assert state_from(model, t, x).m == m
+    assert bond_from(model, t, T, x) == bond

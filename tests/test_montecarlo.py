@@ -27,6 +27,9 @@ from longrate import (
 from longrate import cli
 from longrate.errors import DomainError
 
+# Any RuntimeWarning (divide by zero, overflow, invalid value) fails a test here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 GRID = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
 
 
@@ -373,6 +376,7 @@ def test_deflated_check_needs_future_maturity(ref1f, small_ensemble):
         deflated_bond_martingale_check(ref1f, small_ensemble, [5.0], 2.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("times, maturity", [([0.0], math.nan), ([0.0], -1.0), ([0.0], math.inf),
                                              ([], 10.0)])
 def test_deflated_check_rejects_bad_maturity_or_no_times(ref1f, small_ensemble, times, maturity):

@@ -3,7 +3,8 @@
 Each example runs through ``longrate.cli.main`` in a scratch directory.
 ``ESTIMATOR_CASES`` add long-rate and stratification runs whose ``%.9g``
 and JSON numbers the README examples do not reach; ``REPORT_CASES`` add
-the curve and schedule files and the audit JSON reports they do not write;
+the curve and schedule files, the audit JSON reports and the
+exponential-law calamity sample they do not write;
 ``TWO_FACTOR_CASES`` add two-factor valuation, certificate and DIR runs.
 Its exit code, the sha256 of its stdout and the sha256 of every file it
 writes are compared with recorded digests, so any change to a number,
@@ -16,6 +17,9 @@ import hashlib
 import pytest
 
 from longrate.cli import main
+
+# Any RuntimeWarning (divide by zero, overflow, invalid value) fails a test here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 EXAMPLES = [
     ("convert", "--T", "10", "--from", "exp", "--to", "libor", "--value", "0.05"),
@@ -81,6 +85,8 @@ REPORT_CASES = [
     ("audit", "dir", "--curve", "hyperbolic2", "--json", "report.json"),
     ("audit", "kernel", "--model", "ref1f", "--seed", "3", "--n", "2000", "--json", "report.json"),
     ("audit", "pareto", "--model", "pareto2", "--seed", "5", "--n", "2000", "--json", "report.json"),
+    ("aggregate", "--mix", '{"kind":"exponential","mean_rate":0.02}', "--estimate",
+     "--sample", "20000", "--seed", "3", "--out", "taus.csv"),
 ]
 
 REPORT_GOLDEN = {
@@ -97,6 +103,8 @@ REPORT_GOLDEN = {
         {"report.json": "2e8eaa34298848d6827e8ae632a63116fd53b5d7d7b51f350b8ee137567b6a24"}),
     5: (0, "7125a372819d4f150b87a8923c067245e8724e66665545370dacd95befebf393",
         {"report.json": "6f513e6aa237024c66f385719348061e75114ff8f43b59494ce7ea8165cb2ba6"}),
+    6: (0, "51ba1beaa9b2bb6722008c9e937362a82019057684ad70d33803afcd26dfc7d7",
+        {"taus.csv": "3fad334922749e64d4ad57c0407e020a862830e9f7866f43e0062c9a98de582d"}),
 }
 
 
