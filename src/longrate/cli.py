@@ -344,11 +344,12 @@ def cmd_aggregate(args) -> int:
             raise DomainError("--sample needs an explicit --seed")
         if not args.out:
             raise DomainError("--sample needs --out for the CSV file")
+        from .csvformat import write_g9_lines  # loaded only by processes that write CSV
+
         sample = sample_calamity_time(mixture, args.sample, args.seed, cap=args.cap)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("tau\n")
-            for v in sample.times:
-                fh.write(_fmt(v) + "\n")
+        with open(args.out, "wb") as fh:
+            fh.write(b"tau\n")
+            write_g9_lines(fh, sample.times)
         print(f"censored {int(sample.censored.sum())} of {args.sample} at cap {_fmt(sample.cap)}")
     return 0
 

@@ -44,14 +44,18 @@ class DegenerateModelError(DomainError):
 
 
 class UnattainableRateError(DomainError):
-    """A requested rate lies outside the open interval the model can reach."""
+    """A requested rate is not one the model can reach.
+
+    It lies outside the attainable open interval, or so close to one of
+    its ends that the state it implies rounds to 0 or infinity.
+    """
 
     def __init__(self, value: float, interval: tuple[float, float], label: str = "rate"):
         self.value = value
         self.interval = interval
         lo, hi = interval
         super().__init__(
-            f"{label} {value!r} is outside the attainable open interval ({lo!r}, {hi!r})"
+            f"{label} {value!r} is not attainable; the attainable open interval is ({lo!r}, {hi!r})"
         )
 
 

@@ -528,7 +528,7 @@ def _inversion(model: Model, t: float, rate: str):
     det = a(t) q - b(t) p vanishes against its terms, x does not depend
     on M (NO_INVERSE).  The interval is the rate's image of M in
     (0, inf): (p/a, q/b) for r and ((a/abar)^(1/lam), (b/bbar)^(1/lam))
-    for L, each sorted.
+    for L, each sorted; an L end whose tail limit is 0 is +inf, its limit.
     """
     _require_factors(model, 1, f"{rate.replace(' ', '-')} inversion")
     a_t = float(model.a(t))
@@ -547,26 +547,33 @@ def _inversion(model: Model, t: float, rate: str):
     if rate == _SHORT:
         ends = (p / a_t, q / b_t)
     else:
-        ends = ((a_t / p) ** (1.0 / model.lam), (b_t / q) ** (1.0 / model.lam))
+        ends = [(c_t / c) ** (1.0 / model.lam) if c else math.inf
+                for c_t, c in ((a_t, p), (b_t, q))]
     return a_t, b_t, p, q, det, tuple(sorted(ends))
 
 
 def _attained(model: Model, t: float, value: float, rate: str):
-    """The inversion at t of an attainable ``value``, with x = r or y = L^-lam."""
-    a_t, b_t, p, q, det, (lo, hi) = _inversion(model, t, rate)
-    if not lo < value < hi:
-        raise UnattainableRateError(value, (lo, hi), rate)
-    return a_t, b_t, p, q, det, value if rate == _SHORT else value ** -model.lam
+    """The inversion at t of an attainable ``value`` (x = r or y = L^-lam), then its interval."""
+    *inversion, interval = _inversion(model, t, rate)
+    if not interval[0] < value < interval[1]:
+        raise UnattainableRateError(value, interval, rate)
+    return *inversion, value if rate == _SHORT else value ** -model.lam, interval
 
 
 def _state_from_rate(model: Model, t: float, value: float, rate: str) -> ModelState:
-    a_t, b_t, p, q, _, x = _attained(model, t, value, rate)
-    return ModelState(t, (p - x * a_t) / (x * b_t - q))
+    a_t, b_t, p, q, _, x, interval = _attained(model, t, value, rate)
+    numerator, denominator = p - x * a_t, x * b_t - q
+    m = numerator / denominator if denominator else math.nan
+    # Within an ulp or so of an interval end, rounding can put M at 0, below
+    # it or at infinity: the rate is attainable in exact arithmetic only.
+    if not 0.0 < m < math.inf:
+        raise UnattainableRateError(value, interval, rate)
+    return ModelState(t, m)
 
 
 def _bond_from_rate(model: Model, t: float, T: float, value: float, rate: str) -> float:
     _check_maturity(t, T)
-    a_t, b_t, p, q, det, x = _attained(model, t, value, rate)
+    a_t, b_t, p, q, det, x, _ = _attained(model, t, value, rate)
     a_T = float(model.a(T))
     b_T = float(model.b(T))
     return ((a_T * q - b_T * p) + (a_t * b_T - b_t * a_T) * x) / det

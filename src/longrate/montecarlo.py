@@ -17,6 +17,13 @@ serial, so the count never changes a result.
 
 All sample means use numpy's pairwise summation; agreement checks are
 quoted against 4 standard errors.
+
+CSV output (``write_ensemble_csv`` and the sample files of the CLI) goes
+through one numpy kernel in ``csvformat``, whose bytes equal Python's
+``'%.9g' % v`` for every double: it rounds each value to 9 digits with a
+correctly rounded power of ten, hands the near-ties it cannot decide to
+Python, and builds the text from 4-digit lookup tables.  It is imported
+on the first write, so processes that write no CSV never load it.
 """
 
 from __future__ import annotations
@@ -64,8 +71,6 @@ __all__ = [
 
 _CHUNK_PATHS = 4096
 _KERNEL_BLOCK = 2048  # paths per kernel_paths block: temporaries stay cache-sized
-_WRITE_ROWS = 1 << 12  # CSV rows formatted per block by write_ensemble_csv
-_CSV_FORMAT = "%.9g"  # write_ensemble_csv's format for every column after the path index
 _HORIZON_PROBE = 1e6
 _VANISH_TOL = 1e-3
 
@@ -604,22 +609,14 @@ def value_claim(
 def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:
     """Write paths as CSV columns path,t,M[,N] (UTF-8, LF); X3, X4, ... follow N.
 
-    Rows are formatted a block of whole paths at a time, with one ``%``
-    over a repeated row template, so the buffers stay a few MB.
+    Every value after the path index reads as ``'%.9g' % v`` would print
+    it, byte for byte (see ``csvformat``).  Rows are built a block of
+    whole paths at a time, so the buffers stay near 1 MB.
     """
+    from .csvformat import write_path_rows  # loaded only by processes that write CSV
+
     factors = ensemble.factors
     names = ["M", "N", *(f"X{i}" for i in range(3, len(factors) + 1))][: len(factors)]
-    columns = 2 + len(factors)
-    row = ",".join(["%d"] + [_CSV_FORMAT] * (columns - 1)) + "\n"
-    steps = ensemble.grid.size
-    paths_per_block = max(1, _WRITE_ROWS // steps)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["path", "t", *names]) + "\n")
-        for start in range(0, ensemble.n_paths, paths_per_block):
-            stop = min(start + paths_per_block, ensemble.n_paths)
-            table = np.empty((stop - start, steps, columns))
-            table[:, :, 0] = np.arange(start, stop)[:, None]
-            table[:, :, 1] = ensemble.grid
-            for c, values in enumerate(factors, 2):
-                table[:, :, c] = values[start:stop]
-            fh.write((row * ((stop - start) * steps)) % tuple(table.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write((",".join(["path", "t", *names]) + "\n").encode())
+        write_path_rows(fh, ensemble.grid, factors)

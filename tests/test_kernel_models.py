@@ -192,6 +192,22 @@ def test_unattainable_long_rate_raises(ref1f):
         state_from_long_rate_1f(ref1f, 0.0, lo - 0.1)
 
 
+def test_long_rate_interval_unbounded_where_a_tail_limit_is_zero():
+    # a = 0.5 exp(-0.1 t)/(1+t) has tail limit 0, so (a/abar)^(1/lam) is +inf.
+    model = Model((CoefficientFunction.exp_rational(0.5, 1.0, 1.0, 0.1, 1.0),
+                   CoefficientFunction.rational(0.5, 2.0, 1.0)))
+    t, T = 1.0, 5.0
+    lo, hi = lr.attainable_long_rates(model, t)
+    assert lo == float(model.b(t)) / (0.5 * model.lam**-model.lam) and hi == math.inf
+    state = state_from_long_rate_1f(model, t, 2.0)
+    assert long_pareto_1f(model, state) == pytest.approx(2.0, rel=1e-14)
+    assert lr.bond_from_long_rate_1f(model, t, T, 2.0) == pytest.approx(
+        bond_price(model, state, T), rel=1e-14
+    )
+    with pytest.raises(UnattainableRateError):
+        state_from_long_rate_1f(model, t, lo / 2)
+
+
 def test_degenerate_model_has_no_inverse():
     model = lr.zoo.degenerate_one_factor()
     # proportional coefficients: the short rate does not depend on M

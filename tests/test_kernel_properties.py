@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import longrate as lr
 from longrate import ModelState
@@ -102,6 +102,11 @@ def test_kernel_paths_equal_kernel_value_on_every_path(name, seed, steps, rho):
 INVERTIBLE = {name: lr.zoo.zoo_model(name) for name in ("pareto05", "pareto2", "pareto3", "ref1f")}
 
 
+def _quotient(numerator, denominator):
+    """numerator / denominator, nan where the denominator is 0."""
+    return numerator / denominator if denominator else math.nan
+
+
 def short_rate_reference(model, t, T, u):
     """(interval, r, M, P(t, T)) at the short rate a fraction u into its interval.
 
@@ -114,7 +119,7 @@ def short_rate_reference(model, t, T, u):
     lo, hi = sorted((-ap / a_t, -bp / b_t))
     r = lo + u * (hi - lo)
     assume(lo < r < hi)
-    m = -(ap + r * a_t) / (bp + r * b_t)
+    m = _quotient(-(ap + r * a_t), bp + r * b_t)
     a_T, b_T = float(model.a(T)), float(model.b(T))
     bond = ((a_T * bp - b_T * ap) + (a_T * b_t - b_T * a_t) * r) / w
     return (lo, hi), r, m, bond
@@ -135,7 +140,7 @@ def long_rate_reference(model, t, T, u):
     L = lo + u * (hi - lo)
     assume(lo < L < hi)
     y = L ** -model.lam
-    m = (abar - y * a_t) / (y * b_t - bbar)
+    m = _quotient(abar - y * a_t, y * b_t - bbar)
     a_T, b_T = float(model.a(T)), float(model.b(T))
     bond = ((a_T * bbar - b_T * abar) + (a_t * b_T - b_t * a_T) * y) / det
     return (lo, hi), L, m, bond
@@ -153,11 +158,18 @@ INVERSIONS = {
 @pytest.mark.parametrize("name", sorted(INVERTIBLE))
 @settings(max_examples=100, deadline=None)
 @given(t=times, tenor=tenors, u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(t=65.0, tenor=0.0, u=1e-14)  # ref1f: the long rate one ulp above its lower end
+@example(t=65.0, tenor=0.0, u=1 - 1e-14)  # ref1f: the long rate one ulp below its upper end
 def test_one_factor_inversions_match_reference_bitwise(name, rate, t, tenor, u):
+    """Where the reference M divides by zero or is not positive, the typed error."""
     model = INVERTIBLE[name]
     reference, interval, state_from, bond_from = INVERSIONS[rate]
     T = t + tenor
     (lo, hi), x, m, bond = reference(model, t, T, u)
     assert interval(model, t) == (lo, hi)
-    assert state_from(model, t, x).m == m
+    if 0.0 < m < math.inf:
+        assert state_from(model, t, x).m == m
+    else:
+        with pytest.raises(lr.UnattainableRateError):
+            state_from(model, t, x)
     assert bond_from(model, t, T, x) == bond

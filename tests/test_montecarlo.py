@@ -1,12 +1,15 @@
 """Path simulation: exact stepping, seeding, audits, claim valuation."""
 
 import hashlib
+import io
 import math
 import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import longrate as lr
 import longrate.montecarlo as mc
@@ -24,7 +27,7 @@ from longrate import (
     value_claim,
     write_ensemble_csv,
 )
-from longrate import cli
+from longrate import cli, csvformat
 from longrate.errors import DomainError
 
 # Any RuntimeWarning (divide by zero, overflow, invalid value) fails a test here.
@@ -280,14 +283,13 @@ def test_write_ensemble_csv(tmp_path, ref1f):
 
 def _write_rows_reference(ensemble, path, fmt):
     """Row-at-a-time writer that ``write_ensemble_csv`` must match byte for byte."""
+    names = ["M", "N"] + [f"X{i}" for i in range(3, len(ensemble.factors) + 1)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("path,t,M,N\n" if ensemble.n is not None else "path,t,M\n")
+        fh.write(",".join(["path", "t", *names[: len(ensemble.factors)]]) + "\n")
         for i in range(ensemble.n_paths):
             for j, t in enumerate(ensemble.grid):
-                row = f"{i},{fmt % t},{fmt % ensemble.m[i, j]}"
-                if ensemble.n is not None:
-                    row += f",{fmt % ensemble.n[i, j]}"
-                fh.write(row + "\n")
+                row = [f"{i}", fmt % t] + [fmt % x[i, j] for x in ensemble.factors]
+                fh.write(",".join(row) + "\n")
 
 
 @pytest.mark.parametrize(
@@ -297,21 +299,90 @@ def _write_rows_reference(ensemble, path, fmt):
         ("ref2f", GRID, 7, "%.9g", 12),
         ("ref2f", GRID, 3, "%.9g", None),  # fewer paths than one default block
         ("ref1f", np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 11)]), 5, "%.9g", 30),
-        ("ref2f", GRID, 5, "%.17e", 18),
-        ("ref1f", GRID, 4, "%.17e", 1),  # block smaller than one path
+        ("ref2f", GRID, 5, "%.9g", 18),
+        ("ref1f", GRID, 4, "%.9g", 1),  # block smaller than one path
+        ("gbm3", GRID, 5, "%.9g", 12),  # three factors: the X3 column
+        ("ref2f", np.linspace(0.0, 3000.0, 7), 700, "%.9g", None),  # M < 1e-4, two blocks
     ],
 )
 def test_write_ensemble_csv_matches_row_writer(
     tmp_path, request, monkeypatch, model, grid, n_paths, fmt, block_rows
 ):
     if block_rows is not None:
-        monkeypatch.setattr("longrate.montecarlo._WRITE_ROWS", block_rows)
-    monkeypatch.setattr("longrate.montecarlo._CSV_FORMAT", fmt)
-    ens = ensemble_for_model(request.getfixturevalue(model), grid, n_paths, seed=8, rho=0.5)
+        monkeypatch.setattr("longrate.csvformat._ROWS", block_rows)
+    if model == "gbm3":
+        drivers = [GBMDriver.constant(v) for v in (0.2, 0.15, 0.3)]
+        ens = simulate_paths(drivers, grid, n_paths, seed=8, rho=0.5)
+    else:
+        ens = ensemble_for_model(request.getfixturevalue(model), grid, n_paths, seed=8, rho=0.5)
+    if grid[-1] == 3000.0:
+        assert np.mean(ens.m[:, -1] < 1e-4) > 0.9  # exponent notation throughout
     got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
     write_ensemble_csv(ens, got)
     _write_rows_reference(ens, ref, fmt)
     assert got.read_bytes() == ref.read_bytes()
+
+
+def test_write_ensemble_csv_traced_peak(tmp_path, ref2f):
+    """The writer's traced peak for a 50,000 x 21 two-factor ensemble.
+
+    Measured at 0.85 MB: the block's word matrix, its text and the
+    kernel's temporaries, at most csvformat._ROWS rows each.  The bound
+    leaves room for numpy version differences.
+    """
+    ens = ensemble_for_model(ref2f, np.linspace(0.0, 10.0, 21), 50_000, seed=3, rho=0.5)
+    csvformat._tables()  # built once per process, outside the bound
+    tracemalloc.start()
+    try:
+        write_ensemble_csv(ens, tmp_path / "paths.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
+
+
+def _g9_lines(values) -> list[bytes]:
+    buffer = io.BytesIO()
+    csvformat.write_g9_lines(buffer, values)
+    return buffer.getvalue().split(b"\n")[:-1]
+
+
+def _python_lines(values) -> list[bytes]:
+    return [("%.9g" % v).encode() for v in values]
+
+
+def _g9_boundaries() -> np.ndarray:
+    """Values where %.9g changes notation, exponent or rounding direction."""
+    values = [0.0, math.inf, math.nan, 5e-324, 1e-310, 2.2250738585072014e-308,
+              1e-300, 1.7976931348623157e308,
+              1e-4, 9.9999999949e-5, 9.999999995e-5, 999999999.4, 999999999.5, 1e9]
+    for k in range(-310, 309):
+        # 10^k; 9-digit half-way points, including ones that carry to 10^(k+1)
+        values += [float(f"{m}e{k}") for m in ("1", "1.000000005", "1.234567885", "9.999999995")]
+    # half-way points that are exact doubles, decided by round-half-even
+    values += [n + 0.5 for n in (100_000_000, 100_000_001, 123_456_788, 999_999_999)]
+    values += [float(m * 10**j) for m in (1_000_000_005, 1_234_567_885) for j in range(7)]
+    values = np.array(values)
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        above = np.nextafter(values, math.inf)
+    values = np.concatenate([values, np.nextafter(values, 0.0), above])
+    return np.concatenate([values, -values])
+
+
+def test_g9_kernel_matches_python_on_boundaries():
+    values = _g9_boundaries()
+    assert _g9_lines(values) == _python_lines(values)
+
+
+finite_positive = st.floats(min_value=1e-290, max_value=1.7976931348623157e308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True), max_size=40)
+       | st.lists(finite_positive, min_size=1, max_size=40))
+def test_g9_kernel_matches_python_format(values):
+    """Any doubles, and the all-positive blocks that skip the sign and fallback."""
+    assert _g9_lines(values) == _python_lines(values)
 
 
 # ---------------------------------------------------------------------------
