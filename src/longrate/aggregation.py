@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -47,6 +47,10 @@ __all__ = [
 
 _CHUNK = 1 << 14  # draws per seeded chunk; fixed so results do not depend on workers
 _BLOCK_ELEMS = 1 << 16  # horizon-by-rate entries per block of a discrete mixture
+_GUIDE_BUCKETS = 1 << 12  # guide-table buckets of a discrete sample; a power of two
+# Most atoms one guide bucket may span.  A step of the guided search costs
+# about 1.2 ns a draw, numpy's binary search over 1000 atoms about 55 ns.
+_GUIDE_SPAN = 16
 _HORIZON_START = 10.0
 _HORIZONS_PER_DECADE = 8
 # Successive long-rate estimates closer than this count as converged.
@@ -160,12 +164,18 @@ def log_aggregate_discount(mixture: RateMixture, t):
     tt = np.atleast_1d(tt)
     if isinstance(mixture, DiscreteMixture):
         # log-sum-exp over log p_i - r_i t, in blocks of horizons so that the
-        # temporaries stay O(block * k); every row is computed on its own
+        # temporaries stay O(block * k); every row is computed on its own.
+        # One buffer, reused by every block, holds r_i t and then
+        # log p_i - r_i t: the IEEE operations of log_w - np.outer(t, rates).
         log_w = np.log(mixture.weights)
         rows = max(1, _BLOCK_ELEMS // log_w.size)
+        buf = np.empty((min(rows, tt.size), log_w.size))
         out = np.empty(tt.size)
         for i in range(0, tt.size, rows):
-            a = log_w[None, :] - np.outer(tt[i : i + rows], mixture.rates)
+            block = tt[i : i + rows]
+            a = buf[: block.size]
+            np.multiply.outer(block, mixture.rates, out=a)
+            np.subtract(log_w, a, out=a)
             out[i : i + rows] = _logsumexp_rows(a)
     elif isinstance(mixture, GammaMixture):
         out = -mixture.shape * np.log1p(mixture.mean_rate * tt / mixture.shape)
@@ -259,11 +269,46 @@ class CalamityTimeSample:
         return int(self.censored.sum())
 
 
-def _draw_rates(mixture: RateMixture, rng: np.random.Generator, k: int) -> np.ndarray:
+def _atom_index(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """u -> cdf.searchsorted(u, side="right") over uniforms u in [0, 1).
+
+    ``cdf`` is the one ``Generator.choice(a, size, p=weights)`` builds
+    (``p.cumsum()``, then divided by its last entry), so indexing ``a``
+    with the result of the generator's ``random(size)`` is that draw.
+    When no bucket [b, b + 1) / 2^12 of a Chen-Asau guide table ("On
+    generating random variates from an empirical distribution", AIIE
+    Trans. 6(2), 1974) spans more than _GUIDE_SPAN atoms, the search
+    starts at its bucket's first candidate, guide[b] = (number of cdf
+    entries <= b / 2^12), and steps at most _GUIDE_SPAN times; otherwise
+    it is numpy's binary search.  u 2^12 and b / 2^12 are exact, so both
+    give the same index.
+    """
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    # u < 1 = cdf[-1], so no index passes the last atom
+    guide = np.minimum(cdf.searchsorted(edges, side="right"), cdf.size - 1)
+    span = int(np.diff(guide).max())
+    if span > _GUIDE_SPAN:
+        return lambda u: cdf.searchsorted(u, side="right")
+
+    def index(u: np.ndarray) -> np.ndarray:
+        idx = guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
+        for _ in range(span):
+            idx += cdf[idx] <= u
+        return idx
+
+    return index
+
+
+def _rate_sampler(mixture: RateMixture) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """(rng, k) -> k rates drawn from the mixture, set up once per sample."""
     if isinstance(mixture, DiscreteMixture):
-        return rng.choice(mixture.rates, size=k, p=mixture.weights)
+        index, rates = _atom_index(mixture.weights), mixture.rates
+        return lambda rng, k: rates[index(rng.random(k))]
     if isinstance(mixture, GammaMixture):
-        return rng.gamma(shape=mixture.shape, scale=mixture.mean_rate / mixture.shape, size=k)
+        shape, scale = mixture.shape, mixture.mean_rate / mixture.shape
+        return lambda rng, k: rng.gamma(shape=shape, scale=scale, size=k)
     raise DomainError(f"unknown mixture type {type(mixture).__name__}")
 
 
@@ -287,25 +332,31 @@ def sample_calamity_time(
 
     Sampling is partitioned into fixed-size chunks with per-chunk derived
     seeds, so the result depends only on (mixture, n, seed, cap) and not
-    on how chunks are scheduled across workers.
+    on how chunks are scheduled across workers.  Each chunk draws its k
+    rates, then its k exponentials.  A discrete mixture's rates are
+    ``rng.choice(rates, size=k, p=weights)`` draw for draw: the call's
+    cdf (``weights.cumsum()`` over its last entry) is built once per
+    sample, and each ``rng.random(k)`` is looked up through a Chen-Asau
+    guide table of 2^12 buckets instead of a binary search (see
+    ``_atom_index``).  Censored times are clipped to ``cap`` in place.
     """
     if n <= 0:
         raise DomainError(f"sample size must be positive, got {n!r}")
     if not (math.isfinite(cap) and cap > 0.0):
         raise DomainError(f"censoring cap must be positive and finite, got {cap!r}")
     seed = _check_seed(seed)
+    draw_rates = _rate_sampler(mixture)
     times = np.empty(n)
     for start in range(0, n, _CHUNK):
         k = min(_CHUNK, n - start)
         rng = _chunk_rng(seed, (), start // _CHUNK)
-        rates = _draw_rates(mixture, rng, k)
+        rates = draw_rates(rng, k)
         z = rng.exponential(scale=1.0, size=k)
         with np.errstate(divide="ignore", invalid="ignore"):
             times[start : start + k] = np.where(rates > 0.0, z / rates, np.inf)
     censored = times > cap
-    out = times.copy()
-    out[censored] = cap
-    return CalamityTimeSample(out, censored, float(cap), seed)
+    np.minimum(times, cap, out=times)
+    return CalamityTimeSample(times, censored, float(cap), seed)
 
 
 def empirical_survival(sample: CalamityTimeSample, t: float) -> tuple[float, float]:

@@ -20,7 +20,7 @@ curves propagate their long rates by discounting the time-0 value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ import numpy as np
 from .aggregation import _CONVERGENCE_TOL, default_long_rate_horizons
 from .errors import DomainError, InadmissibleCurveError, LongrateError
 from .kernel_models import (
+    BondEvaluator,
     Model,
     ModelState,
     _combine,
@@ -77,9 +78,15 @@ _BOND_HORIZONS = (1e6, 1e7, 1e8)  # where the certificate reads T^lam P(0, T)
 
 @dataclass(frozen=True)
 class CurveForwardEvaluator:
-    """Forward bond prices implied by a time-0 curve: P(t,T) = P(0,T)/P(0,t)."""
+    """Forward bond prices implied by a time-0 curve: P(t,T) = P(0,T)/P(0,t).
+
+    Like ``BondEvaluator``, it carries the estimators' cache of the last
+    ln P trace priced from it, matched by the value of (t, horizons) and
+    left out of ==, hash and repr.
+    """
 
     curve: DiscountCurve
+    _trace: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def log_df(self, t: float, T) -> np.ndarray:
         """ln P(t, T) over an array of maturities.
@@ -97,6 +104,11 @@ class CurveForwardEvaluator:
 
 def curve_evaluator(curve: DiscountCurve) -> CurveForwardEvaluator:
     return CurveForwardEvaluator(curve)
+
+
+# Evaluators whose ln P is a pure function of (t, T): the trace cache is
+# sound for these alone, so foreign ones are priced on every call.
+_CACHING_EVALUATORS = (BondEvaluator, CurveForwardEvaluator)
 
 
 @dataclass(frozen=True)
@@ -158,19 +170,35 @@ def _decade_window_starts(xs: np.ndarray) -> np.ndarray:
 
 
 def _log_df_trace(bond, t: float, horizons: np.ndarray | None) -> _LogDfTrace:
-    """One evaluator call over the schedule, cut at the first unpriced horizon.
+    """ln P(t, t + x) over the schedule, cut at the first unpriced horizon.
+
+    The package's own evaluators price a (t, schedule) once and keep the
+    trace; any other evaluator is called every time.
+    """
+    xs = default_long_rate_horizons() if horizons is None else np.array(horizons, float)
+    if not (xs.ndim == 1 and xs.size >= 2 and np.all(np.isfinite(xs))
+            and xs[0] > 0 and np.all(np.diff(xs) > 0)):
+        raise DomainError("horizon offsets must be finite, positive and increasing")
+    t = float(t)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise DomainError(f"anchor time must be finite and nonnegative, got {t!r}")
+    if not isinstance(bond, _CACHING_EVALUATORS):
+        return _price_trace(bond, t, xs)
+    key = np.float64(t).tobytes() + xs.tobytes()
+    cached = bond._trace
+    if cached is None or cached[0] != key:
+        cached = (key, _price_trace(bond, t, xs))
+        object.__setattr__(bond, "_trace", cached)
+    return cached[1]
+
+
+def _price_trace(bond, t: float, xs: np.ndarray) -> _LogDfTrace:
+    """One evaluator call over the schedule; the trace's arrays are read-only.
 
     A ``LongrateError`` from the evaluator leaves no horizon priced; a
     non-finite ln P entry (how evaluators mark a maturity they cannot
     price) cuts the schedule there.
     """
-    xs = default_long_rate_horizons() if horizons is None else np.asarray(horizons, float)
-    if not (xs.ndim == 1 and xs.size >= 2 and np.all(np.isfinite(xs))
-            and xs[0] > 0 and np.all(np.diff(xs) > 0)):
-        raise DomainError("horizon offsets must be finite, positive and increasing")
-    t = float(t)
-    if t < 0.0:
-        raise DomainError(f"anchor time must be nonnegative, got {t!r}")
     maturities = t + xs
     too_short = "bond evaluator failed before two horizons were probed"
     try:
@@ -191,8 +219,12 @@ def _log_df_trace(bond, t: float, horizons: np.ndarray | None) -> _LogDfTrace:
     lengths = maturities[:n] - t
     if not lengths[0] > 0.0:
         raise DomainError(f"horizon {xs[0]!r} vanishes against anchor time {t!r}")
-    xs = xs[:n]
-    return _LogDfTrace(t, xs, lengths, ld[:n], _decade_window_starts(xs), truncated_at, reason)
+    trace = _LogDfTrace(
+        t, xs[:n], lengths, ld[:n], _decade_window_starts(xs[:n]), truncated_at, reason
+    )
+    for arr in (trace.xs, trace.lengths, trace.log_df, trace.window_starts):
+        arr.setflags(write=False)
+    return trace
 
 
 def _read_estimate(

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -440,10 +440,17 @@ def bond_log_df(model: Model, state: ModelState, T: float) -> float:
 
 @dataclass(frozen=True)
 class BondEvaluator:
-    """A model anchored at a state, pricing ln P(t, T) for the long-rate estimators."""
+    """A model anchored at a state, pricing ln P(t, T) for the long-rate estimators.
+
+    The estimators cache on the evaluator the last ln P trace they priced
+    from it, read-only and matched by the value of (t, horizons), so
+    every estimate and audit of one schedule reads one evaluator call.
+    The cache is left out of ==, hash and repr.
+    """
 
     model: Model
     state: ModelState
+    _trace: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def log_df(self, t: float, T) -> np.ndarray:
         """ln P(t, T) over an array of maturities; -inf where P underflows to 0.

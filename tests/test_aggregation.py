@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,19 @@ def test_log_aggregate_discount_matches_scipy_bitwise(k, ties, zero):
     assert log_aggregate_discount(mix, 0.0) == _scipy_log_aggregate(mix, [0.0])[0]
 
 
+def test_log_aggregate_discount_reuses_one_buffer_bitwise():
+    """A 1000-rate mixture over 10^4 times matches the per-block allocating form."""
+    rng = np.random.default_rng(7)
+    mix = _random_mixture(rng, 1000)
+    t = np.concatenate([[0.0], np.geomspace(1e-2, 1e6, 9_999)])
+    log_w = np.log(mix.weights)
+    ref = np.concatenate([
+        lr.aggregation._logsumexp_rows(log_w[None, :] - np.outer(t[i : i + 65], mix.rates))
+        for i in range(0, t.size, 65)
+    ])
+    np.testing.assert_array_equal(log_aggregate_discount(mix, t), ref)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_log_aggregate_discount_all_terms_vanish():
     # every term underflows to a finite log, or r t overflows so every term is -inf
@@ -200,6 +214,46 @@ CALAMITY_CHUNK_DIGESTS = {
 }
 
 
+# The same for 1000-atom mixtures, recorded when discrete rates were drawn
+# by rng.choice: Dirichlet weights with one rate-0 atom (guide table), and 999
+# atoms of weight 1e-5 bunched into the top 1% of the cdf (binary search).
+MANY_ATOM_DIGESTS = {
+    ("dirichlet", 16383): "d278d55fa86fe3a39370d00c237fc3231e576df125e707428c51491a93c167a8",
+    ("dirichlet", 16384): "6e3ed413f0b7331ca212f7e3f349aa7ee2c5c07457d4ba99ebe7e73dc87b1f84",
+    ("dirichlet", 16385): "eb2ef76f3ae557f9b7f5e886ef0b232869a27a60f6a0a0a0f1a0616fe701e012",
+    ("dirichlet", 32769): "5f9f27ab2e199d02fcfbec4d22833ad14ba199ecd058694bf0bf60c9a48463f7",
+    ("clustered", 16383): "fcae8953a68ee6b9b79d45e53ba0034788a604346182f7054913864ecdb78ac4",
+    ("clustered", 16384): "e819ee04cf3374fc95d35aee294ca555f27477848e48c6b25e596d70a964181f",
+    ("clustered", 16385): "e68fcd6aba1e4b48779c7bb25f03365d5a275eba990c0b0779078106e4eb8cbf",
+    ("clustered", 32769): "9014d81afc3ceb3dd767b29f9d192b9c18da2c8ff4552bbeb2c7164a305fcb99",
+}
+
+
+def _many_atom_mixture(kind):
+    if kind == "dirichlet":
+        rng = np.random.default_rng(11)
+        weights = rng.dirichlet(np.ones(1000))
+        rates = rng.uniform(0.001, 0.1, 1000)
+        rates[0] = 0.0
+        return DiscreteMixture(weights / weights.sum(), rates)
+    weights = np.full(1000, 1e-5)
+    weights[0] = 1.0 - 999e-5
+    return DiscreteMixture(weights, np.linspace(0.1, 0.0, 1000))
+
+
+def _guide_span(weights):
+    """Most atoms one bucket of the sampler's guide table spans."""
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    buckets = lr.aggregation._GUIDE_BUCKETS
+    guide = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
+    return int(np.diff(np.minimum(guide, cdf.size - 1)).max())
+
+
+def _digest(sample):
+    return hashlib.sha256(sample.times.tobytes() + sample.censored.tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize("kind, n", sorted(CALAMITY_CHUNK_DIGESTS))
 def test_sampling_at_chunk_boundaries(kind, n):
     mix = {
@@ -207,9 +261,55 @@ def test_sampling_at_chunk_boundaries(kind, n):
         "discrete": DiscreteMixture([0.2, 0.3, 0.5], [0.0, 0.01, 0.05]),
         "exponential": ExponentialMixture(0.04),
     }[kind]
-    sample = sample_calamity_time(mix, n, seed=7)
-    digest = hashlib.sha256(sample.times.tobytes() + sample.censored.tobytes()).hexdigest()
-    assert digest == CALAMITY_CHUNK_DIGESTS[kind, n]
+    assert _digest(sample_calamity_time(mix, n, seed=7)) == CALAMITY_CHUNK_DIGESTS[kind, n]
+
+
+@pytest.mark.parametrize("kind, n", sorted(MANY_ATOM_DIGESTS))
+def test_many_atom_sampling_at_chunk_boundaries(kind, n):
+    mix = _many_atom_mixture(kind)
+    guided = _guide_span(mix.weights) <= lr.aggregation._GUIDE_SPAN
+    assert guided == (kind == "dirichlet")
+    assert _digest(sample_calamity_time(mix, n, seed=7)) == MANY_ATOM_DIGESTS[kind, n]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_weights=st.lists(st.floats(-12.0, 0.0), min_size=1, max_size=300),
+    n=st.integers(1, 2 * 16384 + 5),
+    seed=st.integers(0, 2**32),
+)
+def test_discrete_sampling_is_rng_choice(log_weights, n, seed):
+    """Every chunk's rates are rng.choice(rates, size=k, p=weights) draw for draw."""
+    weights = np.exp(log_weights)
+    weights /= weights.sum()
+    rates = np.linspace(0.0, 0.1, weights.size)
+    mix = DiscreteMixture(weights, rates)
+    sample = sample_calamity_time(mix, n, seed, cap=100.0)
+    chunk = lr.aggregation._CHUNK
+    times = np.empty(n)
+    for start in range(0, n, chunk):
+        k = min(chunk, n - start)
+        rng = lr.aggregation._chunk_rng(seed, (), start // chunk)
+        r = rng.choice(mix.rates, size=k, p=mix.weights)
+        z = rng.exponential(scale=1.0, size=k)
+        with np.errstate(divide="ignore"):
+            times[start : start + k] = np.where(r > 0.0, z / r, np.inf)
+    np.testing.assert_array_equal(sample.censored, times > 100.0)
+    np.testing.assert_array_equal(sample.times, np.minimum(times, 100.0))
+
+
+def test_gamma_sample_peak_memory():
+    """10^6 draws hold the times (8 bytes each) and censoring flags (1 byte each)
+    and one chunk's temporaries; measured 9.01e6 bytes at peak."""
+    mix, n = GammaMixture(2.0, 0.04), 1_000_000
+    sample_calamity_time(mix, 100, seed=1)
+    tracemalloc.start()
+    try:
+        sample_calamity_time(mix, n, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * n + (1 << 19)
 
 
 def test_seed_is_required():

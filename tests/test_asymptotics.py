@@ -1,5 +1,6 @@
 """Long-rate estimation, tail classification, and the structural audits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -235,11 +236,70 @@ class _CountingEvaluator:
 
 
 def test_one_evaluator_call_per_estimate_and_audit(pareto2):
-    ev = _CountingEvaluator(bond_evaluator(pareto2, ModelState(0.0, 1.0)))
-    estimate_long_rate(ev, 0.0, LIBOR)
-    assert ev.calls == 1
-    stratification_audit(ev, 0.0, alphas=(0.5, 1.0, 2.0, 3.0))
-    assert ev.calls == 2
+    """A foreign evaluator (here a wrapper) has no trace cache: every estimate
+    and audit calls it once and gets the package evaluator's results."""
+    inner = bond_evaluator(pareto2, ModelState(0.0, 1.0))
+    ev = _CountingEvaluator(inner)
+    for calls in (1, 2):
+        assert estimate_long_rate(ev, 0.0, LIBOR) == estimate_long_rate(inner, 0.0, LIBOR)
+        assert ev.calls == calls
+    alphas = (0.5, 1.0, 2.0, 3.0)
+    assert stratification_audit(ev, 0.0, alphas) == stratification_audit(inner, 0.0, alphas)
+    assert ev.calls == 3
+
+
+def test_package_evaluators_price_one_trace_per_schedule(pareto2, curves):
+    for ev in (bond_evaluator(pareto2, ModelState(0.0, 1.0)), curve_evaluator(curves["gamma2"])):
+        trace = lr.asymptotics._log_df_trace(ev, 0.0, None)
+        estimate_long_rate(ev, 0.0, LIBOR)
+        stratification_audit(ev, 0.0)
+        assert lr.asymptotics._log_df_trace(ev, 0.0, default_long_rate_horizons()) is trace
+        assert not any(a.flags.writeable for a in (trace.xs, trace.lengths, trace.log_df))
+
+
+def test_trace_cache_matches_fresh_evaluators(pareto2, curves):
+    """One evaluator asked in turn for other anchors and schedules, one of them
+    an array changed in place between two calls, answers as a fresh one does."""
+    def check(ev, make, t, horizons):
+        assert estimate_long_rate(ev, t, LIBOR, horizons) == estimate_long_rate(
+            make(), t, LIBOR, horizons)
+        assert stratification_audit(ev, t, horizons=horizons) == stratification_audit(
+            make(), t, horizons=horizons)
+
+    short = default_long_rate_horizons(stop=1e6)
+    subjects = [
+        (lambda: curve_evaluator(curves["hyperbolic2"]), (0.0, 10.0, 0.0, 100.0)),
+        (lambda: bond_evaluator(pareto2, ModelState(10.0, 1.3)), (10.0,)),
+    ]
+    for make, times in subjects:
+        ev = make()
+        schedule = default_long_rate_horizons()
+        for horizons in (None, schedule, short, schedule):
+            for t in times:
+                check(ev, make, t, horizons)
+        schedule *= 2.0
+        for t in reversed(times):
+            check(ev, make, t, schedule)
+
+
+def test_trace_cache_is_not_part_of_the_evaluator(pareto2, curves):
+    # params=None makes the model, and so its evaluator, hashable
+    hashable = lr.Model(
+        tuple(dataclasses.replace(c, params=None) for c in pareto2.coefficients),
+        pareto2.drivers,
+    )
+    state = ModelState(0.0, 1.0)
+    pairs = [
+        (bond_evaluator(hashable, state), bond_evaluator(hashable, state)),
+        (curve_evaluator(curves["gamma2"]), curve_evaluator(curves["gamma2"])),
+    ]
+    for used, fresh in pairs:
+        estimate_long_rate(used, 0.0, EXP)
+        assert used._trace is not None and fresh._trace is None
+        assert used == fresh
+        assert repr(used) == repr(fresh)
+    used, fresh = pairs[0]
+    assert hash(used) == hash(fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,10 @@ def test_all_numbers_use_nine_significant_digits():
 MALFORMED_INPUT_MESSAGES = {
     ("longrate", "--model", "ref1f", "--conv", "libor", "--horizon", 5):
         "error: horizon must exceed 10, the first probed offset",
+    ("longrate", "--curve", "flat:0.03", "--t", "inf", "--conv", "exp"):
+        "error: anchor time must be finite and nonnegative, got inf\n",
+    ("audit", "strat", "--curve", "flat:0.03", "--t", "nan"):
+        "error: anchor time must be finite and nonnegative, got nan\n",
 }
 
 
@@ -286,6 +290,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     assert out.stderr.startswith("error: ")
     assert MALFORMED_INPUT_MESSAGES.get(args, "") in out.stderr
     assert "Traceback" not in out.stderr
+    assert "RuntimeWarning" not in out.stderr
 
 
 def test_certificate_rejects_non_adjacent_tail_decades():
