@@ -131,7 +131,9 @@ def _check_time(t) -> np.ndarray:
     return tt
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+def _logsumexp_rows(
+    a: np.ndarray, at_max: np.ndarray | None = None, terms: np.ndarray | None = None
+) -> np.ndarray:
     """ln sum_j exp(a[i, j]) for each row i of a real 2-d array.
 
     Same arithmetic as ``scipy.special.logsumexp(a, axis=1)`` (scipy 1.17),
@@ -141,13 +143,16 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     are taken out of the sum s of exp(a - a_max) over the rest, and
     ln sum = log1p(s / count) + ln(count) + a_max.  Rows where that is not
     finite (e.g. every entry -inf) fall back to ln(sum exp(a)).
+
+    ``at_max`` (bool) and ``terms`` (float) are scratch arrays shaped like
+    ``a``, new ones when None.
     """
     a_max = a.max(axis=1, keepdims=True)
-    at_max = a == a_max
-    count = at_max.sum(axis=1, keepdims=True, dtype=float)
+    at_max = np.equal(a, a_max, out=at_max)
+    count = np.count_nonzero(at_max, axis=1, keepdims=True).astype(float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = np.where(at_max, -np.inf, a)
-        terms -= a_max
+        terms = np.subtract(a, a_max, out=terms)
+        np.copyto(terms, -np.inf, where=at_max)
         np.exp(terms, out=terms)
         s = terms.sum(axis=1, keepdims=True) / count
         out = (np.log1p(s) + np.log(count) + a_max)[:, 0]
@@ -167,16 +172,19 @@ def log_aggregate_discount(mixture: RateMixture, t):
         # temporaries stay O(block * k); every row is computed on its own.
         # One buffer, reused by every block, holds r_i t and then
         # log p_i - r_i t: the IEEE operations of log_w - np.outer(t, rates).
+        # The log-sum-exp's mask and terms are reused the same way.
         log_w = np.log(mixture.weights)
         rows = max(1, _BLOCK_ELEMS // log_w.size)
-        buf = np.empty((min(rows, tt.size), log_w.size))
+        shape = (min(rows, tt.size), log_w.size)
+        buf, terms, at_max = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
         out = np.empty(tt.size)
         for i in range(0, tt.size, rows):
             block = tt[i : i + rows]
-            a = buf[: block.size]
+            k = block.size
+            a = buf[:k]
             np.multiply.outer(block, mixture.rates, out=a)
             np.subtract(log_w, a, out=a)
-            out[i : i + rows] = _logsumexp_rows(a)
+            out[i : i + rows] = _logsumexp_rows(a, at_max[:k], terms[:k])
     elif isinstance(mixture, GammaMixture):
         out = -mixture.shape * np.log1p(mixture.mean_rate * tt / mixture.shape)
     else:

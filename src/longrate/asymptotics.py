@@ -37,7 +37,15 @@ from .kernel_models import (
     bond_log_df,
     theta_value,
 )
-from .montecarlo import PathEnsemble, _mean_se, _time_major, _z_score, kernel_paths
+from .montecarlo import (
+    _CHUNK_PATHS,
+    PathEnsemble,
+    _in_blocks,
+    _row_moments,
+    _time_major,
+    _z_score,
+    kernel_paths,
+)
 from .reporting import FAIL, INCONCLUSIVE, PASS, AuditReport, CheckResult
 from .termstructure import (
     DiscountCurve,
@@ -447,16 +455,36 @@ def stratification_audit(
 # ---------------------------------------------------------------------------
 
 
-def _model_rate_estimates(
-    model: Model, ensemble: PathEnsemble, j: int, xs: np.ndarray
-) -> np.ndarray:
-    """Per-path exponential-rate estimate at grid index j, terminal horizon."""
-    t = float(ensemble.grid[j])
-    factors = [x[:, j] for x in _factor_values(model, ensemble)]
-    pi = _combine(_values_at(model.coefficients, t), factors)
-    x = float(xs[-1])
-    num = _combine(_values_at(model.coefficients, t + x), factors)
-    return -(np.log(num) - np.log(pi)) / x
+def _model_rate_extremes(
+    model: Model, ensemble: PathEnsemble, idx: list[int], x: float
+) -> tuple[float, float]:
+    """The largest fall between consecutive times, and the largest value, of
+    the per-path exponential-rate estimates at grid indices ``idx`` and
+    horizon x.
+
+    The estimates are formed a block of paths at a time on the workers;
+    each block keeps only its two maxima, and the blocks' maxima combine
+    through np.maximum, which is exact and propagates nan in any block.
+    """
+    xs = _factor_values(model, ensemble)
+    ts = [float(ensemble.grid[j]) for j in idx]
+    # coefficient i at audit time k is [i, k, 0]: a column against time-major paths
+    at_t = np.array([_values_at(model.coefficients, t) for t in ts]).T[:, :, None]
+    at_tx = np.array([_values_at(model.coefficients, t + x) for t in ts]).T[:, :, None]
+    extremes = np.empty(((ensemble.n_paths + _CHUNK_PATHS - 1) // _CHUNK_PATHS, 2))
+
+    def block(start: int, stop: int, _) -> None:
+        factors = [f[start:stop, idx].T for f in xs]  # (times, paths), contiguous
+        pi = _combine(at_t, factors)
+        ests = -(np.log(_combine(at_tx, factors)) - np.log(pi)) / x
+        extremes[start // _CHUNK_PATHS] = (
+            np.max(ests[:-1] - ests[1:], initial=-np.inf),
+            np.max(ests),
+        )
+
+    _in_blocks(ensemble.n_paths, _CHUNK_PATHS, block)
+    worst_drop, max_rate = np.maximum.reduce(extremes)
+    return float(worst_drop), float(max_rate)
 
 
 def _zero_coupon_quote(rate: float, kappa: float) -> float:
@@ -528,9 +556,7 @@ def dir_monotonicity_audit(
     if ensemble is None:
         raise DomainError("model audits need a simulated ensemble")
     idx = [ensemble.time_index(t) for t in ts]
-    sups = np.stack([_model_rate_estimates(model, ensemble, j, xs) for j in idx])
-    # sups has shape (len(times), n_paths)
-    worst_drop = float(np.max(sups[:-1] - sups[1:], initial=-np.inf))
+    worst_drop, max_rate = _model_rate_extremes(model, ensemble, idx, float(xs[-1]))
     checks.append(
         CheckResult(
             "long exponential rate nondecreasing along every path",
@@ -538,12 +564,11 @@ def dir_monotonicity_audit(
             f"worst decrease {worst_drop:.3g} against tolerance {_CONVERGENCE_TOL:g}",
         )
     )
-    max_rate = float(np.max(sups))
     checks.append(
         CheckResult(
             "power-law kernel long exponential rate vanishes",
             PASS if max_rate <= _CONVERGENCE_TOL else FAIL,
-            f"max estimate {max_rate:.3g} over {sups.shape[1]} paths x {len(ts)} times",
+            f"max estimate {max_rate:.3g} over {ensemble.n_paths} paths x {len(ts)} times",
         )
     )
     z_worst = _zero_coupon_quote(worst_drop, kappa) if math.isfinite(worst_drop) else worst_drop
@@ -744,6 +769,45 @@ def _max_driver_variance(model: Model, t: float) -> float:
     return max(d.variance(0.0, t) for d in drivers)
 
 
+def _scaled_bond(lam: float, T: float, log_p: float) -> float:
+    """T^lam P from ln P; +inf where it overflows."""
+    try:
+        return math.exp(lam * math.log(T) + log_p)
+    except OverflowError:
+        return math.inf
+
+
+def _decade_extremes(
+    pi: np.ndarray, weights: np.ndarray, bounds: list[int]
+) -> tuple[list[float], list[float]]:
+    """Minimum and mean of t^lam pi_t over each decade of grid columns [a, b).
+
+    A decade is formed time-major in one contiguous buffer, a block of
+    paths at a time on the workers, each block keeping its minimum; the
+    minima combine through np.minimum, which is exact and propagates nan
+    in any block.  The mean is one pairwise sum over the whole buffer:
+    the layout, and so the summation order, of the copy that fancy
+    indexing ``weights[s] * pi[:, s]`` makes for s = arange(a, b).
+    """
+    n = pi.shape[0]
+    buf = np.empty((max(b - a for a, b in zip(bounds, bounds[1:])), n))
+    block_min = np.empty((n + _CHUNK_PATHS - 1) // _CHUNK_PATHS)
+    minima, means = [], []
+    for a, b in zip(bounds, bounds[1:]):
+        decade = buf[: b - a]
+
+        def fill(start: int, stop: int, _) -> None:  # runs within this iteration
+            part = decade[:, start:stop]
+            with np.errstate(over="ignore"):
+                np.multiply(weights[a:b, None], pi[start:stop, a:b].T, out=part)
+            block_min[start // _CHUNK_PATHS] = part.min()
+
+        _in_blocks(n, _CHUNK_PATHS, fill)
+        minima.append(float(np.minimum.reduce(block_min)))
+        means.append(float(np.add.reduce(decade, axis=None) / decade.size))
+    return minima, means
+
+
 def pareto_kernel_certificate(
     model: Model,
     ensemble: PathEnsemble,
@@ -776,16 +840,11 @@ def pareto_kernel_certificate(
     bounds = [*(_decade_window_starts(grid[1:]) + 1)[-3:], grid.size]
     if len(bounds) < 3:
         raise DomainError("ensemble grid too short: need at least two tail decades")
-    # one power call over the whole grid: numpy's SIMD and scalar loops can round apart
-    weights = grid**lam
-    minima, means = [], []
-    for a, b in zip(bounds, bounds[1:]):
-        # An index array, not a slice: the layout of the gathered copy fixes
-        # the summation order of the decade mean.
-        s = np.arange(a, b)
-        scaled = weights[s] * pi[:, s]  # t^lam pi_t over one decade
-        minima.append(float(scaled.min()))
-        means.append(float(scaled.mean()))
+    # one power call over the whole grid: numpy's SIMD and scalar loops can round apart;
+    # at a very high index t^lam overflows to inf, and (c) fails
+    with np.errstate(over="ignore"):
+        weights = grid**lam
+    minima, means = _decade_extremes(pi, weights, bounds)
     checks: list[CheckResult] = []
 
     min_ratios = [b / a for a, b in zip(minima, minima[1:])]
@@ -808,9 +867,7 @@ def pareto_kernel_certificate(
     )
 
     unit_state = ModelState(0.0, *[1.0] * model.factors)
-    scales = [
-        math.exp(lam * math.log(T) + bond_log_df(model, unit_state, T)) for T in _BOND_HORIZONS
-    ]
+    scales = [_scaled_bond(lam, T, bond_log_df(model, unit_state, T)) for T in _BOND_HORIZONS]
     ratios = [b / a for a, b in zip(scales, scales[1:])]
     stable = all(0.5 <= r <= 2.0 for r in ratios) and all(
         math.isfinite(s) and s > 0.0 for s in scales
@@ -836,22 +893,24 @@ def pareto_kernel_certificate(
         if _max_driver_variance(model, float(grid[j])) <= v_cap
     ]
     t_cap = float(grid[testable[-1]]) if testable else math.nan
+    worst_super = -math.inf
+    worst_const = 0.0
     if testable:
+        n = ensemble.n_paths
         tails = [c.tail_limit for c in model.coefficients]
         width = testable[-1] + 1
         theta = _time_major(  # theta_t = A + B M_t (+ C N_t), time-major
-            ensemble.n_paths,
-            width,
-            lambda paths: _combine(tails, ensemble.factors[:, paths, :width]),
+            n, width, lambda paths: _combine(tails, ensemble.factors[:, paths, :width])
         )
-    worst_super = -math.inf
-    worst_const = 0.0
-    for j in testable:
-        diff = theta[j] - theta[j - 1]
-        mean_d, se_d = _mean_se(diff)
-        worst_super = max(worst_super, _z_score(mean_d, se_d, theta0))
-        mean_t, se_t = _mean_se(theta[j])
-        worst_const = max(worst_const, _z_score(abs(mean_t - theta0), se_t, theta0))
+        steps = _row_moments(
+            len(testable),
+            n,
+            lambda i, buf: np.subtract(theta[testable[i]], theta[testable[i] - 1], out=buf),
+        )
+        levels = _row_moments(len(testable), n, lambda i, _: theta[testable[i]])
+        for (mean_d, se_d), (mean_t, se_t) in zip(steps.tolist(), levels.tolist()):
+            worst_super = max(worst_super, _z_score(mean_d, se_d, theta0))
+            worst_const = max(worst_const, _z_score(abs(mean_t - theta0), se_t, theta0))
     window = f"grid times <= {t_cap:g}" if testable else "no grid times in sampling window"
     checks.append(
         CheckResult(

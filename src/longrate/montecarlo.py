@@ -12,8 +12,15 @@ workers ran it.
 The LONGRATE_THREADS environment variable, the only worker setting,
 gives the worker count (default: the CPUs the process may use).  Every
 per-block loop (path chunks, kernel blocks, time-major transposes and
-terminal draws) runs through ``_in_blocks``; the reductions after it stay
-serial, so the count never changes a result.
+terminal draws) runs through ``_in_blocks``, and so do the audits'
+reductions: each per-time mean and standard error is taken over one
+whole time-major row (``_row_moments``), and minima and maxima over
+paths are kept per block of paths, then combined with np.minimum or
+np.maximum, which are exact in any order and propagate nan.  Blocks
+depend only on the path count and every sum is one pairwise sum over the
+same contiguous row, so the count never changes a result.  What stays
+serial is the kernel audit's minimum and column-mean scans of pi and
+the certificate's decade sums.
 
 All sample means use numpy's pairwise summation; agreement checks are
 quoted against 4 standard errors.
@@ -241,7 +248,11 @@ def simulate_paths(
         rng = _chunk_rng(seed, (), start // _CHUNK_PATHS)
         for x, z in zip(factors, _factor_normals(rng, buffers[:, : stop - start], rho, steps)):
             x[start:stop, 0] = 1.0
-            np.exp(np.cumsum(z, axis=1, out=z), out=x[start:stop, 1:])
+            # a running sum along each path, one column at a time: the
+            # additions of np.cumsum(z, axis=1) in its order, at about half the cost
+            for j in range(1, z.shape[1]):
+                np.add(z[:, j - 1], z[:, j], out=z[:, j])
+            np.exp(z, out=x[start:stop, 1:])
 
     # per worker: one chunk of normals per factor, and one for rho * z_m
     _in_blocks(n_paths, _CHUNK_PATHS, fill,
@@ -320,12 +331,36 @@ def _time_major(n_paths: int, n_times: int, block: Callable) -> np.ndarray:
     return out
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
-    if values.size < 2:
-        return mean, 0.0
-    se = float(np.std(values, ddof=1) / math.sqrt(values.size))
-    return mean, se
+def _mean_se(values: np.ndarray, dev: np.ndarray | None = None) -> tuple[float, float]:
+    """Mean and standard error of a 1-d sample, bitwise np.mean and np.std(ddof=1) / sqrt(n).
+
+    The sample is summed once, as np.mean sums it; its squared deviations
+    go to ``dev``, a contiguous scratch row of the sample's length (a new
+    one when None), and are summed as np.std sums them.
+    """
+    n = values.size
+    mean = np.add.reduce(values) / n
+    if n < 2:
+        return float(mean), 0.0
+    dev = np.subtract(values, mean, out=dev)
+    np.square(dev, out=dev)
+    return float(mean), float(np.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n))
+
+
+def _row_moments(count: int, n: int, row: Callable) -> np.ndarray:
+    """Mean and SE (columns 0 and 1) of the sample ``row(i, buf)`` for each i < count.
+
+    Each sample has n values; ``row`` returns a stored row or forms one in
+    ``buf``, its worker's scratch row.  Every row is one block, so each
+    statistic is the one ``_mean_se`` takes of that row alone.
+    """
+    out = np.empty((count, 2))
+
+    def moments(i: int, _stop: int, buffers: np.ndarray) -> None:
+        out[i] = _mean_se(row(i, buffers[0]), buffers[1])
+
+    _in_blocks(count, 1, moments, lambda: np.empty((2, n)))
+    return out
 
 
 def _z_score(gap: float, se: float, scale: float) -> float:
@@ -372,8 +407,8 @@ def kernel_condition_audit(model: Model, ensemble: PathEnsemble) -> AuditReport:
     )
     worst_z = 0.0
     columns = _time_major(ensemble.n_paths, ensemble.grid.size, lambda paths: pi[paths])
-    for t, values in zip(ensemble.grid, columns):
-        mean, se = _mean_se(values)
+    stats = _row_moments(ensemble.grid.size, ensemble.n_paths, lambda j, _: columns[j])
+    for t, (mean, se) in zip(ensemble.grid, stats.tolist()):
         target_t = expected_kernel(model, float(t))
         worst_z = max(worst_z, _z_score(abs(mean - target_t), se, target_t))
     checks.append(
@@ -432,10 +467,10 @@ def deflated_bond_martingale_check(
         return pi_t * (_combine(coefs_T, ensemble.factors[:, paths, span]) / pi_t)
 
     deflated = _time_major(ensemble.n_paths, span.stop - span.start, deflated_bonds)
+    stats = _row_moments(len(cols), ensemble.n_paths, lambda i, _: deflated[cols[i] - span.start])
     checks = []
     rows = []
-    for t, j in zip(times, cols):
-        mean, se = _mean_se(deflated[j - span.start])
+    for t, (mean, se) in zip(times, stats.tolist()):
         z = _z_score(abs(mean - target), se, target)
         rows.append({"t": float(t), "mean": mean, "se": se, "z": z})
         checks.append(

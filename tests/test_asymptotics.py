@@ -518,6 +518,53 @@ def test_dir_audit_model_degenerate_case(ref1f):
     assert rep.data["max_rate"] <= 1e-6
 
 
+def _serial_rate_extremes(model, ens, times, x):
+    """The model audit's largest fall and largest estimate, over all paths at once."""
+    ests = []
+    for t in times:
+        j = ens.time_index(t)
+        t = float(ens.grid[j])
+        factors = [f[:, j] for f in ens.factor_values]
+        pi = lr.kernel_models._combine(lr.kernel_models._values_at(model.coefficients, t), factors)
+        num = lr.kernel_models._combine(
+            lr.kernel_models._values_at(model.coefficients, t + x), factors
+        )
+        ests.append(-(np.log(num) - np.log(pi)) / x)
+    ests = np.stack(ests)
+    return float(np.max(ests[:-1] - ests[1:], initial=-np.inf)), float(np.max(ests))
+
+
+DIR_GRID = np.linspace(0.0, 10.0, 21)
+DIR_TIMES = [0.0, 1.0, 2.0, 5.0, 10.0]
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("name, n_paths", [("ref1f", 4097), ("ref2f", 4095), ("ref2f", 8193)])
+def test_dir_audit_model_matches_serial_estimates(request, name, n_paths, threads, monkeypatch):
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    model = request.getfixturevalue(name)
+    ens = lr.ensemble_for_model(model, DIR_GRID, n_paths, seed=7, rho=0.5)
+    rep = dir_monotonicity_audit(model, DIR_TIMES, ensemble=ens)
+    x = float(default_long_rate_horizons()[-1])
+    worst_drop, max_rate = _serial_rate_extremes(model, ens, DIR_TIMES, x)
+    assert np.float64(rep.data["worst_drop"]).tobytes() == np.float64(worst_drop).tobytes()
+    assert np.float64(rep.data["max_rate"]).tobytes() == np.float64(max_rate).tobytes()
+
+
+# The nan sits in the middle one of three path blocks, where a combine of
+# block results by Python's max() would drop it.
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_dir_audit_nan_in_one_path_block_fails(ref1f, threads, monkeypatch):
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    ens = lr.ensemble_for_model(ref1f, DIR_GRID, 8193, seed=7)
+    factors = ens.factors.copy()
+    factors[0, 5000, 4] = np.nan  # M at t = 2
+    object.__setattr__(ens, "factors", factors)
+    rep = dir_monotonicity_audit(ref1f, DIR_TIMES, ensemble=ens)
+    assert [c.status for c in rep.checks] == ["FAIL"] * 3
+    assert math.isnan(rep.data["worst_drop"]) and math.isnan(rep.data["max_rate"])
+
+
 def test_dir_audit_model_needs_ensemble(ref1f):
     with pytest.raises(DomainError):
         dir_monotonicity_audit(ref1f, [0.0, 1.0])

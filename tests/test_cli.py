@@ -178,6 +178,19 @@ def test_audit_pareto_wrong_index_fails_with_exit_1():
     assert "FAIL" in out.stdout
 
 
+@pytest.mark.parametrize("lam", ["60", "400"])
+def test_audit_pareto_overflowing_index_fails_cleanly(lam):
+    # t^lam and T^lam P overflow: the certificate reads them as +inf and FAILs
+    out = run_cli("audit", "pareto", "--model", "pareto2", "--seed", 1, "--n", 100,
+                  "--lam", lam)
+    assert out.returncode == 1
+    assert out.stderr == ""
+    lines = out.stdout.splitlines()
+    assert lines[-1] == f"tail-Pareto kernel certificate (index {lam}): FAIL"
+    assert "[FAIL] bond tail scale stable" in out.stdout
+    assert "'inf'" in next(line for line in lines if "bond tail scale" in line)
+
+
 def test_greenbook_pinned_rows():
     out = run_cli("greenbook", "--schedule", "greenbook_example")
     assert out.returncode == 0

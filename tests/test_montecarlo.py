@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import struct
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -99,7 +100,7 @@ CHUNK_BOUNDARY_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n_paths", sorted(CHUNK_BOUNDARY_DIGESTS))
 def test_two_factor_paths_at_chunk_boundaries(ref2f, n_paths, workers, monkeypatch):
     monkeypatch.setenv("LONGRATE_THREADS", str(workers))
@@ -179,6 +180,94 @@ def test_audits_and_valuation_at_chunk_boundaries_on_workers(
     monkeypatch.setenv("LONGRATE_THREADS", threads)
     model = request.getfixturevalue(name)
     assert _audit_digests(model, n_paths) == AUDIT_DIGESTS[(name, n_paths)]
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# Sizes around numpy's pairwise-sum unrolling (8) and block (128), and one
+# past the 4096-path chunk; strides as in a path array's column.
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 7, 8, 9, 127, 128, 129, 4097]),
+    stride=st.sampled_from([1, 2, 21]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-100, 1e-3, 1.0, 1e4, 1e100]),
+    shift=st.sampled_from([0.0, 1.0, -1e3]),
+)
+def test_mean_se_is_numpy_mean_and_std(n, stride, seed, scale, shift):
+    rng = np.random.default_rng(seed)
+    values = (rng.lognormal(0.0, 2.0, n * stride) * scale + shift)[::stride]
+    mean, se = mc._mean_se(values)
+    assert _bits(mean) == _bits(float(np.mean(values)))
+    if n > 1:
+        assert _bits(se) == _bits(float(np.std(values, ddof=1) / math.sqrt(n)))
+    else:
+        assert se == 0.0
+    assert mc._mean_se(values, np.empty(n)) == (mean, se)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_row_moments_are_numpy_moments_of_each_row(ref2f, threads, monkeypatch):
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    ens = ensemble_for_model(ref2f, GRID, 4097, seed=3, rho=0.5)
+    # strided columns of the path array, as the CLI's simulate summary reads them
+    stats = mc._row_moments(GRID.size, ens.n_paths, lambda j, _: ens.m[:, j])
+    for j, (mean, se) in enumerate(stats.tolist()):
+        column = ens.m[:, j]
+        assert _bits(mean) == _bits(float(np.mean(column)))
+        assert _bits(se) == _bits(float(np.std(column, ddof=1) / math.sqrt(ens.n_paths)))
+    # rows formed in the worker's scratch row
+    steps = mc._row_moments(
+        GRID.size - 1,
+        ens.n_paths,
+        lambda j, buf: np.subtract(ens.n[:, j + 1], ens.m[:, j], out=buf),
+    )
+    for j, (mean, se) in enumerate(steps.tolist()):
+        assert (mean, se) == mc._mean_se(ens.n[:, j + 1] - ens.m[:, j])
+
+
+def _planted_nan_ensemble(model, n_paths, path, column):
+    """An ensemble whose cached pi holds one nan, at (path, column)."""
+    ens = ensemble_for_model(model, AUDIT_GRID, n_paths, seed=7)
+    pi = np.array(kernel_paths(model, ens))
+    pi[path, column] = np.nan
+    object.__setattr__(ens, "_kernel", (model, pi))
+    return ens, pi
+
+
+# The nan sits in the middle one of three path blocks, where a combine of
+# block minima by Python's min() would drop it.
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_nan_in_one_path_block_fails_kernel_positivity(ref1f, threads, monkeypatch):
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    ens, _ = _planted_nan_ensemble(ref1f, 8193, 5000, 27)
+    rep = kernel_condition_audit(ref1f, ens)
+    status = {c.name: c.status for c in rep.checks}
+    assert status["kernel positivity"] == "FAIL"
+    assert status["finite kernel expectation"] == "FAIL"
+    assert rep.checks[0].detail == "min pi = nan over 8193 paths"
+    assert math.isnan(rep.data["min_pi"])
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_nan_in_one_path_block_reaches_certificate_decade(pareto2, threads, monkeypatch):
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    ens, pi = _planted_nan_ensemble(pareto2, 8193, 5000, 20)
+    rep = lr.pareto_kernel_certificate(pareto2, ens)
+    # the serial form: one fancy-index copy of each decade
+    grid = ens.grid
+    bounds = [*(lr.asymptotics._decade_window_starts(grid[1:]) + 1)[-3:], grid.size]
+    weights = grid**pareto2.lam
+    minima, means = [], []
+    for a, b in zip(bounds, bounds[1:]):
+        scaled = weights[np.arange(a, b)] * pi[:, np.arange(a, b)]
+        minima.append(float(scaled.min()))
+        means.append(float(scaled.mean()))
+    assert sum(math.isnan(v) for v in minima) == 1
+    assert repr(rep.data["decade_minima"]) == repr(minima)
+    assert repr(rep.data["decade_means"]) == repr(means)
 
 
 def test_worker_count_defaults_to_usable_cpus(monkeypatch):
