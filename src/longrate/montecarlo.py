@@ -9,18 +9,20 @@ which take a single step from the state time to the flow.  Paths are
 generated in fixed-size chunks, each chunk seeded from (seed, chunk
 index); results therefore depend only on the request, never on how many
 workers ran it.
+Paths are stored time-major, in one (k, len(grid), n_paths) array, so a
+statistic at a fixed time reads one contiguous row; the path-major
+``factors``, ``m``, ``n`` and ``kernel_paths`` are transposed views.
 The LONGRATE_THREADS environment variable, the only worker setting,
 gives the worker count (default: the CPUs the process may use).  Every
-per-block loop (path chunks, kernel blocks, time-major transposes and
-terminal draws) runs through ``_in_blocks``, and so do the audits'
-reductions: each per-time mean and standard error is taken over one
-whole time-major row (``_row_moments``), and minima and maxima over
-paths are kept per block of paths, then combined with np.minimum or
-np.maximum, which are exact in any order and propagate nan.  Blocks
-depend only on the path count and every sum is one pairwise sum over the
-same contiguous row, so the count never changes a result.  What stays
-serial is the kernel audit's minimum and column-mean scans of pi and
-the certificate's decade sums.
+per-block loop (path chunks, ``_combined_rows`` and terminal draws) runs
+through ``_in_blocks``, and so do the audits' reductions: each per-time
+mean and standard error is taken over one whole row (``_row_moments``),
+and minima and maxima over paths are kept per block of paths, then
+combined with np.minimum or np.maximum, which are exact in any order and
+propagate nan.  Blocks depend only on the path count and every sum is
+one pairwise sum over the same row, so the count never changes a
+result.  What stays serial is the minimum scan of pi and the
+certificate's decade sums.
 
 All sample means use numpy's pairwise summation; agreement checks are
 quoted against 4 standard errors.
@@ -77,7 +79,7 @@ __all__ = [
 ]
 
 _CHUNK_PATHS = 4096
-_KERNEL_BLOCK = 2048  # paths per kernel_paths block: temporaries stay cache-sized
+_KERNEL_BLOCK = 2048  # paths per _combined_rows block: temporaries stay cache-sized
 _HORIZON_PROBE = 1e6
 _VANISH_TOL = 1e-3
 
@@ -141,9 +143,12 @@ class PathEnsemble:
 
     ``factors`` has shape (k, n_paths, len(grid)), one slab per factor in
     factor order, with the first column identically 1.  ``m`` and ``n``
-    are views of the first two slabs (``n`` is None for k = 1).  Arrays
-    are frozen after construction; the generating seed and correlation
-    are recorded so the ensemble is reproducible from its metadata.
+    are views of the first two slabs (``n`` is None for k = 1); ``rows``
+    is the time-major view (k, len(grid), n_paths), contiguous for a
+    simulated ensemble (any layout is accepted, with strided rows).
+    Arrays are frozen after construction; the generating seed and
+    correlation are recorded so the ensemble is reproducible from its
+    metadata.
 
     ``kernel_paths`` caches pi with the ensemble, read-only, for the model
     last passed to it: each model audited costs one more path array for
@@ -175,6 +180,10 @@ class PathEnsemble:
     @property
     def n(self) -> np.ndarray | None:
         return self.factors[1] if len(self.factors) > 1 else None
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.factors.transpose(0, 2, 1)
 
     @property
     def factor_values(self) -> np.ndarray:
@@ -242,17 +251,19 @@ def simulate_paths(
 
     # per factor: the step volatilities and the mean log-steps -V/2
     steps = [(np.sqrt(v), -0.5 * v) for v in (d.step_variances(g) for d in drivers)]
-    factors = np.empty((len(drivers), n_paths, g.size))
+    rows = np.empty((len(drivers), g.size, n_paths))
 
     def fill(start: int, stop: int, buffers: np.ndarray) -> None:
         rng = _chunk_rng(seed, (), start // _CHUNK_PATHS)
-        for x, z in zip(factors, _factor_normals(rng, buffers[:, : stop - start], rho, steps)):
-            x[start:stop, 0] = 1.0
-            # a running sum along each path, one column at a time: the
+        normals = _factor_normals(rng, buffers[:, : stop - start], rho, steps)
+        for x, z in zip(rows[:, :, start:stop], normals):
+            x[0] = 1.0
+            x[1:] = z.T
+            # a running sum along each path, one time row at a time: the
             # additions of np.cumsum(z, axis=1) in its order, at about half the cost
-            for j in range(1, z.shape[1]):
-                np.add(z[:, j - 1], z[:, j], out=z[:, j])
-            np.exp(z, out=x[start:stop, 1:])
+            for j in range(2, g.size):
+                np.add(x[j - 1], x[j], out=x[j])
+            np.exp(x[1:], out=x[1:])
 
     # per worker: one chunk of normals per factor, and one for rho * z_m
     _in_blocks(n_paths, _CHUNK_PATHS, fill,
@@ -260,7 +271,7 @@ def simulate_paths(
     # The grid, shape and correlation are checked above, so the ensemble's one
     # contiguous positivity scan is the only check left that can fail.
     try:
-        return PathEnsemble(g, factors, seed, float(rho))
+        return PathEnsemble(g, rows.transpose(0, 2, 1), seed, float(rho))
     except DomainError:
         raise DomainError(
             "paths underflowed to zero; the horizon is too long for this "
@@ -287,48 +298,42 @@ def ensemble_for_model(
     return simulate_paths(drivers, grid, n_paths, seed, rho)
 
 
+def _combined_rows(coefs, rows: np.ndarray) -> np.ndarray:
+    """``_combine(coefs, rows)`` over time-major factor rows (k, times, paths).
+
+    Each coefficient is a scalar or a column over the times; the (times,
+    paths) result is formed a block of paths at a time on the workers.
+    """
+    out = np.empty(rows.shape[1:])
+
+    def combine(start: int, stop: int, _) -> None:
+        out[:, start:stop] = _combine(coefs, rows[:, :, start:stop])
+
+    _in_blocks(out.shape[1], _KERNEL_BLOCK, combine)
+    return out
+
+
 def kernel_paths(model: Model, ensemble: PathEnsemble) -> np.ndarray:
     """pi along every path: a(t) + b(t) M_t (+ c(t) N_t), shape like m.
 
     The array is read-only and cached with the ensemble for the model
     last passed (matched by identity), so every audit of that model on
     the ensemble reads one array; the cache costs one path array.  It is
-    built through ``_combine`` a block of paths at a time, so temporaries
-    stay small.
+    the transpose of ``_combined_rows``' time-major rows, which the
+    audits read as ``kernel_paths(model, ensemble).T``.
     """
     cached = ensemble._kernel
     if cached is not None and cached[0] is model:
         return cached[1]
-    xs = _factor_values(model, ensemble)
-    coefs = [np.asarray(c(ensemble.grid), dtype=float) for c in model.coefficients]
-    pi = np.empty(xs.shape[1:])
-
-    def combine(start: int, stop: int, _) -> None:
-        pi[start:stop] = _combine(coefs, xs[:, start:stop])
-
-    _in_blocks(ensemble.n_paths, _KERNEL_BLOCK, combine)
-    if not pi.min() > 0.0:
+    _factor_values(model, ensemble)
+    coefs = [np.asarray(c(ensemble.grid), dtype=float)[:, None] for c in model.coefficients]
+    rows = _combined_rows(coefs, ensemble.rows)
+    if not rows.min() > 0.0:
         raise LongrateError("kernel positivity violated along simulated paths")
-    pi.setflags(write=False)
+    rows.setflags(write=False)
+    pi = rows.T
     object.__setattr__(ensemble, "_kernel", (model, pi))
     return pi
-
-
-def _time_major(n_paths: int, n_times: int, block: Callable) -> np.ndarray:
-    """A (n_times, n_paths) array filled from ``block(rows)`` of shape (rows, n_times).
-
-    Blocks of _CHUNK_PATHS path rows keep temporaries small and make the
-    transpose cache-friendly (a bare 200,000 x 21 ``ascontiguousarray(pi.T)``
-    takes about twice as long), and each per-time statistic then reads one
-    contiguous row instead of a column strided across the path array.
-    """
-    out = np.empty((n_times, n_paths))
-
-    def transpose(start: int, stop: int, _) -> None:
-        out[:, start:stop] = block(slice(start, stop)).T
-
-    _in_blocks(n_paths, _CHUNK_PATHS, transpose)
-    return out
 
 
 def _mean_se(values: np.ndarray, dev: np.ndarray | None = None) -> tuple[float, float]:
@@ -354,6 +359,8 @@ def _row_moments(count: int, n: int, row: Callable) -> np.ndarray:
     ``buf``, its worker's scratch row.  Every row is one block, so each
     statistic is the one ``_mean_se`` takes of that row alone.
     """
+    if n < 2:
+        raise DomainError(f"standard errors need at least 2 paths, got {n}")
     out = np.empty((count, 2))
 
     def moments(i: int, _stop: int, buffers: np.ndarray) -> None:
@@ -386,7 +393,7 @@ def kernel_condition_audit(model: Model, ensemble: PathEnsemble) -> AuditReport:
     analytic expectation to at most 1e-3 at t = 1e6 (the vanishing
     lim inf condition).
     """
-    pi = kernel_paths(model, ensemble)
+    pi = kernel_paths(model, ensemble).T
     checks = []
     min_pi = float(pi.min())
     checks.append(
@@ -396,8 +403,8 @@ def kernel_condition_audit(model: Model, ensemble: PathEnsemble) -> AuditReport:
             f"min pi = {min_pi:.9g} over {ensemble.n_paths} paths",
         )
     )
-    means = np.mean(pi, axis=0)
-    finite = bool(np.all(np.isfinite(means)))
+    stats = _row_moments(ensemble.grid.size, ensemble.n_paths, lambda j, _: pi[j])
+    finite = bool(np.all(np.isfinite(stats[:, 0])))
     checks.append(
         CheckResult(
             "finite kernel expectation",
@@ -406,8 +413,6 @@ def kernel_condition_audit(model: Model, ensemble: PathEnsemble) -> AuditReport:
         )
     )
     worst_z = 0.0
-    columns = _time_major(ensemble.n_paths, ensemble.grid.size, lambda paths: pi[paths])
-    stats = _row_moments(ensemble.grid.size, ensemble.n_paths, lambda j, _: columns[j])
     for t, (mean, se) in zip(ensemble.grid, stats.tolist()):
         target_t = expected_kernel(model, float(t))
         worst_z = max(worst_z, _z_score(abs(mean - target_t), se, target_t))
@@ -455,19 +460,18 @@ def deflated_bond_martingale_check(
         if maturity < ensemble.grid[j]:
             raise DomainError(f"maturity {maturity!r} precedes audit time {t!r}")
         cols.append(j)
-    pi = kernel_paths(model, ensemble)
+    pi = kernel_paths(model, ensemble).T
     target = expected_kernel(model, maturity)
-    coefs_T = _values_at(model.coefficients, maturity)
-    # Price every grid column from the earliest audit time to the latest: basic
-    # slices are views, where a gather of the audit columns copies twice.
-    span = slice(min(cols), max(cols) + 1)
+    # a(T) + b(T) M_t (+ c(T) N_t) from the first audit time to the last (a view)
+    first = min(cols)
+    nums = _combined_rows(_values_at(model.coefficients, maturity),
+                          ensemble.rows[:, first : max(cols) + 1])
 
-    def deflated_bonds(paths):
-        pi_t = pi[paths, span]
-        return pi_t * (_combine(coefs_T, ensemble.factors[:, paths, span]) / pi_t)
+    def deflated_bond(i: int, buf: np.ndarray) -> np.ndarray:
+        pi_t = pi[cols[i]]
+        return np.multiply(pi_t, np.divide(nums[cols[i] - first], pi_t, out=buf), out=buf)
 
-    deflated = _time_major(ensemble.n_paths, span.stop - span.start, deflated_bonds)
-    stats = _row_moments(len(cols), ensemble.n_paths, lambda i, _: deflated[cols[i] - span.start])
+    stats = _row_moments(len(cols), ensemble.n_paths, deflated_bond)
     checks = []
     rows = []
     for t, (mean, se) in zip(times, stats.tolist()):

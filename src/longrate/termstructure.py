@@ -461,8 +461,8 @@ class DiscountCurve:
         tt = np.asarray(t, dtype=float)
         scalar = tt.ndim == 0
         tt = np.atleast_1d(tt)
-        if np.any(tt < 0.0):
-            raise DomainError("maturities must be nonnegative")
+        if not np.all(tt >= 0.0):  # also true for nan
+            raise DomainError("maturities must be nonnegative numbers")
         out = np.empty_like(tt)
         inside = tt <= self.grid[-1]
         out[inside] = -np.interp(tt[inside], self.grid, self._neglog)

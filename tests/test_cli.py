@@ -178,8 +178,14 @@ def test_audit_pareto_wrong_index_fails_with_exit_1():
     assert "FAIL" in out.stdout
 
 
-@pytest.mark.parametrize("lam", ["60", "400"])
-def test_audit_pareto_overflowing_index_fails_cleanly(lam):
+def _check_statuses(stdout: str) -> dict:
+    return {line[7:].split(":")[0]: line[1:5] for line in stdout.splitlines() if line[:1] == "["}
+
+
+# At index 60 the decade minima stay finite and the means explode; at 400 every
+# decade reads +inf, which is neither positive nor bounded evidence.
+@pytest.mark.parametrize("lam, positivity", [("60", "PASS"), ("400", "FAIL")], ids=["60", "400"])
+def test_audit_pareto_overflowing_index_fails_cleanly(lam, positivity):
     # t^lam and T^lam P overflow: the certificate reads them as +inf and FAILs
     out = run_cli("audit", "pareto", "--model", "pareto2", "--seed", 1, "--n", 100,
                   "--lam", lam)
@@ -189,6 +195,35 @@ def test_audit_pareto_overflowing_index_fails_cleanly(lam):
     assert lines[-1] == f"tail-Pareto kernel certificate (index {lam}): FAIL"
     assert "[FAIL] bond tail scale stable" in out.stdout
     assert "'inf'" in next(line for line in lines if "bond tail scale" in line)
+    status = _check_statuses(out.stdout)
+    assert status["pathwise tail positivity"] == positivity
+    assert status["expected tail boundedness"] == "FAIL"
+
+
+def test_nan_maturity_writes_no_json(tmp_path):
+    path = tmp_path / "curve.json"
+    out = run_cli("curve", "--curve", "flat3", "--times", "1,nan", "--json", path)
+    assert out.returncode == 2
+    assert "nan,nan,nan" not in out.stdout
+    assert not path.exists()
+
+
+def test_single_path_simulation_still_works(tmp_path):
+    # standard errors need two paths, but a one-path ensemble is still an ensemble
+    out = run_cli("simulate", "--model", "ref1f", "--seed", 1, "--n", 1,
+                  "--out", tmp_path / "paths.csv")
+    assert out.returncode == 0
+    assert out.stdout.endswith(" se 0\n")
+
+
+def test_audit_pareto_underflowing_decades_fail_cleanly():
+    # t^300 underflows to 0 on the decades before t = 0.1: no decade ratio is a division
+    out = run_cli("audit", "pareto", "--model", "pareto2", "--seed", 1, "--n", 10,
+                  "--grid", "0,0.001,0.01,0.1", "--lam", 300)
+    assert out.returncode == 1
+    assert out.stderr == ""
+    assert "decade minima ['0', '0'," in out.stdout
+    assert _check_statuses(out.stdout)["pathwise tail positivity"] == "FAIL"
 
 
 def test_greenbook_pinned_rows():
@@ -242,6 +277,14 @@ MALFORMED_INPUT_MESSAGES = {
         "error: anchor time must be finite and nonnegative, got inf\n",
     ("audit", "strat", "--curve", "flat:0.03", "--t", "nan"):
         "error: anchor time must be finite and nonnegative, got nan\n",
+    ("curve", "--curve", "flat3", "--times", "1,nan"):
+        "error: maturities must be nonnegative numbers\n",
+    ("curve", "--curve", "flat3", "--times", "-1"):
+        "error: maturities must be nonnegative numbers\n",
+    ("audit", "kernel", "--model", "ref1f", "--seed", 1, "--n", 1):
+        "error: standard errors need at least 2 paths, got 1\n",
+    ("audit", "pareto", "--model", "pareto2", "--seed", 1, "--n", 1):
+        "error: standard errors need at least 2 paths, got 1\n",
 }
 
 

@@ -268,6 +268,74 @@ def test_nan_in_one_path_block_reaches_certificate_decade(pareto2, threads, monk
     assert sum(math.isnan(v) for v in minima) == 1
     assert repr(rep.data["decade_minima"]) == repr(minima)
     assert repr(rep.data["decade_means"]) == repr(means)
+    # a nan decade is evidence of neither positivity nor boundedness
+    status = {c.name: c.status for c in rep.checks}
+    assert status["pathwise tail positivity"] == "FAIL"
+    assert status["expected tail boundedness"] == "FAIL"
+
+
+def _report_text(report) -> str:
+    return "\n".join([*(f"{c.name}|{c.status}|{c.detail}" for c in report.checks),
+                      repr(report.data)])
+
+
+def _ensemble_outputs(model, ens, tmp_path) -> list:
+    g = ens.grid
+    reports = [
+        kernel_condition_audit(model, ens),
+        deflated_bond_martingale_check(model, ens, [g[20], 0.0, g[3], g[20]], g[25]),
+        lr.pareto_kernel_certificate(model, ens),
+        lr.pareto_kernel_certificate(model, ens, lam=model.lam + 1.0),
+        lr.dir_monotonicity_audit(model, [0.0, g[3], g[10], g[20]], ensemble=ens),
+    ]
+    path = tmp_path / "paths.csv"
+    write_ensemble_csv(ens, path)
+    return [*map(_report_text, reports), path.read_bytes()]
+
+
+# A hand-built ensemble stores its paths path-major, so every audit reads
+# strided rows where a simulated one reads contiguous ones.
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", ["ref2f", "pareto2"])
+def test_hand_built_path_major_ensemble_gives_the_same_results(
+    request, name, threads, monkeypatch, tmp_path
+):
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    model = request.getfixturevalue(name)
+    ens = ensemble_for_model(model, AUDIT_GRID, 4097, seed=7, rho=0.5)
+    hand = PathEnsemble(ens.grid, np.ascontiguousarray(ens.factors), ens.seed, ens.rho)
+    assert hand.factors.flags.c_contiguous and not hand.rows.flags.c_contiguous
+    assert _ensemble_outputs(model, hand, tmp_path) == _ensemble_outputs(model, ens, tmp_path)
+
+
+def test_simulated_rows_and_kernel_rows_are_contiguous(ref2f):
+    ens = ensemble_for_model(ref2f, GRID, 4097, seed=7, rho=0.5)
+    assert ens.rows.shape == (2, GRID.size, 4097)
+    assert ens.rows.flags.c_contiguous
+    assert np.shares_memory(ens.rows, ens.factors)
+    assert not ens.rows.flags.writeable
+    pi = kernel_paths(ref2f, ens)
+    assert pi.shape == ens.m.shape and pi.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_kernel_audit_makes_no_path_sized_copy(ref2f, threads, monkeypatch):
+    """Once pi is cached, the kernel audit reads its rows in place.
+
+    Its traced peak is the workers' two scratch rows each (6.1 MiB on two
+    workers at 2e5 paths), where a time-major copy of pi alone is 32 MiB.
+    """
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    ens = ensemble_for_model(ref2f, np.linspace(0.0, 10.0, 21), 200_000, seed=3, rho=0.5)
+    pi = kernel_paths(ref2f, ens)
+    tracemalloc.start()
+    try:
+        rep = kernel_condition_audit(ref2f, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "PASS", "\n".join(rep.lines())
+    assert peak < pi.nbytes / 4
 
 
 def test_worker_count_defaults_to_usable_cpus(monkeypatch):
