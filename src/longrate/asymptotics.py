@@ -807,6 +807,34 @@ def _decade_extremes(
     return minima, means
 
 
+def _theta_moments(
+    model: Model, ensemble: PathEnsemble, testable: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and SE of theta_j - theta_(j-1) and of theta_j at each testable grid index j.
+
+    theta_t = A + B M_t (+ C N_t) does not depend on the index, so the
+    moments are cached with the ensemble for the model last passed
+    (matched by identity, as ``kernel_paths`` matches it); ``testable``
+    depends on the model and the grid alone.
+    """
+    cached = ensemble._theta
+    if cached is not None and cached[0] is model:
+        return cached[1]
+    n = ensemble.n_paths
+    tails = [c.tail_limit for c in model.coefficients]
+    theta = _combined_rows(tails, ensemble.rows[:, : testable[-1] + 1])  # time-major
+    steps = _row_moments(
+        len(testable),
+        n,
+        lambda i, buf: np.subtract(theta[testable[i]], theta[testable[i] - 1], out=buf),
+    )
+    levels = _row_moments(len(testable), n, lambda i, _: theta[testable[i]])
+    steps.setflags(write=False)
+    levels.setflags(write=False)
+    object.__setattr__(ensemble, "_theta", (model, (steps, levels)))
+    return steps, levels
+
+
 def pareto_kernel_certificate(
     model: Model,
     ensemble: PathEnsemble,
@@ -825,7 +853,9 @@ def pareto_kernel_certificate(
     (c) T^lam P(t,T) is stable in (0, inf) at bond horizons 1e6, 1e7, 1e8;
     (d) the benchmark theta_t = lim inf E_t[T^lam pi_T] is an empirical
         supermartingale (here a martingale, so its mean also stays at
-        the time-0 value within Monte Carlo error).
+        the time-0 value within Monte Carlo error).  theta does not
+        depend on the index, so its moments are taken once per (model,
+        ensemble) and shared by the certificates at every index.
 
     Auditing a model at the wrong index makes (a) fail (index too low:
     the scaled kernel collapses) or (b)/(c) fail (index too high: it
@@ -896,16 +926,7 @@ def pareto_kernel_certificate(
     worst_super = -math.inf
     worst_const = 0.0
     if testable:
-        n = ensemble.n_paths
-        tails = [c.tail_limit for c in model.coefficients]
-        # theta_t = A + B M_t (+ C N_t), time-major
-        theta = _combined_rows(tails, ensemble.rows[:, : testable[-1] + 1])
-        steps = _row_moments(
-            len(testable),
-            n,
-            lambda i, buf: np.subtract(theta[testable[i]], theta[testable[i] - 1], out=buf),
-        )
-        levels = _row_moments(len(testable), n, lambda i, _: theta[testable[i]])
+        steps, levels = _theta_moments(model, ensemble, testable)
         for (mean_d, se_d), (mean_t, se_t) in zip(steps.tolist(), levels.tolist()):
             worst_super = max(worst_super, _z_score(mean_d, se_d, theta0))
             worst_const = max(worst_const, _z_score(abs(mean_t - theta0), se_t, theta0))

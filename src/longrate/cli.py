@@ -273,7 +273,8 @@ def cmd_curve(args) -> int:
         if args.times
         else [t for t in (1.0, 5.0, 10.0, 30.0, 50.0, 100.0) if t <= curve.horizon]
     )
-    print("maturity_years,discount_factor,exponential_rate")
+    # every maturity and probe is priced before anything is printed, so a
+    # rejected input leaves stdout empty
     rows = []
     for t in times:
         ld = curve.log_df(t)
@@ -282,7 +283,6 @@ def cmd_curve(args) -> int:
         else:
             rate = math.nan
         rows.append({"maturity": t, "discount_factor": math.exp(ld), "rate": rate})
-        print(f"{_fmt(t)},{_fmt(math.exp(ld))},{_fmt(rate)}")
     doc = {"rows": rows, "horizon": curve.horizon}
     if args.probes:
         pairs = []
@@ -291,9 +291,12 @@ def cmd_curve(args) -> int:
             if len(parts) != 2:
                 raise DomainError(f"--probes entry {chunk!r}: expected t:x")
             pairs.append(tuple(_parse_float(part, f"--probes entry {chunk!r}") for part in parts))
-        residual = time_consistency_residual(curve, pairs)
-        doc["time_consistency_residual"] = residual
-        print(f"time_consistency_residual {_fmt(residual)}")
+        doc["time_consistency_residual"] = time_consistency_residual(curve, pairs)
+    print("maturity_years,discount_factor,exponential_rate")
+    for row in rows:
+        print(f"{_fmt(row['maturity'])},{_fmt(row['discount_factor'])},{_fmt(row['rate'])}")
+    if args.probes:
+        print(f"time_consistency_residual {_fmt(doc['time_consistency_residual'])}")
     if args.out:
         save_curve_csv(curve, args.out)
     if args.json:

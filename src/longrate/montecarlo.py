@@ -21,8 +21,13 @@ and minima and maxima over paths are kept per block of paths, then
 combined with np.minimum or np.maximum, which are exact in any order and
 propagate nan.  Blocks depend only on the path count and every sum is
 one pairwise sum over the same row, so the count never changes a
-result.  What stays serial is the minimum scan of pi and the
-certificate's decade sums.
+result.  What stays serial is the one minimum scan of pi, taken when pi
+is built and cached with it, and the certificate's decade sums.
+``_in_blocks`` runs the first share of blocks on the calling thread and
+the others on helper threads kept for the life of the process: their
+pool is made on first use, grows to the largest count asked and never
+shrinks, is dropped in a child made by fork, and a call made from a
+helper runs serially on it, so nested calls cannot deadlock.
 
 All sample means use numpy's pairwise summation; agreement checks are
 quoted against 4 standard errors.
@@ -41,7 +46,8 @@ import hashlib
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -79,7 +85,6 @@ __all__ = [
 ]
 
 _CHUNK_PATHS = 4096
-_KERNEL_BLOCK = 2048  # paths per _combined_rows block: temporaries stay cache-sized
 _HORIZON_PROBE = 1e6
 _VANISH_TOL = 1e-3
 
@@ -101,12 +106,52 @@ def worker_count() -> int:
         raise DomainError(f"LONGRATE_THREADS must be an integer, got {text!r}") from None
 
 
+# One pool of helper threads serves every _in_blocks call in the process.
+# It is made on the first call that needs a helper, replaced (under the
+# lock) only by a larger one, and dropped in a forked child, which has no
+# threads but the one that forked.
+_pool_lock = threading.Lock()
+_pool: ThreadPoolExecutor | None = None
+_pool_helpers = 0
+_on_helper = threading.local()
+
+
+def _mark_helper() -> None:
+    _on_helper.flag = True
+
+
+def _drop_pool() -> None:
+    global _pool_lock, _pool, _pool_helpers
+    _pool_lock, _pool, _pool_helpers = threading.Lock(), None, 0
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _submit(run: Callable, shares: list) -> list:
+    """Submit ``run(share)`` for each share to the helper pool, grown to one helper per share."""
+    global _pool, _pool_helpers
+    with _pool_lock:
+        if _pool_helpers < len(shares):
+            if _pool is not None:
+                _pool.shutdown(wait=False)  # its queued shares still run
+            _pool = ThreadPoolExecutor(len(shares), "longrate-helper", _mark_helper)
+            _pool_helpers = len(shares)
+        return [_pool.submit(run, share) for share in shares]
+
+
 def _in_blocks(total: int, size: int, task: Callable, scratch: Callable = lambda: None) -> None:
     """Call ``task(start, stop, buffers)`` on each ``size``-long block of range(total).
 
     Up to worker_count() workers run, never more than there are blocks.
-    Worker w runs blocks w, w + W, w + 2W, ... as one task, passing every
-    block the one buffer set ``scratch()`` made for it.  Blocks must
+    Worker w runs blocks w, w + W, w + 2W, ... as one share, passing every
+    block the one buffer set ``scratch()`` made for it.  The calling
+    thread runs share 0; shares 1 to W - 1 go to the process's persistent
+    helper threads, whose pool grows to the largest count asked and never
+    shrinks.  A call made from inside a helper runs all its blocks there,
+    serially, so nested calls cannot deadlock.  Every share finishes
+    before the first error (in share order) is re-raised.  Blocks must
     write disjoint outputs, so no result depends on the schedule.
     """
     starts = range(0, total, size)
@@ -117,12 +162,16 @@ def _in_blocks(total: int, size: int, task: Callable, scratch: Callable = lambda
         for start in share:
             task(start, min(start + size, total), buffers)
 
-    if workers == 1:
+    if workers <= 1 or getattr(_on_helper, "flag", False):
         run(starts)
         return
-    with ThreadPoolExecutor(workers) as pool:
-        for done in [pool.submit(run, starts[w::workers]) for w in range(workers)]:
-            done.result()
+    helpers = _submit(run, [starts[w::workers] for w in range(1, workers)])
+    try:
+        run(starts[::workers])
+    finally:
+        wait(helpers)
+    for done in helpers:
+        done.result()
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -152,7 +201,8 @@ class PathEnsemble:
 
     ``kernel_paths`` caches pi with the ensemble, read-only, for the model
     last passed to it: each model audited costs one more path array for
-    as long as it stays the cached one.
+    as long as it stays the cached one.  The certificate caches the
+    moments of its benchmark theta the same way (two small arrays).
     """
 
     grid: np.ndarray
@@ -160,6 +210,7 @@ class PathEnsemble:
     seed: int
     rho: float = 0.0
     _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _theta: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = _check_grid(self.grid)
@@ -298,42 +349,60 @@ def ensemble_for_model(
     return simulate_paths(drivers, grid, n_paths, seed, rho)
 
 
-def _combined_rows(coefs, rows: np.ndarray) -> np.ndarray:
+def _combined_rows(coefs, rows: np.ndarray, pi: np.ndarray | None = None) -> np.ndarray:
     """``_combine(coefs, rows)`` over time-major factor rows (k, times, paths).
 
     Each coefficient is a scalar or a column over the times; the (times,
-    paths) result is formed a block of paths at a time on the workers.
+    paths) result is accumulated in place, a block of paths at a time on
+    the workers, with one scratch block per worker for each product
+    after the first.  Given ``pi``, rows like the result's, each value v
+    is stored as pi * (v / pi), formed within its block.  Blocks are
+    4096 paths wide: numpy's per-row cost on these strided blocks made
+    2048-path blocks slower, though smaller.
     """
     out = np.empty(rows.shape[1:])
 
-    def combine(start: int, stop: int, _) -> None:
-        out[:, start:stop] = _combine(coefs, rows[:, :, start:stop])
+    def combine(start: int, stop: int, term: np.ndarray) -> None:
+        # _combine's operations in its order, accumulated in the output block
+        block, xs, term = out[:, start:stop], rows[:, :, start:stop], term[:, : stop - start]
+        np.add(coefs[0], np.multiply(coefs[1], xs[0], out=block), out=block)
+        for c, x in zip(coefs[2:], xs[1:]):
+            np.add(block, np.multiply(c, x, out=term), out=block)
+        if pi is not None:
+            pi_block = pi[:, start:stop]
+            np.multiply(pi_block, np.divide(block, pi_block, out=block), out=block)
 
-    _in_blocks(out.shape[1], _KERNEL_BLOCK, combine)
+    _in_blocks(out.shape[1], _CHUNK_PATHS, combine, lambda: np.empty((out.shape[0], _CHUNK_PATHS)))
     return out
+
+
+def _kernel_cache(model: Model, ensemble: PathEnsemble) -> tuple[np.ndarray, float]:
+    """pi (path-major, as ``kernel_paths`` returns it) and its minimum, cached."""
+    cached = ensemble._kernel
+    if cached is not None and cached[0] is model:
+        return cached[1:]
+    _factor_values(model, ensemble)
+    coefs = [np.asarray(c(ensemble.grid), dtype=float)[:, None] for c in model.coefficients]
+    rows = _combined_rows(coefs, ensemble.rows)
+    min_pi = float(rows.min())
+    if not min_pi > 0.0:
+        raise LongrateError("kernel positivity violated along simulated paths")
+    rows.setflags(write=False)
+    object.__setattr__(ensemble, "_kernel", (model, rows.T, min_pi))
+    return ensemble._kernel[1:]
 
 
 def kernel_paths(model: Model, ensemble: PathEnsemble) -> np.ndarray:
     """pi along every path: a(t) + b(t) M_t (+ c(t) N_t), shape like m.
 
     The array is read-only and cached with the ensemble for the model
-    last passed (matched by identity), so every audit of that model on
-    the ensemble reads one array; the cache costs one path array.  It is
-    the transpose of ``_combined_rows``' time-major rows, which the
-    audits read as ``kernel_paths(model, ensemble).T``.
+    last passed (matched by identity), together with its minimum, which
+    the positivity check takes when pi is built; every audit of that
+    model on the ensemble reads one array, and the cache costs one path
+    array.  It is the transpose of ``_combined_rows``' time-major rows,
+    which the audits read as ``kernel_paths(model, ensemble).T``.
     """
-    cached = ensemble._kernel
-    if cached is not None and cached[0] is model:
-        return cached[1]
-    _factor_values(model, ensemble)
-    coefs = [np.asarray(c(ensemble.grid), dtype=float)[:, None] for c in model.coefficients]
-    rows = _combined_rows(coefs, ensemble.rows)
-    if not rows.min() > 0.0:
-        raise LongrateError("kernel positivity violated along simulated paths")
-    rows.setflags(write=False)
-    pi = rows.T
-    object.__setattr__(ensemble, "_kernel", (model, pi))
-    return pi
+    return _kernel_cache(model, ensemble)[0]
 
 
 def _mean_se(values: np.ndarray, dev: np.ndarray | None = None) -> tuple[float, float]:
@@ -393,9 +462,9 @@ def kernel_condition_audit(model: Model, ensemble: PathEnsemble) -> AuditReport:
     analytic expectation to at most 1e-3 at t = 1e6 (the vanishing
     lim inf condition).
     """
-    pi = kernel_paths(model, ensemble).T
+    pi, min_pi = _kernel_cache(model, ensemble)
+    pi = pi.T
     checks = []
-    min_pi = float(pi.min())
     checks.append(
         CheckResult(
             "kernel positivity",
@@ -460,18 +529,13 @@ def deflated_bond_martingale_check(
         if maturity < ensemble.grid[j]:
             raise DomainError(f"maturity {maturity!r} precedes audit time {t!r}")
         cols.append(j)
-    pi = kernel_paths(model, ensemble).T
     target = expected_kernel(model, maturity)
-    # a(T) + b(T) M_t (+ c(T) N_t) from the first audit time to the last (a view)
-    first = min(cols)
-    nums = _combined_rows(_values_at(model.coefficients, maturity),
-                          ensemble.rows[:, first : max(cols) + 1])
-
-    def deflated_bond(i: int, buf: np.ndarray) -> np.ndarray:
-        pi_t = pi[cols[i]]
-        return np.multiply(pi_t, np.divide(nums[cols[i] - first], pi_t, out=buf), out=buf)
-
-    stats = _row_moments(len(cols), ensemble.n_paths, deflated_bond)
+    # pi_t P(t, T): the pathwise price (a(T) + b(T) M_t (+ c(T) N_t)) / pi_t,
+    # times pi_t, from the first audit time to the last
+    span = slice(min(cols), max(cols) + 1)
+    bonds = _combined_rows(_values_at(model.coefficients, maturity), ensemble.rows[:, span],
+                           pi=kernel_paths(model, ensemble).T[span])
+    stats = _row_moments(len(cols), ensemble.n_paths, lambda i, _: bonds[cols[i] - span.start])
     checks = []
     rows = []
     for t, (mean, se) in zip(times, stats.tolist()):

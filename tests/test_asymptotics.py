@@ -602,3 +602,39 @@ def test_certificate_rejects_bad_index(pareto2, cert_ensemble):
 def test_certificate_rejects_non_finite_index(pareto2, cert_ensemble, lam):
     with pytest.raises(DomainError, match="finite"):
         pareto_kernel_certificate(pareto2, cert_ensemble, lam=lam)
+
+
+def _theta_details(report):
+    return [c.detail for c in report.checks if c.name.startswith("benchmark")]
+
+
+def test_certificate_builds_theta_once_per_model_and_ensemble(pareto2, monkeypatch):
+    """theta does not depend on the index: the calls after the first read its moments."""
+    grid = np.concatenate([[0.0], np.geomspace(1.0, 1e4, 29)])
+    ens = lr.ensemble_for_model(pareto2, grid, 4097, seed=5)
+    indices = (pareto2.lam, pareto2.lam + 1.0, pareto2.lam / 2.0)
+    unshared = []
+    for lam in indices:  # each on an ensemble with no theta cached
+        alone = lr.ensemble_for_model(pareto2, grid, 4097, seed=5)
+        rep = pareto_kernel_certificate(pareto2, alone, lam)
+        unshared.append((rep.lines(), repr(rep.data)))
+    combined_rows = lr.asymptotics._combined_rows
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return combined_rows(*args, **kwargs)
+
+    monkeypatch.setattr(lr.asymptotics, "_combined_rows", counting)
+    reports = []
+    for lam in indices:
+        reports.append(pareto_kernel_certificate(pareto2, ens, lam))
+        assert len(calls) == 1
+    assert [(rep.lines(), repr(rep.data)) for rep in reports] == unshared
+    assert _theta_details(reports[1]) == _theta_details(reports[2]) == _theta_details(reports[0])
+    # the same model built again, a distinct object, builds its own theta
+    twin = lr.zoo.pareto_one_factor(2.0)
+    assert twin is not pareto2
+    assert _theta_details(pareto_kernel_certificate(twin, ens)) == _theta_details(reports[0])
+    assert len(calls) == 2
+    assert ens._theta[0] is twin

@@ -334,6 +334,10 @@ MALFORMED_INPUT_MESSAGES = {
         ("audit", "dir", "--curve", "flat:0.03", "--kappa", "1e-300"),
         ("audit", "dir", "--model", "ref1f", "--seed", 1, "--n", 5, "--kappa", "1e-300"),
         *MALFORMED_INPUT_MESSAGES,
+        # rejected after some maturities or probes are valid: nothing may be printed
+        ("curve", "--curve", "flat3", "--times", "1,-1"),
+        ("curve", "--curve", "flat3", "--times", "1,nan"),
+        ("curve", "--curve", "flat3", "--probes", "10:x"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, args):
@@ -347,6 +351,8 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     assert MALFORMED_INPUT_MESSAGES.get(args, "") in out.stderr
     assert "Traceback" not in out.stderr
     assert "RuntimeWarning" not in out.stderr
+    if args[0] == "curve":
+        assert out.stdout == ""
 
 
 def test_certificate_rejects_non_adjacent_tail_decades():

@@ -3,10 +3,13 @@
 import hashlib
 import io
 import math
+import multiprocessing
 import os
 import struct
+import sys
+import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -229,11 +232,14 @@ def test_row_moments_are_numpy_moments_of_each_row(ref2f, threads, monkeypatch):
 
 
 def _planted_nan_ensemble(model, n_paths, path, column):
-    """An ensemble whose cached pi holds one nan, at (path, column)."""
+    """An ensemble whose cached pi holds one nan, at (path, column).
+
+    The cache holds pi's minimum too, as the build of pi takes it.
+    """
     ens = ensemble_for_model(model, AUDIT_GRID, n_paths, seed=7)
     pi = np.array(kernel_paths(model, ens))
     pi[path, column] = np.nan
-    object.__setattr__(ens, "_kernel", (model, pi))
+    object.__setattr__(ens, "_kernel", (model, pi, float(pi.min())))
     return ens, pi
 
 
@@ -360,21 +366,180 @@ def test_bad_thread_setting_exits_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: LONGRATE_THREADS must be an integer")
 
 
+def _ref2f_digest(ref2f, n_paths=8193):
+    ens = simulate_paths(ref2f.drivers, np.linspace(0.0, 10.0, 21), n_paths, seed=7, rho=0.5)
+    return hashlib.sha256(ens.m.tobytes() + ens.n.tobytes()).hexdigest()
+
+
 def test_pool_never_outnumbers_blocks(ref2f, monkeypatch):
-    asked = []
+    """16 workers asked, three 4096-path chunks: at most 3 threads, the caller included."""
+    ran_on = set()
+    chunk_rng = mc._chunk_rng
 
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-            super().__init__(max_workers)
+    def recording_rng(*args):
+        ran_on.add(threading.get_ident())
+        return chunk_rng(*args)
 
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mc, "_chunk_rng", recording_rng)
     monkeypatch.setenv("LONGRATE_THREADS", "16")
-    grid = np.linspace(0.0, 10.0, 21)
-    ens = simulate_paths(ref2f.drivers, grid, 8193, seed=7, rho=0.5)  # three 4096-path chunks
-    assert asked == [3]
-    digest = hashlib.sha256(ens.m.tobytes() + ens.n.tobytes()).hexdigest()
-    assert digest == CHUNK_BOUNDARY_DIGESTS[8193]
+    assert _ref2f_digest(ref2f) == CHUNK_BOUNDARY_DIGESTS[8193]
+    assert 1 < len(ran_on) <= 3 and threading.get_ident() in ran_on
+
+
+def _helpers_alive() -> int:
+    return sum(t.name.startswith("longrate-helper") for t in threading.enumerate())
+
+
+def test_pool_threads_persist_across_calls(ref2f, monkeypatch):
+    monkeypatch.setenv("LONGRATE_THREADS", "2")
+    _ref2f_digest(ref2f)
+    after_first = threading.active_count()
+    helpers = {t for t in threading.enumerate() if t.name.startswith("longrate-helper")}
+    ran_on = set()
+    chunk_rng = mc._chunk_rng
+
+    def recording_rng(*args):
+        ran_on.add(threading.current_thread())
+        return chunk_rng(*args)
+
+    monkeypatch.setattr(mc, "_chunk_rng", recording_rng)
+    for _ in range(50):
+        assert _ref2f_digest(ref2f) == CHUNK_BOUNDARY_DIGESTS[8193]
+        assert threading.active_count() <= after_first + 1
+    # the caller, and helpers that already existed after the first call
+    assert threading.current_thread() in ran_on
+    assert ran_on - {threading.current_thread()} <= helpers
+
+
+@pytest.mark.parametrize("failing_chunk", [0, 1], ids=["caller", "helper"])
+def test_block_error_propagates_after_every_share(ref2f, failing_chunk, monkeypatch):
+    """Chunk 0 is the caller's share at 2 workers and chunk 1 a helper's."""
+    monkeypatch.setenv("LONGRATE_THREADS", "2")
+    chunk_rng = mc._chunk_rng
+    finished = []
+
+    def failing_rng(seed, key, chunk):
+        if chunk == failing_chunk:
+            raise DomainError(f"planted failure in chunk {chunk}")
+        time.sleep(0.05)  # the failing share ends first; the caller must still wait
+        finished.append(chunk)
+        return chunk_rng(seed, key, chunk)
+
+    monkeypatch.setattr(mc, "_chunk_rng", failing_rng)
+    with pytest.raises(DomainError, match=f"planted failure in chunk {failing_chunk}"):
+        _ref2f_digest(ref2f)
+    # the other share ran its blocks to the end before the error reached the caller
+    assert sorted(finished) == [c for c in range(3) if c % 2 != failing_chunk]
+    monkeypatch.setattr(mc, "_chunk_rng", chunk_rng)
+    assert _ref2f_digest(ref2f) == CHUNK_BOUNDARY_DIGESTS[8193]
+
+
+def test_nested_in_blocks_call_finishes(monkeypatch):
+    """A task that calls _in_blocks runs that call serially on a helper, without deadlock."""
+    monkeypatch.setenv("LONGRATE_THREADS", "3")
+    out = np.zeros((6, 8))
+    inner_threads = [set() for _ in range(6)]
+    outer_threads = [None] * 6
+
+    def outer(start, stop, _):
+        for i in range(start, stop):
+            outer_threads[i] = threading.get_ident()
+
+            def inner(a, b, _, i=i):
+                inner_threads[i].add(threading.get_ident())
+                out[i, a:b] += i + 1
+
+            mc._in_blocks(8, 1, inner)
+
+    runner = threading.Thread(target=mc._in_blocks, args=(6, 1, outer), daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    np.testing.assert_array_equal(out, np.arange(1.0, 7.0)[:, None] * np.ones(8))
+    for i in range(6):
+        if outer_threads[i] != runner.ident:  # a helper's block ran its inner call itself
+            assert inner_threads[i] == {outer_threads[i]}
+
+
+def _digest_in_child(ref2f, conn):
+    os.environ["LONGRATE_THREADS"] = "2"
+    conn.send(_ref2f_digest(ref2f))
+    conn.close()
+
+
+def test_forked_child_gets_fresh_helpers(ref2f, monkeypatch):
+    monkeypatch.setenv("LONGRATE_THREADS", "2")
+    assert _ref2f_digest(ref2f) == CHUNK_BOUNDARY_DIGESTS[8193]  # the parent's pool exists
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_digest_in_child, args=(ref2f, send))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked child gave no digest"
+        assert receive.recv() == CHUNK_BOUNDARY_DIGESTS[8193]
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+
+
+def _start_without_pool():
+    with mc._pool_lock:
+        if mc._pool is not None:
+            mc._pool.shutdown(wait=False)
+        mc._pool, mc._pool_helpers = None, 0
+
+
+def _wait_for_helpers(count):
+    deadline = time.monotonic() + 30
+    while _helpers_alive() > count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return _helpers_alive()
+
+
+def test_pool_grows_and_releases_the_helpers_it_replaces(monkeypatch):
+    """Each call holds all its workers at a barrier, so each pool starts every helper."""
+    _start_without_pool()
+    _wait_for_helpers(0)
+    monkeypatch.setenv("LONGRATE_THREADS", "5")
+    for workers in (2, 3, 4, 5):
+        barrier = threading.Barrier(workers, timeout=30)
+        mc._in_blocks(workers, 1, lambda start, stop, _: barrier.wait())
+        assert mc._pool_helpers == workers - 1
+        assert _wait_for_helpers(workers - 1) == workers - 1
+    mc._in_blocks(3, 1, lambda start, stop, _: None)  # fewer helpers asked: the pool stays
+    assert mc._pool_helpers == 4
+
+
+def test_concurrent_callers_grow_one_pool(ref2f, monkeypatch):
+    """Four calling threads, asking 1 to 4 helpers at once, race to make and grow the pool."""
+    sizes = [4096 * chunks - 1 for chunks in (2, 3, 4, 5)]
+    monkeypatch.setenv("LONGRATE_THREADS", "1")
+    expected = {n: _ref2f_digest(ref2f, n) for n in sizes}
+    _start_without_pool()
+    monkeypatch.setenv("LONGRATE_THREADS", "5")  # more workers than cores
+    results = {}
+
+    def simulate(n):
+        results[n] = _ref2f_digest(ref2f, n)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=simulate, args=(n,)) for n in sizes]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+        assert not any(caller.is_alive() for caller in callers)
+    finally:
+        sys.setswitchinterval(switch)
+    assert results == expected
+    assert mc._pool_helpers == 4
+    assert _wait_for_helpers(4) <= 4  # the pools it replaced let their threads go
 
 
 def test_two_factor_correlation():
@@ -578,6 +743,26 @@ def test_kernel_paths_equal_distinct_model_gets_fresh_build(ref1f):
     assert second is not first
     fresh = kernel_paths(other, ensemble_for_model(ref1f, GRID, 5000, seed=13))
     assert second.tobytes() == fresh.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("n_paths", [4095, 4097, 8193])
+def test_deflated_check_is_the_full_array_formula(ref2f, n_paths, threads, monkeypatch):
+    """pi * (nums / pi) over whole arrays, then np.mean and np.std(ddof=1) / sqrt(n) per time."""
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    ens = ensemble_for_model(ref2f, AUDIT_GRID, n_paths, seed=7, rho=0.5)
+    g = AUDIT_GRID
+    for times, maturity in ((list(g), 1e4), ([g[20], 0.0, g[3], g[20]], g[25])):
+        rep = deflated_bond_martingale_check(ref2f, ens, times, maturity)
+        a, b, c = (coef.fn(maturity) for coef in ref2f.coefficients)
+        pi = kernel_paths(ref2f, ens)
+        nums = a + b * ens.m + c * ens.n
+        deflated = pi * (nums / pi)
+        for t, row in zip(times, rep.data["rows"]):
+            column = deflated[:, ens.time_index(t)]
+            assert _bits(row["mean"]) == _bits(float(np.mean(column)))
+            se = float(np.std(column, ddof=1) / math.sqrt(n_paths))
+            assert _bits(row["se"]) == _bits(se)
 
 
 def test_kernel_condition_audit_passes(ref1f, small_ensemble):
