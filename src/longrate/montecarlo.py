@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 import os
 import struct
 import threading
@@ -174,6 +175,21 @@ def _in_blocks(total: int, size: int, task: Callable, scratch: Callable = lambda
         done.result()
 
 
+def _path_array(shape: tuple[int, ...]) -> np.ndarray:
+    """An empty float array of a path-sized output, in its own private anonymous mapping.
+
+    The mapping is advised for huge pages and unmapped when the array is
+    freed, so a freed path array returns to the system at once instead of
+    staying in the allocator's heap.  Where the platform has no private
+    mappings or no huge-page advice, this is np.empty.
+    """
+    if not (hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE")):
+        return np.empty(shape)
+    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
+    buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=float).reshape(shape)
+
+
 def _check_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 2 or g[0] != 0.0 or np.any(np.diff(g) <= 0):
@@ -201,8 +217,7 @@ class PathEnsemble:
 
     ``kernel_paths`` caches pi with the ensemble, read-only, for the model
     last passed to it: each model audited costs one more path array for
-    as long as it stays the cached one.  The certificate caches the
-    moments of its benchmark theta the same way (two small arrays).
+    as long as it stays the cached one.
     """
 
     grid: np.ndarray
@@ -210,7 +225,6 @@ class PathEnsemble:
     seed: int
     rho: float = 0.0
     _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _theta: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = _check_grid(self.grid)
@@ -302,7 +316,7 @@ def simulate_paths(
 
     # per factor: the step volatilities and the mean log-steps -V/2
     steps = [(np.sqrt(v), -0.5 * v) for v in (d.step_variances(g) for d in drivers)]
-    rows = np.empty((len(drivers), g.size, n_paths))
+    rows = _path_array((len(drivers), g.size, n_paths))
 
     def fill(start: int, stop: int, buffers: np.ndarray) -> None:
         rng = _chunk_rng(seed, (), start // _CHUNK_PATHS)
@@ -342,9 +356,11 @@ def ensemble_for_model(
 ) -> PathEnsemble:
     """Simulate an ensemble using the model's own declared drivers.
 
-    ``rho`` applies to two-factor models only; one-factor ensembles record 0.
+    ``rho`` must lie in [-1, 1] and applies to two-factor models only;
+    one-factor ensembles record 0.
     """
     drivers = _declared_drivers(model)
+    _check_correlation(rho)
     rho = rho if len(drivers) > 1 else 0.0
     return simulate_paths(drivers, grid, n_paths, seed, rho)
 
@@ -360,7 +376,7 @@ def _combined_rows(coefs, rows: np.ndarray, pi: np.ndarray | None = None) -> np.
     4096 paths wide: numpy's per-row cost on these strided blocks made
     2048-path blocks slower, though smaller.
     """
-    out = np.empty(rows.shape[1:])
+    out = _path_array(rows.shape[1:])
 
     def combine(start: int, stop: int, term: np.ndarray) -> None:
         # _combine's operations in its order, accumulated in the output block
@@ -667,6 +683,7 @@ def value_claim(
     reproduce to the byte.
     """
     pi_t = kernel_value(model, state)
+    _check_correlation(rho)
     needs_sim = simulate_constants or any(f.payoff is not None for f in schedule.flows)
     if needs_sim:
         if seed is None:
@@ -674,8 +691,6 @@ def value_claim(
         if n_paths < 2:
             raise DomainError(f"n_paths must be at least 2, got {n_paths!r}")
         seed = _check_seed(seed)
-        if model.factors > 1:
-            _check_correlation(rho)
     out = []
     total = 0.0
     for idx, flow in enumerate(schedule.flows):

@@ -284,7 +284,7 @@ MALFORMED_INPUT_MESSAGES = {
     ("audit", "kernel", "--model", "ref1f", "--seed", 1, "--n", 1):
         "error: standard errors need at least 2 paths, got 1\n",
     ("audit", "pareto", "--model", "pareto2", "--seed", 1, "--n", 1):
-        "error: standard errors need at least 2 paths, got 1\n",
+        "error: the tail-Pareto certificate needs at least 2 paths, got 1\n",
 }
 
 
@@ -338,6 +338,17 @@ MALFORMED_INPUT_MESSAGES = {
         ("curve", "--curve", "flat3", "--times", "1,-1"),
         ("curve", "--curve", "flat3", "--times", "1,nan"),
         ("curve", "--curve", "flat3", "--probes", "10:x"),
+        # a one-factor model ignores rho, but a rho outside [-1, 1] is still rejected
+        ("simulate", "--model", "ref1f", "--rho", "nan", "--seed", 1, "--n", 5,
+         "--out", "{tmp}/x.csv"),
+        ("audit", "kernel", "--model", "ref1f", "--rho", "nan", "--seed", 1, "--n", 5),
+        ("audit", "pareto", "--model", "ref1f", "--rho", "nan", "--seed", 1, "--n", 5),
+        ("audit", "dir", "--model", "ref1f", "--rho", "nan", "--seed", 1, "--n", 5),
+        ("value", "--model", "ref1f", "--rho", "nan", "--flow", "T=1,amount=1",
+         "--simulate-constants", "--seed", 1, "--paths", 100),
+        ("value", "--model", "ref1f", "--rho", 2, "--flow", "T=1,payoff=M", "--seed", 1,
+         "--paths", 100),
+        ("value", "--model", "ref2f", "--rho", "nan", "--flow", "T=1,amount=1"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, args):

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import mmap
 import multiprocessing
 import os
 import struct
@@ -115,6 +116,19 @@ def test_two_factor_paths_at_chunk_boundaries(ref2f, n_paths, workers, monkeypat
     assert digest == CHUNK_BOUNDARY_DIGESTS[n_paths]
 
 
+def test_path_arrays_fall_back_to_np_empty(ref2f, monkeypatch):
+    """Without huge-page advice, path arrays are np.empty's, with the same paths."""
+    mapped = hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE")
+    assert mc._path_array((2, 3)).flags.owndata is not mapped  # a mapping's view, or np.empty
+    monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
+    assert mc._path_array((2, 3)).flags.owndata
+    grid = np.linspace(0.0, 10.0, 21)
+    for n_paths, digest in CHUNK_BOUNDARY_DIGESTS.items():
+        ens = simulate_paths(ref2f.drivers, grid, n_paths, seed=7, rho=0.5)
+        assert ens.factors.base.flags.owndata
+        assert hashlib.sha256(ens.m.tobytes() + ens.n.tobytes()).hexdigest() == digest
+
+
 AUDIT_GRID = np.concatenate([[0.0], np.geomspace(1.0, 1e4, 29)])
 
 # sha256 of every check's detail and the data repr of the kernel audit, the
@@ -125,21 +139,21 @@ AUDIT_GRID = np.concatenate([[0.0], np.geomspace(1.0, 1e4, 29)])
 # The path counts straddle the 4096-path chunk that both the simulation and
 # the blocked audit statistics work in.
 AUDIT_DIGESTS = {
-    ("ref1f", 4095): ("a92634fcf0b2ee4f10d44c6062794f498f295ec8b144850bcc7c23c40f5f175f",
+    ("ref1f", 4095): ("96a19339d953fe4ba3bf066865092960a80ab175b7f3a08bfa48e49bb0bf34c9",
                       "c4bcebbd8ef210897789832197192d0c9c3db9f927538d1775a404cbda2e86cb"),
-    ("ref1f", 4096): ("3d35471465c8270ace4defcb10d0ddbec162ab0117c84f72988cd9c2e761a265",
+    ("ref1f", 4096): ("be2e998dca3cd12816a6385c636dd5e41995e79c4e41d90fbf08f0133cf2c22a",
                       "80dc161071419c011c228e68eb6141d1f905c013b08abbc031ef0cc75e35193f"),
-    ("ref1f", 4097): ("9f1945d8710ea8b9c31b0e7d83ddb14c18c5617f11bbd2389ca2d8cc6e02bb13",
+    ("ref1f", 4097): ("ef8d634255e83e1d0245b18171fcbecdef07f46d966d56b285e0f851d66dcd9c",
                       "0779c5008438ba74427b36b5e8739e35414cea85460f7d9853dfae85767669b9"),
-    ("ref1f", 8193): ("745456380d00be4325b6799ebdb9d6ddb3823a94338a209fc3f244c69a835526",
+    ("ref1f", 8193): ("ea2b829ed233cf291912e703e13fc186eaa27f64abca9b4fa791364774bda474",
                       "96d54a5de695c5b9d0c648b0613638dee3b5cc6d4a5e18898a31c62dde43b9da"),
-    ("ref2f", 4095): ("f0c9d114d0219b5f8637a3005e8eaa08520b4cd22638deca5238d52d4ab79901",
+    ("ref2f", 4095): ("d4fb464164b11e3e65781019d273041e0974b3f3898f06a8b5e53242edec85b2",
                       "49a4fafc78275f28ad71f50f099f5b8d27c9e978b4badba3f4b0df3bab70c731"),
-    ("ref2f", 4096): ("ca91ab683684c716fd0d04cf619bd4aa5b3b830e25e7aa6c3d7bff84741048e0",
+    ("ref2f", 4096): ("46c06cd8e34b0f785c61ac0215e9db24302d6ec88fcbef0052c6f7eecfdcd03c",
                       "814091ac4d6214cafb4a3daee95c7ed3283e8b43ee54930fd478376d8b581fb9"),
-    ("ref2f", 4097): ("0aa7efe771c642a785f09aba8d1765923f102d3bfddb98eb740a4dff9cdf3ae9",
+    ("ref2f", 4097): ("ac1555aec8ca44376b63d27ad5abe0e849586931c969d8f6d1775431a19e80e0",
                       "79a3c92a0b18e67234e629f08ecaaec2e2a34922b367d11a70db87a329a3c5c8"),
-    ("ref2f", 8193): ("ed71a88f8a16fde8a76e7bc6bcc6df048d16361f6a5c627b8af3d7ccf5283679",
+    ("ref2f", 8193): ("11c25767682ac3eb0476d434931b8060d75c1d198fb180ca27b4009521030980",
                       "0aee37beae07cf2d735b42472f38b14cbc6177a99228eca0ed9a95183ea9943e"),
 }
 

@@ -53,7 +53,7 @@ GOLDEN = {
     7: (0, "f66afb31cbac6950de558cc00fd2a4f9587269f5625bc20bb9c70caef60f3460", {}),
     8: (0, "8c74a674e4c424937440f14a400cc5fc22e98494f21079187d9bd821b676a4b7", {}),
     9: (0, "1fca74b4504209442f96de9987a74e83fa7057bac03d195e846fcc351b732783", {}),
-    10: (0, "515f8156f5dfecd63118f9a4193caa6a7f85c202666d7a08b4ff256f84989612", {}),
+    10: (0, "f1487ed4609c4f0b2353f7f4e995fe91adf5d1a87f67f81d4f36cbe6dc719d8e", {}),
     11: (0, "104e24511d8dc593ee354167390d8cc5ab13f7034d9ec3f8b0c54d692acfe007",
          {"report.json": "53b0f2ab38e862e211b4d3682785203d8600d9ee695a7e7629c7720e612d4356"}),
 }
@@ -101,8 +101,8 @@ REPORT_GOLDEN = {
         {"report.json": "bdfb709e8e8d344c51f660a524eeb591d42fe38c313bb319f3edaac17f2f9b56"}),
     4: (0, "f1a09e404668eaf233d5271f9a947d2073ea7b45c815cc939f1cfea156787731",
         {"report.json": "2e8eaa34298848d6827e8ae632a63116fd53b5d7d7b51f350b8ee137567b6a24"}),
-    5: (0, "7125a372819d4f150b87a8923c067245e8724e66665545370dacd95befebf393",
-        {"report.json": "6f513e6aa237024c66f385719348061e75114ff8f43b59494ce7ea8165cb2ba6"}),
+    5: (0, "2c3e4cd3dc34cb8da0beded0480066f8e761b1da41f0b81ff571b89186e4bd12",
+        {"report.json": "164511b471358c5c56d6ac49b6a07b0f298210aa99c93c34884137645c5f8390"}),
     6: (0, "51ba1beaa9b2bb6722008c9e937362a82019057684ad70d33803afcd26dfc7d7",
         {"taus.csv": "3fad334922749e64d4ad57c0407e020a862830e9f7866f43e0062c9a98de582d"}),
 }
@@ -120,8 +120,8 @@ TWO_FACTOR_CASES = [
 TWO_FACTOR_GOLDEN = {
     0: (0, "c877daa787733dde524c1f4f15e15642a3d6b046e800018b9fe014732aa4c0fc",
         {"out.json": "eee011169c70f69d0e0633bd678bd79ecd029a0d5bb4389abc4935ba413210e9"}),
-    1: (0, "e737e6d4df2de9effeba227a2e12d472991891c1a6626503826359d22b1da7d8",
-        {"report.json": "8df94fb1490f3bae58d0ac42dc536455ccee4478cb39787f3a3034fea2765f87"}),
+    1: (0, "81e434e5c871d99107262f995c3d9ed71ac428833d46ffd80c9e1d82edad36d5",
+        {"report.json": "7ef8143f693b1b37f409f57128be547658697508d71eba69f8e07cc5482a443c"}),
     2: (0, "23a70d3e5a1a88a6e932d9528cc1f233e68fa4025163e28276fc02b017f80530",
         {"report.json": "bda407170c0bff5a4fa91e3717035cd1a949446733105ac72654fe9f8f9ba48e"}),
 }
