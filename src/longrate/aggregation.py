@@ -29,6 +29,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError
+from .workers import _in_blocks
 
 __all__ = [
     "DiscreteMixture",
@@ -163,28 +164,34 @@ def _logsumexp_rows(
 
 
 def log_aggregate_discount(mixture: RateMixture, t):
-    """ln P(0, t); safe at horizons where the factor itself underflows."""
+    """ln P(0, t); safe at horizons where the factor itself underflows.
+
+    A discrete mixture's log-sum-exp over log p_i - r_i t runs in blocks
+    of 2^16 // k horizons (at least one), so the temporaries stay
+    O(block * k).  The blocks run on the workers of ``_in_blocks``, each
+    worker reusing one set of three scratch arrays: one holds r_i t and
+    then log p_i - r_i t (the IEEE operations of log_w - np.outer(t,
+    rates)), the others the log-sum-exp's mask and terms.  Every row is
+    computed on its own, so neither the blocks nor the worker count
+    change a digit.
+    """
     tt = _check_time(t)
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)
     if isinstance(mixture, DiscreteMixture):
-        # log-sum-exp over log p_i - r_i t, in blocks of horizons so that the
-        # temporaries stay O(block * k); every row is computed on its own.
-        # One buffer, reused by every block, holds r_i t and then
-        # log p_i - r_i t: the IEEE operations of log_w - np.outer(t, rates).
-        # The log-sum-exp's mask and terms are reused the same way.
         log_w = np.log(mixture.weights)
         rows = max(1, _BLOCK_ELEMS // log_w.size)
         shape = (min(rows, tt.size), log_w.size)
-        buf, terms, at_max = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
         out = np.empty(tt.size)
-        for i in range(0, tt.size, rows):
-            block = tt[i : i + rows]
-            k = block.size
-            a = buf[:k]
-            np.multiply.outer(block, mixture.rates, out=a)
-            np.subtract(log_w, a, out=a)
-            out[i : i + rows] = _logsumexp_rows(a, at_max[:k], terms[:k])
+
+        def block(start: int, stop: int, scratch) -> None:
+            buf, terms, at_max = (x[: stop - start] for x in scratch)
+            np.multiply.outer(tt[start:stop], mixture.rates, out=buf)
+            np.subtract(log_w, buf, out=buf)
+            out[start:stop] = _logsumexp_rows(buf, at_max, terms)
+
+        _in_blocks(tt.size, rows, block,
+                   lambda: (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)))
     elif isinstance(mixture, GammaMixture):
         out = -mixture.shape * np.log1p(mixture.mean_rate * tt / mixture.shape)
     else:
@@ -338,15 +345,20 @@ def sample_calamity_time(
 ) -> CalamityTimeSample:
     """Draw n calamity times tau = Z / R with Z ~ Exp(1) independent of R.
 
-    Sampling is partitioned into fixed-size chunks with per-chunk derived
-    seeds, so the result depends only on (mixture, n, seed, cap) and not
-    on how chunks are scheduled across workers.  Each chunk draws its k
-    rates, then its k exponentials.  A discrete mixture's rates are
-    ``rng.choice(rates, size=k, p=weights)`` draw for draw: the call's
+    Sampling is partitioned into fixed-size chunks of 2^14 draws with
+    per-chunk derived seeds, so the result depends only on (mixture, n,
+    seed, cap).  The chunks run on the workers of ``_in_blocks``, each
+    writing its own slice of the times, so the worker count changes no
+    draw.  Each chunk draws its k rates, then its k exponentials, straight
+    into its slice (``rng.standard_exponential``, the draws of
+    ``rng.exponential(1.0, k)``), and divides them there by the positive
+    rates; a zero rate gives an infinite time.  A discrete mixture's rates
+    are ``rng.choice(rates, size=k, p=weights)`` draw for draw: the call's
     cdf (``weights.cumsum()`` over its last entry) is built once per
     sample, and each ``rng.random(k)`` is looked up through a Chen-Asau
     guide table of 2^12 buckets instead of a binary search (see
     ``_atom_index``).  Censored times are clipped to ``cap`` in place.
+    A size whose time array cannot be allocated raises a DomainError.
     """
     if n <= 0:
         raise DomainError(f"sample size must be positive, got {n!r}")
@@ -354,14 +366,22 @@ def sample_calamity_time(
         raise DomainError(f"censoring cap must be positive and finite, got {cap!r}")
     seed = _check_seed(seed)
     draw_rates = _rate_sampler(mixture)
-    times = np.empty(n)
-    for start in range(0, n, _CHUNK):
-        k = min(_CHUNK, n - start)
+    try:
+        times = np.empty(n)
+    except MemoryError:
+        raise DomainError(
+            f"sample size {n} is too large: its {8 * n}-byte time array cannot be allocated"
+        ) from None
+
+    def chunk(start: int, stop: int, _) -> None:
         rng = _chunk_rng(seed, (), start // _CHUNK)
-        rates = draw_rates(rng, k)
-        z = rng.exponential(scale=1.0, size=k)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            times[start : start + k] = np.where(rates > 0.0, z / rates, np.inf)
+        rates = draw_rates(rng, stop - start)
+        draws = rng.standard_exponential(out=times[start:stop])
+        positive = rates > 0.0
+        np.divide(draws, rates, out=draws, where=positive)
+        draws[~positive] = np.inf
+
+    _in_blocks(n, _CHUNK, chunk)
     censored = times > cap
     np.minimum(times, cap, out=times)
     return CalamityTimeSample(times, censored, float(cap), seed)

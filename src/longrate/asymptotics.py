@@ -36,7 +36,7 @@ from .kernel_models import (
     _values_at,
     bond_log_df,
 )
-from .montecarlo import _CHUNK_PATHS, PathEnsemble, _in_blocks, kernel_paths
+from .montecarlo import _CHUNK_PATHS, PathEnsemble, kernel_paths
 from .reporting import FAIL, INCONCLUSIVE, PASS, AuditReport, CheckResult
 from .termstructure import (
     DiscountCurve,
@@ -45,6 +45,7 @@ from .termstructure import (
     RateConvention,
     rates_from_log_discount,
 )
+from .workers import _in_blocks
 
 __all__ = [
     "LongRateEstimate",
@@ -139,7 +140,13 @@ class LongRateEstimate:
 
 @dataclass(frozen=True)
 class _LogDfTrace:
-    """ln P(t, t + x) over the priced prefix of a horizon schedule."""
+    """ln P(t, t + x) over the priced prefix of a horizon schedule.
+
+    ``read`` converts the trace to one convention's rates and reads its
+    estimate once per convention; later reads of an equal convention
+    (with an index of the same type) return the same read-only rates and
+    the same estimate.
+    """
 
     t: float
     xs: np.ndarray  # offsets x
@@ -148,9 +155,16 @@ class _LogDfTrace:
     window_starts: np.ndarray  # first index of each decade window, increasing
     truncated_at: float | None
     truncation_reason: str | None
+    _reads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def rates(self, convention: RateConvention) -> np.ndarray:
-        return rates_from_log_discount(self.lengths, convention, self.log_df)
+    def read(self, convention: RateConvention) -> tuple[np.ndarray, LongRateEstimate]:
+        key = (convention, type(convention.index))
+        hit = self._reads.get(key)
+        if hit is None:
+            rates = rates_from_log_discount(self.lengths, convention, self.log_df)
+            rates.setflags(write=False)
+            hit = self._reads[key] = (rates, _read_estimate(self, convention, rates))
+        return hit
 
 
 def _decade_window_starts(xs: np.ndarray) -> np.ndarray:
@@ -172,23 +186,27 @@ def _log_df_trace(bond, t: float, horizons: np.ndarray | None) -> _LogDfTrace:
     """ln P(t, t + x) over the schedule, cut at the first unpriced horizon.
 
     The package's own evaluators price a (t, schedule) once and keep the
-    trace; any other evaluator is called every time.
+    trace, which is looked up before the schedule is validated: only a
+    validated (t, schedule) is ever kept.  Any other evaluator is called
+    every time.
     """
     xs = default_long_rate_horizons() if horizons is None else np.array(horizons, float)
+    t = float(t)
+    caching = isinstance(bond, _CACHING_EVALUATORS)
+    if caching:
+        key = (xs.shape, np.float64(t).tobytes() + xs.tobytes())
+        cached = bond._trace
+        if cached is not None and cached[0] == key:
+            return cached[1]
     if not (xs.ndim == 1 and xs.size >= 2 and np.all(np.isfinite(xs))
             and xs[0] > 0 and np.all(np.diff(xs) > 0)):
         raise DomainError("horizon offsets must be finite, positive and increasing")
-    t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"anchor time must be finite and nonnegative, got {t!r}")
-    if not isinstance(bond, _CACHING_EVALUATORS):
-        return _price_trace(bond, t, xs)
-    key = np.float64(t).tobytes() + xs.tobytes()
-    cached = bond._trace
-    if cached is None or cached[0] != key:
-        cached = (key, _price_trace(bond, t, xs))
-        object.__setattr__(bond, "_trace", cached)
-    return cached[1]
+    trace = _price_trace(bond, t, xs)
+    if caching:
+        object.__setattr__(bond, "_trace", (key, trace))
+    return trace
 
 
 def _price_trace(bond, t: float, xs: np.ndarray) -> _LogDfTrace:
@@ -262,8 +280,7 @@ def estimate_long_rate(
     (e.g. the simple rate of an exponentially decaying curve) become +inf
     and count as divergence evidence.
     """
-    trace = _log_df_trace(bond, t, horizons)
-    return _read_estimate(trace, convention, trace.rates(convention))
+    return _log_df_trace(bond, t, horizons).read(convention)[1]
 
 
 def save_trace_csv(estimate: LongRateEstimate, path) -> None:
@@ -337,10 +354,9 @@ def stratification_audit(
     _check_admissible(trace)
     conventions = [RateConvention.exponential()]
     conventions += [RateConvention.tail_pareto(lam) for lam in lams]
-    rows = np.array([trace.rates(conv) for conv in conventions])
-    r_est, *lam_ests = [
-        _read_estimate(trace, conv, row) for conv, row in zip(conventions, rows)
-    ]
+    reads = [trace.read(conv) for conv in conventions]
+    rows = np.array([rates for rates, _ in reads])
+    r_est, *lam_ests = [est for _, est in reads]
     l_est = dict(zip(lams, lam_ests))
     trends = {lam: _trend(e) for lam, e in l_est.items()}
     r_trend = _trend(r_est)

@@ -336,20 +336,24 @@ def cmd_aggregate(args) -> int:
             ) from None
     mixture = _mixture_from_config(cfg)
     times = _parse_floats(args.times, "--times")
-    print("t,aggregate_discount")
-    for t in times:
-        print(f"{_fmt(t)},{_fmt(aggregate_discount(mixture, t))}")
-    if args.estimate:
-        est = asymptotic_exponential_rate(mixture)
-        print(f"asymptotic_rate {_fmt(est.value)} {est.status}")
-    if args.sample:
+    # everything that can reject the request runs before the first line is printed
+    curve = [aggregate_discount(mixture, t) for t in times]
+    sample = None
+    if args.sample is not None:
         if args.seed is None:
             raise DomainError("--sample needs an explicit --seed")
         if not args.out:
             raise DomainError("--sample needs --out for the CSV file")
+        sample = sample_calamity_time(mixture, args.sample, args.seed, cap=args.cap)
+    print("t,aggregate_discount")
+    for t, p in zip(times, curve):
+        print(f"{_fmt(t)},{_fmt(p)}")
+    if args.estimate:
+        est = asymptotic_exponential_rate(mixture)
+        print(f"asymptotic_rate {_fmt(est.value)} {est.status}")
+    if sample is not None:
         from .csvformat import write_g9_lines  # loaded only by processes that write CSV
 
-        sample = sample_calamity_time(mixture, args.sample, args.seed, cap=args.cap)
         with open(args.out, "wb") as fh:
             fh.write(b"tau\n")
             write_g9_lines(fh, sample.times)

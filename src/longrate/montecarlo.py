@@ -12,22 +12,16 @@ workers ran it.
 Paths are stored time-major, in one (k, len(grid), n_paths) array, so a
 statistic at a fixed time reads one contiguous row; the path-major
 ``factors``, ``m``, ``n`` and ``kernel_paths`` are transposed views.
-The LONGRATE_THREADS environment variable, the only worker setting,
-gives the worker count (default: the CPUs the process may use).  Every
-per-block loop (path chunks, ``_combined_rows`` and terminal draws) runs
-through ``_in_blocks``, and so do the audits' reductions: each per-time
-mean and standard error is taken over one whole row (``_row_moments``),
-and minima and maxima over paths are kept per block of paths, then
-combined with np.minimum or np.maximum, which are exact in any order and
-propagate nan.  Blocks depend only on the path count and every sum is
-one pairwise sum over the same row, so the count never changes a
-result.  What stays serial is the one minimum scan of pi, taken when pi
-is built and cached with it, and the certificate's decade sums.
-``_in_blocks`` runs the first share of blocks on the calling thread and
-the others on helper threads kept for the life of the process: their
-pool is made on first use, grows to the largest count asked and never
-shrinks, is dropped in a child made by fork, and a call made from a
-helper runs serially on it, so nested calls cannot deadlock.
+Every per-block loop (path chunks, ``_combined_rows`` and terminal
+draws) runs on the workers of ``workers._in_blocks``, and so do the
+audits' reductions: each per-time mean and standard error is taken over
+one whole row (``_row_moments``), and minima and maxima over paths are
+kept per block of paths, then combined with np.minimum or np.maximum,
+which are exact in any order and propagate nan.  Blocks depend only on
+the path count and every sum is one pairwise sum over the same row, so
+the worker count never changes a result.  What stays serial is the one
+minimum scan of pi, taken when pi is built and cached with it, and the
+certificate's decade sums.
 
 All sample means use numpy's pairwise summation; agreement checks are
 quoted against 4 standard errors.
@@ -42,13 +36,11 @@ on the first write, so processes that write no CSV never load it.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import math
 import mmap
-import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -68,6 +60,7 @@ from .kernel_models import (
     kernel_value,
 )
 from .reporting import FAIL, PASS, AuditReport, CheckResult
+from .workers import _in_blocks, worker_count
 
 __all__ = [
     "PathEnsemble",
@@ -90,102 +83,26 @@ _HORIZON_PROBE = 1e6
 _VANISH_TOL = 1e-3
 
 
-def worker_count() -> int:
-    """Monte Carlo workers: LONGRATE_THREADS (at least 1), else the usable CPUs.
-
-    The usable CPUs are those the process may run on (``os.cpu_count()``
-    where the platform cannot tell).  The count never changes a result.
-    """
-    text = os.environ.get("LONGRATE_THREADS", "").strip()
-    if not text:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(text))
-    except ValueError:
-        raise DomainError(f"LONGRATE_THREADS must be an integer, got {text!r}") from None
-
-
-# One pool of helper threads serves every _in_blocks call in the process.
-# It is made on the first call that needs a helper, replaced (under the
-# lock) only by a larger one, and dropped in a forked child, which has no
-# threads but the one that forked.
-_pool_lock = threading.Lock()
-_pool: ThreadPoolExecutor | None = None
-_pool_helpers = 0
-_on_helper = threading.local()
-
-
-def _mark_helper() -> None:
-    _on_helper.flag = True
-
-
-def _drop_pool() -> None:
-    global _pool_lock, _pool, _pool_helpers
-    _pool_lock, _pool, _pool_helpers = threading.Lock(), None, 0
-
-
-if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _submit(run: Callable, shares: list) -> list:
-    """Submit ``run(share)`` for each share to the helper pool, grown to one helper per share."""
-    global _pool, _pool_helpers
-    with _pool_lock:
-        if _pool_helpers < len(shares):
-            if _pool is not None:
-                _pool.shutdown(wait=False)  # its queued shares still run
-            _pool = ThreadPoolExecutor(len(shares), "longrate-helper", _mark_helper)
-            _pool_helpers = len(shares)
-        return [_pool.submit(run, share) for share in shares]
-
-
-def _in_blocks(total: int, size: int, task: Callable, scratch: Callable = lambda: None) -> None:
-    """Call ``task(start, stop, buffers)`` on each ``size``-long block of range(total).
-
-    Up to worker_count() workers run, never more than there are blocks.
-    Worker w runs blocks w, w + W, w + 2W, ... as one share, passing every
-    block the one buffer set ``scratch()`` made for it.  The calling
-    thread runs share 0; shares 1 to W - 1 go to the process's persistent
-    helper threads, whose pool grows to the largest count asked and never
-    shrinks.  A call made from inside a helper runs all its blocks there,
-    serially, so nested calls cannot deadlock.  Every share finishes
-    before the first error (in share order) is re-raised.  Blocks must
-    write disjoint outputs, so no result depends on the schedule.
-    """
-    starts = range(0, total, size)
-    workers = min(worker_count(), len(starts))
-
-    def run(share):
-        buffers = scratch()
-        for start in share:
-            task(start, min(start + size, total), buffers)
-
-    if workers <= 1 or getattr(_on_helper, "flag", False):
-        run(starts)
-        return
-    helpers = _submit(run, [starts[w::workers] for w in range(1, workers)])
-    try:
-        run(starts[::workers])
-    finally:
-        wait(helpers)
-    for done in helpers:
-        done.result()
-
-
 def _path_array(shape: tuple[int, ...]) -> np.ndarray:
     """An empty float array of a path-sized output, in its own private anonymous mapping.
 
     The mapping is advised for huge pages and unmapped when the array is
     freed, so a freed path array returns to the system at once instead of
     staying in the allocator's heap.  Where the platform has no private
-    mappings or no huge-page advice, this is np.empty.
+    mappings or no huge-page advice, this is np.empty.  A shape that
+    cannot be allocated raises a DomainError naming its size.
     """
-    if not (hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE")):
-        return np.empty(shape)
-    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
+    nbytes = 8 * math.prod(shape)
+    try:
+        if not (hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE")):
+            return np.empty(shape)
+        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    except (MemoryError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
+            raise
+        raise DomainError(
+            f"a path array of shape {shape} ({nbytes} bytes) cannot be allocated"
+        ) from None
     buf.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(buf, dtype=float).reshape(shape)
 

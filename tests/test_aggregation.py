@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -315,3 +316,76 @@ def test_gamma_sample_peak_memory():
 def test_seed_is_required():
     with pytest.raises(TypeError):
         sample_calamity_time(GammaMixture(2.0, 0.04), 100)
+
+
+# sha256 of the sample (times then censoring flags; seed 7, cap 1e4) at draw
+# counts around the 16384-draw chunk, and of log_aggregate_discount over
+# np.geomspace(1e-2, 1e6, n) for a k-atom Dirichlet mixture at row counts
+# around a block's 2^16 // k horizons.  Recorded on 1, 2 and 3 workers while
+# both loops still ran serially, so any dependence on the worker count shows.
+WORKER_SAMPLE_DIGESTS = {
+    ("gamma", 1): "bcd9b18d46b09fb7692e6877d5566ac841f1ba26a11be76f14ea2a1edb0fa713",
+    ("gamma", 16383): "e5fc1832f52ccc367d7b70d8d7904a7eb5dbdc158f0572c7338f209f3a9f169f",
+    ("gamma", 16384): "336cf0b2668f8e5d9036f138e1662a3a9d1c269a85e1142d9577252fc03dd734",
+    ("gamma", 16385): "83bbad440471a441d7b011e513e64d6079fb116bd1b451f641199e8e4c8fe26d",
+    ("gamma", 49153): "247cb6cae473af6f1759bac93ad7f515bdbcbdbf1f6313cfb375839bfd3b227a",
+    ("discrete", 1): "c8b863ff5f2a497900b88cf73f319f11751017c2aa0b26048f0885e7acae15c1",
+    ("discrete", 16383): "fcdf52fc3360ffbe1e2e26fb5ffd4dc25ae60febcaa22763316d79041fdbc1d7",
+    ("discrete", 16384): "df7bffe7bea59f6f4023c5d5da4fa5ea62b9a6152b1afb988cd93328ce7b3d4b",
+    ("discrete", 16385): "1a28ce6a7ef10d56b4c2b3d5d82663f8cc46bd19e2b752b56fc549255ec4e250",
+    ("discrete", 49153): "de796729e553ed4eaaeb14a1ad410ce8b05937c0b477a433c429b186d0290264",
+}
+WORKER_CURVE_DIGESTS = {
+    (1000, 1): "a90ea624098d163b25a3ab7107aa1c10c9ccf6c046d81ec696ea3374349fb1ff",
+    (1000, 64): "646bbd197c664c7e0d154a8e1b2ec7d78d1a9c3cdb8bd0a950f29ef4d0a481eb",
+    (1000, 65): "6e6333f42950cc367ef78200e4960a2be391ed0533fb3335929ec8ba329a0888",
+    (1000, 66): "37de97d5e5e9049b71141166853a6115495d934771a976d26bf95524520b7b41",
+    (1000, 131): "e33481aaf8933a7919a93ad3491a6293f7c32c560e93ff9e0423465731c4710e",
+    (1000, 196): "48b6672e0df90cb3454786b0818f6e60307160f6083685311293cea656ecc697",
+    (65537, 1): "8713beaaaa2be6a475ba244c6f64ce883f5119b4050bcd11fa93e4e7fb46a822",
+    (65537, 2): "a1b6be07f7ac25e865e13f67ac374cfa9cd04b2be138f29f42e11c4937505333",
+    (65537, 3): "1080b45d4452fcffb2e6070baf862907d0a14f38614384fede0ae9d6697b55e9",
+    (65537, 4): "70958febaaeaaa9c9a2334334d3f7d9ccb4db194108a2e9a5b116637c3eecbc9",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_sampling_is_bitwise_equal_on_any_worker_count(threads, monkeypatch):
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    mixes = {
+        "gamma": GammaMixture(2.0, 0.04),
+        "discrete": DiscreteMixture([0.2, 0.3, 0.5], [0.0, 0.01, 0.05]),
+    }
+    for (kind, n), digest in WORKER_SAMPLE_DIGESTS.items():
+        assert _digest(sample_calamity_time(mixes[kind], n, seed=7)) == digest, (kind, n)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_discrete_curve_is_bitwise_equal_on_any_worker_count(threads, monkeypatch):
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    for k in (1000, 65537):
+        rng = np.random.default_rng(k)
+        weights = rng.dirichlet(np.ones(k))
+        mix = DiscreteMixture(weights / weights.sum(), rng.uniform(0.001, 0.1, k))
+        for (atoms, n), digest in WORKER_CURVE_DIGESTS.items():
+            if atoms == k:
+                out = log_aggregate_discount(mix, np.geomspace(1e-2, 1e6, n))
+                assert hashlib.sha256(out.tobytes()).hexdigest() == digest, (k, n)
+
+
+def test_sample_chunks_run_on_the_workers(monkeypatch):
+    """Three chunks on two workers: the caller and one helper each draw some."""
+    ran_on = []
+    chunk_rng = lr.aggregation._chunk_rng
+
+    def recording_rng(*args):
+        ran_on.append(threading.get_ident())
+        return chunk_rng(*args)
+
+    monkeypatch.setattr(lr.aggregation, "_chunk_rng", recording_rng)
+    monkeypatch.setenv("LONGRATE_THREADS", "2")
+    sample = sample_calamity_time(GammaMixture(2.0, 0.04), 3 * 16384, seed=7)
+    assert len(ran_on) == 3 and len(set(ran_on)) == 2 and threading.get_ident() in ran_on
+    monkeypatch.setenv("LONGRATE_THREADS", "1")
+    monkeypatch.setattr(lr.aggregation, "_chunk_rng", chunk_rng)
+    assert _digest(sample) == _digest(sample_calamity_time(GammaMixture(2.0, 0.04), 3 * 16384, 7))

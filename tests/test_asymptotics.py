@@ -302,6 +302,61 @@ def test_trace_cache_is_not_part_of_the_evaluator(pareto2, curves):
     assert hash(used) == hash(fresh)
 
 
+CACHED_CONVENTIONS = [
+    EXP, LIBOR, RateConvention.tail_pareto(0.5), RateConvention.tail_pareto(2.0),
+    RateConvention.tail_pareto(3.0), RateConvention.zero_coupon(1.0),
+    RateConvention.zero_coupon(12.0),
+]
+
+
+def test_cached_estimates_equal_fresh_reads(pareto2, curves):
+    """Each convention's estimate is read once per trace and equals a fresh read
+    of a freshly priced trace, before and after a stratification audit."""
+    asy = lr.asymptotics
+    subjects = [
+        (bond_evaluator(pareto2, ModelState(10.0, 1.3)), 10.0),
+        (curve_evaluator(curves["hyperbolic2"]), 1.0),
+    ]
+    for ev, t in subjects:
+        fresh = asy._price_trace(ev, t, default_long_rate_horizons())
+        for _ in range(2):
+            for conv in CACHED_CONVENTIONS:
+                est = estimate_long_rate(ev, t, conv)
+                rates = lr.rates_from_log_discount(fresh.lengths, conv, fresh.log_df)
+                expected = asy._read_estimate(fresh, conv, rates)
+                assert est == expected and repr(est) == repr(expected)
+                assert estimate_long_rate(ev, t, conv) is est
+            stratification_audit(ev, t)
+        cached_rates, _ = asy._log_df_trace(ev, t, None).read(RateConvention.tail_pareto(2.0))
+        assert not cached_rates.flags.writeable
+
+
+def test_foreign_evaluator_is_priced_on_every_read(pareto2):
+    inner = bond_evaluator(pareto2, ModelState(0.0, 1.0))
+    ev = _CountingEvaluator(inner)
+    for calls, conv in enumerate(CACHED_CONVENTIONS + CACHED_CONVENTIONS, start=1):
+        assert estimate_long_rate(ev, 0.0, conv) == estimate_long_rate(inner, 0.0, conv)
+        assert ev.calls == calls
+    assert not hasattr(ev, "_trace")
+
+
+def test_cached_trace_does_not_admit_invalid_requests(curves):
+    """A request whose bytes or anchor nearly match a cached valid trace is still validated."""
+    xs = default_long_rate_horizons(stop=1e6)[:40]
+    ev = curve_evaluator(curves["gamma2"])
+    estimate_long_rate(ev, 1.0, EXP, xs)
+    with pytest.raises(DomainError, match="anchor time must be finite"):
+        estimate_long_rate(ev, math.nan, EXP, xs)
+    with pytest.raises(DomainError, match="horizon offsets must be"):
+        estimate_long_rate(ev, 1.0, EXP, xs.reshape(2, 20))  # the cached schedule's bytes
+    with pytest.raises(DomainError, match="horizon offsets must be"):
+        estimate_long_rate(ev, 1.0, EXP, xs[::-1])
+    with pytest.raises(DomainError, match="horizon offsets must be"):
+        stratification_audit(ev, 1.0, horizons=xs.reshape(2, 20))
+    assert estimate_long_rate(ev, 1.0, EXP, xs) == estimate_long_rate(
+        curve_evaluator(curves["gamma2"]), 1.0, EXP, xs)
+
+
 # ---------------------------------------------------------------------------
 # Truncated schedules
 # ---------------------------------------------------------------------------

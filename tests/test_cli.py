@@ -288,6 +288,28 @@ MALFORMED_INPUT_MESSAGES = {
 }
 
 
+GAMMA_MIX = '{"kind":"gamma","shape":2,"mean_rate":0.04}'
+BAD_SAMPLE_REQUESTS = [
+    ("--sample", -3, "--seed", 1, "--out", "{tmp}/x.csv"),
+    ("--sample", 0, "--seed", 1, "--out", "{tmp}/x.csv"),
+    ("--sample", 5, "--out", "{tmp}/x.csv"),
+    ("--sample", 5, "--seed", 1),
+    ("--sample", 5, "--seed", 1, "--out", "{tmp}/x.csv", "--cap", "nan"),
+    ("--sample", 5, "--seed", 1, "--out", "{tmp}/x.csv", "--cap", -1),
+    ("--times", "1,-1", "--sample", 5, "--seed", 1, "--out", "{tmp}/x.csv"),
+]
+
+# Each size is named in the error line, as the array's bytes.
+UNALLOCATABLE = {
+    ("aggregate", "--mix", GAMMA_MIX, "--sample", 10**14, "--seed", 1, "--out", "{tmp}/x.csv"):
+        "800000000000000-byte",
+    ("simulate", "--model", "ref1f", "--seed", 1, "--n", 10**14, "--grid", "lin:0:10:3",
+     "--out", "{tmp}/x.csv"): "(2400000000000000 bytes)",
+    ("audit", "kernel", "--model", "ref1f", "--seed", 1, "--n", 10**14, "--grid", "lin:0:10:3"):
+        "(2400000000000000 bytes)",
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -349,6 +371,10 @@ MALFORMED_INPUT_MESSAGES = {
         ("value", "--model", "ref1f", "--rho", 2, "--flow", "T=1,payoff=M", "--seed", 1,
          "--paths", 100),
         ("value", "--model", "ref2f", "--rho", "nan", "--flow", "T=1,amount=1"),
+        # aggregate rejects a sample request before it prints the curve
+        *(("aggregate", "--mix", GAMMA_MIX, *sample) for sample in BAD_SAMPLE_REQUESTS),
+        # a size whose array cannot be allocated on any host (above 2^47 bytes)
+        *UNALLOCATABLE,
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, args):
@@ -360,9 +386,10 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     assert out.returncode == 2
     assert out.stderr.startswith("error: ")
     assert MALFORMED_INPUT_MESSAGES.get(args, "") in out.stderr
+    assert UNALLOCATABLE.get(args, "") in out.stderr
     assert "Traceback" not in out.stderr
     assert "RuntimeWarning" not in out.stderr
-    if args[0] == "curve":
+    if args[0] in ("curve", "aggregate"):
         assert out.stdout == ""
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import longrate as lr
 import longrate.montecarlo as mc
+import longrate.workers as pool
 from longrate import (
     CashFlow,
     CashFlowSchedule,
@@ -361,15 +362,15 @@ def test_kernel_audit_makes_no_path_sized_copy(ref2f, threads, monkeypatch):
 def test_worker_count_defaults_to_usable_cpus(monkeypatch):
     monkeypatch.delenv("LONGRATE_THREADS", raising=False)
     if hasattr(os, "sched_getaffinity"):
-        assert mc.worker_count() == len(os.sched_getaffinity(0))
+        assert pool.worker_count() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity")
-    assert mc.worker_count() == (os.cpu_count() or 1)
+    assert pool.worker_count() == (os.cpu_count() or 1)
     for text in ("0", "-2"):
         monkeypatch.setenv("LONGRATE_THREADS", text)
-        assert mc.worker_count() == 1
+        assert pool.worker_count() == 1
     monkeypatch.setenv("LONGRATE_THREADS", "x")
     with pytest.raises(DomainError, match="LONGRATE_THREADS must be an integer"):
-        mc.worker_count()
+        pool.worker_count()
 
 
 def test_bad_thread_setting_exits_2(tmp_path, monkeypatch, capsys):
@@ -463,9 +464,9 @@ def test_nested_in_blocks_call_finishes(monkeypatch):
                 inner_threads[i].add(threading.get_ident())
                 out[i, a:b] += i + 1
 
-            mc._in_blocks(8, 1, inner)
+            pool._in_blocks(8, 1, inner)
 
-    runner = threading.Thread(target=mc._in_blocks, args=(6, 1, outer), daemon=True)
+    runner = threading.Thread(target=pool._in_blocks, args=(6, 1, outer), daemon=True)
     runner.start()
     runner.join(timeout=60)
     assert not runner.is_alive()
@@ -501,10 +502,10 @@ def test_forked_child_gets_fresh_helpers(ref2f, monkeypatch):
 
 
 def _start_without_pool():
-    with mc._pool_lock:
-        if mc._pool is not None:
-            mc._pool.shutdown(wait=False)
-        mc._pool, mc._pool_helpers = None, 0
+    with pool._pool_lock:
+        if pool._pool is not None:
+            pool._pool.shutdown(wait=False)
+        pool._pool, pool._pool_helpers = None, 0
 
 
 def _wait_for_helpers(count):
@@ -521,11 +522,11 @@ def test_pool_grows_and_releases_the_helpers_it_replaces(monkeypatch):
     monkeypatch.setenv("LONGRATE_THREADS", "5")
     for workers in (2, 3, 4, 5):
         barrier = threading.Barrier(workers, timeout=30)
-        mc._in_blocks(workers, 1, lambda start, stop, _: barrier.wait())
-        assert mc._pool_helpers == workers - 1
+        pool._in_blocks(workers, 1, lambda start, stop, _: barrier.wait())
+        assert pool._pool_helpers == workers - 1
         assert _wait_for_helpers(workers - 1) == workers - 1
-    mc._in_blocks(3, 1, lambda start, stop, _: None)  # fewer helpers asked: the pool stays
-    assert mc._pool_helpers == 4
+    pool._in_blocks(3, 1, lambda start, stop, _: None)  # fewer helpers asked: the pool stays
+    assert pool._pool_helpers == 4
 
 
 def test_concurrent_callers_grow_one_pool(ref2f, monkeypatch):
@@ -552,7 +553,7 @@ def test_concurrent_callers_grow_one_pool(ref2f, monkeypatch):
     finally:
         sys.setswitchinterval(switch)
     assert results == expected
-    assert mc._pool_helpers == 4
+    assert pool._pool_helpers == 4
     assert _wait_for_helpers(4) <= 4  # the pools it replaced let their threads go
 
 
