@@ -3,7 +3,9 @@
 All numeric output is printed to 9 significant digits; files are plain
 CSV/JSON with sorted keys and LF endings, so repeated runs with the same
 inputs and seeds are byte-identical.  Exit codes: 0 on success, 1 when
-an audit reports FAIL, 2 on input/domain errors.
+an audit reports FAIL, 2 on input/domain errors and on a named file that
+cannot be read or written (a command that exits 2 prints nothing to
+stdout).
 
 Model references resolve in order: filesystem path, packaged config
 (``ref1f.json``, ``ref2f.json``, ``pareto2.json``), catalogue name
@@ -14,6 +16,8 @@ CSV path, ``flat:<rate>``, ``pareto:<lam>:<level>``, catalogue name.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -273,8 +277,6 @@ def cmd_curve(args) -> int:
         if args.times
         else [t for t in (1.0, 5.0, 10.0, 30.0, 50.0, 100.0) if t <= curve.horizon]
     )
-    # every maturity and probe is priced before anything is printed, so a
-    # rejected input leaves stdout empty
     rows = []
     for t in times:
         ld = curve.log_df(t)
@@ -336,7 +338,6 @@ def cmd_aggregate(args) -> int:
             ) from None
     mixture = _mixture_from_config(cfg)
     times = _parse_floats(args.times, "--times")
-    # everything that can reject the request runs before the first line is printed
     curve = [aggregate_discount(mixture, t) for t in times]
     sample = None
     if args.sample is not None:
@@ -702,13 +703,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.
+
+    The command's stdout is held until it returns, so a command that
+    exits 2 prints nothing there.  Exit 2 covers domain errors and every
+    file named on the command line that cannot be opened, read, decoded
+    or written; the ``error:`` line names that file.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    held = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(held):
+            code = args.func(args)
     except LongrateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except OSError as exc:
+        message = str(exc) if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+    except UnicodeDecodeError as exc:
+        # only a command's one input file (--model, --curve, --mix or --schedule) is decoded
+        path = next(getattr(args, k) for k in ("model", "curve", "mix", "schedule")
+                    if getattr(args, k, None))
+        message = f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+    else:
+        sys.stdout.write(held.getvalue())
+        return code
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

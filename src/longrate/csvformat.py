@@ -7,11 +7,12 @@ from rounding, or from a log10 a few ulps low at a power of ten (one a
 few ulps high there gives just under 10^8, which rounds to 10^8 and is
 also right).  The power of ten is correctly rounded, so the product is
 within 2.3e-7 of the exact one and rounds the same way unless its
-fraction lies within 1e-6 of .5; such near-ties, and zeros, non-finite
-values and magnitudes below 1e-290, are formatted by Python itself.  The
-digits come from 4-digit lookup tables packed into uint32 words, with
-the zeros %.9g drops stored as NUL bytes, and deleting every NUL from a
-block of words leaves the text.
+fraction lies within 1e-6 of .5; such near-ties, non-finite values and
+nonzero magnitudes below 1e-290 are formatted by Python itself.  A zero
+of either sign is read at X = 0 as the integer 0, which prints "0" or
+"-0" as %.9g does.  The digits come from 4-digit lookup tables packed
+into uint32 words, with the zeros %.9g drops stored as NUL bytes, and
+deleting every NUL from a block of words leaves the text.
 
 ``montecarlo.write_ensemble_csv`` and the CLI's sample files import this
 module on their first write, so processes that write no CSV never load
@@ -28,7 +29,7 @@ import numpy as np
 __all__ = ["g9_words", "write_g9_lines", "write_path_rows"]
 
 _X0 = 330  # the per-exponent tables cover decimal exponents -330..330
-_TINY = 1e-290  # smaller magnitudes (and 0, inf, nan) go to Python: 10^(8 - X) stays finite
+_TINY = 1e-290  # smaller nonzero magnitudes (and inf, nan) go to Python: 10^(8 - X) stays finite
 _TIE = 1e-6  # scaled values this close to a half go to Python too
 _ROWS = 1 << 12  # CSV rows formatted per block: the buffers stay near 1 MB
 _WORD = np.dtype("<u4")  # four ASCII bytes, the first character in the low byte
@@ -107,11 +108,15 @@ def g9_words(values, sep: str) -> np.ndarray:
     plain = v.min() >= _TINY and v.max() < math.inf  # no sign, no fallback
     a = v if plain else np.abs(v)
     if not plain:
-        python = ~((a >= _TINY) & (a < math.inf))
-        a = np.where(python, 1.0, a)
+        kernel = (a >= _TINY) & (a < math.inf)
+        zero = a == 0.0
+        python = ~(kernel | zero)
+        a = np.where(kernel, a, 1.0)
     ix = np.floor(np.log10(a)).astype(np.intp)  # the decimal exponent X, plus _X0
     ix += _X0
     s = a * scale.take(ix)
+    if not plain:
+        s[zero] = 0.0  # at X = 0: the digits "0" and, for -0.0, the sign
     n = np.rint(s)
     off = np.abs(s - n, out=s)
     if off.max() > 0.5 - _TIE:

@@ -76,7 +76,12 @@ class GBMDriver:
         return [[t, s] for t, s in zip(self.times, self.sigmas)]
 
     def variance(self, t0: float, t1: float) -> float:
-        """V(t0, t1) = int_{t0}^{t1} sigma(u)^2 du."""
+        """V(t0, t1) = int_{t0}^{t1} sigma(u)^2 du; a DomainError where it overflows.
+
+        Path simulation and valuation draws both step with these
+        variances, so an overflowing one is rejected here, before it can
+        turn a log-step into nan.
+        """
         a, b = float(t0), float(t1)
         if b < a or a < 0.0:
             raise DomainError(f"need 0 <= t0 <= t1, got ({t0!r}, {t1!r})")
@@ -88,9 +93,17 @@ class GBMDriver:
             overlap = min(b, hi) - max(a, lo)
             if overlap > 0.0:
                 total += sig * sig * overlap
+        if not math.isfinite(total):
+            raise DomainError(f"the volatility schedule's variance over ({a!r}, {b!r}) overflows")
         return total
 
     def step_variances(self, grid: np.ndarray) -> np.ndarray:
-        """Variances of the log-increments along a time grid."""
+        """Variances of the log-increments along a time grid.
+
+        The whole span's variance is checked first, so the running sums
+        of the log-increments, whose drifts add up to -V/2 over it, stay
+        finite too.
+        """
         g = np.asarray(grid, dtype=float)
+        self.variance(g[0], g[-1])
         return np.array([self.variance(a, b) for a, b in zip(g[:-1], g[1:])])

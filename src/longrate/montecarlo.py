@@ -9,6 +9,8 @@ which take a single step from the state time to the flow.  Paths are
 generated in fixed-size chunks, each chunk seeded from (seed, chunk
 index); results therefore depend only on the request, never on how many
 workers ran it.
+At long horizons a factor underflows to 0, its correct limit, so paths
+need only be nonnegative: pi = a + b M (+ c N) carries the positivity rule.
 Paths are stored time-major, in one (k, len(grid), n_paths) array, so a
 statistic at a fixed time reads one contiguous row; the path-major
 ``factors``, ``m``, ``n`` and ``kernel_paths`` are transposed views.
@@ -60,7 +62,7 @@ from .kernel_models import (
     kernel_value,
 )
 from .reporting import FAIL, PASS, AuditReport, CheckResult
-from .workers import _in_blocks, worker_count
+from .workers import _in_blocks
 
 __all__ = [
     "PathEnsemble",
@@ -75,7 +77,6 @@ __all__ = [
     "ValuationResult",
     "value_claim",
     "write_ensemble_csv",
-    "worker_count",
 ]
 
 _CHUNK_PATHS = 4096
@@ -124,9 +125,10 @@ class PathEnsemble:
     """Simulated martingale paths on a fixed time grid.
 
     ``factors`` has shape (k, n_paths, len(grid)), one slab per factor in
-    factor order, with the first column identically 1.  ``m`` and ``n``
-    are views of the first two slabs (``n`` is None for k = 1); ``rows``
-    is the time-major view (k, len(grid), n_paths), contiguous for a
+    factor order, with the first column identically 1 and no value
+    negative or nan (0 is an underflowed path).  ``m`` and ``n`` are
+    views of the first two slabs (``n`` is None for k = 1); ``rows`` is
+    the time-major view (k, len(grid), n_paths), contiguous for a
     simulated ensemble (any layout is accepted, with strided rows).
     Arrays are frozen after construction; the generating seed and
     correlation are recorded so the ensemble is reproducible from its
@@ -148,8 +150,8 @@ class PathEnsemble:
         shape = self.factors.shape
         if len(shape) != 3 or shape[0] < 1 or shape[1] < 1 or shape[2] != grid.size:
             raise DomainError("path array shape must be (k, n_paths, len(grid))")
-        if not self.factors.min() > 0.0:  # also false for nan
-            raise DomainError("martingale paths must stay strictly positive")
+        if not self.factors.min() >= 0.0:  # also false for nan
+            raise DomainError("martingale paths must stay nonnegative")
         _check_correlation(self.rho)
         grid.setflags(write=False)
         self.factors.setflags(write=False)
@@ -250,15 +252,7 @@ def simulate_paths(
     # per worker: one chunk of normals per factor, and one for rho * z_m
     _in_blocks(n_paths, _CHUNK_PATHS, fill,
                lambda: np.empty((len(drivers) + 1, _CHUNK_PATHS, g.size - 1)))
-    # The grid, shape and correlation are checked above, so the ensemble's one
-    # contiguous positivity scan is the only check left that can fail.
-    try:
-        return PathEnsemble(g, rows.transpose(0, 2, 1), seed, float(rho))
-    except DomainError:
-        raise DomainError(
-            "paths underflowed to zero; the horizon is too long for this "
-            "volatility (shorten the grid or lower sigma)"
-        ) from None
+    return PathEnsemble(g, rows.transpose(0, 2, 1), seed, float(rho))
 
 
 def _declared_drivers(model: Model) -> tuple[GBMDriver, ...]:

@@ -678,9 +678,18 @@ def test_certificate_verdict_table(name):
     None at lam; (b) and (c) at lam + 1; (a) and (c) at lam / 2, where
     pareto05's bond scale at index 0.25 still passes.
     """
+    _assert_verdict_table(name, np.geomspace(1.0, 1e4, 29), 4097)
+
+
+@pytest.mark.parametrize("name", sorted(lr.zoo.model_zoo()))
+def test_certificate_verdict_table_to_1e8(name):
+    """The same table out to the paper's horizons; every M is 0 there from about 5e4 on."""
+    _assert_verdict_table(name, np.geomspace(1.0, 1e8, 57), 2000)
+
+
+def _assert_verdict_table(name, times, n_paths):
     model = lr.zoo.zoo_model(name)
-    grid = np.concatenate([[0.0], np.geomspace(1.0, 1e4, 29)])
-    ens = lr.ensemble_for_model(model, grid, 4097, seed=7, rho=0.5)
+    ens = lr.ensemble_for_model(model, np.concatenate([[0.0], times]), n_paths, seed=7, rho=0.5)
     expected = [(model.lam, ""), (model.lam + 1.0, "bc"),
                 (model.lam / 2.0, "a" if name == "pareto05" else "ac")]
     for lam, fails in expected:

@@ -309,6 +309,40 @@ UNALLOCATABLE = {
         "(2400000000000000 bytes)",
 }
 
+# A file named on the command line that cannot be opened, read, decoded or
+# written; the error line names it.  {tmp} is a directory, and latin1.json
+# is not UTF-8.
+UNUSABLE_FILES = {
+    **{(*cmd, opt, "{tmp}/no_dir/x"): "{tmp}/no_dir/x" for cmd, opt in [
+        (("aggregate", "--mix", GAMMA_MIX, "--sample", 5, "--seed", 1), "--out"),
+        (("simulate", "--model", "ref1f", "--seed", 1, "--n", 5), "--out"),
+        (("curve", "--curve", "flat3"), "--out"),
+        (("greenbook", "--schedule", "greenbook_example"), "--out"),
+        (("curve", "--curve", "flat3"), "--json"),
+        (("classify", "--curve", "flat3"), "--json"),
+        (("audit", "strat", "--curve", "flat3"), "--json"),
+        (("longrate", "--model", "ref1f", "--conv", "libor"), "--trace"),
+    ]},
+    **{(*cmd[:2], path, *cmd[2:]): path for path in ("{tmp}", "{tmp}/latin1.json") for cmd in [
+        ("longrate", "--model", "--conv", "libor"),
+        ("longrate", "--curve", "--conv", "exp"),
+        ("curve", "--curve"),
+        ("classify", "--curve"),
+        ("aggregate", "--mix"),
+        ("greenbook", "--schedule"),
+    ]},
+}
+
+# sigma = 1e200: every step variance overflows, in simulation and in valuation draws
+OVERFLOWING_VARIANCE = {
+    ("simulate", "--model", "{tmp}/sigma_huge.json", "--seed", 1, "--n", 5,
+     "--out", "{tmp}/x.csv"): "error: the volatility schedule's variance over (0.0, 10.0) overflows",
+    ("audit", "kernel", "--model", "{tmp}/sigma_huge.json", "--seed", 1, "--n", 5):
+        "error: the volatility schedule's variance over (0.0, 10.0) overflows",
+    ("value", "--model", "{tmp}/sigma_huge.json", "--flow", "T=1,payoff=M", "--seed", 1,
+     "--paths", 100): "error: the volatility schedule's variance over (0.0, 1.0) overflows",
+}
+
 
 @pytest.mark.parametrize(
     "args",
@@ -375,10 +409,16 @@ UNALLOCATABLE = {
         *(("aggregate", "--mix", GAMMA_MIX, *sample) for sample in BAD_SAMPLE_REQUESTS),
         # a size whose array cannot be allocated on any host (above 2^47 bytes)
         *UNALLOCATABLE,
+        *UNUSABLE_FILES,
+        *OVERFLOWING_VARIANCE,
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+    (tmp_path / "latin1.json").write_bytes('{"kind": "gamma", "shape": "²"}'.encode("latin-1"))
+    huge = json.loads(resources.files("longrate").joinpath("data", "ref1f.json").read_text())
+    huge["drivers"]["m"]["sigma"] = [[0.0, 1e200]]
+    (tmp_path / "sigma_huge.json").write_text(json.dumps(huge), encoding="utf-8")
     _write_bad_model_configs(tmp_path)
     for name, cfg in BAD_SCHEDULES.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
@@ -387,10 +427,11 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     assert out.stderr.startswith("error: ")
     assert MALFORMED_INPUT_MESSAGES.get(args, "") in out.stderr
     assert UNALLOCATABLE.get(args, "") in out.stderr
+    assert UNUSABLE_FILES.get(args, "").replace("{tmp}", str(tmp_path)) in out.stderr
+    assert OVERFLOWING_VARIANCE.get(args, "") in out.stderr
     assert "Traceback" not in out.stderr
     assert "RuntimeWarning" not in out.stderr
-    if args[0] in ("curve", "aggregate"):
-        assert out.stdout == ""
+    assert out.stdout == ""
 
 
 def test_certificate_rejects_non_adjacent_tail_decades():

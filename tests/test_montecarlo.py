@@ -381,6 +381,20 @@ def test_bad_thread_setting_exits_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: LONGRATE_THREADS must be an integer")
 
 
+def test_long_horizon_commands_run(tmp_path, capsys):
+    """Grids past M's underflow: the paths read 0 there, and DIR reaches t = 1e6."""
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--model", "ref1f", "--grid", "lin:0:1e5:3", "--seed", "1", "--n", "5",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "paths 5 grid_points 3\nterminal_mean 0 se 0\n"
+    rows = out.read_text().splitlines()
+    assert rows[:4] == ["path,t,M", "0,0,1", "0,50000,0", "0,100000,0"] and len(rows) == 16
+    assert cli.main(["audit", "dir", "--model", "ref1f", "--times", "0,10,1e5,1e6",
+                     "--seed", "1"]) == 0
+    assert capsys.readouterr().out.endswith("long-rate monotonicity audit: PASS\n")
+
+
 def _ref2f_digest(ref2f, n_paths=8193):
     ens = simulate_paths(ref2f.drivers, np.linspace(0.0, 10.0, 21), n_paths, seed=7, rho=0.5)
     return hashlib.sha256(ens.m.tobytes() + ens.n.tobytes()).hexdigest()
@@ -576,20 +590,31 @@ def test_grid_must_start_at_zero():
         simulate_paths(GBMDriver.constant(0.2), np.array([1.0, 2.0]), 100, seed=1)
 
 
-def test_underflow_reported():
-    # -V/2 = -0.02 t passes float underflow around t ~ 3.7e4
+def test_paths_underflow_to_zero_and_pi_stays_positive(ref1f):
+    # -V/2 = -0.02 t passes float underflow around t ~ 3.7e4: M's limit there is 0
     grid = np.array([0.0, 50_000.0])
-    with pytest.raises(DomainError) as err:
-        simulate_paths(GBMDriver.constant(0.2), grid, 50, seed=1)
-    assert "underflow" in str(err.value)
+    ens = ensemble_for_model(ref1f, grid, 50, seed=1)
+    assert np.all(ens.m[:, 0] == 1.0) and np.all(ens.m[:, 1] == 0.0)
+    pi = kernel_paths(ref1f, ens)  # a(t) + b(t) * 0 = a(t) > 0
+    assert np.all(pi[:, 1] == ref1f.coefficients[0](50_000.0)) and np.all(pi > 0.0)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
 def test_hand_built_ensemble_must_be_positive(bad):
     factors = np.ones((1, 3, GRID.size))
     factors[0, 1, 2] = bad
-    with pytest.raises(DomainError, match="martingale paths must stay strictly positive"):
+    with pytest.raises(DomainError, match="martingale paths must stay nonnegative"):
         PathEnsemble(GRID, factors, seed=1)
+
+
+@pytest.mark.parametrize("sigma", [1e200, 1e152])
+def test_overflowing_variance_is_a_domain_error(sigma):
+    """Step variances of inf (1e200), or finite ones (1e306) whose sum overflows (1e152)."""
+    driver = GBMDriver.constant(sigma)
+    with pytest.raises(DomainError, match=r"variance over \(0.0, 100000.0\) overflows"):
+        simulate_paths(driver, np.linspace(0.0, 1e5, 1001), 10, seed=1)
+    with pytest.raises(DomainError, match=r"variance over \(2.0, 100002.0\) overflows"):
+        driver.variance(2.0, 100_002.0)
 
 
 def test_simulation_needs_a_driver():
@@ -716,9 +741,12 @@ finite_positive = st.floats(min_value=1e-290, max_value=1.7976931348623157e308)
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_subnormal=True), max_size=40)
-       | st.lists(finite_positive, min_size=1, max_size=40))
+       | st.lists(finite_positive, min_size=1, max_size=40)
+       | st.lists(st.sampled_from([0.0, -0.0]) | finite_positive | finite_positive.map(lambda v: -v),
+                  min_size=1, max_size=40))
 def test_g9_kernel_matches_python_format(values):
-    """Any doubles, and the all-positive blocks that skip the sign and fallback."""
+    """Any doubles, the all-positive blocks that skip the sign and fallback, and
+    signed zeros, which the kernel formats itself, mixed with kernel values."""
     assert _g9_lines(values) == _python_lines(values)
 
 

@@ -9,7 +9,9 @@ exponential-law calamity sample they do not write;
 Its exit code, the sha256 of its stdout and the sha256 of every file it
 writes are compared with recorded digests, so any change to a number,
 a header or a detail string shows up here.  Re-record them only for an
-intended change of output.
+intended change of output.  The cases run on the worker count that
+``LONGRATE_THREADS`` sets, so running this module under several settings
+checks the same digests on each.
 """
 
 import hashlib
@@ -147,26 +149,22 @@ def run_example(argv, workdir, capsys):
 @pytest.mark.parametrize("index", range(len(EXAMPLES)))
 def test_readme_example_is_byte_identical(index, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("LONGRATE_THREADS", raising=False)
     assert run_example(EXAMPLES[index], tmp_path, capsys) == GOLDEN[index]
 
 
 @pytest.mark.parametrize("index", range(len(ESTIMATOR_CASES)))
 def test_estimator_output_is_byte_identical(index, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("LONGRATE_THREADS", raising=False)
     assert run_example(ESTIMATOR_CASES[index], tmp_path, capsys) == ESTIMATOR_GOLDEN[index]
 
 
 @pytest.mark.parametrize("index", range(len(REPORT_CASES)))
 def test_report_output_is_byte_identical(index, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("LONGRATE_THREADS", raising=False)
     assert run_example(REPORT_CASES[index], tmp_path, capsys) == REPORT_GOLDEN[index]
 
 
 @pytest.mark.parametrize("index", range(len(TWO_FACTOR_CASES)))
 def test_two_factor_output_is_byte_identical(index, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("LONGRATE_THREADS", raising=False)
     assert run_example(TWO_FACTOR_CASES[index], tmp_path, capsys) == TWO_FACTOR_GOLDEN[index]
