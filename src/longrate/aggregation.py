@@ -28,7 +28,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _finite
 from .workers import _in_blocks
 
 __all__ = [
@@ -56,13 +56,6 @@ _HORIZON_START = 10.0
 _HORIZONS_PER_DECADE = 8
 # Successive long-rate estimates closer than this count as converged.
 _CONVERGENCE_TOL = 1e-6
-
-
-def _number(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -104,11 +97,9 @@ class GammaMixture:
     mean_rate: float
 
     def __post_init__(self):
-        lam = _number(self.shape, "shape")
-        L = _number(self.mean_rate, "mean rate")
-        if not math.isfinite(lam) or lam <= 0.0:
+        if _finite("shape", self.shape) <= 0.0:
             raise DomainError(f"shape must be positive, got {self.shape!r}")
-        if not math.isfinite(L) or L <= 0.0:
+        if _finite("mean rate", self.mean_rate) <= 0.0:
             raise DomainError(f"mean rate must be positive, got {self.mean_rate!r}")
 
 

@@ -46,7 +46,7 @@ from .asymptotics import (
     save_trace_csv,
     stratification_audit,
 )
-from .errors import DomainError, LongrateError
+from .errors import DomainError, LongrateError, _read_json
 from .kernel_models import (
     Model,
     ModelState,
@@ -222,12 +222,19 @@ def _resolve_curve(ref: str) -> DiscountCurve:
 
 
 def _model_state(model: Model, args) -> ModelState:
-    n = getattr(args, "n", None)
+    m = 1.0 if args.m is None else args.m
     if model.factors == 1:
-        if n is not None:
+        if args.n is not None:
             raise DomainError("--n only applies to two-factor models")
-        return ModelState(args.t, args.m)
-    return ModelState(args.t, args.m, 1.0 if n is None else n)
+        return ModelState(args.t, m)
+    return ModelState(args.t, m, 1.0 if args.n is None else args.n)
+
+
+def _reject_for_curve(args, *options: str) -> None:
+    """A ``--curve`` run takes none of the ``options`` that only a model reads."""
+    for name in options:
+        if getattr(args, name) is not None:
+            raise DomainError(f"--{name} only applies to --model")
 
 
 def _anchored_evaluator(args):
@@ -236,6 +243,7 @@ def _anchored_evaluator(args):
         model = _resolve_model(args.model)
         state = _model_state(model, args)
         return bond_evaluator(model, state), state.t
+    _reject_for_curve(args, "m", "n")
     return curve_evaluator(_resolve_curve(args.curve)), args.t
 
 
@@ -244,14 +252,31 @@ def _model_ensemble(args, grid: np.ndarray) -> tuple[Model, PathEnsemble]:
 
     Seeds are always explicit: no command draws entropy implicitly, which
     is what makes repeated runs byte-identical.  Seed and path count are
-    checked before the model is resolved.
+    checked before the model is resolved.  An unset ``--n`` or ``--rho``
+    takes the default that ``_add_ensemble_args`` documents.
     """
     if args.seed is None:
         raise DomainError("an explicit --seed is required")
-    if args.n < 1:
-        raise DomainError(f"n_paths must be positive, got {args.n!r}")
+    n = args.n_default if args.n is None else args.n
+    if n < 1:
+        raise DomainError(f"n_paths must be positive, got {n!r}")
     model = _resolve_model(args.model)
-    return model, ensemble_for_model(model, grid, args.n, args.seed, rho=args.rho)
+    rho = 0.0 if args.rho is None else args.rho
+    return model, ensemble_for_model(model, grid, n, args.seed, rho=rho)
+
+
+def _curve_table(curve: DiscountCurve, maturities) -> tuple[list[tuple], list[str]]:
+    """(maturity, discount factor, exponential rate) rows of ``curve`` and
+    their CSV lines, header first.  The rate is nan at maturity 0."""
+    exponential = RateConvention.exponential()
+    rows = []
+    for t in maturities:
+        ld = curve.log_df(t)
+        rate = rate_from_log_discount(Tenor(0.0, t), exponential, ld) if t > 0.0 else math.nan
+        rows.append((t, math.exp(ld), rate))
+    lines = ["maturity_years,discount_factor,exponential_rate"]
+    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    return rows, lines
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +302,9 @@ def cmd_curve(args) -> int:
         if args.times
         else [t for t in (1.0, 5.0, 10.0, 30.0, 50.0, 100.0) if t <= curve.horizon]
     )
-    rows = []
-    for t in times:
-        ld = curve.log_df(t)
-        if t > 0.0:
-            rate = rate_from_log_discount(Tenor(0.0, t), RateConvention.exponential(), ld)
-        else:
-            rate = math.nan
-        rows.append({"maturity": t, "discount_factor": math.exp(ld), "rate": rate})
-    doc = {"rows": rows, "horizon": curve.horizon}
+    rows, table = _curve_table(curve, times)
+    doc = {"rows": [{"maturity": t, "discount_factor": df, "rate": r} for t, df, r in rows],
+           "horizon": curve.horizon}
     if args.probes:
         pairs = []
         for chunk in args.probes.split(";"):
@@ -294,9 +313,7 @@ def cmd_curve(args) -> int:
                 raise DomainError(f"--probes entry {chunk!r}: expected t:x")
             pairs.append(tuple(_parse_float(part, f"--probes entry {chunk!r}") for part in parts))
         doc["time_consistency_residual"] = time_consistency_residual(curve, pairs)
-    print("maturity_years,discount_factor,exponential_rate")
-    for row in rows:
-        print(f"{_fmt(row['maturity'])},{_fmt(row['discount_factor'])},{_fmt(row['rate'])}")
+    print("\n".join(table))
     if args.probes:
         print(f"time_consistency_residual {_fmt(doc['time_consistency_residual'])}")
     if args.out:
@@ -324,11 +341,7 @@ def _mixture_from_config(cfg: dict):
 
 def cmd_aggregate(args) -> int:
     if os.path.exists(args.mix):
-        with open(args.mix, "r", encoding="utf-8") as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DomainError(f"{args.mix}: invalid JSON ({exc})") from None
+        cfg = _read_json(args.mix)
     else:
         try:
             cfg = json.loads(args.mix)
@@ -483,6 +496,7 @@ def _audit_dir(args) -> int:
             model, times, ensemble=ensemble, horizons=horizons, kappa=args.kappa
         )
     else:
+        _reject_for_curve(args, "seed", "n", "rho")
         curve = _resolve_curve(args.curve)
         report = dir_monotonicity_audit(curve, times, horizons=horizons, kappa=args.kappa)
     return _finish_audit(args, report)
@@ -525,13 +539,8 @@ def cmd_greenbook(args) -> int:
     for start, end, rate in schedule.bands:
         end_text = "inf" if end is None else _fmt(end)
         print(f"{_fmt(start)},{end_text},{_fmt(rate)}")
-    print("maturity_years,discount_factor,exponential_rate")
-    rows = []
-    for t in maturities:
-        df = math.exp(curve.log_df(t))
-        rate = rate_from_log_discount(Tenor(0.0, t), RateConvention.exponential(), curve.log_df(t))
-        rows.append({"maturity": t, "discount_factor": df, "exponential_rate": rate})
-        print(f"{_fmt(t)},{_fmt(df)},{_fmt(rate)}")
+    rows, table = _curve_table(curve, maturities)
+    print("\n".join(table))
     probes = [(10.0, 10.0), (10.0, 20.0), (15.0, 15.0), (20.0, 40.0), (30.0, 30.0),
               (50.0, 50.0), (75.0, 75.0), (100.0, 100.0), (150.0, 150.0)]
     residual = time_consistency_residual(curve, probes)
@@ -542,18 +551,14 @@ def cmd_greenbook(args) -> int:
         "bands": [[b[0], b[1], b[2]] for b in schedule.bands],
         "components": schedule.components,
         "interpretation": "spot" if args.spot_rates else "forward",
-        "rows": rows,
+        "rows": [{"maturity": t, "discount_factor": df, "exponential_rate": r}
+                 for t, df, r in rows],
         "time_consistency_residual": residual,
         "classification": classification.as_dict(),
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("maturity_years,discount_factor,exponential_rate\n")
-            for row in rows:
-                fh.write(
-                    f"{_fmt(row['maturity'])},{_fmt(row['discount_factor'])},"
-                    f"{_fmt(row['exponential_rate'])}\n"
-                )
+            fh.write("\n".join(table) + "\n")
     if args.json:
         _emit_json(doc, args.json)
     return 0
@@ -566,8 +571,22 @@ def cmd_greenbook(args) -> int:
 
 def _add_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=float, default=0.0, help="state time (years)")
-    p.add_argument("--m", type=float, default=1.0, help="first factor value")
-    p.add_argument("--n", type=float, default=None, help="second factor value (two-factor)")
+    p.add_argument("--m", type=float, help="first factor value (default 1)")
+    p.add_argument("--n", type=float, help="second factor value (two-factor; default 1)")
+
+
+def _add_reference_args(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--model")
+    group.add_argument("--curve")
+
+
+def _add_ensemble_args(p: argparse.ArgumentParser, paths: int, seed_required: bool = True) -> None:
+    """``--seed``, ``--n`` (``paths`` by default) and ``--rho``, read by ``_model_ensemble``."""
+    p.add_argument("--seed", type=int, required=seed_required)
+    p.add_argument("--n", type=int, help=f"number of paths (default {paths})")
+    p.add_argument("--rho", type=float, help="correlation of the factor drivers (default 0)")
+    p.set_defaults(n_default=paths)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -608,9 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate martingale driver paths")
     p.add_argument("--model", required=True)
     p.add_argument("--grid", default="lin:0:10:21")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--rho", type=float, default=0.0)
+    _add_ensemble_args(p, 1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -627,9 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_value)
 
     p = sub.add_parser("longrate", help="estimate a long rate")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--model")
-    group.add_argument("--curve")
+    _add_reference_args(p)
     _add_state_args(p)
     p.add_argument("--conv", required=True)
     p.add_argument("--horizon", type=float, default=1e8)
@@ -647,22 +662,16 @@ def build_parser() -> argparse.ArgumentParser:
     audit_sub = p.add_subparsers(dest="audit_kind", required=True)
 
     q = audit_sub.add_parser("dir", help="long-rate monotonicity audit")
-    group = q.add_mutually_exclusive_group(required=True)
-    group.add_argument("--model")
-    group.add_argument("--curve")
+    _add_reference_args(q)
     q.add_argument("--times", default="0,1,2,5,10")
-    q.add_argument("--seed", type=int)
-    q.add_argument("--n", type=int, default=1000)
-    q.add_argument("--rho", type=float, default=0.0)
+    _add_ensemble_args(q, 1000, seed_required=False)
     q.add_argument("--kappa", type=float, default=1.0)
     q.add_argument("--horizon", type=float, default=1e8)
     q.add_argument("--json")
     q.set_defaults(func=_audit_dir)
 
     q = audit_sub.add_parser("strat", help="long-rate stratification audit")
-    group = q.add_mutually_exclusive_group(required=True)
-    group.add_argument("--model")
-    group.add_argument("--curve")
+    _add_reference_args(q)
     _add_state_args(q)
     q.add_argument("--indices", default="1,2,3")
     q.add_argument("--horizon", type=float, default=1e8)
@@ -671,22 +680,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = audit_sub.add_parser("kernel", help="pricing-kernel admissibility audit")
     q.add_argument("--model", required=True)
-    q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--n", type=int, default=20_000)
+    _add_ensemble_args(q, 20_000)
     q.add_argument("--grid", default="0,0.5,1,2,5,10")
     q.add_argument("--maturity", type=float, default=10.0)
-    q.add_argument("--rho", type=float, default=0.0)
     q.add_argument("--json")
     q.set_defaults(func=_audit_kernel)
 
     q = audit_sub.add_parser("pareto", help="tail-Pareto kernel certificate")
     q.add_argument("--model", required=True)
-    q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--n", type=int, default=20_000)
+    _add_ensemble_args(q, 20_000)
     q.add_argument("--grid", default="geom:1:1e4:29")
     q.add_argument("--lam", type=float, default=None,
                    help="audit at this index (default: the model's)")
-    q.add_argument("--rho", type=float, default=0.0)
     q.add_argument("--json")
     q.set_defaults(func=_audit_pareto)
 

@@ -4,9 +4,16 @@ Everything user-facing derives from ``LongrateError`` so callers (and the
 CLI) can distinguish bad input from genuine bugs.  ``DomainError`` and its
 subclasses mean "the request was outside the admissible domain"; the CLI
 maps them to exit code 2.
+
+The two readers of outside input live here too, so every module checks
+it the same way: ``_finite`` turns a number from a caller or a config
+file into a finite float, and ``_read_json`` loads a JSON file.
 """
 
 from __future__ import annotations
+
+import json
+import math
 
 
 class LongrateError(Exception):
@@ -69,3 +76,24 @@ class UnsupportedOperationError(LongrateError):
 
     def __init__(self, message: str):
         super().__init__(f"UNSUPPORTED: {message}")
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a finite float, else a ``DomainError`` naming ``name``."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(v):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return v
+
+
+def _read_json(path):
+    """The JSON document in the UTF-8 file at ``path``; invalid JSON is a ``DomainError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{path}: invalid JSON ({exc})") from None
+

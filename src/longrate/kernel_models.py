@@ -51,6 +51,8 @@ from .errors import (
     DomainError,
     UnattainableRateError,
     UnsupportedOperationError,
+    _finite,
+    _read_json,
 )
 from .termstructure import DiscountCurve, ParetoTail
 
@@ -98,16 +100,6 @@ _TAIL_PROBE = 1e6
 _TAIL_RTOL = 1e-3
 
 
-def _as_float(name, value):
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return v
-
-
 @dataclass(frozen=True)
 class CoefficientFunction:
     """A strictly positive C1 coefficient with declared power-law tail.
@@ -127,10 +119,10 @@ class CoefficientFunction:
     params: dict | None = None
 
     def __post_init__(self):
-        lam = _as_float("tail index", self.lam)
+        lam = _finite("tail index", self.lam)
         if lam <= 0.0:
             raise DomainError(f"tail index must be positive, got {lam!r}")
-        tl = _as_float("tail limit", self.tail_limit)
+        tl = _finite("tail limit", self.tail_limit)
         if tl < 0.0:
             raise DomainError(f"tail limit must be nonnegative, got {tl!r}")
 
@@ -186,10 +178,10 @@ class CoefficientFunction:
         cls, scale: float, shift: float, lam: float, power: float | None = None
     ) -> "CoefficientFunction":
         """f(t) = scale / (shift + t)**power, power >= lam (default power = lam)."""
-        scale = _as_float("scale", scale)
-        shift = _as_float("shift", shift)
-        lam = _as_float("lam", lam)
-        power = lam if power is None else _as_float("power", power)
+        scale = _finite("scale", scale)
+        shift = _finite("shift", shift)
+        lam = _finite("lam", lam)
+        power = lam if power is None else _finite("power", power)
         if scale <= 0.0 or shift <= 0.0 or power <= 0.0:
             raise DomainError("rational coefficient needs positive scale, shift, power")
         if power < lam:
@@ -216,11 +208,11 @@ class CoefficientFunction:
         The tail limit under any power-law index is 0, so such terms can
         only appear alongside a genuinely rational coefficient.
         """
-        scale = _as_float("scale", scale)
-        shift = _as_float("shift", shift)
-        power = _as_float("power", power)
-        decay = _as_float("decay", decay)
-        lam = _as_float("lam", lam)
+        scale = _finite("scale", scale)
+        shift = _finite("shift", shift)
+        power = _finite("power", power)
+        decay = _finite("decay", decay)
+        lam = _finite("lam", lam)
         if scale <= 0.0 or shift <= 0.0 or power < 0.0 or decay <= 0.0:
             raise DomainError(
                 "exp_rational coefficient needs positive scale, shift, decay and "
@@ -250,14 +242,14 @@ class ModelState:
     n: float | None = None
 
     def __post_init__(self):
-        t = _as_float("t", self.t)
+        t = _finite("t", self.t)
         if t < 0.0:
             raise DomainError(f"state time must be nonnegative, got {t!r}")
-        m = _as_float("m", self.m)
+        m = _finite("m", self.m)
         if m <= 0.0:
             raise DomainError(f"martingale factor m must be positive, got {m!r}")
         if self.n is not None:
-            n = _as_float("n", self.n)
+            n = _finite("n", self.n)
             if n <= 0.0:
                 raise DomainError(f"martingale factor n must be positive, got {n!r}")
 
@@ -587,7 +579,7 @@ def _bond_from_rate(model: Model, t: float, T: float, value: float, rate: str) -
 
 
 def _long_rate_value(L) -> float:
-    L = _as_float(_LONG, L)
+    L = _finite(_LONG, L)
     if L <= 0.0:
         raise DomainError(f"long rate must be positive, got {L!r}")
     return L
@@ -605,7 +597,7 @@ def attainable_long_rates(model: Model, t: float) -> tuple[float, float]:
 
 def state_from_short_rate_1f(model: Model, t: float, r: float) -> ModelState:
     """Invert r_t for the factor: M = -(a'(t) + r a(t)) / (b'(t) + r b(t))."""
-    return _state_from_rate(model, t, _as_float(_SHORT, r), _SHORT)
+    return _state_from_rate(model, t, _finite(_SHORT, r), _SHORT)
 
 
 def bond_from_short_rate_1f(model: Model, t: float, T: float, r: float) -> float:
@@ -613,7 +605,7 @@ def bond_from_short_rate_1f(model: Model, t: float, T: float, r: float) -> float
 
     P = ((a(T) b'(t) - b(T) a'(t)) + (a(T) b(t) - b(T) a(t)) r) / (a(t) b'(t) - b(t) a'(t)).
     """
-    return _bond_from_rate(model, t, T, _as_float(_SHORT, r), _SHORT)
+    return _bond_from_rate(model, t, T, _finite(_SHORT, r), _SHORT)
 
 
 def state_from_long_rate_1f(model: Model, t: float, L: float) -> ModelState:
@@ -733,7 +725,7 @@ def fit_initial_curve(
         if callable(w):
             wfns.append(w)
         else:
-            wv = _as_float(f"weight {i}", w)
+            wv = _finite(f"weight {i}", w)
             wfns.append(lambda t, _w=wv: _w * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else _w)
 
     probes = list(_POSITIVITY_PROBES) + [1e4, _TAIL_PROBE]
@@ -798,7 +790,7 @@ def _coefficient_from_config(cfg: dict, path: str, lam: float) -> CoefficientFun
         raise DomainError(f"model config {path}.family: unknown family {family!r}")
     node = _cfg_get(cfg, path)
     if "tail_limit" in node:
-        declared = _as_float(f"model config {path}.tail_limit", node["tail_limit"])
+        declared = _finite(f"model config {path}.tail_limit", node["tail_limit"])
         if abs(declared - coef.tail_limit) > 1e-9 * max(1.0, abs(coef.tail_limit)):
             raise DomainError(
                 f"model config {path}.tail_limit: declared {declared!r} but family "
@@ -838,7 +830,7 @@ def model_from_config(cfg: dict) -> Model:
     [start_time, sigma] pairs.
     """
     factors = _cfg_get(cfg, "factors")
-    lam = _as_float("model config lambda", _cfg_get(cfg, "lambda"))
+    lam = _finite("model config lambda", _cfg_get(cfg, "lambda"))
     if factors not in (1, 2):
         raise DomainError(f"model config factors: expected 1 or 2, got {factors!r}")
     k = int(factors)
@@ -882,11 +874,7 @@ def model_to_config(model: Model) -> dict:
 
 
 def load_model_config(path) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path}: invalid JSON ({exc})") from None
+    cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise DomainError(f"{path}: model config must be a JSON object")
     return model_from_config(cfg)

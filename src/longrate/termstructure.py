@@ -20,14 +20,13 @@ for zero-coupon quotes.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ExtrapolationError
+from .errors import DomainError, ExtrapolationError, _finite, _read_json
 
 __all__ = [
     "Tenor",
@@ -62,13 +61,6 @@ _ZC = "zero_coupon"
 _CURVE_HORIZON = 1000.0  # years: the last knot of default_curve_grid
 
 
-def _require_finite(name: str, value: float) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return v
-
-
 @dataclass(frozen=True)
 class Tenor:
     """A time interval (t, T) in years with 0 <= t < T."""
@@ -77,8 +69,8 @@ class Tenor:
     T: float
 
     def __post_init__(self):
-        t = _require_finite("t", self.t)
-        T = _require_finite("T", self.T)
+        t = _finite("t", self.t)
+        T = _finite("T", self.T)
         if t < 0.0:
             raise DomainError(f"t must be nonnegative, got {t!r}")
         if not T > t:
@@ -109,7 +101,7 @@ class RateConvention:
         elif self.kind in (_PARETO, _ZC):
             if self.index is None:
                 raise DomainError(f"{self.kind} convention requires an index")
-            ix = _require_finite("index", self.index)
+            ix = _finite("index", self.index)
             if ix <= 0.0:
                 raise DomainError(f"{self.kind} index must be positive, got {ix!r}")
         else:
@@ -178,7 +170,7 @@ class RateQuote:
     value: float
 
     def __post_init__(self):
-        _require_finite("value", self.value)
+        _finite("value", self.value)
         _check_rate_domain(self.tenor.length, self.convention, self.value)
 
     def discount_factor(self) -> float:
@@ -205,7 +197,7 @@ def _check_rate_domain(x: float, conv: RateConvention, value: float) -> None:
 def log_discount_from_rate(tenor: Tenor, conv: RateConvention, value: float) -> float:
     """ln P for a rate quote; exact in exponent space."""
     x = tenor.length
-    v = _require_finite("rate", value)
+    v = _finite("rate", value)
     _check_rate_domain(x, conv, v)
     if conv.kind == _EXP:
         return -x * v
@@ -235,7 +227,7 @@ def rate_from_log_discount(tenor: Tenor, conv: RateConvention, log_df: float) ->
     (expm1 avoids the 1/P - 1 cancellation).
     """
     x = tenor.length
-    ld = _require_finite("log discount factor", log_df)
+    ld = _finite("log discount factor", log_df)
     if conv.kind == _EXP:
         return -ld / x
     lam = conv.pareto_index
@@ -275,7 +267,7 @@ def rate_from_discount(tenor: Tenor, conv: RateConvention, df: float) -> float:
 
     ``df`` must be positive; values above 1 quote negative rates.
     """
-    d = _require_finite("discount factor", df)
+    d = _finite("discount factor", df)
     if d <= 0.0:
         raise DomainError(f"discount factor must be positive, got {df!r}")
     return rate_from_log_discount(tenor, conv, math.log(d))
@@ -329,7 +321,7 @@ def ordering_audit(
     discount factor, and verifies the quotes are monotone in the convention
     order.  Equality across conventions only occurs at df == 1.
     """
-    d = _require_finite("discount factor", df)
+    d = _finite("discount factor", df)
     if d <= 0.0:
         raise DomainError(f"discount factor must be positive, got {df!r}")
     lams = {float(a) for a in alphas} | {1.0}
@@ -368,7 +360,7 @@ class ExponentialTail:
     rate: float
 
     def __post_init__(self):
-        _require_finite("tail rate", self.rate)
+        _finite("tail rate", self.rate)
 
     def log_df_beyond(self, t, t_end: float, log_df_end: float):
         return log_df_end - self.rate * (np.asarray(t, dtype=float) - t_end)
@@ -387,8 +379,8 @@ class ParetoTail:
     level: float
 
     def __post_init__(self):
-        lam = _require_finite("tail index", self.lam)
-        level = _require_finite("tail level", self.level)
+        lam = _finite("tail index", self.lam)
+        level = _finite("tail level", self.level)
         if lam <= 0.0:
             raise DomainError(f"tail index must be positive, got {lam!r}")
         if level <= 0.0:
@@ -500,7 +492,7 @@ def curve_from_function(
 
 def flat_exponential_curve(rate: float, grid: np.ndarray | None = None) -> DiscountCurve:
     """P(0,t) = exp(-rate * t), continued at the same rate beyond the grid."""
-    r = _require_finite("rate", rate)
+    r = _finite("rate", rate)
     return curve_from_function(lambda t: np.exp(-r * t), grid, ExponentialTail(r))
 
 
@@ -519,8 +511,8 @@ def tail_pareto_curve(
 
 def forward_discount(curve: DiscountCurve, t: float, T: float) -> float:
     """P(t, T) implied by the time-0 curve under no-arbitrage: P(0,T)/P(0,t)."""
-    t = _require_finite("t", t)
-    T = _require_finite("T", T)
+    t = _finite("t", t)
+    T = _finite("T", T)
     if t < 0.0 or T < t:
         raise DomainError(f"need 0 <= t <= T, got t={t!r}, T={T!r}")
     if T == t:
@@ -541,8 +533,8 @@ def time_consistency_residual(
         raise DomainError("need at least one probe pair")
     worst = 0.0
     for t, x in probes:
-        t = _require_finite("probe t", t)
-        x = _require_finite("probe x", x)
+        t = _finite("probe t", t)
+        x = _finite("probe x", x)
         if t < 0.0 or x <= 0.0:
             raise DomainError(f"probe needs t >= 0 and x > 0, got ({t!r}, {x!r})")
         gap = abs(
@@ -556,13 +548,6 @@ def time_consistency_residual(
 # ---------------------------------------------------------------------------
 # Green-Book-style schedules
 # ---------------------------------------------------------------------------
-
-
-def _band_number(i: int, field: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"band {i}: {field} must be a number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -595,7 +580,7 @@ class STPRSchedule:
             if len(band) != 3:
                 raise DomainError(f"band {i}: expected [start, end, rate], got {band!r}")
             start, end, rate = band
-            start = _band_number(i, "start", start)
+            start = _finite(f"band {i}: start", start)
             last = i == len(self.bands) - 1
             if start != prev_end:
                 raise DomainError(
@@ -606,14 +591,14 @@ class STPRSchedule:
                 if not last:
                     raise DomainError(f"band {i}: only the final band may be open-ended")
             else:
-                end = _band_number(i, "end", end)
+                end = _finite(f"band {i}: end", end)
                 if end <= start:
                     raise DomainError(f"band {i}: end {end!r} must exceed start {start!r}")
                 if last:
                     raise DomainError("final band must be open-ended (end null)")
                 prev_end = end
-            rate = _band_number(i, "rate", rate)
-            if not (math.isfinite(rate) and rate > 0.0):
+            rate = _finite(f"band {i}: rate", rate)
+            if rate <= 0.0:
                 raise DomainError(f"band {i}: rate must be positive, got {rate!r}")
 
     @classmethod
@@ -624,12 +609,7 @@ class STPRSchedule:
 
     @classmethod
     def load(cls, path) -> "STPRSchedule":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DomainError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_config(cfg)
+        return cls.from_config(_read_json(path))
 
     @property
     def boundaries(self) -> list[float]:

@@ -1,14 +1,19 @@
-"""Shared fixtures: reference models, curves, and a CLI runner."""
+"""Shared fixtures: reference models, curves, and the CLI runners."""
 
+import io
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import longrate as lr
+from longrate import cli
 
 
 @pytest.fixture(scope="session")
@@ -36,28 +41,38 @@ def curves():
     return lr.zoo.curve_zoo()
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
 def run_cli(*args, env_extra=None, cwd=None):
-    """Run the CLI in a subprocess (``src`` first on its path); return the CompletedProcess."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "longrate", *[str(a) for a in args]],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=cwd,
-        timeout=300,
-    )
+    """Run ``longrate.cli.main`` in process, in ``cwd`` with ``env_extra`` set.
+
+    argparse's ``SystemExit`` becomes the return code, any other exception
+    escapes, and every warning, repeats included, goes to the captured stderr."""
+    out, err = io.StringIO(), io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    saved_cwd = os.getcwd()
+    with mock.patch.dict(os.environ, env_extra or {}), warnings.catch_warnings(), \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        try:
+            os.chdir(cwd or saved_cwd)
+            code = cli.main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(saved_cwd)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
-@pytest.fixture
-def cli():
-    return run_cli
+def run_process(*args, env_extra=None):
+    """Run ``python *args`` in a fresh interpreter with this ``src`` first on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **(env_extra or {}),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          env=env, timeout=300)
 
 
 @pytest.fixture(scope="session")

@@ -313,6 +313,13 @@ def test_gamma_sample_peak_memory():
     assert peak <= 9 * n + (1 << 19)
 
 
+@pytest.mark.parametrize("shape, mean_rate, name", [(math.inf, 0.04, "shape"),
+                                                    (2.0, math.inf, "mean rate")])
+def test_gamma_parameters_must_be_finite(shape, mean_rate, name):
+    with pytest.raises(DomainError, match=f"{name} must be finite, got inf"):
+        GammaMixture(shape, mean_rate)
+
+
 def test_seed_is_required():
     with pytest.raises(TypeError):
         sample_calamity_time(GammaMixture(2.0, 0.04), 100)

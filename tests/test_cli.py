@@ -1,16 +1,19 @@
-"""End-to-end CLI checks (subprocess level)."""
+"""End-to-end CLI checks, run in process through ``longrate.cli.main``.
 
+The few checks that only a fresh interpreter can make (the module entry
+point, the scipy-free import, worker-count byte identity across fresh
+processes) use ``run_process``.
+"""
+
+import argparse
 import json
-import math
-import os
-import subprocess
-import sys
 from importlib import resources
-from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import run_cli
+from conftest import run_cli, run_process
+from longrate import cli
 
 # Any RuntimeWarning (divide by zero, overflow, invalid value) fails a test here.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -343,6 +346,24 @@ OVERFLOWING_VARIANCE = {
      "--paths", 100): "error: the volatility schedule's variance over (0.0, 1.0) overflows",
 }
 
+# options that only a model reads, given with --curve
+CURVE_REJECTS = {
+    ("longrate", "--curve", "flat3", "--conv", "exp", "--m", -1):
+        "error: --m only applies to --model\n",
+    ("longrate", "--curve", "flat3", "--conv", "exp", "--n", 2):
+        "error: --n only applies to --model\n",
+    ("audit", "strat", "--curve", "flat3", "--m", 2):
+        "error: --m only applies to --model\n",
+    ("audit", "strat", "--curve", "flat3", "--n", 2):
+        "error: --n only applies to --model\n",
+    ("audit", "dir", "--curve", "flat3", "--rho", "nan", "--seed", -5):
+        "error: --seed only applies to --model\n",
+    ("audit", "dir", "--curve", "flat3", "--n", 5):
+        "error: --n only applies to --model\n",
+    ("audit", "dir", "--curve", "flat3", "--rho", 0.5):
+        "error: --rho only applies to --model\n",
+}
+
 
 @pytest.mark.parametrize(
     "args",
@@ -411,6 +432,7 @@ OVERFLOWING_VARIANCE = {
         *UNALLOCATABLE,
         *UNUSABLE_FILES,
         *OVERFLOWING_VARIANCE,
+        *CURVE_REJECTS,
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, args):
@@ -429,6 +451,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     assert UNALLOCATABLE.get(args, "") in out.stderr
     assert UNUSABLE_FILES.get(args, "").replace("{tmp}", str(tmp_path)) in out.stderr
     assert OVERFLOWING_VARIANCE.get(args, "") in out.stderr
+    assert CURVE_REJECTS.get(args, "") in out.stderr
     assert "Traceback" not in out.stderr
     assert "RuntimeWarning" not in out.stderr
     assert out.stdout == ""
@@ -451,10 +474,78 @@ def test_zero_coupon_long_rate_overflow_falls_back_to_estimate():
 
 
 def test_import_does_not_load_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, longrate, longrate.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=60)
+    out = run_process("-c", "import sys, longrate, longrate.cli; print('scipy' in sys.modules)")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("args", [
+    ("convert", "--T", 10, "--from", "exp", "--to", "libor", "--value", 0.05),
+    ("audit", "pareto", "--model", "pareto2", "--seed", 5, "--n", 2000, "--lam", 3),
+    ("curve", "--curve", "flat3", "--times", "1,nan"),
+    ("frobnicate",),
+], ids=["exit0", "exit1", "exit2", "usage"])
+def test_module_entry_point_matches_in_process(args):
+    fresh, inproc = run_process("-m", "longrate", *args), run_cli(*args)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
+        inproc.returncode, inproc.stdout, inproc.stderr)
+
+
+def test_kernel_audit_is_byte_identical_in_fresh_processes(tmp_path):
+    """Acceptance 10's kernel case, each run in its own interpreter."""
+    runs = []
+    for threads in ("1", "7"):
+        path = tmp_path / f"{threads}.json"
+        out = run_process("-m", "longrate", "audit", "kernel", "--model", "ref1f", "--seed", 11,
+                          "--n", 20_000, "--json", path, env_extra={"LONGRATE_THREADS": threads})
+        assert out.returncode == 0, out.stderr
+        runs.append((out.stdout, path.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_greenbook_maturity_zero_reads_nan_rate():
+    """As in ``curve``, the exponential rate at maturity 0 is nan."""
+    out = run_cli("greenbook", "--schedule", "greenbook_example", "--times", "0,1")
+    assert out.returncode == 0
+    assert "0,1,nan" in out.stdout.splitlines()
+
+
+def _numeric_options(parser, command=()):
+    """(subcommand words, option) for every int or float option of every subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if subs:
+        return [case for name, sub in subs[0].choices.items()
+                for case in _numeric_options(sub, (*command, name))]
+    return [(command, a.option_strings[0]) for a in parser._actions if a.type in (int, float)]
+
+
+# a valid command line for each subcommand, with tiny --n, --paths and --sample
+FUZZ_BASE = {
+    ("convert",): ("--T", 10, "--from", "exp", "--to", "libor", "--value", 0.05),
+    ("curve",): ("--curve", "flat3"),
+    ("aggregate",): ("--mix", GAMMA_MIX, "--sample", 5, "--seed", 1, "--out", "{tmp}/x.csv"),
+    ("simulate",): ("--model", "ref2f", "--seed", 1, "--n", 5, "--out", "{tmp}/x.csv"),
+    ("value",): ("--model", "ref2f", "--flow", "T=1,payoff=M", "--seed", 1, "--paths", 20),
+    ("longrate",): ("--model", "ref2f", "--conv", "libor"),
+    ("classify",): ("--curve", "flat3"),
+    ("audit", "dir"): ("--model", "ref2f", "--seed", 1, "--n", 5),
+    ("audit", "strat"): ("--model", "ref2f"),
+    ("audit", "kernel"): ("--model", "ref2f", "--seed", 1, "--n", 5),
+    ("audit", "pareto"): ("--model", "ref2f", "--seed", 1, "--n", 5),
+    ("greenbook",): ("--schedule", "greenbook_example"),
+}
+HOSTILE = ("-1", "0", "inf", "-inf", "nan", "1e400", "1e-300", "x", "", "1e30")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_numeric_options(cli.build_parser())), token=st.sampled_from(HOSTILE))
+def test_numeric_options_reject_hostile_values_cleanly(tmp_path_factory, case, token):
+    """Each numeric option the parser declares, set to a hostile token."""
+    command, option = case
+    base = [str(a).replace("{tmp}", str(tmp_path_factory.getbasetemp())) for a in FUZZ_BASE[command]]
+    if option in base:
+        del base[base.index(option):base.index(option) + 2]
+    out = run_cli(*command, *base, option, token)
+    assert out.returncode in (0, 1, 2)
+    assert out.returncode != 1 or "[FAIL]" in out.stdout
+    assert "RuntimeWarning" not in out.stderr

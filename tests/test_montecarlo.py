@@ -33,8 +33,9 @@ from longrate import (
     value_claim,
     write_ensemble_csv,
 )
-from longrate import cli, csvformat
+from longrate import csvformat
 from longrate.errors import DomainError
+from conftest import run_cli
 
 # Any RuntimeWarning (divide by zero, overflow, invalid value) fails a test here.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -373,26 +374,25 @@ def test_worker_count_defaults_to_usable_cpus(monkeypatch):
         pool.worker_count()
 
 
-def test_bad_thread_setting_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LONGRATE_THREADS", "x")
-    argv = ["simulate", "--model", "ref1f", "--seed", "3", "--n", "10",
-            "--grid", "lin:0:2:5", "--out", str(tmp_path / "x.csv")]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: LONGRATE_THREADS must be an integer")
+def test_bad_thread_setting_exits_2(tmp_path):
+    out = run_cli("simulate", "--model", "ref1f", "--seed", 3, "--n", 10, "--grid", "lin:0:2:5",
+                  "--out", tmp_path / "x.csv", env_extra={"LONGRATE_THREADS": "x"})
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: LONGRATE_THREADS must be an integer")
 
 
-def test_long_horizon_commands_run(tmp_path, capsys):
+def test_long_horizon_commands_run(tmp_path):
     """Grids past M's underflow: the paths read 0 there, and DIR reaches t = 1e6."""
-    out = tmp_path / "x.csv"
-    argv = ["simulate", "--model", "ref1f", "--grid", "lin:0:1e5:3", "--seed", "1", "--n", "5",
-            "--out", str(out)]
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == "paths 5 grid_points 3\nterminal_mean 0 se 0\n"
-    rows = out.read_text().splitlines()
+    path = tmp_path / "x.csv"
+    out = run_cli("simulate", "--model", "ref1f", "--grid", "lin:0:1e5:3", "--seed", 1, "--n", 5,
+                  "--out", path)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "paths 5 grid_points 3\nterminal_mean 0 se 0\n"
+    rows = path.read_text().splitlines()
     assert rows[:4] == ["path,t,M", "0,0,1", "0,50000,0", "0,100000,0"] and len(rows) == 16
-    assert cli.main(["audit", "dir", "--model", "ref1f", "--times", "0,10,1e5,1e6",
-                     "--seed", "1"]) == 0
-    assert capsys.readouterr().out.endswith("long-rate monotonicity audit: PASS\n")
+    out = run_cli("audit", "dir", "--model", "ref1f", "--times", "0,10,1e5,1e6", "--seed", 1)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.endswith("long-rate monotonicity audit: PASS\n")
 
 
 def _ref2f_digest(ref2f, n_paths=8193):

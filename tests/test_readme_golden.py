@@ -1,6 +1,6 @@
 """The README CLI examples, run in-process, reproduce recorded outputs byte for byte.
 
-Each example runs through ``longrate.cli.main`` in a scratch directory.
+Each example runs through ``run_cli`` in a scratch directory.
 ``ESTIMATOR_CASES`` add long-rate and stratification runs whose ``%.9g``
 and JSON numbers the README examples do not reach; ``REPORT_CASES`` add
 the curve and schedule files, the audit JSON reports and the
@@ -18,7 +18,7 @@ import hashlib
 
 import pytest
 
-from longrate.cli import main
+from conftest import run_cli
 
 # Any RuntimeWarning (divide by zero, overflow, invalid value) fails a test here.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -133,38 +133,29 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_example(argv, workdir, capsys):
-    """Run one example in ``workdir``; return (exit code, stdout digest, file digests)."""
-    before = {p.name for p in workdir.iterdir()}
-    code = main(list(argv))
-    out = capsys.readouterr().out
-    files = {
-        p.name: _sha(p.read_bytes())
-        for p in sorted(workdir.iterdir())
-        if p.name not in before
-    }
-    return code, _sha(out.encode("utf-8")), files
+def _digests(argv, workdir):
+    """(exit code, stdout digest, digest of each file written) of one run in empty ``workdir``."""
+    out = run_cli(*argv, cwd=workdir)
+    assert out.stderr == ""  # no warning, RuntimeWarning included
+    files = {p.name: _sha(p.read_bytes()) for p in sorted(workdir.iterdir())}
+    return out.returncode, _sha(out.stdout.encode("utf-8")), files
 
 
 @pytest.mark.parametrize("index", range(len(EXAMPLES)))
-def test_readme_example_is_byte_identical(index, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert run_example(EXAMPLES[index], tmp_path, capsys) == GOLDEN[index]
+def test_readme_example_is_byte_identical(index, tmp_path):
+    assert _digests(EXAMPLES[index], tmp_path) == GOLDEN[index]
 
 
 @pytest.mark.parametrize("index", range(len(ESTIMATOR_CASES)))
-def test_estimator_output_is_byte_identical(index, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert run_example(ESTIMATOR_CASES[index], tmp_path, capsys) == ESTIMATOR_GOLDEN[index]
+def test_estimator_output_is_byte_identical(index, tmp_path):
+    assert _digests(ESTIMATOR_CASES[index], tmp_path) == ESTIMATOR_GOLDEN[index]
 
 
 @pytest.mark.parametrize("index", range(len(REPORT_CASES)))
-def test_report_output_is_byte_identical(index, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert run_example(REPORT_CASES[index], tmp_path, capsys) == REPORT_GOLDEN[index]
+def test_report_output_is_byte_identical(index, tmp_path):
+    assert _digests(REPORT_CASES[index], tmp_path) == REPORT_GOLDEN[index]
 
 
 @pytest.mark.parametrize("index", range(len(TWO_FACTOR_CASES)))
-def test_two_factor_output_is_byte_identical(index, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert run_example(TWO_FACTOR_CASES[index], tmp_path, capsys) == TWO_FACTOR_GOLDEN[index]
+def test_two_factor_output_is_byte_identical(index, tmp_path):
+    assert _digests(TWO_FACTOR_CASES[index], tmp_path) == TWO_FACTOR_GOLDEN[index]

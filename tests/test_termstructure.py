@@ -183,6 +183,15 @@ def test_tenor_rejects_bad_order():
         Tenor(-1.0, 2.0)
 
 
+def test_outside_numbers_are_domain_errors():
+    with pytest.raises(DomainError, match="t must be a number, got 'x'"):
+        Tenor("x", 1.0)
+    with pytest.raises(DomainError, match="index must be a number, got 'x'"):
+        RateConvention("tail_pareto", "x")
+    with pytest.raises(DomainError, match="band 0: end must be finite, got inf"):
+        lr.STPRSchedule(((0.0, math.inf, 0.03), (10.0, None, 0.02)))
+
+
 def test_libor_below_attainable_raises():
     with pytest.raises(DomainError) as err:
         discount_from_rate(Tenor(0, 10), LIBOR, -0.2)
