@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .kernel_models import (
     _values_at,
     bond_log_df,
 )
-from .montecarlo import _CHUNK_PATHS, PathEnsemble, kernel_paths
 from .reporting import FAIL, INCONCLUSIVE, PASS, AuditReport, CheckResult
 from .termstructure import (
     DiscountCurve,
@@ -46,6 +45,9 @@ from .termstructure import (
     rates_from_log_discount,
 )
 from .workers import _in_blocks
+
+if TYPE_CHECKING:  # montecarlo runs only in DIR's model branch and the certificate
+    from .montecarlo import PathEnsemble
 
 __all__ = [
     "LongRateEstimate",
@@ -473,6 +475,8 @@ def _model_rate_extremes(
     each block keeps only its two maxima, and the blocks' maxima combine
     through np.maximum, which is exact and propagates nan in any block.
     """
+    from .montecarlo import _CHUNK_PATHS
+
     _factor_values(model, ensemble)
     ts = [float(ensemble.grid[j]) for j in idx]
     # coefficient i at audit time k is [i, k, 0]: a column against time-major paths
@@ -787,6 +791,8 @@ def _decade_extremes(
     and propagates nan in any block.  The mean is one pairwise sum over
     the whole buffer.
     """
+    from .montecarlo import _CHUNK_PATHS
+
     n = pi.shape[1]
     buf = np.empty((max(b - a for a, b in zip(bounds, bounds[1:])), n))
     block_min = np.empty((n + _CHUNK_PATHS - 1) // _CHUNK_PATHS)
@@ -828,6 +834,8 @@ def pareto_kernel_certificate(
     blows up).  The martingale property of the simulated factors decides
     no index; ``kernel_condition_audit`` tests it at every grid time.
     """
+    from .montecarlo import kernel_paths
+
     lam = model.lam if lam is None else float(lam)
     if not math.isfinite(lam) or lam <= 0.0:
         raise DomainError(f"index must be finite and positive, got {lam!r}")

@@ -22,65 +22,28 @@ import json
 import math
 import os
 import sys
-from importlib import resources
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import zoo
-from .aggregation import (
-    DiscreteMixture,
-    ExponentialMixture,
-    GammaMixture,
-    aggregate_discount,
-    asymptotic_exponential_rate,
-    sample_calamity_time,
-)
-from .asymptotics import (
-    classify_curve,
-    curve_evaluator,
-    default_long_rate_horizons,
-    deterministic_long_rate,
-    dir_monotonicity_audit,
-    estimate_long_rate,
-    pareto_kernel_certificate,
-    save_trace_csv,
-    stratification_audit,
-)
 from .errors import DomainError, LongrateError, _read_json
-from .kernel_models import (
-    Model,
-    ModelState,
-    bond_evaluator,
-    load_model_config,
-    long_rate,
-)
-from .montecarlo import (
-    CashFlow,
-    CashFlowSchedule,
-    PathEnsemble,
-    _mean_se,
-    deflated_bond_martingale_check,
-    ensemble_for_model,
-    kernel_condition_audit,
-    value_claim,
-    write_ensemble_csv,
-)
-from .reporting import FAIL, AuditReport
-from .termstructure import (
-    DiscountCurve,
-    RateConvention,
-    STPRSchedule,
-    Tenor,
-    convert_rate,
-    flat_exponential_curve,
-    load_curve_csv,
-    rate_from_log_discount,
-    save_curve_csv,
-    tail_pareto_curve,
-    time_consistency_residual,
-)
+
+if TYPE_CHECKING:
+    from .kernel_models import Model, ModelState
+    from .montecarlo import CashFlow, PathEnsemble
+    from .reporting import AuditReport
+    from .termstructure import DiscountCurve, RateConvention
 
 __all__ = ["main", "build_parser", "STPRSchedule"]
+
+
+def __getattr__(name):
+    if name == "STPRSchedule":  # its home is ``termstructure``; still importable from here
+        from .termstructure import STPRSchedule
+
+        return STPRSchedule
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(x) -> str:
@@ -117,6 +80,8 @@ def _emit_json(doc, path=None) -> None:
 def _finish_audit(args, *reports: AuditReport, doc=None) -> int:
     """Print the reports, write ``--json`` (``doc``, by default the first
     report's dict) and return the exit code: 1 on any FAIL, else 0."""
+    from .reporting import FAIL
+
     for report in reports:
         for line in report.lines():
             print(line)
@@ -173,6 +138,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _load_file(ref: str, load):
     """``load`` the file at path ``ref``, else the packaged data file ``ref``
     (``.json`` appended if missing); None when neither exists."""
+    from importlib import resources
+
     if os.path.exists(ref):
         return load(ref)
     packaged = resources.files("longrate").joinpath(
@@ -185,6 +152,8 @@ def _load_file(ref: str, load):
 
 
 def _resolve_model(ref: str) -> Model:
+    from .kernel_models import load_model_config
+
     model = _load_file(ref, load_model_config)
     if model is not None:
         return model
@@ -198,6 +167,8 @@ def _resolve_model(ref: str) -> Model:
 
 
 def _resolve_curve(ref: str) -> DiscountCurve:
+    from .termstructure import flat_exponential_curve, load_curve_csv, tail_pareto_curve
+
     if os.path.exists(ref):
         return load_curve_csv(ref)
     if ref.startswith("flat:"):
@@ -222,6 +193,8 @@ def _resolve_curve(ref: str) -> DiscountCurve:
 
 
 def _model_state(model: Model, args) -> ModelState:
+    from .kernel_models import ModelState
+
     m = 1.0 if args.m is None else args.m
     if model.factors == 1:
         if args.n is not None:
@@ -240,10 +213,14 @@ def _reject_for_curve(args, *options: str) -> None:
 def _anchored_evaluator(args):
     """The ``--model`` at its state, or the ``--curve``: (bond evaluator, anchor time)."""
     if args.model:
+        from .kernel_models import bond_evaluator
+
         model = _resolve_model(args.model)
         state = _model_state(model, args)
         return bond_evaluator(model, state), state.t
     _reject_for_curve(args, "m", "n")
+    from .asymptotics import curve_evaluator
+
     return curve_evaluator(_resolve_curve(args.curve)), args.t
 
 
@@ -255,6 +232,8 @@ def _model_ensemble(args, grid: np.ndarray) -> tuple[Model, PathEnsemble]:
     checked before the model is resolved.  An unset ``--n`` or ``--rho``
     takes the default that ``_add_ensemble_args`` documents.
     """
+    from .montecarlo import ensemble_for_model
+
     if args.seed is None:
         raise DomainError("an explicit --seed is required")
     n = args.n_default if args.n is None else args.n
@@ -268,6 +247,8 @@ def _model_ensemble(args, grid: np.ndarray) -> tuple[Model, PathEnsemble]:
 def _curve_table(curve: DiscountCurve, maturities) -> tuple[list[tuple], list[str]]:
     """(maturity, discount factor, exponential rate) rows of ``curve`` and
     their CSV lines, header first.  The rate is nan at maturity 0."""
+    from .termstructure import RateConvention, Tenor, rate_from_log_discount
+
     exponential = RateConvention.exponential()
     rows = []
     for t in maturities:
@@ -285,6 +266,8 @@ def _curve_table(curve: DiscountCurve, maturities) -> tuple[list[tuple], list[st
 
 
 def cmd_convert(args) -> int:
+    from .termstructure import RateConvention, Tenor, convert_rate
+
     tenor = Tenor(args.t, args.T)
     conv_from = RateConvention.parse(args.conv_from)
     conv_to = RateConvention.parse(args.conv_to)
@@ -296,6 +279,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from .termstructure import save_curve_csv, time_consistency_residual
+
     curve = _resolve_curve(args.curve)
     times = (
         _parse_floats(args.times, "--times")
@@ -324,6 +309,8 @@ def cmd_curve(args) -> int:
 
 
 def _mixture_from_config(cfg: dict):
+    from .aggregation import DiscreteMixture, ExponentialMixture, GammaMixture
+
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise DomainError("mixture config must be an object with a 'kind' key")
     kind = cfg["kind"]
@@ -340,6 +327,8 @@ def _mixture_from_config(cfg: dict):
 
 
 def cmd_aggregate(args) -> int:
+    from .aggregation import aggregate_discount, asymptotic_exponential_rate, sample_calamity_time
+
     if os.path.exists(args.mix):
         cfg = _read_json(args.mix)
     else:
@@ -376,6 +365,8 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .montecarlo import _mean_se, write_ensemble_csv
+
     _, ensemble = _model_ensemble(args, _parse_grid(args.grid))
     write_ensemble_csv(ensemble, args.out)
     mean, se = _mean_se(ensemble.m[:, -1])
@@ -385,6 +376,8 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_flow(spec: str, model: Model) -> CashFlow:
+    from .montecarlo import CashFlow
+
     fields = {}
     for chunk in spec.split(","):
         if "=" not in chunk:
@@ -408,6 +401,8 @@ def _parse_flow(spec: str, model: Model) -> CashFlow:
 
 
 def cmd_value(args) -> int:
+    from .montecarlo import CashFlowSchedule, value_claim
+
     model = _resolve_model(args.model)
     state = _model_state(model, args)
     schedule = CashFlowSchedule(tuple(_parse_flow(s, model) for s in args.flow))
@@ -432,12 +427,22 @@ def cmd_value(args) -> int:
 
 
 def _closed_form_long_rate(model: Model, state: ModelState, conv: RateConvention):
+    from .kernel_models import long_rate
+
     if conv.kind not in ("libor", "tail_pareto"):
         return None
     return long_rate(model, state) if conv.pareto_index == model.lam else None
 
 
 def cmd_longrate(args) -> int:
+    from .asymptotics import (
+        default_long_rate_horizons,
+        deterministic_long_rate,
+        estimate_long_rate,
+        save_trace_csv,
+    )
+    from .termstructure import RateConvention
+
     conv = RateConvention.parse(args.conv)
     horizons = default_long_rate_horizons(stop=args.horizon)
     evaluator, t = _anchored_evaluator(args)
@@ -471,6 +476,8 @@ def cmd_longrate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .asymptotics import classify_curve
+
     curve = _resolve_curve(args.curve)
     window = None
     if args.window:
@@ -486,6 +493,8 @@ def cmd_classify(args) -> int:
 
 
 def _audit_dir(args) -> int:
+    from .asymptotics import default_long_rate_horizons, dir_monotonicity_audit
+
     times = _parse_floats(args.times, "--times")
     horizons = default_long_rate_horizons(stop=args.horizon)
     if args.model:
@@ -503,6 +512,8 @@ def _audit_dir(args) -> int:
 
 
 def _audit_strat(args) -> int:
+    from .asymptotics import default_long_rate_horizons, stratification_audit
+
     indices = _parse_floats(args.indices, "--indices")
     horizons = default_long_rate_horizons(stop=args.horizon)
     evaluator, t = _anchored_evaluator(args)
@@ -511,6 +522,8 @@ def _audit_strat(args) -> int:
 
 
 def _audit_kernel(args) -> int:
+    from .montecarlo import deflated_bond_martingale_check, kernel_condition_audit
+
     model, ensemble = _model_ensemble(args, _parse_grid(args.grid))
     conditions = kernel_condition_audit(model, ensemble)
     times = [t for t in ensemble.grid if t <= args.maturity]
@@ -520,11 +533,16 @@ def _audit_kernel(args) -> int:
 
 
 def _audit_pareto(args) -> int:
+    from .asymptotics import pareto_kernel_certificate
+
     model, ensemble = _model_ensemble(args, _parse_grid(args.grid))
     return _finish_audit(args, pareto_kernel_certificate(model, ensemble, lam=args.lam))
 
 
 def cmd_greenbook(args) -> int:
+    from .asymptotics import classify_curve
+    from .termstructure import STPRSchedule, time_consistency_residual
+
     schedule = _load_file(args.schedule, STPRSchedule.load)
     if schedule is None:
         raise DomainError(f"cannot resolve schedule {args.schedule!r}")

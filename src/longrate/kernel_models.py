@@ -643,7 +643,9 @@ def fgh_coefficients(model: Model, t: float, T: float) -> FGHCoefficients:
         D = (b c~ - c b~) a' + (c a~ - a c~) b' + (a b~ - b a~) c'
 
     evaluated at t, where x~ denotes tail limits.  When D is far from
-    zero the unique solution comes out in closed form.  A vanishing D
+    zero the unique solution comes from a pivoted solve: Cramer's rule
+    loses digits as t grows, where a, b and c can all approach C_i / t
+    (ref2fx: relative error 1.5e-4 in P by t = 1e4).  A vanishing D
     means the coefficient rows are dependent; if two coefficient
     functions are globally proportional the system stays consistent and
     the decomposition still exists (just not uniquely), so the minimum
@@ -666,13 +668,10 @@ def fgh_coefficients(model: Model, t: float, T: float) -> FGHCoefficients:
     )
     D = sum(d_terms)
     scale = sum(abs(x) for x in d_terms)
-    if scale > 0.0 and abs(D) > 1e-9 * scale:
-        f = ((B * cp - C * bp) * a_T + (C * ap - A * cp) * b_T + (A * bp - B * ap) * c_T) / D
-        g = ((B * c_t - C * b_t) * a_T + (C * a_t - A * c_t) * b_T + (A * b_t - B * a_t) * c_T) / D
-        h = ((bp * c_t - cp * b_t) * a_T + (cp * a_t - ap * c_t) * b_T + (ap * b_t - bp * a_t) * c_T) / D
-        return FGHCoefficients(f, g, h)
     mat = np.array([[a_t, -ap, A], [b_t, -bp, B], [c_t, -cp, C]])
     rhs = np.array([a_T, b_T, c_T])
+    if scale > 0.0 and abs(D) > 1e-9 * scale:
+        return FGHCoefficients(*(float(x) for x in np.linalg.solve(mat, rhs)))
     sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     residual = float(np.max(np.abs(mat @ sol - rhs)))
     if residual > 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError
+
+if TYPE_CHECKING:  # imported with the first pool, so a process that never needs one skips it
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["worker_count"]
 
@@ -71,6 +73,8 @@ if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
 def _submit(run: Callable, shares: list) -> list:
     """Submit ``run(share)`` for each share to the helper pool, grown to one helper per share."""
     global _pool, _pool_helpers
+    from concurrent.futures import ThreadPoolExecutor
+
     with _pool_lock:
         if _pool_helpers < len(shares):
             if _pool is not None:
@@ -104,6 +108,8 @@ def _in_blocks(total: int, size: int, task: Callable, scratch: Callable = lambda
     if workers <= 1 or getattr(_on_helper, "flag", False):
         run(starts)
         return
+    from concurrent.futures import wait
+
     helpers = _submit(run, [starts[w::workers] for w in range(1, workers)])
     try:
         run(starts[::workers])

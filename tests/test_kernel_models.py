@@ -295,9 +295,10 @@ def test_fgh_matches_linear_solve(ref2fx):
 
 
 def test_fgh_reconstructs_bond(ref2fx):
+    """Out to t = 1e4 and T - t = 1e6, where Cramer's rule lost four digits."""
     for _ in range(100):
-        t = float(RNG.uniform(0.0, 10.0))
-        T = t + float(RNG.uniform(0.5, 40.0))
+        t = float(10.0 ** RNG.uniform(-1.0, 4.0))
+        T = t + float(10.0 ** RNG.uniform(-0.3, 6.0))
         m = float(np.exp(RNG.normal(0.0, 0.5)))
         n = float(np.exp(RNG.normal(0.0, 0.5)))
         state = ModelState(t, m, n)
