@@ -494,12 +494,13 @@ def cmd_classify(args) -> int:
 
 def _audit_dir(args) -> int:
     from .asymptotics import default_long_rate_horizons, dir_monotonicity_audit
+    from .termstructure import _sorted_unique
 
     times = _parse_floats(args.times, "--times")
     horizons = default_long_rate_horizons(stop=args.horizon)
     if args.model:
         model, ensemble = _model_ensemble(
-            args, np.unique(np.concatenate([[0.0], np.asarray(times)]))
+            args, _sorted_unique(np.concatenate([[0.0], np.asarray(times)]))
         )
         report = dir_monotonicity_audit(
             model, times, ensemble=ensemble, horizons=horizons, kappa=args.kappa

@@ -474,11 +474,25 @@ class DiscountCurve:
         return np.exp(self.log_df(t)) if np.ndim(t) else float(math.exp(self.log_df(t)))
 
 
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-d float array, bit for bit, but every nan kept.
+
+    The same sort, keeping x[0] and every x[i] != x[i - 1] (of -0.0 and
+    0.0 the one the sort puts first), without the ``numpy.ma`` import
+    that ``np.unique`` makes on its first call (numpy 2.4).
+    """
+    x = np.sort(x)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def default_curve_grid() -> np.ndarray:
     """Annual knots to 100y, then 10 knots per decade out to _CURVE_HORIZON."""
     dense = np.arange(0.0, 100.5, 1.0)
     sparse = np.geomspace(100.0, _CURVE_HORIZON, int(10 * math.log10(_CURVE_HORIZON / 100.0)) + 1)
-    return np.unique(np.concatenate([dense, sparse]))
+    return _sorted_unique(np.concatenate([dense, sparse]))
 
 
 def curve_from_function(
@@ -637,7 +651,7 @@ class STPRSchedule:
 
     def curve(self, grid=None, spot: bool = False) -> DiscountCurve:
         g = default_curve_grid() if grid is None else np.asarray(grid, dtype=float)
-        g = np.unique(np.concatenate([g, self.boundaries]))
+        g = _sorted_unique(np.concatenate([g, self.boundaries]))
         if spot:
             values = np.array([math.exp(-self.rate_at(t) * t) for t in g])
         else:

@@ -122,6 +122,124 @@ def test_log_aggregate_discount_reuses_one_buffer_bitwise():
     np.testing.assert_array_equal(log_aggregate_discount(mix, t), ref)
 
 
+def _unmasked_logsumexp_rows(a):
+    """``aggregation._logsumexp_rows`` as it was before terms below
+    ``_EXP_ZERO`` were masked and before the tie test: a bitwise
+    reference that needs no scipy."""
+    a_max = a.max(axis=1, keepdims=True)
+    at_max = np.equal(a, a_max)
+    count = np.count_nonzero(at_max, axis=1, keepdims=True).astype(float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = np.subtract(a, a_max)
+        np.copyto(terms, -np.inf, where=at_max)
+        np.exp(terms, out=terms)
+        s = terms.sum(axis=1, keepdims=True) / count
+        out = (np.log1p(s) + np.log(count) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
+
+
+def _assert_same_bits(actual, expected):
+    """Equal to the last bit: unlike assert_array_equal, tells -0.0 from 0.0."""
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+def _band_case():
+    # Shifted terms dense across -746, the exp-zero edge at -745.13 and the
+    # subnormal band down from -708.4, in the same rows; 32-row blocks.
+    rng = np.random.default_rng(22)
+    weights = rng.dirichlet(np.ones(2000))
+    mix = DiscreteMixture(weights / weights.sum(), rng.uniform(0.0, 0.3, 2000))
+    t = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 40), np.geomspace(2.4e3, 1e4, 400)])
+    return mix, t
+
+
+MASK_CASES = {
+    "band": _band_case,
+    # one maximum below t = ln 2 / 0.01, a two-way tie above it, in one block
+    "tie-crossing": lambda: (
+        DiscreteMixture([0.4, 0.2, 0.2, 0.2], [0.01, 0.0, 0.0, 0.1]),
+        np.concatenate([[0.0], np.geomspace(1e-2, 1e5, 999)]),
+    ),
+    # equal weights: 40 atoms tie at the maximum for t > 0, all 1000 at t = 0
+    "ties-1000": lambda: (
+        DiscreteMixture(np.full(1000, 1e-3), np.r_[np.full(40, 0.001), np.linspace(0.002, 0.1, 960)]),
+        np.concatenate([[0.0], np.geomspace(1e-2, 1e6, 300)]),
+    ),
+    # r t overflows: the last rows are all -inf, or -inf beside a zero rate
+    "vanish": lambda: (
+        DiscreteMixture([0.25, 0.75], [2.0, 3.0]),
+        np.array([0.0, 1e3, 1e300, 1e308, 1e308]),
+    ),
+    "zero-rate-vanish": lambda: (
+        DiscreteMixture([0.5, 0.5], [0.0, 3.0]),
+        np.array([0.0, 1e3, 1e300, 1e308]),
+    ),
+    "single-atom": lambda: (DiscreteMixture([1.0], [0.05]), np.array([0.0, 1.0, 1e300, 1e308])),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("case", sorted(MASK_CASES))
+def test_log_aggregate_discount_matches_unmasked_reference_bitwise(case, threads, monkeypatch):
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    mix, t = MASK_CASES[case]()
+    a = np.log(mix.weights)[None, :] - np.outer(t, mix.rates)
+    expected = _unmasked_logsumexp_rows(a)
+    _assert_same_bits(log_aggregate_discount(mix, t), expected)
+    assert log_aggregate_discount(mix, 0.0) == expected[0]
+    if case == "band":  # the rows do reach what the mask and the exp edge decide
+        shifted = a - a.max(axis=1, keepdims=True)
+        edge = math.log(2.0) * -1075
+        assert np.count_nonzero(shifted < lr.aggregation._EXP_ZERO) > 100_000
+        assert np.count_nonzero((shifted >= lr.aggregation._EXP_ZERO) & (shifted < edge)) > 100
+        assert np.count_nonzero((shifted >= edge) & (shifted < -708.4)) > 10_000
+
+
+def test_logsumexp_rows_matches_unmasked_reference_at_the_edges():
+    """Rows built around the mask's edge, with ties, nan and infinities."""
+    zero = lr.aggregation._EXP_ZERO
+    below, above = np.nextafter(zero, -np.inf), np.nextafter(zero, np.inf)
+    rows = np.array([
+        [0.0, zero, below, above, -745.1332, -745.1333, -708.4, -1.0],
+        [5.0, 5.0 + zero, 5.0 + below, 5.0 + above, -1e308, -np.inf, 4.0, 3.0],
+        [0.0, 0.0, zero, below, -750.0, -760.0, -740.0, -1.0],  # a tie
+        [np.nan, 0.0, 0.0, zero, -1.0, -2.0, -3.0, -4.0],  # a nan beside a tie
+        [-np.inf] * 8,
+        [np.inf, 0.0, zero, -np.inf, 1.0, 2.0, 3.0, 4.0],
+        [1e308, -1e308, zero, 0.0, 1.0, 2.0, 3.0, 4.0],
+    ])
+    with np.errstate(invalid="ignore"):
+        for picked in ([0], [1], [2], [3], [4], [5], [6], [3, 2], [2, 3], [0, 1, 3],
+                       list(range(7))):
+            a = rows[picked]
+            _assert_same_bits(lr.aggregation._logsumexp_rows(a), _unmasked_logsumexp_rows(a))
+
+
+def test_exp_is_plus_zero_below_the_mask_threshold():
+    """What the log-sum-exp's mask rests on: numpy's exp gives exactly
+    +0.0 below ``_EXP_ZERO`` and at -inf (the maxima's lanes in the
+    unmasked form), so a numpy that changes this fails here rather than
+    changing digits."""
+    zero = lr.aggregation._EXP_ZERO
+    x = np.concatenate([
+        [zero, np.nextafter(zero, -np.inf)],
+        np.linspace(zero, -1000.0, 100_001),
+        -np.geomspace(1000.0, 1e308, 100_001),
+        [-np.finfo(float).max, -np.inf],
+    ])
+    for offset in range(9):  # every lane position of a SIMD vector, and the tail
+        assert not np.exp(x[offset:]).view(np.int64).any()
+    mixed = np.empty(2 * x.size)  # each beside an ordinary lane
+    mixed[0::2], mixed[1::2] = x, -1.0
+    assert not np.exp(mixed)[0::2].view(np.int64).any()
+    assert math.exp(zero) == 0.0
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_log_aggregate_discount_all_terms_vanish():
     # every term underflows to a finite log, or r t overflows so every term is -inf

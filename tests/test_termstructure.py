@@ -308,6 +308,20 @@ def test_curve_csv_round_trip(tmp_path):
         assert again.df(t) == pytest.approx(curve.df(t), rel=1e-7)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_sorted_unique_is_np_unique_bitwise(seed):
+    """Duplicates, both zeros in either order and infinities, as np.unique keeps them."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([-0.0, 0.0, 1.0, -1.0, 2.5, 1e-300, np.inf, -np.inf])
+    for n in (0, 1, 2, 17, 300):
+        x = np.concatenate([rng.choice(pool, n), rng.uniform(-3.0, 3.0, n).round(1)])
+        rng.shuffle(x)
+        got, want = lr.termstructure._sorted_unique(x), np.unique(x)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    grid = lr.termstructure.default_curve_grid()
+    assert np.all(np.diff(grid) > 0.0) and grid[0] == 0.0
+
+
 def test_curve_beyond_grid_needs_tail():
     grid = np.array([0.0, 1.0, 2.0])
     curve = DiscountCurve(grid, np.exp(-0.03 * grid))
