@@ -42,7 +42,7 @@ from .termstructure import (
     ExponentialTail,
     ParetoTail,
     RateConvention,
-    rates_from_log_discount,
+    _rates,
 )
 from .workers import _in_blocks
 
@@ -144,14 +144,14 @@ class LongRateEstimate:
 class _LogDfTrace:
     """ln P(t, t + x) over the priced prefix of a horizon schedule.
 
-    ``read`` converts the trace to one convention's rates and reads its
-    estimate once per convention; later reads of an equal convention
-    (with an index of the same type) return the same read-only rates and
-    the same estimate.
+    Reads check nothing, on what ``_price_trace`` guarantees: ``log_df``
+    is finite, every array is read-only, and ``offsets`` (``xs`` as
+    floats) is built once and shared by every read's trace pairs.
     """
 
     t: float
     xs: np.ndarray  # offsets x
+    offsets: tuple[float, ...]
     lengths: np.ndarray  # tenor lengths (t + x) - t
     log_df: np.ndarray
     window_starts: np.ndarray  # first index of each decade window, increasing
@@ -160,12 +160,28 @@ class _LogDfTrace:
     _reads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def read(self, convention: RateConvention) -> tuple[np.ndarray, LongRateEstimate]:
+        """One convention's read-only rates and its estimate, read from the decade
+        suprema; later reads of an equal convention (with an index of the same
+        type) return the same two objects."""
         key = (convention, type(convention.index))
         hit = self._reads.get(key)
-        if hit is None:
-            rates = rates_from_log_discount(self.lengths, convention, self.log_df)
-            rates.setflags(write=False)
-            hit = self._reads[key] = (rates, _read_estimate(self, convention, rates))
+        if hit is not None:
+            return hit
+        rates = _rates(self.lengths, convention, self.log_df)
+        rates.setflags(write=False)
+        sups = np.maximum.reduceat(rates, self.window_starts).tolist()
+        final = sups[-1]
+        prev = sups[-2] if len(sups) >= 2 else math.nan
+        if math.isinf(final) or (final > _DIVERGENCE_CAP and final >= prev):
+            status = DIVERGENT
+        elif len(sups) >= 2 and abs(final - prev) < _CONVERGENCE_TOL:
+            status = CONVERGED
+        else:
+            status = UNCONVERGED
+        hit = self._reads[key] = (rates, LongRateEstimate(
+            convention, final, self.t + self.offsets[-1], status, final, tuple(sups),
+            tuple(zip(self.offsets, rates.tolist())), self.truncated_at, self.truncation_reason,
+        ))
         return hit
 
 
@@ -175,8 +191,8 @@ def _decade_window_starts(xs: np.ndarray) -> np.ndarray:
     Counting stops below xs[0] or at the first empty window; the windows
     are adjacent and the last one ends at xs[-1].
     """
-    edges = [float(xs[-1])]
-    while edges[-1] >= xs[0]:
+    edges, lo = [float(xs[-1])], float(xs[0])
+    while edges[-1] >= lo:
         edges.append(edges[-1] / 10.0)
     ends = np.searchsorted(xs, edges, side="right")  # entries <= each edge
     empty = np.flatnonzero(ends[1:] == ends[:-1])
@@ -192,7 +208,7 @@ def _log_df_trace(bond, t: float, horizons: np.ndarray | None) -> _LogDfTrace:
     validated (t, schedule) is ever kept.  Any other evaluator is called
     every time.
     """
-    xs = default_long_rate_horizons() if horizons is None else np.array(horizons, float)
+    xs = default_long_rate_horizons() if horizons is None else np.asarray(horizons, float)
     t = float(t)
     caching = isinstance(bond, _CACHING_EVALUATORS)
     if caching:
@@ -200,12 +216,12 @@ def _log_df_trace(bond, t: float, horizons: np.ndarray | None) -> _LogDfTrace:
         cached = bond._trace
         if cached is not None and cached[0] == key:
             return cached[1]
-    if not (xs.ndim == 1 and xs.size >= 2 and np.all(np.isfinite(xs))
-            and xs[0] > 0 and np.all(np.diff(xs) > 0)):
+    if not (xs.ndim == 1 and xs.size >= 2 and np.isfinite(xs).all()
+            and xs[0] > 0 and (xs[1:] > xs[:-1]).all()):
         raise DomainError("horizon offsets must be finite, positive and increasing")
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"anchor time must be finite and nonnegative, got {t!r}")
-    trace = _price_trace(bond, t, xs)
+    trace = _price_trace(bond, t, xs.copy())  # a schedule the caller cannot change
     if caching:
         object.__setattr__(bond, "_trace", (key, trace))
     return trace
@@ -235,35 +251,15 @@ def _price_trace(bond, t: float, xs: np.ndarray) -> _LogDfTrace:
             "discount factor underflows to 0" if ld[n] == -np.inf
             else "evaluator cannot price this maturity"
         )
-    lengths = maturities[:n] - t
+    xs, lengths = xs[:n], maturities[:n] - t
     if not lengths[0] > 0.0:
         raise DomainError(f"horizon {xs[0]!r} vanishes against anchor time {t!r}")
     trace = _LogDfTrace(
-        t, xs[:n], lengths, ld[:n], _decade_window_starts(xs[:n]), truncated_at, reason
+        t, xs, tuple(xs.tolist()), lengths, ld[:n], _decade_window_starts(xs), truncated_at, reason
     )
     for arr in (trace.xs, trace.lengths, trace.log_df, trace.window_starts):
         arr.setflags(write=False)
     return trace
-
-
-def _read_estimate(
-    trace: _LogDfTrace, convention: RateConvention, rates: np.ndarray
-) -> LongRateEstimate:
-    """Decade suprema and status of one convention's rates over a trace."""
-    sups = np.maximum.reduceat(rates, trace.window_starts).tolist()
-    final = sups[-1]
-    prev = sups[-2] if len(sups) >= 2 else math.nan
-    if math.isinf(final) or (final > _DIVERGENCE_CAP and final >= prev):
-        status = DIVERGENT
-    elif len(sups) >= 2 and abs(final - prev) < _CONVERGENCE_TOL:
-        status = CONVERGED
-    else:
-        status = UNCONVERGED
-    return LongRateEstimate(
-        convention, final, trace.t + float(trace.xs[-1]), status, final, tuple(sups),
-        tuple(zip(trace.xs.tolist(), rates.tolist())),
-        trace.truncated_at, trace.truncation_reason,
-    )
 
 
 def estimate_long_rate(
@@ -319,11 +315,10 @@ def _trend(est: LongRateEstimate) -> str:
 
 def _check_admissible(trace: _LogDfTrace) -> None:
     """Reject discount data that never decays (no admissible kernel behind it)."""
-    x_max = float(trace.xs[-1])
     df_end = math.exp(float(trace.log_df[-1]))
     if df_end >= 0.9:
         raise InadmissibleCurveError(
-            f"discount factor is still {df_end:.6g} at horizon {x_max:g}; "
+            f"discount factor is still {df_end:.6g} at horizon {trace.offsets[-1]:g}; "
             "the data admit no pricing kernel with vanishing expectation"
         )
 
@@ -364,7 +359,7 @@ def stratification_audit(
     r_trend = _trend(r_est)
 
     checks: list[CheckResult] = []
-    min_r = min(rate for _, rate in r_est.trace)
+    min_r = min(rows[0].tolist())
     checks.append(
         CheckResult(
             "exponential long rate nonnegative",
@@ -421,11 +416,11 @@ def stratification_audit(
                         trend_name(other),
                     )
                 )
-    # Finite-horizon ordering: exponential <= higher index <= lower index,
-    # at every horizon (a column of ``rows``).
-    finite = np.isfinite(rows)
-    slack = 1e-12 * np.maximum(1.0, np.where(finite, np.abs(rows), 0.0).max(axis=0))
-    order_ok = not np.any(finite[:-1] & finite[1:] & (rows[1:] < rows[:-1] - slack))
+    # Finite-horizon ordering: exponential <= higher index <= lower index at every
+    # horizon (a column of ``rows``); a non-finite quote, made nan, enters no slack or test.
+    quotes = np.where(np.isfinite(rows), rows, np.nan)
+    slack = 1e-12 * np.fmax.reduce(np.abs(quotes), axis=0, initial=1.0)
+    order_ok = not (quotes[1:] < quotes[:-1] - slack).any()
     checks.append(
         CheckResult(
             "finite-horizon quotes ordered downward in index",

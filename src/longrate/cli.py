@@ -469,6 +469,8 @@ def cmd_longrate(args) -> int:
                 "horizon": est.horizon,
                 "closed_form": closed,
                 "decade_sups": list(est.decade_sups),
+                "truncated_at": est.truncated_at,
+                "truncation_reason": est.truncation_reason,
             },
             args.json,
         )

@@ -252,6 +252,11 @@ def rates_from_log_discount(lengths, conv: RateConvention, log_df) -> np.ndarray
     ld = np.asarray(log_df, dtype=float)
     if not np.all(np.isfinite(ld)):
         raise DomainError("log discount factors must be finite")
+    return _rates(x, conv, ld)
+
+
+def _rates(x: np.ndarray, conv: RateConvention, ld: np.ndarray) -> np.ndarray:
+    """The arithmetic of ``rates_from_log_discount``, for float arrays with ln P finite."""
     if conv.kind == _EXP:
         return -ld / x
     lam = conv.pareto_index

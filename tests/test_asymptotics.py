@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -322,8 +323,7 @@ def test_cached_estimates_equal_fresh_reads(pareto2, curves):
         for _ in range(2):
             for conv in CACHED_CONVENTIONS:
                 est = estimate_long_rate(ev, t, conv)
-                rates = lr.rates_from_log_discount(fresh.lengths, conv, fresh.log_df)
-                expected = asy._read_estimate(fresh, conv, rates)
+                expected = _checked_read(fresh, conv)[1]
                 assert est == expected and repr(est) == repr(expected)
                 assert estimate_long_rate(ev, t, conv) is est
             stratification_audit(ev, t)
@@ -412,6 +412,296 @@ def test_nearly_flat_curve_is_inadmissible_from_one_trace():
     with pytest.raises(InadmissibleCurveError):
         stratification_audit(ev, 0.0)
     assert ev.calls == 1
+
+
+# ---------------------------------------------------------------------------
+# The read path against a transcription of its checked form
+# ---------------------------------------------------------------------------
+#
+# A read of a priced trace skips the checks the public functions make.  The
+# helpers below are the read path before that change, transcribed: price and
+# cut the schedule, convert with a finiteness check, read the estimate with
+# the trace pairs built per read, and audit with the minimum taken over those
+# pairs and the masked ordering check.  The package must match them bit for
+# bit, -0.0 included.
+
+
+def _checked_trace(bond, t, xs):
+    maturities = t + xs
+    ld = np.asarray(bond.log_df(t, maturities), dtype=float)
+    unpriced = np.flatnonzero(~np.isfinite(ld))
+    n = int(unpriced[0]) if unpriced.size else xs.size
+    truncated_at = reason = None
+    if n < xs.size:
+        truncated_at = float(maturities[n])
+        reason = (
+            "discount factor underflows to 0" if ld[n] == -np.inf
+            else "evaluator cannot price this maturity"
+        )
+    edges = [float(xs[n - 1])]
+    while edges[-1] >= xs[0]:
+        edges.append(edges[-1] / 10.0)
+    ends = np.searchsorted(xs[:n], edges, side="right")
+    empty = np.flatnonzero(ends[1:] == ends[:-1])
+    count = int(empty[0]) if empty.size else len(edges) - 1
+    return types.SimpleNamespace(
+        t=t, xs=xs[:n], lengths=maturities[:n] - t, log_df=ld[:n],
+        window_starts=ends[count:0:-1], truncated_at=truncated_at, truncation_reason=reason,
+    )
+
+
+def _checked_rates(lengths, conv, log_df):
+    x = np.asarray(lengths, dtype=float)
+    ld = np.asarray(log_df, dtype=float)
+    if not np.all(np.isfinite(ld)):
+        raise DomainError("log discount factors must be finite")
+    if conv.kind == "exponential":
+        return -ld / x
+    lam = conv.pareto_index
+    with np.errstate(over="ignore"):
+        if lam is not None:
+            return lam * np.expm1(-ld / lam) / x
+        kappa = float(conv.index)
+        return kappa * np.expm1(-ld / (kappa * x))
+
+
+def _checked_read(trace, conv):
+    rates = _checked_rates(trace.lengths, conv, trace.log_df)
+    sups = np.maximum.reduceat(rates, trace.window_starts).tolist()
+    final = sups[-1]
+    prev = sups[-2] if len(sups) >= 2 else math.nan
+    if math.isinf(final) or (final > 1e3 and final >= prev):
+        status = "DIVERGENT"
+    elif len(sups) >= 2 and abs(final - prev) < 1e-6:
+        status = "CONVERGED"
+    else:
+        status = "UNCONVERGED"
+    return rates, lr.LongRateEstimate(
+        conv, final, trace.t + float(trace.xs[-1]), status, final, tuple(sups),
+        tuple(zip(trace.xs.tolist(), rates.tolist())),
+        trace.truncated_at, trace.truncation_reason,
+    )
+
+
+def _checked_stratification(trace, t, alphas):
+    asy = lr.asymptotics
+    lams = sorted({float(a) for a in alphas}, reverse=True)
+    asy._check_admissible(trace)
+    conventions = [EXP] + [RateConvention.tail_pareto(lam) for lam in lams]
+    reads = [_checked_read(trace, conv) for conv in conventions]
+    rows = np.array([rates for rates, _ in reads])
+    r_est, *lam_ests = [est for _, est in reads]
+    l_est = dict(zip(lams, lam_ests))
+    trends = {lam: asy._trend(e) for lam, e in l_est.items()}
+    r_trend = asy._trend(r_est)
+    checks = []
+    min_r = min(rate for _, rate in r_est.trace)
+    checks.append(lr.CheckResult(
+        "exponential long rate nonnegative", "PASS" if min_r >= -1e-8 else "FAIL",
+        f"min finite-horizon estimate {min_r:.9g}",
+    ))
+
+    def trend_name(lam):
+        return f"index {lam:g} trend {trends[lam]}"
+
+    if r_trend == "FINITE_POSITIVE":
+        bad = [lam for lam in lams if trends[lam] != "DIVERGENT"]
+        checks.append(lr.CheckResult(
+            "positive exponential rate forces divergence at every index",
+            "FAIL" if bad else "PASS",
+            "; ".join(trend_name(l) for l in bad) if bad else
+            f"R converges to {r_est.value:.9g}, all indices diverge",
+        ))
+    finite_lams = [lam for lam in lams if trends[lam] == "FINITE_POSITIVE"]
+    if len(finite_lams) > 1:
+        checks.append(lr.CheckResult(
+            "at most one index carries a finite positive rate", "FAIL",
+            f"finite at indices {finite_lams!r}",
+        ))
+    for lam in finite_lams:
+        checks.append(lr.CheckResult(
+            f"finite rate at index {lam:g} forces exponential rate to zero",
+            "PASS" if r_trend == "ZERO" else "FAIL",
+            f"R trend {r_trend}, value {r_est.value:.9g}",
+        ))
+        for other in lams:
+            if other > lam:
+                checks.append(lr.CheckResult(
+                    f"finite rate at index {lam:g} forces index {other:g} to zero",
+                    "PASS" if trends[other] == "ZERO" else "FAIL", trend_name(other),
+                ))
+            elif other < lam:
+                checks.append(lr.CheckResult(
+                    f"finite rate at index {lam:g} forces index {other:g} to diverge",
+                    "PASS" if trends[other] == "DIVERGENT" else "FAIL", trend_name(other),
+                ))
+    finite = np.isfinite(rows)
+    slack = 1e-12 * np.maximum(1.0, np.where(finite, np.abs(rows), 0.0).max(axis=0))
+    order_ok = not np.any(finite[:-1] & finite[1:] & (rows[1:] < rows[:-1] - slack))
+    checks.append(lr.CheckResult(
+        "finite-horizon quotes ordered downward in index", "PASS" if order_ok else "FAIL",
+        "exponential <= tail-Pareto quotes, decreasing index last",
+    ))
+    if r_trend == "INCONCLUSIVE":
+        checks.append(lr.CheckResult(
+            "exponential trend resolved", "INCONCLUSIVE", "trend unresolved"))
+    for lam in lams:
+        if trends[lam] == "INCONCLUSIVE":
+            checks.append(lr.CheckResult(
+                f"index {lam:g} trend resolved", "INCONCLUSIVE", "trend unresolved"))
+    data = {
+        "t": float(t),
+        "exponential": {"value": r_est.value, "status": r_est.status, "trend": r_trend},
+        "indices": {
+            f"{lam:g}": {
+                "value": l_est[lam].value, "status": l_est[lam].status, "trend": trends[lam],
+            }
+            for lam in lams
+        },
+    }
+    return lr.AuditReport("stratification audit", tuple(checks), data)
+
+
+def _assert_same_bits(got, want, where):
+    """Equal values of equal types, every float compared through its int64 bits."""
+    assert type(got) is type(want), where
+    if isinstance(want, float):
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), where
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape, where
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), where
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_bits(g, w, f"{where}[{i}]")
+    elif isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            _assert_same_bits(got[key], want[key], f"{where}[{key!r}]")
+    elif dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            _assert_same_bits(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+    else:
+        assert got == want, where
+
+
+class _FixedLogDf:
+    """A foreign evaluator returning one fixed ln P per maturity, whatever t."""
+
+    def __init__(self, log_df):
+        self.ld = np.asarray(log_df, dtype=float)
+
+    def log_df(self, t, T):
+        return self.ld[: len(T)].copy()
+
+
+def _signed_zero_trace(first):
+    """ln P = -0.01 x, except that the first two entries are ``first`` and its negation:
+    the exponential quotes there are -first / x and first / x, the trace's minimum."""
+    ld = -0.01 * default_long_rate_horizons()
+    ld[:2] = first, -first
+    return _FixedLogDf(ld)
+
+
+def _read_path_subjects():
+    """label -> (evaluator factory, t, horizons or None)."""
+    subjects = {}
+    for name, model in sorted(lr.zoo.model_zoo().items()):
+        for t in EQUIV_TIMES:
+            state = ModelState(t, 1.3, 0.8 if model.factors == 2 else None)
+            subjects[f"{name}-t{t:g}"] = (
+                lambda m=model, s=state: bond_evaluator(m, s), t, None)
+    for name, curve in sorted(lr.zoo.curve_zoo().items()):
+        for t in EQUIV_TIMES:
+            subjects[f"{name}-t{t:g}"] = (lambda c=curve: curve_evaluator(c), t, None)
+    tailless = lr.curve_from_function(lambda t: np.exp(-0.03 * t))  # grid ends at 1000
+    subjects["tailless-t0"] = (lambda: curve_evaluator(tailless), 0.0, None)
+    subjects["tailless-t5"] = (lambda: curve_evaluator(tailless), 5.0, None)
+    underflowing = lr.zoo.pareto_one_factor(45.0)  # P underflows before 1e8
+    subjects["underflow-pareto45"] = (
+        lambda: bond_evaluator(underflowing, ModelState(0.0, 1.0)), 0.0, None)
+    pareto2 = lr.zoo.pareto_one_factor(2.0)
+    subjects["foreign-pareto2"] = (
+        lambda: _CountingEvaluator(bond_evaluator(pareto2, ModelState(10.0, 1.3))), 10.0, None)
+    subjects["gamma2-short-schedule"] = (
+        lambda: curve_evaluator(lr.zoo.curve_zoo()["gamma2"]), 25.0,
+        default_long_rate_horizons(stop=1e6))
+    subjects["signed-zero-plus-first"] = (lambda: _signed_zero_trace(-0.0), 0.0, None)
+    subjects["signed-zero-minus-first"] = (lambda: _signed_zero_trace(0.0), 0.0, None)
+    return subjects
+
+
+READ_PATH_SUBJECTS = _read_path_subjects()
+READ_PATH_CONVENTIONS = [
+    EXP, LIBOR, RateConvention.tail_pareto(0.5), RateConvention.tail_pareto(1.0),
+    RateConvention.tail_pareto(2.0), RateConvention.tail_pareto(3.0),
+    RateConvention.zero_coupon(1.0), RateConvention.zero_coupon(12.0),
+]
+READ_PATH_ALPHAS = [(1.0, 2.0, 3.0), (3.0, 0.5, 2.0, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("label", sorted(READ_PATH_SUBJECTS))
+def test_reads_match_the_transcribed_read_path_bitwise(label):
+    """Every read and audit is bitwise the checked read path's, before and after
+    the trace's reads are cached, and every rates array handed out is read-only."""
+    make, t, xs = READ_PATH_SUBJECTS[label]
+    schedule = default_long_rate_horizons() if xs is None else xs
+    ref = _checked_trace(make(), t, schedule)
+    ev = make()
+    for rounds in range(2):
+        for alphas in READ_PATH_ALPHAS:
+            _assert_same_bits(
+                stratification_audit(ev, t, alphas, xs), _checked_stratification(ref, t, alphas),
+                f"{label} audit {alphas} round {rounds}",
+            )
+        for conv in READ_PATH_CONVENTIONS:
+            where = f"{label} {conv} round {rounds}"
+            want_rates, want = _checked_read(ref, conv)
+            _assert_same_bits(estimate_long_rate(ev, t, conv, xs), want, where)
+            rates, est = lr.asymptotics._log_df_trace(ev, t, xs).read(conv)
+            _assert_same_bits(est, want, where)
+            _assert_same_bits(rates, want_rates, where)
+            assert not rates.flags.writeable, where
+    if label.startswith("signed-zero"):
+        detail = stratification_audit(ev, t).checks[0].detail
+        assert detail == f"min finite-horizon estimate {-ref.log_df[0] / 10.0:.9g}"
+    if label.startswith(("tailless", "underflow")):
+        assert ref.truncated_at is not None
+
+
+def test_audit_matches_the_transcribed_read_path_on_adversarial_quotes(monkeypatch):
+    """The audit's minimum and ordering check against the transcription, on quotes
+    no ln P converts to: nan, -inf, signed zeros, exponential quotes about -1e-8,
+    and adjacent quotes out of order by 0 to 2 times the slack, so that both
+    verdicts of both checks occur."""
+    rng = np.random.default_rng(23)
+    alphas = (0.5, 1.0, 2.0, 3.0)
+    row_of = {EXP: 0, **{RateConvention.tail_pareto(a): 4 - k for k, a in enumerate(alphas)}}
+    gamma2 = lr.zoo.curve_zoo()["gamma2"]
+    ref = _checked_trace(curve_evaluator(gamma2), 0.0, default_long_rate_horizons())
+    n = ref.xs.size
+    orderings, minima = [], []
+    for _ in range(300):
+        rows = np.sort(rng.exponential(size=(5, n)) * 10.0 ** rng.uniform(-3.0, 3.0, n), axis=0)
+        slack = 1e-12 * np.maximum(1.0, rows[-1])
+        for col in rng.integers(0, n, 2):
+            i = rng.integers(1, 5)
+            rows[i, col] = rows[i - 1, col] - rng.choice([0.0, 0.5, 1.0, 2.0]) * slack[col]
+        rows[0, rng.integers(0, n, 3)] = rng.choice([0.0, -0.0, -5e-9, -2e-8], 3)
+        odd = rng.random(rows.shape) < 0.03
+        rows[odd] = rng.choice([np.inf, -np.inf, np.nan], int(odd.sum()))
+
+        def fake_rates(x, conv, ld, rows=rows):
+            return rows[row_of[conv]].copy()
+
+        monkeypatch.setattr(lr.asymptotics, "_rates", fake_rates)
+        monkeypatch.setitem(globals(), "_checked_rates", fake_rates)
+        got = stratification_audit(curve_evaluator(gamma2), 0.0, alphas)
+        _assert_same_bits(got, _checked_stratification(ref, 0.0, alphas), "adversarial")
+        minima.append(got.checks[0].status)
+        orderings += [c.status for c in got.checks if c.name.endswith("downward in index")]
+    assert len(orderings) == 300
+    assert {"PASS", "FAIL"} == set(minima) == set(orderings)
 
 
 # ---------------------------------------------------------------------------

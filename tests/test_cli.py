@@ -98,6 +98,23 @@ def test_longrate_flat_curve():
     assert out.stdout.strip() == "inf DIVERGENT"
 
 
+def test_longrate_json_names_where_and_why_a_tailless_curve_was_cut(tmp_path):
+    """A CSV curve has no tail: the schedule stops past its last maturity, 1000."""
+    curve = tmp_path / "curve.csv"
+    curve.write_text("maturity_years,discount_factor\n"
+                     + "".join(f"{T},{0.97 ** T!r}\n" for T in (1, 10, 100, 1000)))
+    argv = ("longrate", "--curve", curve, "--t", 0, "--conv", "exp")
+    out = run_cli(*argv, "--json", tmp_path / "out.json")
+    assert out.returncode == 0 and out.stdout == run_cli(*argv).stdout
+    doc = json.loads((tmp_path / "out.json").read_text())
+    assert doc["horizon"] == 1000.0
+    assert doc["truncated_at"] == 1333.52143  # the next offset, 10 ** 3.125, to 9 digits
+    assert doc["truncation_reason"] == "evaluator cannot price this maturity"
+    out = run_cli("longrate", "--model", "ref1f", "--conv", "libor", "--json", tmp_path / "m.json")
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert doc["truncated_at"] is None and doc["truncation_reason"] is None
+
+
 def test_longrate_trace_csv(tmp_path):
     trace = tmp_path / "trace.csv"
     out = run_cli("longrate", "--model", "pareto2", "--t", 0, "--conv", "pareto:2", "--trace", trace)

@@ -70,10 +70,10 @@ ESTIMATOR_CASES = [
 
 ESTIMATOR_GOLDEN = {
     0: (0, "78a9b16e6bb352aafcd2743b7a8863829ae71f8e41c82d44592527231acd9907",
-        {"out.json": "0244a17e5b09d621f674dd1de83c46251798b9d692efbdebc1d9584e7a965da0",
+        {"out.json": "3cfa20efc817ba5e0801e943021271e62795aef62bff4f1e183e1b5111d9bfea",
          "trace.csv": "e8899f03842ea92847e5c0c76c0fac3dfdf5d10e084e53369476b667665a044f"}),
     1: (0, "a25e67ee8fb77f4037ff491a83ecb677df11a2f73ebc8e331f45fc1e8e0987d7",
-        {"out.json": "a98b71a2001f0202265df21a75acba74bf9f51c21cab4baef92551a0b7ccb5e9"}),
+        {"out.json": "4e93b602bf4fe3cf5198439e6f87faab6362d26ab04b1721950b6ddd7f572796"}),
     2: (0, "bcd86b5dc170ad2be5bc9cb7face1f58785b47322ce497407620fcc761ecf9ea",
         {"report.json": "9e9407d0c7fedc9c3b2a4c9ce073dd0677700d165b1d01ba7cceb84d0dd312ce"}),
 }
