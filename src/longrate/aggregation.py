@@ -246,10 +246,6 @@ class AsymptoticRateEstimate:
     horizons: np.ndarray
     estimates: np.ndarray
 
-    @property
-    def converged(self) -> bool:
-        return self.status == "CONVERGED"
-
 
 def asymptotic_exponential_rate(mixture: RateMixture) -> AsymptoticRateEstimate:
     """Estimate the long-horizon exponential rate of the aggregate curve.

@@ -135,23 +135,18 @@ class LongRateEstimate:
     truncated_at: float | None = None
     truncation_reason: str | None = None
 
-    @property
-    def converged(self) -> bool:
-        return self.status == CONVERGED
-
 
 @dataclass(frozen=True)
 class _LogDfTrace:
     """ln P(t, t + x) over the priced prefix of a horizon schedule.
 
     Reads check nothing, on what ``_price_trace`` guarantees: ``log_df``
-    is finite, every array is read-only, and ``offsets`` (``xs`` as
-    floats) is built once and shared by every read's trace pairs.
+    is finite, every array is read-only, and ``offsets`` is built once
+    and shared by every read's trace pairs.
     """
 
     t: float
-    xs: np.ndarray  # offsets x
-    offsets: tuple[float, ...]
+    offsets: tuple[float, ...]  # offsets x
     lengths: np.ndarray  # tenor lengths (t + x) - t
     log_df: np.ndarray
     window_starts: np.ndarray  # first index of each decade window, increasing
@@ -255,9 +250,9 @@ def _price_trace(bond, t: float, xs: np.ndarray) -> _LogDfTrace:
     if not lengths[0] > 0.0:
         raise DomainError(f"horizon {xs[0]!r} vanishes against anchor time {t!r}")
     trace = _LogDfTrace(
-        t, xs, tuple(xs.tolist()), lengths, ld[:n], _decade_window_starts(xs), truncated_at, reason
+        t, tuple(xs.tolist()), lengths, ld[:n], _decade_window_starts(xs), truncated_at, reason
     )
-    for arr in (trace.xs, trace.lengths, trace.log_df, trace.window_starts):
+    for arr in (trace.lengths, trace.log_df, trace.window_starts):
         arr.setflags(write=False)
     return trace
 
@@ -281,13 +276,13 @@ def estimate_long_rate(
     return _log_df_trace(bond, t, horizons).read(convention)[1]
 
 
-def save_trace_csv(estimate: LongRateEstimate, path) -> None:
-    """Write the finite-horizon trace as ``horizon,rate`` (absolute maturities)."""
-    t0 = estimate.horizon - estimate.trace[-1][0]
+def save_trace_csv(estimate: LongRateEstimate, t: float, path) -> None:
+    """Write the finite-horizon trace of an estimate made at anchor time ``t``
+    as ``horizon,rate``, each horizon the maturity t + x that was priced."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("horizon,rate\n")
         for x, rate in estimate.trace:
-            fh.write(f"{t0 + x:.9g},{rate:.9g}\n")
+            fh.write(f"{t + x:.9g},{rate:.9g}\n")
 
 
 # Trend labels used by the stratification logic.

@@ -7,10 +7,11 @@ an audit reports FAIL, 2 on input/domain errors and on a named file that
 cannot be read or written (a command that exits 2 prints nothing to
 stdout).
 
-Model references resolve in order: filesystem path, packaged config
-(``ref1f.json``, ``ref2f.json``, ``pareto2.json``), catalogue name
+Model references resolve in order: filesystem path, catalogue name
 (``ref1f``, ``pareto2``, ``ref2f``, ...).  Curve references resolve as:
 CSV path, ``flat:<rate>``, ``pareto:<lam>:<level>``, catalogue name.
+Schedule references resolve as: filesystem path, packaged schedule
+(``greenbook_example``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ if TYPE_CHECKING:
     from .kernel_models import Model, ModelState
     from .montecarlo import CashFlow, PathEnsemble
     from .reporting import AuditReport
-    from .termstructure import DiscountCurve, RateConvention
+    from .termstructure import DiscountCurve, RateConvention, STPRSchedule
 
 __all__ = ["main", "build_parser", "STPRSchedule"]
 
@@ -135,35 +136,34 @@ def _parse_grid(spec: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _load_file(ref: str, load):
-    """``load`` the file at path ``ref``, else the packaged data file ``ref``
-    (``.json`` appended if missing); None when neither exists."""
-    from importlib import resources
-
-    if os.path.exists(ref):
-        return load(ref)
-    packaged = resources.files("longrate").joinpath(
-        "data", ref if ref.endswith(".json") else ref + ".json"
-    )
-    if not packaged.is_file():
-        return None
-    with resources.as_file(packaged) as fp:
-        return load(fp)
-
-
 def _resolve_model(ref: str) -> Model:
-    from .kernel_models import load_model_config
+    if os.path.exists(ref):
+        from .kernel_models import load_model_config
 
-    model = _load_file(ref, load_model_config)
-    if model is not None:
-        return model
+        return load_model_config(ref)
     try:
         return zoo.zoo_model(ref)
     except DomainError:
         pass
-    raise DomainError(
-        f"cannot resolve model {ref!r}: not a file, packaged config, or catalogue name"
+    raise DomainError(f"cannot resolve model {ref!r}: not a file or catalogue name")
+
+
+def _resolve_schedule(ref: str) -> STPRSchedule:
+    """The schedule at path ``ref``, else the packaged schedule ``ref``
+    (``.json`` appended if missing)."""
+    from importlib import resources
+
+    from .termstructure import STPRSchedule
+
+    if os.path.exists(ref):
+        return STPRSchedule.load(ref)
+    packaged = resources.files("longrate").joinpath(
+        "data", ref if ref.endswith(".json") else ref + ".json"
     )
+    if not packaged.is_file():
+        raise DomainError(f"cannot resolve schedule {ref!r}")
+    with resources.as_file(packaged) as fp:
+        return STPRSchedule.load(fp)
 
 
 def _resolve_curve(ref: str) -> DiscountCurve:
@@ -457,7 +457,7 @@ def cmd_longrate(args) -> int:
     headline = est.value if closed is None else closed
     print(f"{_fmt(headline)} {est.status}")
     if args.trace:
-        save_trace_csv(est, args.trace)
+        save_trace_csv(est, t, args.trace)
     if args.json:
         _emit_json(
             {
@@ -544,11 +544,9 @@ def _audit_pareto(args) -> int:
 
 def cmd_greenbook(args) -> int:
     from .asymptotics import classify_curve
-    from .termstructure import STPRSchedule, time_consistency_residual
+    from .termstructure import time_consistency_residual
 
-    schedule = _load_file(args.schedule, STPRSchedule.load)
-    if schedule is None:
-        raise DomainError(f"cannot resolve schedule {args.schedule!r}")
+    schedule = _resolve_schedule(args.schedule)
     curve = schedule.curve(spot=args.spot_rates)
     maturities = (
         _parse_floats(args.times, "--times")

@@ -129,10 +129,6 @@ class CoefficientFunction:
     def __call__(self, t):
         return self.fn(t)
 
-    @property
-    def differentiable(self) -> bool:
-        return self.deriv is not None
-
     def derivative(self, t):
         if self.deriv is None:
             raise UnsupportedOperationError(
@@ -304,10 +300,6 @@ class Model:
     @property
     def factors(self) -> int:
         return len(self.coefficients) - 1
-
-    @property
-    def differentiable(self) -> bool:
-        return all(c.differentiable for c in self.coefficients)
 
     # Names of the first coefficients and the first driver, for callers that
     # write the paper's a, b, c and M.

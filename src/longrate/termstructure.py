@@ -22,16 +22,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ExtrapolationError, _finite, _read_json
 
+if TYPE_CHECKING:  # reporting runs only in ordering_audit
+    from .reporting import AuditReport
+
 __all__ = [
     "Tenor",
     "RateConvention",
-    "RateQuote",
     "discount_from_rate",
     "rate_from_discount",
     "rate_from_log_discount",
@@ -39,7 +41,6 @@ __all__ = [
     "log_discount_from_rate",
     "convert_rate",
     "ordering_audit",
-    "OrderingReport",
     "DiscountCurve",
     "ExponentialTail",
     "ParetoTail",
@@ -161,22 +162,6 @@ class RateConvention:
         return None
 
 
-@dataclass(frozen=True)
-class RateQuote:
-    """A rate together with its tenor and convention."""
-
-    tenor: Tenor
-    convention: RateConvention
-    value: float
-
-    def __post_init__(self):
-        _finite("value", self.value)
-        _check_rate_domain(self.tenor.length, self.convention, self.value)
-
-    def discount_factor(self) -> float:
-        return discount_from_rate(self.tenor, self.convention, self.value)
-
-
 def _check_rate_domain(x: float, conv: RateConvention, value: float) -> None:
     lam = conv.pareto_index
     if lam is not None:
@@ -291,41 +276,19 @@ def convert_rate(
     return rate_from_log_discount(tenor, to_conv, ld)
 
 
-@dataclass(frozen=True)
-class OrderingReport:
-    """Ordering of the rate quotes implied by one discount factor.
-
-    ``entries`` is ordered from the exponential rate upward: exponential
-    first, then tail-Pareto rates by decreasing index (ending at Libor,
-    index 1, if included).  The quoted rates must be nondecreasing in
-    that order; they coincide only when the rate vanishes (df == 1).
-    """
-
-    tenor: Tenor
-    discount_factor: float
-    entries: tuple[tuple[str, float], ...]
-    passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "t": self.tenor.t,
-            "T": self.tenor.T,
-            "discount_factor": self.discount_factor,
-            "rates": {label: rate for label, rate in self.entries},
-            "verdict": "PASS" if self.passed else "FAIL",
-        }
-
-
-def ordering_audit(
-    tenor: Tenor, df: float, alphas: Iterable[float] = (2.0,)
-) -> OrderingReport:
+def ordering_audit(tenor: Tenor, df: float, alphas: Iterable[float] = (2.0,)) -> AuditReport:
     """Check the systematic ordering R <= L^(alpha) <= L^(beta) for alpha > beta.
 
     Computes the exponential rate and the tail-Pareto rate at each index in
     ``alphas`` (plus index 1, the Libor rate) for the given
     discount factor, and verifies the quotes are monotone in the convention
-    order.  Equality across conventions only occurs at df == 1.
+    order.  Equality across conventions only occurs at df == 1.  ``data``
+    holds the tenor, the discount factor and the quotes by label in that
+    order: exponential first, then tail-Pareto by decreasing index (Libor
+    is index 1).
     """
+    from .reporting import FAIL, PASS, AuditReport, CheckResult
+
     d = _finite("discount factor", df)
     if d <= 0.0:
         raise DomainError(f"discount factor must be positive, got {df!r}")
@@ -350,7 +313,12 @@ def ordering_audit(
             rates[i + 1] > rates[i] - slack for i in range(len(rates) - 1)
         )
         ok = ok and strict
-    return OrderingReport(tenor, d, tuple(entries), ok)
+    check = CheckResult(
+        "quotes ordered downward in index", PASS if ok else FAIL,
+        " <= ".join(label for label, _ in entries),
+    )
+    data = {"t": tenor.t, "T": tenor.T, "discount_factor": d, "rates": dict(entries)}
+    return AuditReport("ordering audit", (check,), data)
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +477,10 @@ def curve_from_function(
     return DiscountCurve(g, np.asarray(fn(g), dtype=float), tail)
 
 
-def flat_exponential_curve(rate: float, grid: np.ndarray | None = None) -> DiscountCurve:
+def flat_exponential_curve(rate: float) -> DiscountCurve:
     """P(0,t) = exp(-rate * t), continued at the same rate beyond the grid."""
     r = _finite("rate", rate)
-    return curve_from_function(lambda t: np.exp(-r * t), grid, ExponentialTail(r))
+    return curve_from_function(lambda t: np.exp(-r * t), tail=ExponentialTail(r))
 
 
 def tail_pareto_curve(
@@ -654,9 +622,8 @@ class STPRSchedule:
             total += float(rate) * (hi - float(start))
         return total
 
-    def curve(self, grid=None, spot: bool = False) -> DiscountCurve:
-        g = default_curve_grid() if grid is None else np.asarray(grid, dtype=float)
-        g = _sorted_unique(np.concatenate([g, self.boundaries]))
+    def curve(self, spot: bool = False) -> DiscountCurve:
+        g = _sorted_unique(np.concatenate([default_curve_grid(), self.boundaries]))
         if spot:
             values = np.array([math.exp(-self.rate_at(t) * t) for t in g])
         else:

@@ -1,12 +1,12 @@
-"""Bundled reference models and curves.
+"""Bundled reference models and curves: the package's one catalogue.
 
-Every factory returns a fresh immutable object, so tests can mutate
-nothing and the CLI can resolve names like ``ref1f`` without touching
-the filesystem.  The catalogue deliberately spans the interesting
-corners: a plain one-factor model, tail indices below and above 1, a
-two-factor model, a degenerate (proportional-coefficient) model whose
-state inversions must refuse, and deterministic curves of both tail
-classes.
+One name -> factory table backs it: ``model_zoo()`` and ``curve_zoo()``
+build every entry, ``zoo_model`` and ``zoo_curve`` only the one named.
+Each factory returns a fresh immutable object, so tests can mutate
+nothing.  The catalogue deliberately spans the interesting corners: a
+plain one-factor model, tail indices below and above 1, a two-factor
+model, a degenerate (proportional-coefficient) model whose state
+inversions must refuse, and deterministic curves of both tail classes.
 """
 
 from __future__ import annotations
@@ -87,26 +87,6 @@ def degenerate_one_factor() -> Model:
     return Model(_rational((0.5, 1.0), (0.5, 1.0), lam=1.0), _ONE_DRIVER)
 
 
-def model_zoo() -> dict[str, Model]:
-    """Name -> model map for the bundled catalogue (seven entries)."""
-    return {
-        "ref1f": reference_one_factor(),
-        "pareto05": pareto_one_factor(0.5),
-        "pareto2": pareto_one_factor(2.0),
-        "pareto3": pareto_one_factor(3.0),
-        "ref2f": reference_two_factor(),
-        "ref2fx": staggered_two_factor(),
-        "degenerate1f": degenerate_one_factor(),
-    }
-
-
-def zoo_model(name: str) -> Model:
-    zoo = model_zoo()
-    if name not in zoo:
-        raise DomainError(f"unknown zoo model {name!r}; have {sorted(zoo)}")
-    return zoo[name]
-
-
 def long_grid() -> np.ndarray:
     """Curve grid reaching 1e6, far enough for tail classification without a model."""
     base = default_curve_grid()
@@ -114,18 +94,46 @@ def long_grid() -> np.ndarray:
     return np.concatenate([base, extra])
 
 
+# kind -> name -> factory; insertion order is the catalogue's order.
+_CATALOGUE = {
+    "model": {
+        "ref1f": reference_one_factor,
+        "pareto05": lambda: pareto_one_factor(0.5),
+        "pareto2": lambda: pareto_one_factor(2.0),
+        "pareto3": lambda: pareto_one_factor(3.0),
+        "ref2f": reference_two_factor,
+        "ref2fx": staggered_two_factor,
+        "degenerate1f": degenerate_one_factor,
+    },
+    "curve": {
+        "flat3": lambda: flat_exponential_curve(0.03),
+        "hyperbolic2": lambda: tail_pareto_curve(1.0, 0.02, grid=long_grid()),
+        "gamma2": lambda: tail_pareto_curve(2.0, 0.04, grid=long_grid()),
+        "gamma3": lambda: tail_pareto_curve(3.0, 0.02, grid=long_grid()),
+    },
+}
+
+
+def _build(kind: str, name: str):
+    factories = _CATALOGUE[kind]
+    if name not in factories:
+        raise DomainError(f"unknown zoo {kind} {name!r}; have {sorted(factories)}")
+    return factories[name]()
+
+
+def model_zoo() -> dict[str, Model]:
+    """Name -> model map for the bundled catalogue (seven entries)."""
+    return {name: make() for name, make in _CATALOGUE["model"].items()}
+
+
+def zoo_model(name: str) -> Model:
+    return _build("model", name)
+
+
 def curve_zoo() -> dict[str, DiscountCurve]:
     """Deterministic curves of known tail class for audits and examples."""
-    return {
-        "flat3": flat_exponential_curve(0.03),
-        "hyperbolic2": tail_pareto_curve(1.0, 0.02, grid=long_grid()),
-        "gamma2": tail_pareto_curve(2.0, 0.04, grid=long_grid()),
-        "gamma3": tail_pareto_curve(3.0, 0.02, grid=long_grid()),
-    }
+    return {name: make() for name, make in _CATALOGUE["curve"].items()}
 
 
 def zoo_curve(name: str) -> DiscountCurve:
-    zoo = curve_zoo()
-    if name not in zoo:
-        raise DomainError(f"unknown zoo curve {name!r}; have {sorted(zoo)}")
-    return zoo[name]
+    return _build("curve", name)

@@ -41,6 +41,17 @@ def curves():
     return lr.zoo.curve_zoo()
 
 
+def assert_same_model_bits(got, want):
+    """Every coefficient and derivative equal bit for bit on 1e-3..1e8; equal drivers."""
+    grid = np.geomspace(1e-3, 1e8, 1101)
+    assert len(got.coefficients) == len(want.coefficients)
+    for g, w in zip(got.coefficients, want.coefficients):
+        assert (g.lam, g.tail_limit, g.family, g.params) == (w.lam, w.tail_limit, w.family, w.params)
+        for a, b in ((g(grid), w(grid)), (g.derivative(grid), w.derivative(grid))):
+            assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+    assert got.drivers == want.drivers
+
+
 def run_cli(*args, env_extra=None, cwd=None):
     """Run ``longrate.cli.main`` in process, in ``cwd`` with ``env_extra`` set.
 

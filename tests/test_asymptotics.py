@@ -76,7 +76,7 @@ def test_estimate_records_trace(ref1f, tmp_path):
     assert len(est.trace) == len(horizons)
     assert est.trace[0][0] == pytest.approx(horizons[0])
     out = tmp_path / "trace.csv"
-    lr.save_trace_csv(est, out)
+    lr.save_trace_csv(est, 0.0, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "horizon,rate"
     assert len(lines) == 1 + len(est.trace)
@@ -255,7 +255,7 @@ def test_package_evaluators_price_one_trace_per_schedule(pareto2, curves):
         estimate_long_rate(ev, 0.0, LIBOR)
         stratification_audit(ev, 0.0)
         assert lr.asymptotics._log_df_trace(ev, 0.0, default_long_rate_horizons()) is trace
-        assert not any(a.flags.writeable for a in (trace.xs, trace.lengths, trace.log_df))
+        assert not any(a.flags.writeable for a in (trace.lengths, trace.log_df))
 
 
 def test_trace_cache_matches_fresh_evaluators(pareto2, curves):
@@ -445,7 +445,7 @@ def _checked_trace(bond, t, xs):
     empty = np.flatnonzero(ends[1:] == ends[:-1])
     count = int(empty[0]) if empty.size else len(edges) - 1
     return types.SimpleNamespace(
-        t=t, xs=xs[:n], lengths=maturities[:n] - t, log_df=ld[:n],
+        t=t, offsets=tuple(xs[:n].tolist()), lengths=maturities[:n] - t, log_df=ld[:n],
         window_starts=ends[count:0:-1], truncated_at=truncated_at, truncation_reason=reason,
     )
 
@@ -477,8 +477,8 @@ def _checked_read(trace, conv):
     else:
         status = "UNCONVERGED"
     return rates, lr.LongRateEstimate(
-        conv, final, trace.t + float(trace.xs[-1]), status, final, tuple(sups),
-        tuple(zip(trace.xs.tolist(), rates.tolist())),
+        conv, final, trace.t + trace.offsets[-1], status, final, tuple(sups),
+        tuple(zip(trace.offsets, rates.tolist())),
         trace.truncated_at, trace.truncation_reason,
     )
 
@@ -679,7 +679,7 @@ def test_audit_matches_the_transcribed_read_path_on_adversarial_quotes(monkeypat
     row_of = {EXP: 0, **{RateConvention.tail_pareto(a): 4 - k for k, a in enumerate(alphas)}}
     gamma2 = lr.zoo.curve_zoo()["gamma2"]
     ref = _checked_trace(curve_evaluator(gamma2), 0.0, default_long_rate_horizons())
-    n = ref.xs.size
+    n = len(ref.offsets)
     orderings, minima = [], []
     for _ in range(300):
         rows = np.sort(rng.exponential(size=(5, n)) * 10.0 ** rng.uniform(-3.0, 3.0, n), axis=0)

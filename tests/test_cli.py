@@ -7,20 +7,19 @@ processes) use ``run_process``.
 
 import argparse
 import json
-from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import run_cli, run_process
-from longrate import cli
+from conftest import assert_same_model_bits, run_cli, run_process
+from longrate import cli, default_long_rate_horizons, model_to_config, save_model_config, zoo
 
 # Any RuntimeWarning (divide by zero, overflow, invalid value) fails a test here.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 _DROP = object()
 
-# ref1f.json with the listed (key path, value) edits; _DROP deletes the key.
+# ref1f's config with the listed (key path, value) edits; _DROP deletes the key.
 BAD_MODEL_CONFIGS = {
     "lambda_text": [("lambda", "x")],
     "lambda_null": [("lambda", None)],
@@ -44,7 +43,7 @@ BAD_SCHEDULES = {
 
 
 def _write_bad_model_configs(directory):
-    text = resources.files("longrate").joinpath("data", "ref1f.json").read_text()
+    text = json.dumps(model_to_config(zoo.zoo_model("ref1f")))
     for name, edits in BAD_MODEL_CONFIGS.items():
         cfg = json.loads(text)
         for path, value in edits:
@@ -83,6 +82,35 @@ def test_unknown_model_exits_2():
     out = run_cli("longrate", "--model", "nosuchmodel", "--t", 0, "--conv", "libor")
     assert out.returncode == 2
     assert "nosuchmodel" in out.stderr
+
+
+def test_model_resolves_by_path_else_catalogue_name(tmp_path):
+    for name, model in zoo.model_zoo().items():
+        assert_same_model_bits(cli._resolve_model(name), zoo.zoo_model(name))
+        path = tmp_path / f"{name}.json"
+        save_model_config(model, path)
+        assert_same_model_bits(cli._resolve_model(str(path)), model)
+
+
+def test_model_config_spelling_is_not_a_catalogue_name(tmp_path):
+    out = run_cli("longrate", "--model", "ref1f.json", "--conv", "libor", cwd=tmp_path)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (
+        "error: cannot resolve model 'ref1f.json': not a file or catalogue name\n"
+    )
+
+
+@pytest.mark.parametrize("t, row, horizon", [(0.07, 3, "23.7837371"), (0.05, 48, "10000000.1")])
+def test_longrate_trace_rows_are_the_priced_maturities(tmp_path, t, row, horizon):
+    """Each trace row's horizon is t + x as priced, not rebuilt from the last row."""
+    path = tmp_path / "trace.csv"
+    out = run_cli("longrate", "--model", "ref1f", "--t", t, "--conv", "libor", "--trace", path)
+    assert out.returncode == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "horizon,rate"
+    horizons = [line.split(",")[0] for line in lines[1:]]
+    assert horizons == ["%.9g" % (t + x) for x in default_long_rate_horizons().tolist()]
+    assert horizons[row] == horizon
 
 
 def test_longrate_reference_model_pinned():
@@ -455,7 +483,7 @@ CURVE_REJECTS = {
 def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
     (tmp_path / "latin1.json").write_bytes('{"kind": "gamma", "shape": "²"}'.encode("latin-1"))
-    huge = json.loads(resources.files("longrate").joinpath("data", "ref1f.json").read_text())
+    huge = model_to_config(zoo.zoo_model("ref1f"))
     huge["drivers"]["m"]["sigma"] = [[0.0, 1e200]]
     (tmp_path / "sigma_huge.json").write_text(json.dumps(huge), encoding="utf-8")
     _write_bad_model_configs(tmp_path)

@@ -30,7 +30,7 @@ PACKAGE_EXPORTS = """
     DiscountCurve DiscreteMixture DomainError ExponentialMixture ExponentialTail
     ExtrapolationError FAIL FGHCoefficients FitDiagnostics FlowValuation GBMDriver GammaMixture
     INCONCLUSIVE InadmissibleCurveError LongRateEstimate LongrateError Model ModelState
-    OrderingReport PASS ParetoTail PathEnsemble RateConvention RateQuote STPRSchedule Tenor
+    PASS ParetoTail PathEnsemble RateConvention STPRSchedule Tenor
     UnattainableRateError UnsupportedOperationError ValuationResult aggregate_discount
     asymptotic_exponential_rate attainable_long_rates attainable_short_rates bond_evaluator
     bond_from_long_rate_1f bond_from_short_rate_1f bond_log_df bond_price bond_price_1f

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import longrate as lr
+from conftest import assert_same_model_bits
 from longrate import (
     CoefficientFunction,
     Model,
@@ -396,13 +397,11 @@ def test_two_factor_config_round_trip(ref2f, tmp_path):
     assert loaded.drivers is not None
 
 
-def test_packaged_configs_parse():
-    import importlib.resources as res
-
-    for name in ("ref1f.json", "ref2f.json", "pareto2.json"):
-        with res.as_file(res.files("longrate") / "data" / name) as p:
-            model = lr.load_model_config(p)
-        assert lr.expected_kernel(model, 0.0) > 0.0
+def test_zoo_models_round_trip_through_config_bitwise():
+    zoo = lr.zoo.model_zoo()
+    assert len(zoo) == 7
+    for model in zoo.values():
+        assert_same_model_bits(lr.model_from_config(lr.model_to_config(model)), model)
 
 
 def test_config_missing_key_is_rejected(tmp_path):

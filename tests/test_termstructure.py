@@ -141,8 +141,10 @@ def test_quote_ordering(df, alpha, gap):
 
 def test_ordering_audit_includes_df_above_one():
     rep = lr.ordering_audit(Tenor(0.0, 10.0), 1.1, alphas=(0.5, 2.0, 3.0))
-    assert rep.passed
-    values = [v for _, v in rep.entries]
+    assert isinstance(rep, lr.AuditReport) and rep.passed
+    assert rep.data["discount_factor"] == 1.1
+    assert list(rep.data["rates"]) == ["exp", "pareto:3", "pareto:2", "libor", "pareto:0.5"]
+    values = list(rep.data["rates"].values())
     assert values == sorted(values)
     assert all(v < 0.0 for v in values)
 
