@@ -24,14 +24,13 @@ _EXPORTS = {
         UnsupportedOperationError""",
     "termstructure": """DiscountCurve ExponentialTail ParetoTail RateConvention
         STPRSchedule Tenor convert_rate curve_from_function default_curve_grid
-        discount_from_rate flat_exponential_curve forward_discount load_curve_csv
-        log_discount_from_rate ordering_audit rate_from_discount rate_from_log_discount
-        rates_from_log_discount save_curve_csv tail_pareto_curve
-        time_consistency_residual""",
+        default_long_rate_horizons discount_from_rate flat_exponential_curve
+        forward_discount load_curve_csv log_discount_from_rate ordering_audit
+        rate_from_discount rate_from_log_discount rates_from_log_discount save_curve_csv
+        tail_pareto_curve time_consistency_residual""",
     "aggregation": """AsymptoticRateEstimate CalamityTimeSample DiscreteMixture
         ExponentialMixture GammaMixture aggregate_discount asymptotic_exponential_rate
-        default_long_rate_horizons empirical_survival log_aggregate_discount
-        sample_calamity_time""",
+        empirical_survival log_aggregate_discount sample_calamity_time""",
     "drivers": "GBMDriver",
     "kernel_models": """BondEvaluator CoefficientFunction FGHCoefficients Model
         ModelState attainable_long_rates attainable_short_rates bond_evaluator

@@ -18,6 +18,11 @@ the smallest represented rate; for the continuous laws (support reaching
 down to 0) it tends to 0.  The same Laplace transform is the survival
 function of the calamity time tau = Z / R with Z standard exponential
 drawn independently of R.
+
+No other module imports this one (only the CLI's ``aggregate`` command
+runs it).  It takes its blocks and chunk seeds from ``workers`` and,
+for ``asymptotic_exponential_rate`` alone, the long-rate probe schedule
+from ``termstructure``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, _finite
-from .workers import _in_blocks
+from .workers import _check_seed, _chunk_rng, _in_blocks
 
 __all__ = [
     "DiscreteMixture",
@@ -40,7 +45,6 @@ __all__ = [
     "log_aggregate_discount",
     "asymptotic_exponential_rate",
     "AsymptoticRateEstimate",
-    "default_long_rate_horizons",
     "sample_calamity_time",
     "CalamityTimeSample",
     "empirical_survival",
@@ -53,10 +57,6 @@ _GUIDE_BUCKETS = 1 << 12  # guide-table buckets of a discrete sample; a power of
 # Most atoms one guide bucket may span.  A step of the guided search costs
 # about 1.2 ns a draw, numpy's binary search over 1000 atoms about 55 ns.
 _GUIDE_SPAN = 16
-_HORIZON_START = 10.0
-_HORIZONS_PER_DECADE = 8
-# Successive long-rate estimates closer than this count as converged.
-_CONVERGENCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -200,10 +200,12 @@ def log_aggregate_discount(mixture: RateMixture, t):
             np.subtract(log_w, buf, out=buf)
             out[start:stop] = _logsumexp_rows(buf, at_max, terms)
 
-        _in_blocks(tt.size, rows, block,
-                   lambda: (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)))
+        with np.errstate(over="ignore"):  # r_i t overflows to inf, an exact 0 term
+            _in_blocks(tt.size, rows, block,
+                       lambda: (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)))
     elif isinstance(mixture, GammaMixture):
-        out = -mixture.shape * np.log1p(mixture.mean_rate * tt / mixture.shape)
+        with np.errstate(over="ignore"):  # ln P overflows to -inf, P = 0
+            out = -mixture.shape * np.log1p(mixture.mean_rate * tt / mixture.shape)
     else:
         raise DomainError(f"unknown mixture type {type(mixture).__name__}")
     return float(out[0]) if scalar else out
@@ -213,21 +215,6 @@ def aggregate_discount(mixture: RateMixture, t):
     """Aggregate discount factor P(0, t) = E[exp(-R t)] under the mixture."""
     out = np.exp(log_aggregate_discount(mixture, t))
     return float(out) if np.ndim(t) == 0 else out
-
-
-def default_long_rate_horizons(stop: float = 1e8) -> np.ndarray:
-    """Geometric tenor offsets x = T - t probed by the long-rate estimators.
-
-    They run from 10 to ``stop`` with 8 points per decade.
-    """
-    if not stop > _HORIZON_START:
-        raise DomainError(
-            f"horizon must exceed {_HORIZON_START:g}, the first probed offset; got {stop!r}"
-        )
-    if not math.isfinite(stop):
-        raise DomainError(f"horizon stop must be finite, got {stop!r}")
-    n = int(round(_HORIZONS_PER_DECADE * math.log10(stop / _HORIZON_START))) + 1
-    return np.geomspace(_HORIZON_START, stop, max(n, 2))
 
 
 @dataclass(frozen=True)
@@ -254,6 +241,8 @@ def asymptotic_exponential_rate(mixture: RateMixture) -> AsymptoticRateEstimate:
     up to 1e6, evaluated in log space so that discrete mixtures remain
     computable at t = 1e6 where the factor itself underflows.
     """
+    from .termstructure import _CONVERGENCE_TOL, default_long_rate_horizons
+
     hs = default_long_rate_horizons(1e6)
     est = -log_aggregate_discount(mixture, hs) / hs
     status = "CONVERGED" if abs(est[-1] - est[-2]) < _CONVERGENCE_TOL else "UNCONVERGED"
@@ -331,19 +320,6 @@ def _rate_sampler(mixture: RateMixture) -> Callable[[np.random.Generator, int], 
         shape, scale = mixture.shape, mixture.mean_rate / mixture.shape
         return lambda rng, k: rng.gamma(shape=shape, scale=scale, size=k)
     raise DomainError(f"unknown mixture type {type(mixture).__name__}")
-
-
-def _check_seed(seed: int) -> int:
-    """A seed as SeedSequence entropy, which must be nonnegative."""
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed!r}")
-    return int(seed)
-
-
-def _chunk_rng(seed: int, key: tuple[int, ...], chunk: int) -> np.random.Generator:
-    """The generator of one fixed-size chunk of draws, seeded by (seed, key, chunk)
-    alone, so no result depends on how chunks are scheduled across workers."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(*key, chunk)))
 
 
 def sample_calamity_time(

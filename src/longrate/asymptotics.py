@@ -15,36 +15,33 @@ exponential rate is nonnegative and can never fall; a finite positive
 long rate of tail index lam forces every lower index to diverge and
 every higher index (and the exponential rate) to zero; deterministic
 curves propagate their long rates by discounting the time-0 value.
+
+The probe schedule comes from ``termstructure``.  The audits that read
+simulated paths (DIR's model branch and the certificate) take their
+path statistics from ``montecarlo``, which runs only there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .aggregation import _CONVERGENCE_TOL, default_long_rate_horizons
 from .errors import DomainError, InadmissibleCurveError, LongrateError
-from .kernel_models import (
-    BondEvaluator,
-    Model,
-    ModelState,
-    _combine,
-    _factor_values,
-    _values_at,
-    bond_log_df,
-)
+from .kernel_models import BondEvaluator, Model, ModelState, bond_log_df
 from .reporting import FAIL, INCONCLUSIVE, PASS, AuditReport, CheckResult
 from .termstructure import (
+    _CONVERGENCE_TOL,
     DiscountCurve,
     ExponentialTail,
     ParetoTail,
     RateConvention,
     _rates,
+    default_long_rate_horizons,
 )
-from .workers import _in_blocks
 
 if TYPE_CHECKING:  # montecarlo runs only in DIR's model branch and the certificate
     from .montecarlo import PathEnsemble
@@ -113,6 +110,27 @@ def curve_evaluator(curve: DiscountCurve) -> CurveForwardEvaluator:
 _CACHING_EVALUATORS = (BondEvaluator, CurveForwardEvaluator)
 
 
+class _OnAccess:
+    """A dataclass field that may be given a function of no arguments, called
+    on each access: ==, hash and repr then see the value it returns."""
+
+    def __set_name__(self, owner, name):
+        self._slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self._slot)  # the field has no default
+        value = obj.__dict__[self._slot]
+        return value() if callable(value) else value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self._slot] = value
+
+
+def _trace_pairs(offsets: tuple[float, ...], rates: np.ndarray) -> tuple[tuple[float, float], ...]:
+    return tuple(zip(offsets, rates.tolist()))
+
+
 @dataclass(frozen=True)
 class LongRateEstimate:
     """Finite-horizon estimate of a long rate.
@@ -120,9 +138,10 @@ class LongRateEstimate:
     ``value`` equals ``tail_sup``, the supremum over the final probed
     decade.  ``decade_sups`` lists the window suprema in increasing
     horizon order (diagnostic trail for trend reading); ``trace`` holds
-    the raw (offset, rate) pairs.  When the evaluator cannot price the
-    whole schedule, ``truncated_at`` is the first maturity it could not
-    price and ``truncation_reason`` says why; both are None otherwise.
+    the raw (offset, rate) pairs, which a read builds on each access.
+    When the evaluator cannot price the whole schedule, ``truncated_at``
+    is the first maturity it could not price and ``truncation_reason``
+    says why; both are None otherwise.
     """
 
     convention: RateConvention
@@ -131,7 +150,7 @@ class LongRateEstimate:
     status: str
     tail_sup: float
     decade_sups: tuple[float, ...]
-    trace: tuple[tuple[float, float], ...]
+    trace: tuple[tuple[float, float], ...] = _OnAccess()
     truncated_at: float | None = None
     truncation_reason: str | None = None
 
@@ -175,7 +194,7 @@ class _LogDfTrace:
             status = UNCONVERGED
         hit = self._reads[key] = (rates, LongRateEstimate(
             convention, final, self.t + self.offsets[-1], status, final, tuple(sups),
-            tuple(zip(self.offsets, rates.tolist())), self.truncated_at, self.truncation_reason,
+            partial(_trace_pairs, self.offsets, rates), self.truncated_at, self.truncation_reason,
         ))
         return hit
 
@@ -454,40 +473,6 @@ def stratification_audit(
 # ---------------------------------------------------------------------------
 
 
-def _model_rate_extremes(
-    model: Model, ensemble: PathEnsemble, idx: list[int], x: float
-) -> tuple[float, float]:
-    """The largest fall between consecutive times, and the largest value, of
-    the per-path exponential-rate estimates at grid indices ``idx`` and
-    horizon x.
-
-    The estimates are formed a block of paths at a time on the workers;
-    each block keeps only its two maxima, and the blocks' maxima combine
-    through np.maximum, which is exact and propagates nan in any block.
-    """
-    from .montecarlo import _CHUNK_PATHS
-
-    _factor_values(model, ensemble)
-    ts = [float(ensemble.grid[j]) for j in idx]
-    # coefficient i at audit time k is [i, k, 0]: a column against time-major paths
-    at_t = np.array([_values_at(model.coefficients, t) for t in ts]).T[:, :, None]
-    at_tx = np.array([_values_at(model.coefficients, t + x) for t in ts]).T[:, :, None]
-    extremes = np.empty(((ensemble.n_paths + _CHUNK_PATHS - 1) // _CHUNK_PATHS, 2))
-
-    def block(start: int, stop: int, _) -> None:
-        factors = ensemble.rows[:, idx, start:stop]
-        pi = _combine(at_t, factors)
-        ests = -(np.log(_combine(at_tx, factors)) - np.log(pi)) / x
-        extremes[start // _CHUNK_PATHS] = (
-            np.max(ests[:-1] - ests[1:], initial=-np.inf),
-            np.max(ests),
-        )
-
-    _in_blocks(ensemble.n_paths, _CHUNK_PATHS, block)
-    worst_drop, max_rate = np.maximum.reduce(extremes)
-    return float(worst_drop), float(max_rate)
-
-
 def _zero_coupon_quote(rate: float, kappa: float) -> float:
     """kappa * (exp(rate / kappa) - 1), the zero-coupon translation of a rate."""
     try:
@@ -556,6 +541,8 @@ def dir_monotonicity_audit(
     model: Model = subject
     if ensemble is None:
         raise DomainError("model audits need a simulated ensemble")
+    from .montecarlo import _model_rate_extremes
+
     idx = [ensemble.time_index(t) for t in ts]
     worst_drop, max_rate = _model_rate_extremes(model, ensemble, idx, float(xs[-1]))
     checks.append(
@@ -770,38 +757,6 @@ def _scaled_bond(lam: float, T: float, log_p: float) -> float:
         return math.inf
 
 
-def _decade_extremes(
-    pi: np.ndarray, weights: np.ndarray, bounds: list[int]
-) -> tuple[list[float], list[float]]:
-    """Minimum and mean of t^lam pi_t over each decade [a, b) of pi's time rows.
-
-    A decade is formed in one contiguous buffer that mirrors rows a to b
-    of pi, a block of paths at a time on the workers, each block keeping
-    its minimum; the minima combine through np.minimum, which is exact
-    and propagates nan in any block.  The mean is one pairwise sum over
-    the whole buffer.
-    """
-    from .montecarlo import _CHUNK_PATHS
-
-    n = pi.shape[1]
-    buf = np.empty((max(b - a for a, b in zip(bounds, bounds[1:])), n))
-    block_min = np.empty((n + _CHUNK_PATHS - 1) // _CHUNK_PATHS)
-    minima, means = [], []
-    for a, b in zip(bounds, bounds[1:]):
-        decade = buf[: b - a]
-
-        def fill(start: int, stop: int, _) -> None:  # runs within this iteration
-            part = decade[:, start:stop]
-            with np.errstate(over="ignore"):
-                np.multiply(weights[a:b, None], pi[a:b, start:stop], out=part)
-            block_min[start // _CHUNK_PATHS] = part.min()
-
-        _in_blocks(n, _CHUNK_PATHS, fill)
-        minima.append(float(np.minimum.reduce(block_min)))
-        means.append(float(np.add.reduce(decade, axis=None) / decade.size))
-    return minima, means
-
-
 def pareto_kernel_certificate(
     model: Model,
     ensemble: PathEnsemble,
@@ -824,7 +779,7 @@ def pareto_kernel_certificate(
     blows up).  The martingale property of the simulated factors decides
     no index; ``kernel_condition_audit`` tests it at every grid time.
     """
-    from .montecarlo import kernel_paths
+    from .montecarlo import _decade_extremes, kernel_paths
 
     lam = model.lam if lam is None else float(lam)
     if not math.isfinite(lam) or lam <= 0.0:

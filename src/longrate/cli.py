@@ -382,8 +382,10 @@ def _parse_flow(spec: str, model: Model) -> CashFlow:
     for chunk in spec.split(","):
         if "=" not in chunk:
             raise DomainError(f"--flow entry {chunk!r}: expected key=value")
-        key, value = chunk.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (part.strip() for part in chunk.split("=", 1))
+        if key in fields:
+            raise DomainError(f"--flow {spec!r}: repeated key {key!r}")
+        fields[key] = value
     if "T" not in fields:
         raise DomainError(f"--flow {spec!r}: missing T=<time>")
     T = _parse_float(fields.pop("T"), "--flow T")
@@ -435,13 +437,8 @@ def _closed_form_long_rate(model: Model, state: ModelState, conv: RateConvention
 
 
 def cmd_longrate(args) -> int:
-    from .asymptotics import (
-        default_long_rate_horizons,
-        deterministic_long_rate,
-        estimate_long_rate,
-        save_trace_csv,
-    )
-    from .termstructure import RateConvention
+    from .asymptotics import deterministic_long_rate, estimate_long_rate, save_trace_csv
+    from .termstructure import RateConvention, default_long_rate_horizons
 
     conv = RateConvention.parse(args.conv)
     horizons = default_long_rate_horizons(stop=args.horizon)
@@ -495,8 +492,8 @@ def cmd_classify(args) -> int:
 
 
 def _audit_dir(args) -> int:
-    from .asymptotics import default_long_rate_horizons, dir_monotonicity_audit
-    from .termstructure import _sorted_unique
+    from .asymptotics import dir_monotonicity_audit
+    from .termstructure import _sorted_unique, default_long_rate_horizons
 
     times = _parse_floats(args.times, "--times")
     horizons = default_long_rate_horizons(stop=args.horizon)
@@ -515,7 +512,8 @@ def _audit_dir(args) -> int:
 
 
 def _audit_strat(args) -> int:
-    from .asymptotics import default_long_rate_horizons, stratification_audit
+    from .asymptotics import stratification_audit
+    from .termstructure import default_long_rate_horizons
 
     indices = _parse_floats(args.indices, "--indices")
     horizons = default_long_rate_horizons(stop=args.horizon)

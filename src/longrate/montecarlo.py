@@ -7,8 +7,8 @@ no discretisation bias enters at any step size.  One lognormal step,
 factors) for path simulation and for claim valuation's terminal draws,
 which take a single step from the state time to the flow.  Paths are
 generated in fixed-size chunks, each chunk seeded from (seed, chunk
-index); results therefore depend only on the request, never on how many
-workers ran it.
+index) by ``workers._chunk_rng``; results therefore depend only on the
+request, never on how many workers ran it.
 At long horizons a factor underflows to 0, its correct limit, so paths
 need only be nonnegative: pi = a + b M (+ c N) carries the positivity rule.
 Paths are stored time-major, in one (k, len(grid), n_paths) array, so a
@@ -19,7 +19,9 @@ draws) runs on the workers of ``workers._in_blocks``, and so do the
 audits' reductions: each per-time mean and standard error is taken over
 one whole row (``_row_moments``), and minima and maxima over paths are
 kept per block of paths, then combined with np.minimum or np.maximum,
-which are exact in any order and propagate nan.  Blocks depend only on
+which are exact in any order and propagate nan (``_reduce_blocks``, which
+also forms the path statistics of DIR's model branch and of the
+tail-Pareto certificate for ``asymptotics``).  Blocks depend only on
 the path count and every sum is one pairwise sum over the same row, so
 the worker count never changes a result.  What stays serial is the one
 minimum scan of pi, taken when pi is built and cached with it, and the
@@ -48,7 +50,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregation import _check_seed, _chunk_rng
 from .drivers import GBMDriver
 from .errors import DomainError, LongrateError
 from .kernel_models import (
@@ -62,7 +63,7 @@ from .kernel_models import (
     kernel_value,
 )
 from .reporting import FAIL, PASS, AuditReport, CheckResult
-from .workers import _in_blocks
+from .workers import _check_seed, _chunk_rng, _in_blocks
 
 __all__ = [
     "PathEnsemble",
@@ -330,6 +331,67 @@ def kernel_paths(model: Model, ensemble: PathEnsemble) -> np.ndarray:
     which the audits read as ``kernel_paths(model, ensemble).T``.
     """
     return _kernel_cache(model, ensemble)[0]
+
+
+def _reduce_blocks(n_paths: int, width: int, block: Callable, reduce: np.ufunc) -> np.ndarray:
+    """``reduce.reduce`` over the path blocks of the ``width`` values ``block(start, stop)``
+    returns for each; ``reduce`` is np.maximum or np.minimum, exact in any order and nan-keeping."""
+    per_block = np.empty(((n_paths + _CHUNK_PATHS - 1) // _CHUNK_PATHS, width))
+
+    def task(start: int, stop: int, _) -> None:
+        per_block[start // _CHUNK_PATHS] = block(start, stop)
+
+    _in_blocks(n_paths, _CHUNK_PATHS, task)
+    return reduce.reduce(per_block)
+
+
+def _model_rate_extremes(
+    model: Model, ensemble: PathEnsemble, idx: list[int], x: float
+) -> tuple[float, float]:
+    """The largest fall between consecutive times, and the largest value, of the
+    per-path exponential-rate estimates at grid indices ``idx`` and horizon x
+    (DIR's model branch), formed a block of paths at a time."""
+    _factor_values(model, ensemble)
+    ts = [float(ensemble.grid[j]) for j in idx]
+    # coefficient i at audit time k is [i, k, 0]: a column against time-major paths
+    at_t = np.array([_values_at(model.coefficients, t) for t in ts]).T[:, :, None]
+    at_tx = np.array([_values_at(model.coefficients, t + x) for t in ts]).T[:, :, None]
+
+    def block(start: int, stop: int) -> tuple:
+        factors = ensemble.rows[:, idx, start:stop]
+        pi = _combine(at_t, factors)
+        ests = -(np.log(_combine(at_tx, factors)) - np.log(pi)) / x
+        return np.max(ests[:-1] - ests[1:], initial=-np.inf), np.max(ests)
+
+    worst_drop, max_rate = _reduce_blocks(ensemble.n_paths, 2, block, np.maximum)
+    return float(worst_drop), float(max_rate)
+
+
+def _decade_extremes(
+    pi: np.ndarray, weights: np.ndarray, bounds: list[int]
+) -> tuple[list[float], list[float]]:
+    """Minimum and mean of t^lam pi_t (``weights`` holds t^lam, which may overflow)
+    over each decade [a, b) of pi's time rows: the certificate's path statistics.
+
+    A decade is formed in one contiguous buffer that mirrors rows a to b
+    of pi, a block of paths at a time, each block keeping its minimum.
+    The mean is one pairwise sum over the whole buffer.
+    """
+    n = pi.shape[1]
+    buf = np.empty((max(b - a for a, b in zip(bounds, bounds[1:])), n))
+    minima, means = [], []
+    for a, b in zip(bounds, bounds[1:]):
+        decade = buf[: b - a]
+
+        def fill(start: int, stop: int) -> float:  # runs within this iteration
+            part = decade[:, start:stop]
+            np.multiply(weights[a:b, None], pi[a:b, start:stop], out=part)
+            return part.min()
+
+        with np.errstate(over="ignore"):
+            minima.append(float(_reduce_blocks(n, 1, fill, np.minimum)[0]))
+        means.append(float(np.add.reduce(decade, axis=None) / decade.size))
+    return minima, means
 
 
 def _mean_se(values: np.ndarray, dev: np.ndarray | None = None) -> tuple[float, float]:

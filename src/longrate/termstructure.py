@@ -15,6 +15,11 @@ trips accurate to a few ulps even for small rates.
 Negative rates are admissible as long as the discount factor stays
 positive, i.e. v > -lam / x for the simple conventions and z > -kappa
 for zero-coupon quotes.
+
+The module also holds the two default schedules: the knots of a curve
+(``default_curve_grid``) and the tenor offsets the long-rate estimators
+probe (``default_long_rate_horizons``), with the tolerance within which
+successive long-rate estimates count as converged.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ __all__ = [
     "load_curve_csv",
     "save_curve_csv",
     "default_curve_grid",
+    "default_long_rate_horizons",
     "STPRSchedule",
 ]
 
@@ -60,6 +66,10 @@ _LIBOR = "libor"
 _PARETO = "tail_pareto"
 _ZC = "zero_coupon"
 _CURVE_HORIZON = 1000.0  # years: the last knot of default_curve_grid
+_HORIZON_START = 10.0
+_HORIZONS_PER_DECADE = 8
+# Successive long-rate estimates closer than this count as converged.
+_CONVERGENCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -468,6 +478,21 @@ def default_curve_grid() -> np.ndarray:
     return _sorted_unique(np.concatenate([dense, sparse]))
 
 
+def default_long_rate_horizons(stop: float = 1e8) -> np.ndarray:
+    """Geometric tenor offsets x = T - t probed by the long-rate estimators.
+
+    They run from 10 to ``stop`` with 8 points per decade.
+    """
+    if not stop > _HORIZON_START:
+        raise DomainError(
+            f"horizon must exceed {_HORIZON_START:g}, the first probed offset; got {stop!r}"
+        )
+    if not math.isfinite(stop):
+        raise DomainError(f"horizon stop must be finite, got {stop!r}")
+    n = int(round(_HORIZONS_PER_DECADE * math.log10(stop / _HORIZON_START))) + 1
+    return np.geomspace(_HORIZON_START, stop, max(n, 2))
+
+
 def curve_from_function(
     fn: Callable[[np.ndarray], np.ndarray],
     grid: np.ndarray | None = None,
@@ -480,7 +505,8 @@ def curve_from_function(
 def flat_exponential_curve(rate: float) -> DiscountCurve:
     """P(0,t) = exp(-rate * t), continued at the same rate beyond the grid."""
     r = _finite("rate", rate)
-    return curve_from_function(lambda t: np.exp(-r * t), tail=ExponentialTail(r))
+    with np.errstate(over="ignore"):  # a factor that overflows is rejected as not finite
+        return curve_from_function(lambda t: np.exp(-r * t), tail=ExponentialTail(r))
 
 
 def tail_pareto_curve(

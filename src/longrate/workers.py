@@ -1,4 +1,4 @@
-"""The worker count and the one helper pool that runs blocked loops.
+"""The worker count, the one helper pool that runs blocked loops, and chunk seeding.
 
 The LONGRATE_THREADS environment variable, the only worker setting,
 gives the worker count (default: the CPUs the process may use).  Every
@@ -6,21 +6,28 @@ blocked loop of the package runs through ``_in_blocks``: the Monte
 Carlo path chunks, kernel combinations, terminal draws and audit
 reductions, and the aggregation module's horizon blocks of a discrete
 mixture and chunks of calamity draws.  Blocks depend only on the size
-of the request and each writes its own slice of the output, so the
-worker count never changes a result.
+of the request and each writes its own slice of the output, and a
+chunk of random draws takes its generator from ``_chunk_rng``, seeded
+by (seed, key, chunk index) alone, so the worker count never changes a
+result.
 
 ``_in_blocks`` runs the first share of blocks on the calling thread and
 the others on helper threads kept for the life of the process: their
 pool is made on first use, grows to the largest count asked and never
 shrinks, is dropped in a child made by fork, and a call made from a
-helper runs serially on it, so nested calls cannot deadlock.
+helper runs serially on it, so nested calls cannot deadlock.  Helpers
+run in copies of the caller's context, so one ``np.errstate`` (a context
+variable) around a call covers all its blocks.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from contextvars import copy_context
 from typing import TYPE_CHECKING, Callable
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -71,7 +78,8 @@ if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
 
 
 def _submit(run: Callable, shares: list) -> list:
-    """Submit ``run(share)`` for each share to the helper pool, grown to one helper per share."""
+    """Submit ``run(share)`` for each share, in a copy of the caller's context,
+    to the helper pool, grown to one helper per share."""
     global _pool, _pool_helpers
     from concurrent.futures import ThreadPoolExecutor
 
@@ -81,7 +89,7 @@ def _submit(run: Callable, shares: list) -> list:
                 _pool.shutdown(wait=False)  # its queued shares still run
             _pool = ThreadPoolExecutor(len(shares), "longrate-helper", _mark_helper)
             _pool_helpers = len(shares)
-        return [_pool.submit(run, share) for share in shares]
+        return [_pool.submit(copy_context().run, run, share) for share in shares]
 
 
 def _in_blocks(total: int, size: int, task: Callable, scratch: Callable = lambda: None) -> None:
@@ -93,9 +101,10 @@ def _in_blocks(total: int, size: int, task: Callable, scratch: Callable = lambda
     thread runs share 0; shares 1 to W - 1 go to the process's persistent
     helper threads, whose pool grows to the largest count asked and never
     shrinks.  A call made from inside a helper runs all its blocks there,
-    serially, so nested calls cannot deadlock.  Every share finishes
-    before the first error (in share order) is re-raised.  Blocks must
-    write disjoint outputs, so no result depends on the schedule.
+    serially, so nested calls cannot deadlock.  Every block runs under the
+    caller's numpy error state.  Every share finishes before the first
+    error (in share order) is re-raised.  Blocks must write disjoint
+    outputs, so no result depends on the schedule.
     """
     starts = range(0, total, size)
     workers = min(worker_count(), len(starts))
@@ -117,3 +126,16 @@ def _in_blocks(total: int, size: int, task: Callable, scratch: Callable = lambda
         wait(helpers)
     for done in helpers:
         done.result()
+
+
+def _check_seed(seed: int) -> int:
+    """A seed as SeedSequence entropy, which must be nonnegative."""
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed!r}")
+    return int(seed)
+
+
+def _chunk_rng(seed: int, key: tuple[int, ...], chunk: int) -> np.random.Generator:
+    """The generator of one fixed-size chunk of draws, seeded by (seed, key, chunk)
+    alone, so no result depends on how chunks are scheduled across workers."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(*key, chunk)))

@@ -333,6 +333,10 @@ MALFORMED_INPUT_MESSAGES = {
         "error: standard errors need at least 2 paths, got 1\n",
     ("audit", "pareto", "--model", "pareto2", "--seed", 1, "--n", 1):
         "error: the tail-Pareto certificate needs at least 2 paths, got 1\n",
+    ("value", "--model", "ref1f", "--flow", "T=10,amount=1,amount=2"):
+        "error: --flow 'T=10,amount=1,amount=2': repeated key 'amount'\n",
+    ("value", "--model", "ref1f", "--flow", "T=10,T=20,amount=1"):
+        "error: --flow 'T=10,T=20,amount=1': repeated key 'T'\n",
 }
 
 
@@ -508,6 +512,36 @@ def test_certificate_rejects_non_adjacent_tail_decades():
                   "--grid", "0,20,200,20000")
     assert out.returncode == 2
     assert out.stderr == "error: ensemble grid too short: need at least two tail decades\n"
+
+
+# Overflows the code handles, giving a limit or an error line: numpy must not warn of them.
+HANDLED_OVERFLOWS = {
+    ("aggregate", "--mix", '{"kind":"gamma","shape":1e308,"mean_rate":1e308}',
+     "--times", "1e308"): (0, "t,aggregate_discount\n1e+308,0\n", ""),
+    ("aggregate", "--mix", '{"kind":"discrete","weights":[0.5,0.5],"rates":[0,1e308]}',
+     "--times", "0,1e308", "--estimate"):
+        (0, "t,aggregate_discount\n0,1\n1e+308,0.5\nasymptotic_rate 6.93147181e-07 CONVERGED\n",
+         ""),
+    ("longrate", "--curve", "flat:-1e300", "--conv", "exp"):
+        (2, "", "error: curve grid and values must be finite\n"),
+}
+
+
+@pytest.mark.parametrize("args", HANDLED_OVERFLOWS, ids=["gamma", "discrete", "flat-curve"])
+def test_handled_overflow_prints_no_warning(args):
+    out = run_cli(*args)
+    assert (out.returncode, out.stdout, out.stderr) == HANDLED_OVERFLOWS[args]
+
+
+def test_handled_overflow_warns_on_no_helper_thread():
+    """--estimate's 41 horizons make three blocks of 16 over 4096 rates, r_i t overflows
+    in each, and on 3 workers the helpers run two of them."""
+    mix = json.dumps({"kind": "discrete", "weights": [1 / 4096] * 4096,
+                      "rates": [1e308] + [i / 100 for i in range(4095)]})
+    runs = [run_cli("aggregate", "--mix", mix, "--times", 0, "--estimate",
+                    env_extra={"LONGRATE_THREADS": n}) for n in ("1", "3")]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, ""), (0, "")]
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_zero_coupon_long_rate_overflow_falls_back_to_estimate():

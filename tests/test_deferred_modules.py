@@ -26,24 +26,31 @@ EXECUTED = textwrap.dedent("""
 """)
 
 NO_KERNEL = {"longrate.montecarlo", "longrate.asymptotics", "longrate.aggregation",
-             "longrate.kernel_models"}
+             "longrate.kernel_models", "longrate.workers"}
+# Long-rate commands read ln P traces and run no blocked loop.
+NO_PATHS = {"longrate.montecarlo", "longrate.aggregation", "longrate.workers"}
+# Monte Carlo commands seed and run their blocks without the aggregation module.
+NO_AGGREGATION = {"longrate.aggregation"}
 
 
 @pytest.mark.parametrize("args, never", [
     (("convert", "--T", 10, "--from", "exp", "--to", "libor", "--value", 0.05), NO_KERNEL),
     (("curve", "--curve", "flat:0.03"), NO_KERNEL),
-    (("value", "--model", "ref1f", "--flow", "T=10,amount=1"), {"longrate.asymptotics"}),
+    (("value", "--model", "ref1f", "--flow", "T=10,amount=1"),
+     {"longrate.asymptotics", *NO_AGGREGATION}),
     (("simulate", "--model", "ref2f", "--n", 100, "--seed", 3, "--out", "{tmp}/paths.csv"),
-     {"longrate.asymptotics"}),
+     {"longrate.asymptotics", *NO_AGGREGATION}),
     (("audit", "kernel", "--model", "ref1f", "--seed", 1, "--n", 1000),
-     {"longrate.asymptotics"}),
-    (("longrate", "--model", "ref1f", "--conv", "libor"), {"longrate.montecarlo"}),
-    (("classify", "--curve", "pareto:2:0.04"), {"longrate.montecarlo"}),
-    (("audit", "strat", "--curve", "flat:0.03"), {"longrate.montecarlo"}),
-    (("greenbook", "--schedule", "greenbook_example"), {"longrate.montecarlo"}),
-    (("audit", "dir", "--model", "ref1f", "--seed", 1, "--n", 200), set()),
+     {"longrate.asymptotics", *NO_AGGREGATION}),
+    (("longrate", "--model", "ref1f", "--conv", "libor"), NO_PATHS),
+    (("classify", "--curve", "pareto:2:0.04"), NO_PATHS),
+    (("audit", "strat", "--curve", "flat:0.03"), NO_PATHS),
+    (("greenbook", "--schedule", "greenbook_example"), NO_PATHS),
+    (("audit", "dir", "--curve", "flat:0.03"), NO_PATHS),
+    (("audit", "dir", "--model", "ref1f", "--seed", 1, "--n", 200), NO_AGGREGATION),
+    (("audit", "pareto", "--model", "pareto2", "--seed", 1, "--n", 1000), NO_AGGREGATION),
 ], ids=["convert", "curve", "value", "simulate", "audit-kernel", "longrate", "classify",
-        "audit-strat", "greenbook", "audit-dir"])
+        "audit-strat", "greenbook", "audit-dir-curve", "audit-dir", "audit-pareto"])
 def test_command_executes_only_the_modules_it_runs(args, never, tmp_path):
     argv = [str(a).replace("{tmp}", str(tmp_path)) for a in args]
     out = run_process("-c", EXECUTED, *argv)
@@ -53,6 +60,20 @@ def test_command_executes_only_the_modules_it_runs(args, never, tmp_path):
     assert "longrate.cli" in executed
     assert never.isdisjoint(executed)
     assert "numpy.ma" not in executed  # an import no command needs
+
+
+@pytest.mark.parametrize("options, extra", [
+    ((), []),
+    (("--estimate",), ["longrate.termstructure"]),  # the long-rate probe schedule
+    (("--sample", 10, "--seed", 1, "--out", "{tmp}/tau.csv"), ["longrate.csvformat"]),
+], ids=["curve", "estimate", "sample"])
+def test_aggregate_executes_the_aggregation_leaf_alone(options, extra, tmp_path):
+    argv = ["aggregate", "--mix", '{"kind": "gamma", "shape": 2, "mean_rate": 0.04}',
+            *(str(a).replace("{tmp}", str(tmp_path)) for a in options)]
+    out = run_process("-c", EXECUTED, *argv)
+    assert out.returncode == 0, out.stderr
+    expected = ["longrate.aggregation", "longrate.cli", "longrate.errors", "longrate.workers"]
+    assert json.loads(out.stdout) == [0, sorted(expected + extra)]
 
 
 def test_every_submodule_is_registered_on_import():

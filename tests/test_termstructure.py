@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import longrate as lr
 from longrate import (
@@ -237,6 +238,31 @@ def test_array_rates_overflow_to_inf_and_reject_nonfinite_logs():
     assert rate_from_log_discount(Tenor(0, 1), LIBOR, -1e4) == math.inf
     with pytest.raises(DomainError):
         lr.rates_from_log_discount(np.array([1.0]), EXP, np.array([-np.inf]))
+
+
+# A row of finite ln P over normal tenor lengths: a subnormal length over a subnormal ln P
+# gives quotes near 1 whose y / lam has lost its digits.
+LOG_DF_ROWS = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    arrays(float, n, elements=st.floats(min_value=np.finfo(float).tiny, allow_infinity=False)),
+    arrays(float, n, elements=st.floats(allow_nan=False, allow_infinity=False)),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=LOG_DF_ROWS, lams=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+def test_rates_of_one_log_df_row_are_ordered_downward_in_index(row, lams):
+    """exponential <= tail-Pareto at the higher index <= at the lower index, per tenor.
+
+    This is the stratification audit's ordering check, with its slack and
+    with a non-finite (overflowed) quote made nan, which enters no comparison.
+    """
+    lengths, log_df = row
+    conventions = [EXP, *(RateConvention.tail_pareto(lam) for lam in sorted(set(lams))[::-1])]
+    with np.errstate(over="ignore"):  # -ln P / x, unguarded there, overflows at a tiny x
+        rows = np.array([lr.termstructure._rates(lengths, conv, log_df) for conv in conventions])
+    quotes = np.where(np.isfinite(rows), rows, np.nan)
+    slack = 1e-12 * np.fmax.reduce(np.abs(quotes), axis=0, initial=1.0)
+    assert not (quotes[1:] < quotes[:-1] - slack).any()
 
 
 def test_parse_labels_round_trip():
