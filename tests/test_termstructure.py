@@ -258,11 +258,12 @@ def test_rates_of_one_log_df_row_are_ordered_downward_in_index(row, lams):
     """
     lengths, log_df = row
     conventions = [EXP, *(RateConvention.tail_pareto(lam) for lam in sorted(set(lams))[::-1])]
-    with np.errstate(over="ignore"):  # -ln P / x, unguarded there, overflows at a tiny x
+    # -ln P / x, unguarded in _rates, overflows at a tiny x, and q - slack near -1.8e308
+    with np.errstate(over="ignore"):
         rows = np.array([lr.termstructure._rates(lengths, conv, log_df) for conv in conventions])
-    quotes = np.where(np.isfinite(rows), rows, np.nan)
-    slack = 1e-12 * np.fmax.reduce(np.abs(quotes), axis=0, initial=1.0)
-    assert not (quotes[1:] < quotes[:-1] - slack).any()
+        quotes = np.where(np.isfinite(rows), rows, np.nan)
+        slack = 1e-12 * np.fmax.reduce(np.abs(quotes), axis=0, initial=1.0)
+        assert not (quotes[1:] < quotes[:-1] - slack).any()
 
 
 def test_parse_labels_round_trip():
