@@ -778,8 +778,9 @@ def pareto_kernel_certificate(
     the scaled kernel collapses) or (b)/(c) fail (index too high: it
     blows up).  The martingale property of the simulated factors decides
     no index; ``kernel_condition_audit`` tests it at every grid time.
+    A pi_t not > 0 in the windows raises LongrateError.
     """
-    from .montecarlo import _decade_extremes, kernel_paths
+    from .montecarlo import _decade_extremes
 
     lam = model.lam if lam is None else float(lam)
     if not math.isfinite(lam) or lam <= 0.0:
@@ -788,7 +789,6 @@ def pareto_kernel_certificate(
         raise DomainError(
             f"the tail-Pareto certificate needs at least 2 paths, got {ensemble.n_paths}"
         )
-    pi = kernel_paths(model, ensemble).T
     grid = ensemble.grid
     # the final (at most three) adjacent decade windows of the grid after t = 0
     bounds = [*(_decade_window_starts(grid[1:]) + 1)[-3:], grid.size]
@@ -798,7 +798,7 @@ def pareto_kernel_certificate(
     # at a very high index t^lam overflows to inf, and (c) fails
     with np.errstate(over="ignore"):
         weights = grid**lam
-    minima, means = _decade_extremes(pi, weights, bounds)
+    minima, means = _decade_extremes(model, ensemble, weights, bounds)
     checks: list[CheckResult] = []
 
     # decade over decade as products, since a decade may underflow to 0

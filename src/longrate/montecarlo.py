@@ -13,19 +13,19 @@ At long horizons a factor underflows to 0, its correct limit, so paths
 need only be nonnegative: pi = a + b M (+ c N) carries the positivity rule.
 Paths are stored time-major, in one (k, len(grid), n_paths) array, so a
 statistic at a fixed time reads one contiguous row; the path-major
-``factors``, ``m``, ``n`` and ``kernel_paths`` are transposed views.
-Every per-block loop (path chunks, ``_combined_rows`` and terminal
-draws) runs on the workers of ``workers._in_blocks``, and so do the
-audits' reductions: each per-time mean and standard error is taken over
-one whole row (``_row_moments``), and minima and maxima over paths are
-kept per block of paths, then combined with np.minimum or np.maximum,
-which are exact in any order and propagate nan (``_reduce_blocks``, which
-also forms the path statistics of DIR's model branch and of the
-tail-Pareto certificate for ``asymptotics``).  Blocks depend only on
-the path count and every sum is one pairwise sum over the same row, so
-the worker count never changes a result.  What stays serial is the one
-minimum scan of pi, taken when pi is built and cached with it, and the
-certificate's decade sums.
+``factors``, ``m`` and ``n`` are transposed views.  No audit stores pi:
+each forms the pi rows it reads (and the deflated bonds) from the factor
+rows, in its workers' scratch rows or blocks, and checks their positivity.
+Every per-block loop (path chunks, pi rows and terminal draws) runs on
+the workers of ``workers._in_blocks``, and so do the audits' reductions:
+each per-time mean and standard error is taken over one whole row
+(``_row_moments``), and minima and maxima over paths are kept per row or
+block of paths, then combined with np.minimum or np.maximum, which are
+exact in any order and propagate nan (``_reduce_blocks``, which also forms
+the path statistics of DIR's model branch and of the tail-Pareto
+certificate for ``asymptotics``).  Blocks depend only on the path count
+and every sum is one pairwise sum over the same row, so the worker count
+never changes a result.  What stays serial is the certificate's decade sums.
 
 All sample means use numpy's pairwise summation; agreement checks are
 quoted against 4 standard errors.
@@ -45,7 +45,7 @@ import hashlib
 import math
 import mmap
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,18 +133,14 @@ class PathEnsemble:
     simulated ensemble (any layout is accepted, with strided rows).
     Arrays are frozen after construction; the generating seed and
     correlation are recorded so the ensemble is reproducible from its
-    metadata.
-
-    ``kernel_paths`` caches pi with the ensemble, read-only, for the model
-    last passed to it: each model audited costs one more path array for
-    as long as it stays the cached one.
+    metadata.  Nothing derived from the paths is stored with them: the
+    audits form pi from these rows as they read it.
     """
 
     grid: np.ndarray
     factors: np.ndarray
     seed: int
     rho: float = 0.0
-    _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = _check_grid(self.grid)
@@ -277,60 +273,45 @@ def ensemble_for_model(
     return simulate_paths(drivers, grid, n_paths, seed, rho)
 
 
-def _combined_rows(coefs, rows: np.ndarray, pi: np.ndarray | None = None) -> np.ndarray:
-    """``_combine(coefs, rows)`` over time-major factor rows (k, times, paths).
+def _grid_coefficients(model: Model, ensemble: PathEnsemble) -> np.ndarray:
+    """The coefficients at every grid time (k + 1, len(grid)), one array evaluation
+    each, as every pi row takes them: a scalar evaluation at a grid time can
+    differ in the last bit (numpy's SIMD and scalar loops round apart)."""
+    _factor_values(model, ensemble)
+    return np.array([np.asarray(c(ensemble.grid), dtype=float) for c in model.coefficients])
 
-    Each coefficient is a scalar or a column over the times; the (times,
-    paths) result is accumulated in place, a block of paths at a time on
-    the workers, with one scratch block per worker for each product
-    after the first.  Given ``pi``, rows like the result's, each value v
-    is stored as pi * (v / pi), formed within its block.  Blocks are
-    4096 paths wide: numpy's per-row cost on these strided blocks made
-    2048-path blocks slower, though smaller.
-    """
-    out = _path_array(rows.shape[1:])
 
-    def combine(start: int, stop: int, term: np.ndarray) -> None:
-        # _combine's operations in its order, accumulated in the output block
-        block, xs, term = out[:, start:stop], rows[:, :, start:stop], term[:, : stop - start]
-        np.add(coefs[0], np.multiply(coefs[1], xs[0], out=block), out=block)
-        for c, x in zip(coefs[2:], xs[1:]):
-            np.add(block, np.multiply(c, x, out=term), out=block)
-        if pi is not None:
-            pi_block = pi[:, start:stop]
-            np.multiply(pi_block, np.divide(block, pi_block, out=block), out=block)
-
-    _in_blocks(out.shape[1], _CHUNK_PATHS, combine, lambda: np.empty((out.shape[0], _CHUNK_PATHS)))
+def _combined(coefs, xs, out: np.ndarray, term: np.ndarray | None = None) -> np.ndarray:
+    """``_combine(coefs, xs)``'s operations in its order, in ``out``, for factor values ``xs``
+    (k, ...) and coefficients broadcast to them; products after the first go to ``term``."""
+    np.add(coefs[0], np.multiply(coefs[1], xs[0], out=out), out=out)
+    for c, x in zip(coefs[2:], xs[1:]):
+        np.add(out, np.multiply(c, x, out=term), out=out)
     return out
 
 
-def _kernel_cache(model: Model, ensemble: PathEnsemble) -> tuple[np.ndarray, float]:
-    """pi (path-major, as ``kernel_paths`` returns it) and its minimum, cached."""
-    cached = ensemble._kernel
-    if cached is not None and cached[0] is model:
-        return cached[1:]
-    _factor_values(model, ensemble)
-    coefs = [np.asarray(c(ensemble.grid), dtype=float)[:, None] for c in model.coefficients]
-    rows = _combined_rows(coefs, ensemble.rows)
-    min_pi = float(rows.min())
-    if not min_pi > 0.0:
+def _kernel_min(coefs, xs, out: np.ndarray, term: np.ndarray | None = None, axis=None):
+    """pi formed in ``out`` by ``_combined``, and its minimum over ``axis``: the positivity
+    check of every pi value the package forms, a LongrateError where one is not > 0 (or nan)."""
+    least = _combined(coefs, xs, out, term).min(axis)
+    if not np.min(least) > 0.0:
         raise LongrateError("kernel positivity violated along simulated paths")
-    rows.setflags(write=False)
-    object.__setattr__(ensemble, "_kernel", (model, rows.T, min_pi))
-    return ensemble._kernel[1:]
+    return least
 
 
 def kernel_paths(model: Model, ensemble: PathEnsemble) -> np.ndarray:
     """pi along every path: a(t) + b(t) M_t (+ c(t) N_t), shape like m.
 
-    The array is read-only and cached with the ensemble for the model
-    last passed (matched by identity), together with its minimum, which
-    the positivity check takes when pi is built; every audit of that
-    model on the ensemble reads one array, and the cache costs one path
-    array.  It is the transpose of ``_combined_rows``' time-major rows,
-    which the audits read as ``kernel_paths(model, ensemble).T``.
+    A fresh read-only path array on each call, formed a time row at a time
+    on the workers (a LongrateError where a value is not > 0).  The audits
+    form the rows they read instead, with the same bits.
     """
-    return _kernel_cache(model, ensemble)[0]
+    coefs, rows = _grid_coefficients(model, ensemble), ensemble.rows
+    pi = _path_array(rows.shape[1:])
+    _in_blocks(len(pi), 1, lambda j, _, term: _kernel_min(coefs[:, j], rows[:, j], pi[j], term),
+               lambda: np.empty(rows.shape[2]))
+    pi.setflags(write=False)
+    return pi.T
 
 
 def _reduce_blocks(n_paths: int, width: int, block: Callable, reduce: np.ufunc) -> np.ndarray:
@@ -368,28 +349,33 @@ def _model_rate_extremes(
 
 
 def _decade_extremes(
-    pi: np.ndarray, weights: np.ndarray, bounds: list[int]
+    model: Model, ensemble: PathEnsemble, weights: np.ndarray, bounds: list[int]
 ) -> tuple[list[float], list[float]]:
     """Minimum and mean of t^lam pi_t (``weights`` holds t^lam, which may overflow)
-    over each decade [a, b) of pi's time rows: the certificate's path statistics.
+    over each decade [a, b) of the grid's time rows: the certificate's path statistics.
 
-    A decade is formed in one contiguous buffer that mirrors rows a to b
-    of pi, a block of paths at a time, each block keeping its minimum.
-    The mean is one pairwise sum over the whole buffer.
+    A decade is formed in one contiguous buffer that mirrors time rows a
+    to b, a block of paths at a time: pi from the factor rows, whose row
+    minima each block keeps, then scaled in place.  The least scaled row
+    minimum is the buffer's minimum (a rounded w * pi is monotone in pi for
+    w >= 0), and the mean is one pairwise sum over the whole buffer.
     """
-    n = pi.shape[1]
+    coefs = _grid_coefficients(model, ensemble)[:, :, None]
+    rows, n = ensemble.rows, ensemble.n_paths
     buf = np.empty((max(b - a for a, b in zip(bounds, bounds[1:])), n))
     minima, means = [], []
     for a, b in zip(bounds, bounds[1:]):
         decade = buf[: b - a]
 
-        def fill(start: int, stop: int) -> float:  # runs within this iteration
+        def fill(start: int, stop: int) -> np.ndarray:  # runs within this iteration
             part = decade[:, start:stop]
-            np.multiply(weights[a:b, None], pi[a:b, start:stop], out=part)
-            return part.min()
+            least = _kernel_min(coefs[:, a:b], rows[:, a:b, start:stop], part, axis=1)
+            np.multiply(weights[a:b, None], part, out=part)
+            return least
 
         with np.errstate(over="ignore"):
-            minima.append(float(_reduce_blocks(n, 1, fill, np.minimum)[0]))
+            least = _reduce_blocks(n, b - a, fill, np.minimum)
+            minima.append(float(np.min(weights[a:b] * least)))
         means.append(float(np.add.reduce(decade, axis=None) / decade.size))
     return minima, means
 
@@ -410,21 +396,22 @@ def _mean_se(values: np.ndarray, dev: np.ndarray | None = None) -> tuple[float, 
     return float(mean), float(np.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n))
 
 
-def _row_moments(count: int, n: int, row: Callable) -> np.ndarray:
-    """Mean and SE (columns 0 and 1) of the sample ``row(i, buf)`` for each i < count.
+def _row_moments(count: int, n: int, row: Callable, scratch: int = 2) -> np.ndarray:
+    """Mean and SE (columns 0 and 1) of the sample ``row(i, bufs)`` for each i < count.
 
     Each sample has n values; ``row`` returns a stored row or forms one in
-    ``buf``, its worker's scratch row.  Every row is one block, so each
-    statistic is the one ``_mean_se`` takes of that row alone.
+    ``bufs``, its worker's ``scratch`` rows of n, the last of which it may
+    use only as scratch: ``_mean_se`` takes it for the deviations.  Every row
+    is one block, so each statistic is the one ``_mean_se`` takes of it alone.
     """
     if n < 2:
         raise DomainError(f"standard errors need at least 2 paths, got {n}")
     out = np.empty((count, 2))
 
     def moments(i: int, _stop: int, buffers: np.ndarray) -> None:
-        out[i] = _mean_se(row(i, buffers[0]), buffers[1])
+        out[i] = _mean_se(row(i, buffers), buffers[-1])
 
-    _in_blocks(count, 1, moments, lambda: np.empty((2, n)))
+    _in_blocks(count, 1, moments, lambda: np.empty((scratch, n)))
     return out
 
 
@@ -445,14 +432,21 @@ def _z_score(gap: float, se: float, scale: float) -> float:
 def kernel_condition_audit(model: Model, ensemble: PathEnsemble) -> AuditReport:
     """Audit the admissibility conditions of the kernel along an ensemble.
 
-    Checks: strict positivity of every simulated pi_t; finiteness of the
-    cross-section means; agreement of those means with the analytic
-    E[pi_t] = a + b (+ c) within 4 standard errors; and decay of the
-    analytic expectation to at most 1e-3 at t = 1e6 (the vanishing
+    Checks: strict positivity of every simulated pi_t (else LongrateError);
+    finiteness of the cross-section means; agreement of those means with
+    the analytic E[pi_t] = a + b (+ c) within 4 standard errors; and decay
+    of the analytic expectation to at most 1e-3 at t = 1e6 (the vanishing
     lim inf condition).
     """
-    pi, min_pi = _kernel_cache(model, ensemble)
-    pi = pi.T
+    coefs = _grid_coefficients(model, ensemble)
+    minima = np.empty(ensemble.grid.size)
+
+    def pi_row(j: int, bufs: np.ndarray) -> np.ndarray:
+        minima[j] = _kernel_min(coefs[:, j], ensemble.rows[:, j], *bufs)
+        return bufs[0]
+
+    stats = _row_moments(ensemble.grid.size, ensemble.n_paths, pi_row)
+    min_pi = float(minima.min())
     checks = []
     checks.append(
         CheckResult(
@@ -461,7 +455,6 @@ def kernel_condition_audit(model: Model, ensemble: PathEnsemble) -> AuditReport:
             f"min pi = {min_pi:.9g} over {ensemble.n_paths} paths",
         )
     )
-    stats = _row_moments(ensemble.grid.size, ensemble.n_paths, lambda j, _: pi[j])
     finite = bool(np.all(np.isfinite(stats[:, 0])))
     checks.append(
         CheckResult(
@@ -506,7 +499,8 @@ def deflated_bond_martingale_check(
 
     The deflated bond price is an exact martingale in these models; the
     audit prices the bond path by path and compares the cross-section
-    mean with the analytic constant within 4 standard errors.
+    mean with the analytic constant within 4 standard errors.  A pi_t
+    not > 0 at an audit time raises LongrateError.
     """
     if not math.isfinite(maturity):
         raise DomainError(f"maturity must be finite, got {maturity!r}")
@@ -519,12 +513,18 @@ def deflated_bond_martingale_check(
             raise DomainError(f"maturity {maturity!r} precedes audit time {t!r}")
         cols.append(j)
     target = expected_kernel(model, maturity)
-    # pi_t P(t, T): the pathwise price (a(T) + b(T) M_t (+ c(T) N_t)) / pi_t,
-    # times pi_t, from the first audit time to the last
-    span = slice(min(cols), max(cols) + 1)
-    bonds = _combined_rows(_values_at(model.coefficients, maturity), ensemble.rows[:, span],
-                           pi=kernel_paths(model, ensemble).T[span])
-    stats = _row_moments(len(cols), ensemble.n_paths, lambda i, _: bonds[cols[i] - span.start])
+    coefs = _grid_coefficients(model, ensemble)
+    at_maturity = _values_at(model.coefficients, maturity)
+
+    def deflated_bond(i: int, bufs: np.ndarray) -> np.ndarray:
+        # pi_t P(t, T): the pathwise price (a(T) + b(T) M_t (+ c(T) N_t)) / pi_t, times pi_t
+        bond, pi, term = bufs
+        xs = ensemble.rows[:, cols[i]]
+        _kernel_min(coefs[:, cols[i]], xs, pi, term)
+        _combined(at_maturity, xs, bond, term)
+        return np.multiply(pi, np.divide(bond, pi, out=bond), out=bond)
+
+    stats = _row_moments(len(cols), ensemble.n_paths, deflated_bond, scratch=3)
     checks = []
     rows = []
     for t, (mean, se) in zip(times, stats.tolist()):

@@ -247,7 +247,8 @@ def rates_from_log_discount(lengths, conv: RateConvention, log_df) -> np.ndarray
     ld = np.asarray(log_df, dtype=float)
     if not np.all(np.isfinite(ld)):
         raise DomainError("log discount factors must be finite")
-    return _rates(x, conv, ld)
+    with np.errstate(over="ignore"):  # -ln P / x overflows at a tiny length x
+        return _rates(x, conv, ld)
 
 
 def _rates(x: np.ndarray, conv: RateConvention, ld: np.ndarray) -> np.ndarray:

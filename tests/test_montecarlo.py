@@ -34,7 +34,7 @@ from longrate import (
     write_ensemble_csv,
 )
 from longrate import csvformat
-from longrate.errors import DomainError
+from longrate.errors import DomainError, LongrateError
 from conftest import run_cli
 
 # Any RuntimeWarning (divide by zero, overflow, invalid value) fails a test here.
@@ -241,22 +241,23 @@ def test_row_moments_are_numpy_moments_of_each_row(ref2f, threads, monkeypatch):
     steps = mc._row_moments(
         GRID.size - 1,
         ens.n_paths,
-        lambda j, buf: np.subtract(ens.n[:, j + 1], ens.m[:, j], out=buf),
+        lambda j, bufs: np.subtract(ens.n[:, j + 1], ens.m[:, j], out=bufs[0]),
     )
     for j, (mean, se) in enumerate(steps.tolist()):
         assert (mean, se) == mc._mean_se(ens.n[:, j + 1] - ens.m[:, j])
 
 
-def _planted_nan_ensemble(model, n_paths, path, column):
-    """An ensemble whose cached pi holds one nan, at (path, column).
+def _planted_ensemble(model, n_paths, path, column, value=math.nan):
+    """An ensemble whose M holds ``value`` at (path, column), so pi is nan (or not > 0) there.
 
-    The cache holds pi's minimum too, as the build of pi takes it.
+    An ensemble rejects such paths when built, so the value goes into a
+    copy of its time-major rows afterwards.
     """
     ens = ensemble_for_model(model, AUDIT_GRID, n_paths, seed=7)
-    pi = np.array(kernel_paths(model, ens))
-    pi[path, column] = np.nan
-    object.__setattr__(ens, "_kernel", (model, pi, float(pi.min())))
-    return ens, pi
+    rows = np.array(ens.rows)
+    rows[0, column, path] = value
+    object.__setattr__(ens, "factors", rows.transpose(0, 2, 1))
+    return ens
 
 
 # The nan sits in the middle one of three path blocks, where a combine of
@@ -264,36 +265,34 @@ def _planted_nan_ensemble(model, n_paths, path, column):
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_nan_in_one_path_block_fails_kernel_positivity(ref1f, threads, monkeypatch):
     monkeypatch.setenv("LONGRATE_THREADS", threads)
-    ens, _ = _planted_nan_ensemble(ref1f, 8193, 5000, 27)
-    rep = kernel_condition_audit(ref1f, ens)
-    status = {c.name: c.status for c in rep.checks}
-    assert status["kernel positivity"] == "FAIL"
-    assert status["finite kernel expectation"] == "FAIL"
-    assert rep.checks[0].detail == "min pi = nan over 8193 paths"
-    assert math.isnan(rep.data["min_pi"])
+    ens = _planted_ensemble(ref1f, 8193, 5000, 27)
+    with pytest.raises(LongrateError, match="kernel positivity violated"):
+        kernel_condition_audit(ref1f, ens)
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_nan_in_one_path_block_reaches_certificate_decade(pareto2, threads, monkeypatch):
     monkeypatch.setenv("LONGRATE_THREADS", threads)
-    ens, pi = _planted_nan_ensemble(pareto2, 8193, 5000, 20)
-    rep = lr.pareto_kernel_certificate(pareto2, ens)
-    # the serial form: one fancy-index copy of each decade
-    grid = ens.grid
-    bounds = [*(lr.asymptotics._decade_window_starts(grid[1:]) + 1)[-3:], grid.size]
-    weights = grid**pareto2.lam
-    minima, means = [], []
-    for a, b in zip(bounds, bounds[1:]):
-        scaled = weights[np.arange(a, b)] * pi[:, np.arange(a, b)]
-        minima.append(float(scaled.min()))
-        means.append(float(scaled.mean()))
-    assert sum(math.isnan(v) for v in minima) == 1
-    assert repr(rep.data["decade_minima"]) == repr(minima)
-    assert repr(rep.data["decade_means"]) == repr(means)
-    # a nan decade is evidence of neither positivity nor boundedness
-    status = {c.name: c.status for c in rep.checks}
-    assert status["pathwise tail positivity"] == "FAIL"
-    assert status["expected tail boundedness"] == "FAIL"
+    ens = _planted_ensemble(pareto2, 8193, 5000, 20)
+    with pytest.raises(LongrateError, match="kernel positivity violated"):
+        lr.pareto_kernel_certificate(pareto2, ens)
+
+
+# pi = a + b M is far below 0 at (5000, 20): each consumer that reads time 20
+# raises, and a deflated check whose audit times miss it runs.
+@pytest.mark.parametrize("consumer", [
+    kernel_condition_audit,
+    lambda model, ens: deflated_bond_martingale_check(model, ens, [0.0, ens.grid[20]], 1e4),
+    lr.pareto_kernel_certificate,
+    kernel_paths,
+], ids=["kernel_audit", "deflated_check", "certificate", "kernel_paths"])
+def test_nonpositive_pi_in_a_read_row_raises(pareto2, consumer):
+    ens = _planted_ensemble(pareto2, 8193, 5000, 20, value=-1e300)
+    with pytest.raises(LongrateError, match="kernel positivity violated"):
+        consumer(pareto2, ens)
+    times = [0.0, float(ens.grid[19]), float(ens.grid[21])]
+    rep = deflated_bond_martingale_check(pareto2, ens, times, 1e4)
+    assert [row["t"] for row in rep.data["rows"]] == times
 
 
 def _report_text(report) -> str:
@@ -342,7 +341,7 @@ def test_simulated_rows_and_kernel_rows_are_contiguous(ref2f):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_kernel_audit_makes_no_path_sized_copy(ref2f, threads, monkeypatch):
-    """Once pi is cached, the kernel audit reads its rows in place.
+    """The kernel audit forms each row of pi in its worker's scratch rows.
 
     Its traced peak is the workers' two scratch rows each (6.1 MiB on two
     workers at 2e5 paths), where a time-major copy of pi alone is 32 MiB.
@@ -358,6 +357,31 @@ def test_kernel_audit_makes_no_path_sized_copy(ref2f, threads, monkeypatch):
         tracemalloc.stop()
     assert rep.verdict == "PASS", "\n".join(rep.lines())
     assert peak < pi.nbytes / 4
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_deflated_check_and_certificate_make_no_path_sized_array(ref2f, threads, monkeypatch):
+    """Both form pi (and the bonds) from the factor rows, in scratch rows and decade blocks.
+
+    Neither asks for a path array, and their traced peak stays below one
+    pi array (2e5 paths x 21 times, 32 MiB): the certificate's largest
+    decade buffer here is 5 time rows.
+    """
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    grid = np.concatenate([[0.0], np.geomspace(1.0, 1e4, 20)])
+    ens = ensemble_for_model(ref2f, grid, 200_000, seed=3, rho=0.5)
+    asked = []
+    path_array = mc._path_array
+    monkeypatch.setattr(mc, "_path_array", lambda shape: asked.append(shape) or path_array(shape))
+    tracemalloc.start()
+    try:
+        deflated_bond_martingale_check(ref2f, ens, list(grid), 1e4)
+        lr.pareto_kernel_certificate(ref2f, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert asked == []
+    assert peak < 8 * ens.m.size
 
 
 def test_worker_count_defaults_to_usable_cpus(monkeypatch):
@@ -770,7 +794,7 @@ def test_kernel_paths_model_ensemble_mismatch(ref1f, ref2f, small_ensemble):
 def test_kernel_paths_cached_read_only(ref2f):
     ens = ensemble_for_model(ref2f, GRID, 5000, seed=12, rho=0.5)
     pi = kernel_paths(ref2f, ens)
-    assert kernel_paths(ref2f, ens) is pi
+    assert not np.shares_memory(kernel_paths(ref2f, ens), pi)  # a fresh array on each call
     assert not pi.flags.writeable
     coefs = [np.asarray(c(ens.grid), dtype=float) for c in ref2f.coefficients]
     reference = coefs[0] + coefs[1] * ens.m + coefs[2] * ens.n
@@ -806,6 +830,32 @@ def test_deflated_check_is_the_full_array_formula(ref2f, n_paths, threads, monke
             assert _bits(row["mean"]) == _bits(float(np.mean(column)))
             se = float(np.std(column, ddof=1) / math.sqrt(n_paths))
             assert _bits(row["se"]) == _bits(se)
+
+
+# pareto2's coefficients evaluated one grid time at a time differ in the last
+# bit from its array evaluation at 4 of these grid times, on AVX-512 at least.
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("n_paths", [4095, 4097, 8193])
+@pytest.mark.parametrize("name", ["ref2f", "pareto2"])
+def test_kernel_audit_is_the_full_array_formula(request, name, n_paths, threads, monkeypatch):
+    """pi = a + b M (+ c N) over whole arrays, then its minimum, and np.mean and
+    np.std(ddof=1) / sqrt(n) per time, as the audit's row statistics."""
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    model = request.getfixturevalue(name)
+    ens = ensemble_for_model(model, AUDIT_GRID, n_paths, seed=7, rho=0.5)
+    taken = []
+    row_moments = mc._row_moments
+    monkeypatch.setattr(mc, "_row_moments", lambda *args: taken.append(row_moments(*args)) or taken[-1])
+    rep = kernel_condition_audit(model, ens)
+    a, *coefs = (np.asarray(coef(ens.grid), dtype=float) for coef in model.coefficients)
+    pi = a
+    for c, x in zip(coefs, ens.factors):
+        pi = pi + c * x
+    assert _bits(rep.data["min_pi"]) == _bits(float(pi.min()))
+    for j, (mean, se) in enumerate(taken[0].tolist()):
+        column = pi[:, j]
+        assert _bits(mean) == _bits(float(np.mean(column)))
+        assert _bits(se) == _bits(float(np.std(column, ddof=1) / math.sqrt(n_paths)))
 
 
 def test_kernel_condition_audit_passes(ref1f, small_ensemble):

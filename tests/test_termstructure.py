@@ -232,6 +232,14 @@ def test_array_rates_match_scalar_rates(conv):
         assert rate == ref or abs(rate - ref) <= 1e-12 * max(abs(rate), abs(ref))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("conv", [EXP, LIBOR, RateConvention.tail_pareto(2.0),
+                                  RateConvention.zero_coupon(2.0)], ids=RateConvention.label)
+def test_array_rates_overflow_at_a_tiny_length_to_inf_without_warning(conv):
+    out = lr.rates_from_log_discount(np.array([1e-308, 1.0]), conv, np.array([-10.0, -0.01]))
+    assert out[0] == math.inf and math.isfinite(out[1])
+
+
 def test_array_rates_overflow_to_inf_and_reject_nonfinite_logs():
     out = lr.rates_from_log_discount(np.array([1.0, 1.0]), LIBOR, np.array([-1.0, -1e4]))
     assert math.isfinite(out[0]) and out[1] == math.inf
@@ -258,12 +266,11 @@ def test_rates_of_one_log_df_row_are_ordered_downward_in_index(row, lams):
     """
     lengths, log_df = row
     conventions = [EXP, *(RateConvention.tail_pareto(lam) for lam in sorted(set(lams))[::-1])]
-    # -ln P / x, unguarded in _rates, overflows at a tiny x, and q - slack near -1.8e308
-    with np.errstate(over="ignore"):
-        rows = np.array([lr.termstructure._rates(lengths, conv, log_df) for conv in conventions])
-        quotes = np.where(np.isfinite(rows), rows, np.nan)
-        slack = 1e-12 * np.fmax.reduce(np.abs(quotes), axis=0, initial=1.0)
-        assert not (quotes[1:] < quotes[:-1] - slack).any()
+    rows = np.array([lr.rates_from_log_discount(lengths, conv, log_df) for conv in conventions])
+    quotes = np.where(np.isfinite(rows), rows, np.nan)
+    slack = 1e-12 * np.fmax.reduce(np.abs(quotes), axis=0, initial=1.0)
+    # halved, so that q - slack cannot overflow at quotes near -1.8e308
+    assert not (quotes[1:] / 2 < quotes[:-1] / 2 - slack / 2).any()
 
 
 def test_parse_labels_round_trip():
