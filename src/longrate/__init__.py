@@ -7,8 +7,10 @@ and numerical audits of long-rate asymptotics.
 ``import longrate`` executes none of the submodules.  Each one is in
 ``sys.modules`` from the start, as a deferred module that executes on
 its first attribute access, and each name below resolves from its home
-module on first use.  So a CLI command executes only the modules it
-runs.
+module on first use.  A module that needs a sibling on some paths only
+imports the sibling itself (``from . import montecarlo``) and reads its
+names where it calls them, so the sibling executes on that first call.
+So a CLI command executes only the modules it runs.
 """
 
 import sys

@@ -19,10 +19,10 @@ down to 0) it tends to 0.  The same Laplace transform is the survival
 function of the calamity time tau = Z / R with Z standard exponential
 drawn independently of R.
 
-No other module imports this one (only the CLI's ``aggregate`` command
+No other module uses this one (only the CLI's ``aggregate`` command
 runs it).  It takes its blocks and chunk seeds from ``workers`` and,
-for ``asymptotic_exponential_rate`` alone, the long-rate probe schedule
-from ``termstructure``.
+for ``asymptotic_exponential_rate`` alone (``aggregate --estimate``), the
+long-rate probe schedule from ``termstructure``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from . import termstructure
 from .errors import DomainError, _finite
 from .workers import _check_seed, _chunk_rng, _in_blocks
 
@@ -241,11 +242,10 @@ def asymptotic_exponential_rate(mixture: RateMixture) -> AsymptoticRateEstimate:
     up to 1e6, evaluated in log space so that discrete mixtures remain
     computable at t = 1e6 where the factor itself underflows.
     """
-    from .termstructure import _CONVERGENCE_TOL, default_long_rate_horizons
-
-    hs = default_long_rate_horizons(1e6)
+    hs = termstructure.default_long_rate_horizons(1e6)
     est = -log_aggregate_discount(mixture, hs) / hs
-    status = "CONVERGED" if abs(est[-1] - est[-2]) < _CONVERGENCE_TOL else "UNCONVERGED"
+    converged = abs(est[-1] - est[-2]) < termstructure._CONVERGENCE_TOL
+    status = "CONVERGED" if converged else "UNCONVERGED"
     if isinstance(mixture, DiscreteMixture):
         target = float(mixture.rates.min())
     else:

@@ -18,7 +18,7 @@ curves propagate their long rates by discounting the time-0 value.
 
 The probe schedule comes from ``termstructure``.  The audits that read
 simulated paths (DIR's model branch and the certificate) take their
-path statistics from ``montecarlo``, which runs only there.
+path statistics from ``montecarlo``, which executes only when they run.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import montecarlo
 from .errors import DomainError, InadmissibleCurveError, LongrateError
 from .kernel_models import BondEvaluator, Model, ModelState, bond_log_df
 from .reporting import FAIL, INCONCLUSIVE, PASS, AuditReport, CheckResult
@@ -42,9 +43,6 @@ from .termstructure import (
     _rates,
     default_long_rate_horizons,
 )
-
-if TYPE_CHECKING:  # montecarlo runs only in DIR's model branch and the certificate
-    from .montecarlo import PathEnsemble
 
 __all__ = [
     "LongRateEstimate",
@@ -486,7 +484,7 @@ def _zero_coupon_quote(rate: float, kappa: float) -> float:
 def dir_monotonicity_audit(
     subject,
     times: Sequence[float],
-    ensemble: PathEnsemble | None = None,
+    ensemble: montecarlo.PathEnsemble | None = None,
     horizons: np.ndarray | None = None,
     kappa: float = 1.0,
 ) -> AuditReport:
@@ -541,10 +539,8 @@ def dir_monotonicity_audit(
     model: Model = subject
     if ensemble is None:
         raise DomainError("model audits need a simulated ensemble")
-    from .montecarlo import _model_rate_extremes
-
     idx = [ensemble.time_index(t) for t in ts]
-    worst_drop, max_rate = _model_rate_extremes(model, ensemble, idx, float(xs[-1]))
+    worst_drop, max_rate = montecarlo._model_rate_extremes(model, ensemble, idx, float(xs[-1]))
     checks.append(
         CheckResult(
             "long exponential rate nondecreasing along every path",
@@ -759,7 +755,7 @@ def _scaled_bond(lam: float, T: float, log_p: float) -> float:
 
 def pareto_kernel_certificate(
     model: Model,
-    ensemble: PathEnsemble,
+    ensemble: montecarlo.PathEnsemble,
     lam: float | None = None,
 ) -> AuditReport:
     """Certify tail-Pareto behaviour of the kernel at index ``lam``.
@@ -780,8 +776,6 @@ def pareto_kernel_certificate(
     no index; ``kernel_condition_audit`` tests it at every grid time.
     A pi_t not > 0 in the windows raises LongrateError.
     """
-    from .montecarlo import _decade_extremes
-
     lam = model.lam if lam is None else float(lam)
     if not math.isfinite(lam) or lam <= 0.0:
         raise DomainError(f"index must be finite and positive, got {lam!r}")
@@ -798,7 +792,7 @@ def pareto_kernel_certificate(
     # at a very high index t^lam overflows to inf, and (c) fails
     with np.errstate(over="ignore"):
         weights = grid**lam
-    minima, means = _decade_extremes(model, ensemble, weights, bounds)
+    minima, means = montecarlo._decade_extremes(model, ensemble, weights, bounds)
     checks: list[CheckResult] = []
 
     # decade over decade as products, since a decade may underflow to 0

@@ -23,27 +23,19 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import zoo
+from . import aggregation, asymptotics, csvformat, kernel_models, montecarlo, reporting
+from . import termstructure, zoo
 from .errors import DomainError, LongrateError, _read_json
-
-if TYPE_CHECKING:
-    from .kernel_models import Model, ModelState
-    from .montecarlo import CashFlow, PathEnsemble
-    from .reporting import AuditReport
-    from .termstructure import DiscountCurve, RateConvention, STPRSchedule
 
 __all__ = ["main", "build_parser", "STPRSchedule"]
 
 
 def __getattr__(name):
     if name == "STPRSchedule":  # its home is ``termstructure``; still importable from here
-        from .termstructure import STPRSchedule
-
-        return STPRSchedule
+        return termstructure.STPRSchedule
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -78,17 +70,15 @@ def _emit_json(doc, path=None) -> None:
         sys.stdout.write(text)
 
 
-def _finish_audit(args, *reports: AuditReport, doc=None) -> int:
+def _finish_audit(args, *reports: reporting.AuditReport, doc=None) -> int:
     """Print the reports, write ``--json`` (``doc``, by default the first
     report's dict) and return the exit code: 1 on any FAIL, else 0."""
-    from .reporting import FAIL
-
     for report in reports:
         for line in report.lines():
             print(line)
     if args.json:
         _emit_json(reports[0].as_dict() if doc is None else doc, args.json)
-    return 1 if any(r.verdict == FAIL for r in reports) else 0
+    return 1 if any(r.verdict == reporting.FAIL for r in reports) else 0
 
 
 def _parse_float(text: str, name: str) -> float:
@@ -136,11 +126,9 @@ def _parse_grid(spec: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_model(ref: str) -> Model:
+def _resolve_model(ref: str) -> kernel_models.Model:
     if os.path.exists(ref):
-        from .kernel_models import load_model_config
-
-        return load_model_config(ref)
+        return kernel_models.load_model_config(ref)
     try:
         return zoo.zoo_model(ref)
     except DomainError:
@@ -148,36 +136,32 @@ def _resolve_model(ref: str) -> Model:
     raise DomainError(f"cannot resolve model {ref!r}: not a file or catalogue name")
 
 
-def _resolve_schedule(ref: str) -> STPRSchedule:
+def _resolve_schedule(ref: str) -> termstructure.STPRSchedule:
     """The schedule at path ``ref``, else the packaged schedule ``ref``
     (``.json`` appended if missing)."""
     from importlib import resources
 
-    from .termstructure import STPRSchedule
-
     if os.path.exists(ref):
-        return STPRSchedule.load(ref)
+        return termstructure.STPRSchedule.load(ref)
     packaged = resources.files("longrate").joinpath(
         "data", ref if ref.endswith(".json") else ref + ".json"
     )
     if not packaged.is_file():
         raise DomainError(f"cannot resolve schedule {ref!r}")
     with resources.as_file(packaged) as fp:
-        return STPRSchedule.load(fp)
+        return termstructure.STPRSchedule.load(fp)
 
 
-def _resolve_curve(ref: str) -> DiscountCurve:
-    from .termstructure import flat_exponential_curve, load_curve_csv, tail_pareto_curve
-
+def _resolve_curve(ref: str) -> termstructure.DiscountCurve:
     if os.path.exists(ref):
-        return load_curve_csv(ref)
+        return termstructure.load_curve_csv(ref)
     if ref.startswith("flat:"):
-        return flat_exponential_curve(_parse_float(ref[5:], "flat rate"))
+        return termstructure.flat_exponential_curve(_parse_float(ref[5:], "flat rate"))
     if ref.startswith("pareto:"):
         parts = ref.split(":")
         if len(parts) != 3:
             raise DomainError(f"curve spec {ref!r}: expected pareto:<lam>:<level>")
-        return tail_pareto_curve(
+        return termstructure.tail_pareto_curve(
             _parse_float(parts[1], "pareto index"),
             _parse_float(parts[2], "pareto level"),
             grid=zoo.long_grid(),
@@ -192,15 +176,13 @@ def _resolve_curve(ref: str) -> DiscountCurve:
     )
 
 
-def _model_state(model: Model, args) -> ModelState:
-    from .kernel_models import ModelState
-
+def _model_state(model: kernel_models.Model, args) -> kernel_models.ModelState:
     m = 1.0 if args.m is None else args.m
     if model.factors == 1:
         if args.n is not None:
             raise DomainError("--n only applies to two-factor models")
-        return ModelState(args.t, m)
-    return ModelState(args.t, m, 1.0 if args.n is None else args.n)
+        return kernel_models.ModelState(args.t, m)
+    return kernel_models.ModelState(args.t, m, 1.0 if args.n is None else args.n)
 
 
 def _reject_for_curve(args, *options: str) -> None:
@@ -213,18 +195,14 @@ def _reject_for_curve(args, *options: str) -> None:
 def _anchored_evaluator(args):
     """The ``--model`` at its state, or the ``--curve``: (bond evaluator, anchor time)."""
     if args.model:
-        from .kernel_models import bond_evaluator
-
         model = _resolve_model(args.model)
         state = _model_state(model, args)
-        return bond_evaluator(model, state), state.t
+        return kernel_models.bond_evaluator(model, state), state.t
     _reject_for_curve(args, "m", "n")
-    from .asymptotics import curve_evaluator
-
-    return curve_evaluator(_resolve_curve(args.curve)), args.t
+    return asymptotics.curve_evaluator(_resolve_curve(args.curve)), args.t
 
 
-def _model_ensemble(args, grid: np.ndarray) -> tuple[Model, PathEnsemble]:
+def _model_ensemble(args, grid: np.ndarray) -> tuple[kernel_models.Model, montecarlo.PathEnsemble]:
     """The ``--model`` and its ensemble on ``grid`` from ``--seed``, ``--n``, ``--rho``.
 
     Seeds are always explicit: no command draws entropy implicitly, which
@@ -232,8 +210,6 @@ def _model_ensemble(args, grid: np.ndarray) -> tuple[Model, PathEnsemble]:
     checked before the model is resolved.  An unset ``--n`` or ``--rho``
     takes the default that ``_add_ensemble_args`` documents.
     """
-    from .montecarlo import ensemble_for_model
-
     if args.seed is None:
         raise DomainError("an explicit --seed is required")
     n = args.n_default if args.n is None else args.n
@@ -241,19 +217,18 @@ def _model_ensemble(args, grid: np.ndarray) -> tuple[Model, PathEnsemble]:
         raise DomainError(f"n_paths must be positive, got {n!r}")
     model = _resolve_model(args.model)
     rho = 0.0 if args.rho is None else args.rho
-    return model, ensemble_for_model(model, grid, n, args.seed, rho=rho)
+    return model, montecarlo.ensemble_for_model(model, grid, n, args.seed, rho=rho)
 
 
-def _curve_table(curve: DiscountCurve, maturities) -> tuple[list[tuple], list[str]]:
+def _curve_table(curve: termstructure.DiscountCurve, maturities) -> tuple[list[tuple], list[str]]:
     """(maturity, discount factor, exponential rate) rows of ``curve`` and
     their CSV lines, header first.  The rate is nan at maturity 0."""
-    from .termstructure import RateConvention, Tenor, rate_from_log_discount
-
-    exponential = RateConvention.exponential()
+    exponential = termstructure.RateConvention.exponential()
     rows = []
     for t in maturities:
         ld = curve.log_df(t)
-        rate = rate_from_log_discount(Tenor(0.0, t), exponential, ld) if t > 0.0 else math.nan
+        rate = (termstructure.rate_from_log_discount(termstructure.Tenor(0.0, t), exponential, ld)
+                if t > 0.0 else math.nan)
         rows.append((t, math.exp(ld), rate))
     lines = ["maturity_years,discount_factor,exponential_rate"]
     lines += [",".join(_fmt(x) for x in row) for row in rows]
@@ -266,21 +241,17 @@ def _curve_table(curve: DiscountCurve, maturities) -> tuple[list[tuple], list[st
 
 
 def cmd_convert(args) -> int:
-    from .termstructure import RateConvention, Tenor, convert_rate
-
-    tenor = Tenor(args.t, args.T)
-    conv_from = RateConvention.parse(args.conv_from)
-    conv_to = RateConvention.parse(args.conv_to)
-    out = convert_rate(tenor, conv_from, conv_to, args.value)
-    back = convert_rate(tenor, conv_to, conv_from, out)
+    tenor = termstructure.Tenor(args.t, args.T)
+    conv_from = termstructure.RateConvention.parse(args.conv_from)
+    conv_to = termstructure.RateConvention.parse(args.conv_to)
+    out = termstructure.convert_rate(tenor, conv_from, conv_to, args.value)
+    back = termstructure.convert_rate(tenor, conv_to, conv_from, out)
     print(_fmt(out))
     print(f"round_trip_residual {_fmt(abs(back - args.value))}")
     return 0
 
 
 def cmd_curve(args) -> int:
-    from .termstructure import save_curve_csv, time_consistency_residual
-
     curve = _resolve_curve(args.curve)
     times = (
         _parse_floats(args.times, "--times")
@@ -297,38 +268,34 @@ def cmd_curve(args) -> int:
             if len(parts) != 2:
                 raise DomainError(f"--probes entry {chunk!r}: expected t:x")
             pairs.append(tuple(_parse_float(part, f"--probes entry {chunk!r}") for part in parts))
-        doc["time_consistency_residual"] = time_consistency_residual(curve, pairs)
+        doc["time_consistency_residual"] = termstructure.time_consistency_residual(curve, pairs)
     print("\n".join(table))
     if args.probes:
         print(f"time_consistency_residual {_fmt(doc['time_consistency_residual'])}")
     if args.out:
-        save_curve_csv(curve, args.out)
+        termstructure.save_curve_csv(curve, args.out)
     if args.json:
         _emit_json(doc, args.json)
     return 0
 
 
 def _mixture_from_config(cfg: dict):
-    from .aggregation import DiscreteMixture, ExponentialMixture, GammaMixture
-
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise DomainError("mixture config must be an object with a 'kind' key")
     kind = cfg["kind"]
     try:
         if kind == "discrete":
-            return DiscreteMixture(cfg["weights"], cfg["rates"])
+            return aggregation.DiscreteMixture(cfg["weights"], cfg["rates"])
         if kind == "exponential":
-            return ExponentialMixture(cfg["mean_rate"])
+            return aggregation.ExponentialMixture(cfg["mean_rate"])
         if kind == "gamma":
-            return GammaMixture(cfg["shape"], cfg["mean_rate"])
+            return aggregation.GammaMixture(cfg["shape"], cfg["mean_rate"])
     except KeyError as exc:
         raise DomainError(f"mixture config missing key {exc.args[0]!r}") from None
     raise DomainError(f"unknown mixture kind {kind!r}")
 
 
 def cmd_aggregate(args) -> int:
-    from .aggregation import aggregate_discount, asymptotic_exponential_rate, sample_calamity_time
-
     if os.path.exists(args.mix):
         cfg = _read_json(args.mix)
     else:
@@ -340,44 +307,38 @@ def cmd_aggregate(args) -> int:
             ) from None
     mixture = _mixture_from_config(cfg)
     times = _parse_floats(args.times, "--times")
-    curve = [aggregate_discount(mixture, t) for t in times]
+    curve = [aggregation.aggregate_discount(mixture, t) for t in times]
     sample = None
     if args.sample is not None:
         if args.seed is None:
             raise DomainError("--sample needs an explicit --seed")
         if not args.out:
             raise DomainError("--sample needs --out for the CSV file")
-        sample = sample_calamity_time(mixture, args.sample, args.seed, cap=args.cap)
+        sample = aggregation.sample_calamity_time(mixture, args.sample, args.seed, cap=args.cap)
     print("t,aggregate_discount")
     for t, p in zip(times, curve):
         print(f"{_fmt(t)},{_fmt(p)}")
     if args.estimate:
-        est = asymptotic_exponential_rate(mixture)
+        est = aggregation.asymptotic_exponential_rate(mixture)
         print(f"asymptotic_rate {_fmt(est.value)} {est.status}")
     if sample is not None:
-        from .csvformat import write_g9_lines  # loaded only by processes that write CSV
-
         with open(args.out, "wb") as fh:
             fh.write(b"tau\n")
-            write_g9_lines(fh, sample.times)
+            csvformat.write_g9_lines(fh, sample.times)
         print(f"censored {int(sample.censored.sum())} of {args.sample} at cap {_fmt(sample.cap)}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    from .montecarlo import _mean_se, write_ensemble_csv
-
     _, ensemble = _model_ensemble(args, _parse_grid(args.grid))
-    write_ensemble_csv(ensemble, args.out)
-    mean, se = _mean_se(ensemble.m[:, -1])
+    montecarlo.write_ensemble_csv(ensemble, args.out)
+    mean, se = montecarlo._mean_se(ensemble.m[:, -1])
     print(f"paths {ensemble.n_paths} grid_points {ensemble.grid.size}")
     print(f"terminal_mean {_fmt(mean)} se {_fmt(se)}")
     return 0
 
 
-def _parse_flow(spec: str, model: Model) -> CashFlow:
-    from .montecarlo import CashFlow
-
+def _parse_flow(spec: str, model: kernel_models.Model) -> montecarlo.CashFlow:
     fields = {}
     for chunk in spec.split(","):
         if "=" not in chunk:
@@ -390,7 +351,7 @@ def _parse_flow(spec: str, model: Model) -> CashFlow:
         raise DomainError(f"--flow {spec!r}: missing T=<time>")
     T = _parse_float(fields.pop("T"), "--flow T")
     if set(fields) == {"amount"}:
-        return CashFlow(T, amount=_parse_float(fields["amount"], "--flow amount"))
+        return montecarlo.CashFlow(T, amount=_parse_float(fields["amount"], "--flow amount"))
     if set(fields) == {"payoff"}:
         name = fields["payoff"]
         if name not in ("M", "N"):
@@ -398,17 +359,15 @@ def _parse_flow(spec: str, model: Model) -> CashFlow:
         index = "MN".index(name)
         if index >= model.factors:
             raise DomainError(f"payoff={name} needs a two-factor model")
-        return CashFlow(T, payoff=lambda *factors: factors[index])
+        return montecarlo.CashFlow(T, payoff=lambda *factors: factors[index])
     raise DomainError(f"--flow {spec!r}: specify exactly one of amount=, payoff=")
 
 
 def cmd_value(args) -> int:
-    from .montecarlo import CashFlowSchedule, value_claim
-
     model = _resolve_model(args.model)
     state = _model_state(model, args)
-    schedule = CashFlowSchedule(tuple(_parse_flow(s, model) for s in args.flow))
-    result = value_claim(
+    schedule = montecarlo.CashFlowSchedule(tuple(_parse_flow(s, model) for s in args.flow))
+    result = montecarlo.value_claim(
         model,
         state,
         schedule,
@@ -428,33 +387,30 @@ def cmd_value(args) -> int:
     return 0
 
 
-def _closed_form_long_rate(model: Model, state: ModelState, conv: RateConvention):
-    from .kernel_models import long_rate
-
+def _closed_form_long_rate(
+    model: kernel_models.Model, state: kernel_models.ModelState, conv: termstructure.RateConvention
+):
     if conv.kind not in ("libor", "tail_pareto"):
         return None
-    return long_rate(model, state) if conv.pareto_index == model.lam else None
+    return kernel_models.long_rate(model, state) if conv.pareto_index == model.lam else None
 
 
 def cmd_longrate(args) -> int:
-    from .asymptotics import deterministic_long_rate, estimate_long_rate, save_trace_csv
-    from .termstructure import RateConvention, default_long_rate_horizons
-
-    conv = RateConvention.parse(args.conv)
-    horizons = default_long_rate_horizons(stop=args.horizon)
+    conv = termstructure.RateConvention.parse(args.conv)
+    horizons = termstructure.default_long_rate_horizons(stop=args.horizon)
     evaluator, t = _anchored_evaluator(args)
     if args.model:
         closed = _closed_form_long_rate(evaluator.model, evaluator.state, conv)
     else:
         try:
-            closed = deterministic_long_rate(evaluator.curve, t, conv)
+            closed = asymptotics.deterministic_long_rate(evaluator.curve, t, conv)
         except LongrateError:
             closed = None
-    est = estimate_long_rate(evaluator, t, conv, horizons)
+    est = asymptotics.estimate_long_rate(evaluator, t, conv, horizons)
     headline = est.value if closed is None else closed
     print(f"{_fmt(headline)} {est.status}")
     if args.trace:
-        save_trace_csv(est, t, args.trace)
+        asymptotics.save_trace_csv(est, t, args.trace)
     if args.json:
         _emit_json(
             {
@@ -475,8 +431,6 @@ def cmd_longrate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .asymptotics import classify_curve
-
     curve = _resolve_curve(args.curve)
     window = None
     if args.window:
@@ -484,7 +438,7 @@ def cmd_classify(args) -> int:
         if len(parts) != 2:
             raise DomainError(f"--window {args.window!r}: expected lo:hi")
         window = tuple(_parse_float(part, f"--window {args.window!r}") for part in parts)
-    result = classify_curve(curve, window=window)
+    result = asymptotics.classify_curve(curve, window=window)
     _emit_json(result.as_dict(), args.json)
     if args.json:
         print(result.kind)
@@ -492,58 +446,45 @@ def cmd_classify(args) -> int:
 
 
 def _audit_dir(args) -> int:
-    from .asymptotics import dir_monotonicity_audit
-    from .termstructure import _sorted_unique, default_long_rate_horizons
-
     times = _parse_floats(args.times, "--times")
-    horizons = default_long_rate_horizons(stop=args.horizon)
+    horizons = termstructure.default_long_rate_horizons(stop=args.horizon)
     if args.model:
-        model, ensemble = _model_ensemble(
-            args, _sorted_unique(np.concatenate([[0.0], np.asarray(times)]))
-        )
-        report = dir_monotonicity_audit(
-            model, times, ensemble=ensemble, horizons=horizons, kappa=args.kappa
+        subject, ensemble = _model_ensemble(
+            args, termstructure._sorted_unique(np.concatenate([[0.0], np.asarray(times)]))
         )
     else:
         _reject_for_curve(args, "seed", "n", "rho")
-        curve = _resolve_curve(args.curve)
-        report = dir_monotonicity_audit(curve, times, horizons=horizons, kappa=args.kappa)
+        subject, ensemble = _resolve_curve(args.curve), None
+    report = asymptotics.dir_monotonicity_audit(
+        subject, times, ensemble=ensemble, horizons=horizons, kappa=args.kappa
+    )
     return _finish_audit(args, report)
 
 
 def _audit_strat(args) -> int:
-    from .asymptotics import stratification_audit
-    from .termstructure import default_long_rate_horizons
-
     indices = _parse_floats(args.indices, "--indices")
-    horizons = default_long_rate_horizons(stop=args.horizon)
+    horizons = termstructure.default_long_rate_horizons(stop=args.horizon)
     evaluator, t = _anchored_evaluator(args)
-    report = stratification_audit(evaluator, t, alphas=indices, horizons=horizons)
+    report = asymptotics.stratification_audit(evaluator, t, alphas=indices, horizons=horizons)
     return _finish_audit(args, report)
 
 
 def _audit_kernel(args) -> int:
-    from .montecarlo import deflated_bond_martingale_check, kernel_condition_audit
-
     model, ensemble = _model_ensemble(args, _parse_grid(args.grid))
-    conditions = kernel_condition_audit(model, ensemble)
+    conditions = montecarlo.kernel_condition_audit(model, ensemble)
     times = [t for t in ensemble.grid if t <= args.maturity]
-    deflated = deflated_bond_martingale_check(model, ensemble, times, args.maturity)
+    deflated = montecarlo.deflated_bond_martingale_check(model, ensemble, times, args.maturity)
     doc = {"kernel_conditions": conditions.as_dict(), "deflated_bond": deflated.as_dict()}
     return _finish_audit(args, conditions, deflated, doc=doc)
 
 
 def _audit_pareto(args) -> int:
-    from .asymptotics import pareto_kernel_certificate
-
     model, ensemble = _model_ensemble(args, _parse_grid(args.grid))
-    return _finish_audit(args, pareto_kernel_certificate(model, ensemble, lam=args.lam))
+    certificate = asymptotics.pareto_kernel_certificate(model, ensemble, lam=args.lam)
+    return _finish_audit(args, certificate)
 
 
 def cmd_greenbook(args) -> int:
-    from .asymptotics import classify_curve
-    from .termstructure import time_consistency_residual
-
     schedule = _resolve_schedule(args.schedule)
     curve = schedule.curve(spot=args.spot_rates)
     maturities = (
@@ -560,9 +501,9 @@ def cmd_greenbook(args) -> int:
     print("\n".join(table))
     probes = [(10.0, 10.0), (10.0, 20.0), (15.0, 15.0), (20.0, 40.0), (30.0, 30.0),
               (50.0, 50.0), (75.0, 75.0), (100.0, 100.0), (150.0, 150.0)]
-    residual = time_consistency_residual(curve, probes)
+    residual = termstructure.time_consistency_residual(curve, probes)
     print(f"time_consistency_residual {_fmt(residual)}")
-    classification = classify_curve(curve)
+    classification = asymptotics.classify_curve(curve)
     print(f"tail_class {classification.kind}")
     doc = {
         "bands": [[b[0], b[1], b[2]] for b in schedule.bands],

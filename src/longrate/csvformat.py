@@ -14,9 +14,9 @@ of either sign is read at X = 0 as the integer 0, which prints "0" or
 into uint32 words, with the zeros %.9g drops stored as NUL bytes, and
 deleting every NUL from a block of words leaves the text.
 
-``montecarlo.write_ensemble_csv`` and the CLI's sample files import this
-module on their first write, so processes that write no CSV never load
-it; its tables are built with numpy on first use.
+``montecarlo.write_ensemble_csv`` and the CLI's sample files call into
+this module, which executes on their first write, so processes that
+write no CSV never run it; its tables are built with numpy on first use.
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ CSV output (``write_ensemble_csv`` and the sample files of the CLI) goes
 through one numpy kernel in ``csvformat``, whose bytes equal Python's
 ``'%.9g' % v`` for every double: it rounds each value to 9 digits with a
 correctly rounded power of ten, hands the near-ties it cannot decide to
-Python, and builds the text from 4-digit lookup tables.  It is imported
-on the first write, so processes that write no CSV never load it.
+Python, and builds the text from 4-digit lookup tables.  It executes
+on the first write, so processes that write no CSV never run it.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import csvformat
 from .drivers import GBMDriver
 from .errors import DomainError, LongrateError
 from .kernel_models import (
@@ -624,7 +625,7 @@ def _terminal_factors(model, state, T, seed, flow_index, n_paths, rho):
     drivers = _declared_drivers(model)
     # per factor: the volatility and the mean log-step -V/2 over (t, T]
     steps = [(math.sqrt(v), -0.5 * v) for v in (d.variance(state.t, T) for d in drivers)]
-    outs = np.empty((len(drivers), n_paths))
+    outs = _path_array((len(drivers), n_paths))
 
     def draw(start: int, stop: int, buffers: np.ndarray) -> None:
         rng = _chunk_rng(seed, (*base_key, int(flow_index)), start // _CHUNK_PATHS)
@@ -704,10 +705,8 @@ def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:
     it, byte for byte (see ``csvformat``).  Rows are built a block of
     whole paths at a time, so the buffers stay near 1 MB.
     """
-    from .csvformat import write_path_rows  # loaded only by processes that write CSV
-
     factors = ensemble.factors
     names = ["M", "N", *(f"X{i}" for i in range(3, len(factors) + 1))][: len(factors)]
     with open(path, "wb") as fh:
         fh.write((",".join(["path", "t", *names]) + "\n").encode())
-        write_path_rows(fh, ensemble.grid, factors)
+        csvformat.write_path_rows(fh, ensemble.grid, factors)

@@ -359,6 +359,8 @@ UNALLOCATABLE = {
      "--out", "{tmp}/x.csv"): "(2400000000000000 bytes)",
     ("audit", "kernel", "--model", "ref1f", "--seed", 1, "--n", 10**14, "--grid", "lin:0:10:3"):
         "(2400000000000000 bytes)",
+    ("value", "--model", "ref1f", "--flow", "T=10,amount=1", "--simulate-constants",
+     "--seed", 1, "--paths", 10**14): "(800000000000000 bytes)",
 }
 
 # A file named on the command line that cannot be opened, read, decoded or

@@ -25,41 +25,43 @@ EXECUTED = textwrap.dedent("""
                                    or name == "numpy.ma")]))
 """)
 
-NO_KERNEL = {"longrate.montecarlo", "longrate.asymptotics", "longrate.aggregation",
-             "longrate.kernel_models", "longrate.workers"}
-# Long-rate commands read ln P traces and run no blocked loop.
-NO_PATHS = {"longrate.montecarlo", "longrate.aggregation", "longrate.workers"}
-# Monte Carlo commands seed and run their blocks without the aggregation module.
-NO_AGGREGATION = {"longrate.aggregation"}
+# The README's "Subcommand | Modules executed" table; every command also executes
+# ``cli`` and ``errors``.
+CATALOGUE = {"termstructure", "zoo", "kernel_models", "drivers"}
+MONTE_CARLO = {*CATALOGUE, "montecarlo", "reporting", "workers"}
+LONG_RATE = {*CATALOGUE, "asymptotics", "reporting"}
 
 
-@pytest.mark.parametrize("args, never", [
-    (("convert", "--T", 10, "--from", "exp", "--to", "libor", "--value", 0.05), NO_KERNEL),
-    (("curve", "--curve", "flat:0.03"), NO_KERNEL),
-    (("value", "--model", "ref1f", "--flow", "T=10,amount=1"),
-     {"longrate.asymptotics", *NO_AGGREGATION}),
+@pytest.mark.parametrize("args, modules", [
+    (("convert", "--T", 10, "--from", "exp", "--to", "libor", "--value", 0.05),
+     {"termstructure"}),
+    (("curve", "--curve", "flat:0.03"), {"termstructure"}),
+    (("curve", "--curve", "flat3"), CATALOGUE),
+    (("value", "--model", "ref1f", "--flow", "T=10,amount=1"), MONTE_CARLO),
     (("simulate", "--model", "ref2f", "--n", 100, "--seed", 3, "--out", "{tmp}/paths.csv"),
-     {"longrate.asymptotics", *NO_AGGREGATION}),
-    (("audit", "kernel", "--model", "ref1f", "--seed", 1, "--n", 1000),
-     {"longrate.asymptotics", *NO_AGGREGATION}),
-    (("longrate", "--model", "ref1f", "--conv", "libor"), NO_PATHS),
-    (("classify", "--curve", "pareto:2:0.04"), NO_PATHS),
-    (("audit", "strat", "--curve", "flat:0.03"), NO_PATHS),
-    (("greenbook", "--schedule", "greenbook_example"), NO_PATHS),
-    (("audit", "dir", "--curve", "flat:0.03"), NO_PATHS),
-    (("audit", "dir", "--model", "ref1f", "--seed", 1, "--n", 200), NO_AGGREGATION),
-    (("audit", "pareto", "--model", "pareto2", "--seed", 1, "--n", 1000), NO_AGGREGATION),
-], ids=["convert", "curve", "value", "simulate", "audit-kernel", "longrate", "classify",
-        "audit-strat", "greenbook", "audit-dir-curve", "audit-dir", "audit-pareto"])
-def test_command_executes_only_the_modules_it_runs(args, never, tmp_path):
+     {*MONTE_CARLO, "csvformat"}),
+    (("audit", "kernel", "--model", "ref1f", "--seed", 1, "--n", 1000), MONTE_CARLO),
+    (("longrate", "--model", "ref1f", "--conv", "libor"), LONG_RATE),
+    (("longrate", "--curve", "flat3", "--conv", "libor"), LONG_RATE),
+    (("classify", "--curve", "pareto:2:0.04"), LONG_RATE),
+    (("audit", "strat", "--curve", "flat:0.03"), LONG_RATE - {"zoo"}),
+    (("greenbook", "--schedule", "greenbook_example"), LONG_RATE - {"zoo"}),
+    (("audit", "dir", "--curve", "flat:0.03"), LONG_RATE - {"zoo"}),
+    (("audit", "dir", "--model", "ref1f", "--seed", 1, "--n", 200),
+     {*LONG_RATE, "montecarlo", "workers"}),
+    (("audit", "pareto", "--model", "pareto2", "--seed", 1, "--n", 1000),
+     {*LONG_RATE, "montecarlo", "workers"}),
+], ids=["convert", "curve", "curve-catalogue", "value", "simulate", "audit-kernel", "longrate",
+        "longrate-catalogue", "classify", "audit-strat", "greenbook", "audit-dir-curve",
+        "audit-dir", "audit-pareto"])
+def test_command_executes_only_the_modules_it_runs(args, modules, tmp_path):
     argv = [str(a).replace("{tmp}", str(tmp_path)) for a in args]
     out = run_process("-c", EXECUTED, *argv)
     assert out.returncode == 0, out.stderr
     code, executed = json.loads(out.stdout)
     assert code in (0, 1)
-    assert "longrate.cli" in executed
-    assert never.isdisjoint(executed)
-    assert "numpy.ma" not in executed  # an import no command needs
+    # exactly these, so no ``numpy.ma`` either: an import no command needs
+    assert executed == sorted(f"longrate.{name}" for name in {"cli", "errors", *modules})
 
 
 @pytest.mark.parametrize("options, extra", [
