@@ -265,7 +265,7 @@ def _price_trace(bond, t: float, xs: np.ndarray) -> _LogDfTrace:
         )
     xs, lengths = xs[:n], maturities[:n] - t
     if not lengths[0] > 0.0:
-        raise DomainError(f"horizon {xs[0]!r} vanishes against anchor time {t!r}")
+        raise DomainError(f"horizon {float(xs[0])!r} vanishes against anchor time {t!r}")
     trace = _LogDfTrace(
         t, tuple(xs.tolist()), lengths, ld[:n], _decade_window_starts(xs), truncated_at, reason
     )
@@ -350,117 +350,66 @@ def stratification_audit(
     * the exponential long rate is nonnegative;
     * a positive exponential long rate makes every tail-Pareto rate
       diverge;
-    * a finite positive rate at index lam forces the exponential rate to
-      zero, higher indices to zero, and lower indices to diverge;
     * at most one index can carry a finite positive rate;
-    * at every common horizon the finite-horizon quotes are ordered
-      downward in the index.
+    * a finite positive rate at index lam forces the exponential rate to
+      zero, higher indices to zero, and lower indices to diverge.
+
+    Each unresolved trend, the exponential one first and then the indices
+    in decreasing order, adds an INCONCLUSIVE check.  The finite-horizon
+    quotes of one trace are ordered downward in the index by construction
+    (with y = -ln P, lam * expm1(y / lam) / x falls towards y / x as lam
+    grows), which the property test of ``termstructure._rates`` checks; the
+    audit does not.
     """
     lams = sorted({float(a) for a in alphas}, reverse=True)
     if not lams or lams[-1] <= 0.0:
         raise DomainError("indices must be positive")
     trace = _log_df_trace(bond, t, horizons)
     _check_admissible(trace)
-    conventions = [RateConvention.exponential()]
-    conventions += [RateConvention.tail_pareto(lam) for lam in lams]
-    reads = [trace.read(conv) for conv in conventions]
-    rows = np.array([rates for rates, _ in reads])
-    r_est, *lam_ests = [est for _, est in reads]
-    l_est = dict(zip(lams, lam_ests))
+    r_rates, r_est = trace.read(RateConvention.exponential())
+    l_est = {lam: trace.read(RateConvention.tail_pareto(lam))[1] for lam in lams}
     trends = {lam: _trend(e) for lam, e in l_est.items()}
     r_trend = _trend(r_est)
 
     checks: list[CheckResult] = []
-    min_r = min(rows[0].tolist())
-    checks.append(
-        CheckResult(
-            "exponential long rate nonnegative",
-            PASS if min_r >= -1e-8 else FAIL,
-            f"min finite-horizon estimate {min_r:.9g}",
-        )
-    )
+
+    def check(name, ok, detail):
+        checks.append(CheckResult(name, PASS if ok else FAIL, detail))
 
     def trend_name(lam):
         return f"index {lam:g} trend {trends[lam]}"
 
+    min_r = min(r_rates.tolist())
+    check("exponential long rate nonnegative", min_r >= -1e-8,
+          f"min finite-horizon estimate {min_r:.9g}")
     if r_trend == _FINITE:
         bad = [lam for lam in lams if trends[lam] != _DIV]
-        checks.append(
-            CheckResult(
-                "positive exponential rate forces divergence at every index",
-                FAIL if bad else PASS,
-                "; ".join(trend_name(l) for l in bad) if bad else
-                f"R converges to {r_est.value:.9g}, all indices diverge",
-            )
-        )
+        check("positive exponential rate forces divergence at every index", not bad,
+              "; ".join(map(trend_name, bad)) if bad else
+              f"R converges to {r_est.value:.9g}, all indices diverge")
     finite_lams = [lam for lam in lams if trends[lam] == _FINITE]
     if len(finite_lams) > 1:
-        checks.append(
-            CheckResult(
-                "at most one index carries a finite positive rate",
-                FAIL,
-                f"finite at indices {finite_lams!r}",
-            )
-        )
+        check("at most one index carries a finite positive rate", False,
+              f"finite at indices {finite_lams!r}")
     for lam in finite_lams:
-        ok_r = r_trend == _ZERO
-        checks.append(
-            CheckResult(
-                f"finite rate at index {lam:g} forces exponential rate to zero",
-                PASS if ok_r else FAIL,
-                f"R trend {r_trend}, value {r_est.value:.9g}",
-            )
-        )
+        check(f"finite rate at index {lam:g} forces exponential rate to zero", r_trend == _ZERO,
+              f"R trend {r_trend}, value {r_est.value:.9g}")
         for other in lams:
-            if other > lam:
-                checks.append(
-                    CheckResult(
-                        f"finite rate at index {lam:g} forces index {other:g} to zero",
-                        PASS if trends[other] == _ZERO else FAIL,
-                        trend_name(other),
-                    )
-                )
-            elif other < lam:
-                checks.append(
-                    CheckResult(
-                        f"finite rate at index {lam:g} forces index {other:g} to diverge",
-                        PASS if trends[other] == _DIV else FAIL,
-                        trend_name(other),
-                    )
-                )
-    # Finite-horizon ordering: exponential <= higher index <= lower index at every
-    # horizon (a column of ``rows``); a non-finite quote, made nan, enters no slack or test.
-    quotes = np.where(np.isfinite(rows), rows, np.nan)
-    slack = 1e-12 * np.fmax.reduce(np.abs(quotes), axis=0, initial=1.0)
-    order_ok = not (quotes[1:] < quotes[:-1] - slack).any()
-    checks.append(
-        CheckResult(
-            "finite-horizon quotes ordered downward in index",
-            PASS if order_ok else FAIL,
-            "exponential <= tail-Pareto quotes, decreasing index last",
-        )
-    )
-    undecided = [lam for lam in lams if trends[lam] == _UNDECIDED]
-    if r_trend == _UNDECIDED:
-        checks.append(
-            CheckResult("exponential trend resolved", INCONCLUSIVE, "trend unresolved")
-        )
-    for lam in undecided:
-        checks.append(
-            CheckResult(f"index {lam:g} trend resolved", INCONCLUSIVE, "trend unresolved")
-        )
+            if other != lam:
+                forced, to = (_ZERO, "to zero") if other > lam else (_DIV, "to diverge")
+                check(f"finite rate at index {lam:g} forces index {other:g} {to}",
+                      trends[other] == forced, trend_name(other))
+    named = [("exponential", r_trend)] + [(f"index {lam:g}", trends[lam]) for lam in lams]
+    checks += [
+        CheckResult(f"{name} trend resolved", INCONCLUSIVE, "trend unresolved")
+        for name, trend in named if trend == _UNDECIDED
+    ]
     data = {
         "t": float(t),
-        "exponential": {
-            "value": r_est.value, "status": r_est.status, "trend": r_trend,
-        },
+        "exponential": {"value": r_est.value, "status": r_est.status, "trend": r_trend},
         "indices": {
-            f"{lam:g}": {
-                "value": l_est[lam].value,
-                "status": l_est[lam].status,
-                "trend": trends[lam],
-            }
-            for lam in lams
+            f"{lam:g}": {"value": est.value, "status": est.status, "trend": trends[lam]}
+            for lam, est in l_est.items()
         },
     }
     return AuditReport("stratification audit", tuple(checks), data)
@@ -493,7 +442,8 @@ def dir_monotonicity_audit(
     For a deterministic curve the audit estimates the rate at each time
     from forward prices and checks it is nondecreasing (for flat
     exponential curves it is constant).  For a kernel model it evaluates
-    the estimate along every simulated path; power-law models are the
+    the estimate along every simulated path (a LongrateError where a pi
+    value it forms is not > 0); power-law models are the
     degenerate case whose long exponential rate vanishes, so estimates
     must also sit below the estimation tolerance.  The zero-coupon
     translation z = kappa*(exp(R/kappa) - 1) is monotone in R, so its

@@ -332,7 +332,8 @@ def _model_rate_extremes(
 ) -> tuple[float, float]:
     """The largest fall between consecutive times, and the largest value, of the
     per-path exponential-rate estimates at grid indices ``idx`` and horizon x
-    (DIR's model branch), formed a block of paths at a time."""
+    (DIR's model branch), formed a block of paths at a time from pi at t and
+    t + x (a LongrateError where a pi value is not > 0)."""
     _factor_values(model, ensemble)
     ts = [float(ensemble.grid[j]) for j in idx]
     # coefficient i at audit time k is [i, k, 0]: a column against time-major paths
@@ -341,8 +342,10 @@ def _model_rate_extremes(
 
     def block(start: int, stop: int) -> tuple:
         factors = ensemble.rows[:, idx, start:stop]
-        pi = _combine(at_t, factors)
-        ests = -(np.log(_combine(at_tx, factors)) - np.log(pi)) / x
+        pi, pi_x, term = np.empty((3, len(idx), stop - start))
+        _kernel_min(at_t, factors, pi, term)
+        _kernel_min(at_tx, factors, pi_x, term)
+        ests = -(np.log(pi_x) - np.log(pi)) / x
         return np.max(ests[:-1] - ests[1:], initial=-np.inf), np.max(ests)
 
     worst_drop, max_rate = _reduce_blocks(ensemble.n_paths, 2, block, np.maximum)
@@ -433,7 +436,8 @@ def _z_score(gap: float, se: float, scale: float) -> float:
 def kernel_condition_audit(model: Model, ensemble: PathEnsemble) -> AuditReport:
     """Audit the admissibility conditions of the kernel along an ensemble.
 
-    Checks: strict positivity of every simulated pi_t (else LongrateError);
+    Checks: strict positivity of every simulated pi_t (a violation raises
+    LongrateError, so the check reports the least pi and passes);
     finiteness of the cross-section means; agreement of those means with
     the analytic E[pi_t] = a + b (+ c) within 4 standard errors; and decay
     of the analytic expectation to at most 1e-3 at t = 1e6 (the vanishing
@@ -452,7 +456,7 @@ def kernel_condition_audit(model: Model, ensemble: PathEnsemble) -> AuditReport:
     checks.append(
         CheckResult(
             "kernel positivity",
-            PASS if min_pi > 0.0 else FAIL,
+            PASS,
             f"min pi = {min_pi:.9g} over {ensemble.n_paths} paths",
         )
     )

@@ -404,11 +404,11 @@ class DiscountCurve:
         if not np.all(np.isfinite(grid)) or not np.all(np.isfinite(values)):
             raise DomainError("curve grid and values must be finite")
         if grid[0] != 0.0:
-            raise DomainError(f"curve grid must start at 0, got {grid[0]!r}")
+            raise DomainError(f"curve grid must start at 0, got {float(grid[0])!r}")
         if not np.all(np.diff(grid) > 0.0):
             raise DomainError("curve grid must be strictly increasing")
         if abs(values[0] - 1.0) > 1e-12:
-            raise DomainError(f"curve value at maturity 0 must be 1, got {values[0]!r}")
+            raise DomainError(f"curve value at maturity 0 must be 1, got {float(values[0])!r}")
         if not np.all(values > 0.0):
             raise DomainError("discount factors must be strictly positive")
         values = values.copy()

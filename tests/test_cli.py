@@ -337,6 +337,11 @@ MALFORMED_INPUT_MESSAGES = {
         "error: --flow 'T=10,amount=1,amount=2': repeated key 'amount'\n",
     ("value", "--model", "ref1f", "--flow", "T=10,T=20,amount=1"):
         "error: --flow 'T=10,T=20,amount=1': repeated key 'T'\n",
+    # numbers read from numpy arrays print as plain floats
+    ("curve", "--curve", "{tmp}/half.csv"):
+        "error: curve value at maturity 0 must be 1, got 0.5\n",
+    ("audit", "dir", "--curve", "flat:0.03", "--times", "0,1e300"):
+        "error: horizon 10.0 vanishes against anchor time 1e+300\n",
 }
 
 
@@ -489,6 +494,8 @@ CURVE_REJECTS = {
 def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
     (tmp_path / "latin1.json").write_bytes('{"kind": "gamma", "shape": "²"}'.encode("latin-1"))
+    (tmp_path / "half.csv").write_text(
+        "maturity_years,discount_factor\n0,0.5\n1,0.4\n", encoding="utf-8")
     huge = model_to_config(zoo.zoo_model("ref1f"))
     huge["drivers"]["m"]["sigma"] = [[0.0, 1e200]]
     (tmp_path / "sigma_huge.json").write_text(json.dumps(huge), encoding="utf-8")

@@ -53,7 +53,7 @@ GOLDEN = {
         {"paths.csv": "fe14f421834a72d3c652bfc42a072299e9cd0113595b76fafd1dbca8232442c0"}),
     6: (0, "945d9d3e3bc333db472d143e11b960e452ac983cf8ed7b3c6df3bc1a9985db1c", {}),
     7: (0, "f66afb31cbac6950de558cc00fd2a4f9587269f5625bc20bb9c70caef60f3460", {}),
-    8: (0, "8c74a674e4c424937440f14a400cc5fc22e98494f21079187d9bd821b676a4b7", {}),
+    8: (0, "58e5bd553f6ce8b0e0923c72c22fec24655625dff39c3e49903e9965afbb3779", {}),
     9: (0, "1fca74b4504209442f96de9987a74e83fa7057bac03d195e846fcc351b732783", {}),
     10: (0, "f1487ed4609c4f0b2353f7f4e995fe91adf5d1a87f67f81d4f36cbe6dc719d8e", {}),
     11: (0, "104e24511d8dc593ee354167390d8cc5ab13f7034d9ec3f8b0c54d692acfe007",
@@ -74,8 +74,8 @@ ESTIMATOR_GOLDEN = {
          "trace.csv": "e8899f03842ea92847e5c0c76c0fac3dfdf5d10e084e53369476b667665a044f"}),
     1: (0, "a25e67ee8fb77f4037ff491a83ecb677df11a2f73ebc8e331f45fc1e8e0987d7",
         {"out.json": "4e93b602bf4fe3cf5198439e6f87faab6362d26ab04b1721950b6ddd7f572796"}),
-    2: (0, "bcd86b5dc170ad2be5bc9cb7face1f58785b47322ce497407620fcc761ecf9ea",
-        {"report.json": "9e9407d0c7fedc9c3b2a4c9ce073dd0677700d165b1d01ba7cceb84d0dd312ce"}),
+    2: (0, "b73ee543886e88e38d0b67bbc5778a89a05315725d3e30074ec3c09944d60c5a",
+        {"report.json": "efdf510d874f865389fdc23ad046e256b3648f5be797e3e1f8f41ef38aa30de6"}),
 }
 
 
