@@ -80,7 +80,7 @@ class DiscreteMixture:
         if np.any(w <= 0.0):
             raise DomainError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
-            raise DomainError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")
+            raise DomainError(f"weights must sum to 1 within 1e-12, got {float(w.sum())!r}")
         if np.any(r < 0.0):
             raise DomainError("rates must be nonnegative")
         w = w.copy()

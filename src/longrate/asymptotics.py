@@ -448,6 +448,11 @@ def dir_monotonicity_audit(
     must also sit below the estimation tolerance.  The zero-coupon
     translation z = kappa*(exp(R/kappa) - 1) is monotone in R, so its
     monotonicity is checked on the same data.
+
+    A rate falls where it drops by more than the convergence tolerance
+    (1e-6, absolute).  A curve applies that rule to R and to z, each on
+    its own values; a model's z check takes the verdict of its path
+    check on R.
     """
     RateConvention.zero_coupon(kappa)  # kappa must be finite and positive
     ts = [float(x) for x in times]
@@ -457,63 +462,35 @@ def dir_monotonicity_audit(
     checks: list[CheckResult] = []
     data: dict = {"times": ts, "kappa": kappa}
 
+    def check(name, ok, detail):
+        checks.append(CheckResult(name, PASS if ok else FAIL, detail))
+
+    z_name = f"zero-coupon translation (kappa={kappa:g}) nondecreasing"
     if isinstance(subject, DiscountCurve):
         ev = curve_evaluator(subject)
-        ests = [estimate_long_rate(ev, t, RateConvention.exponential(), xs) for t in ts]
-        values = [e.value for e in ests]
-        drops = [
-            (a, b) for a, b in zip(values, values[1:]) if b < a - _CONVERGENCE_TOL
-        ]
-        checks.append(
-            CheckResult(
-                "long exponential rate nondecreasing",
-                PASS if not drops else FAIL,
-                f"estimates {['%.9g' % v for v in values]}",
-            )
-        )
+        values = [estimate_long_rate(ev, t, RateConvention.exponential(), xs).value for t in ts]
         z_values = [_zero_coupon_quote(v, kappa) for v in values]
-        z_drops = [
-            (a, b) for a, b in zip(z_values, z_values[1:]) if b < a - _CONVERGENCE_TOL
-        ]
-        checks.append(
-            CheckResult(
-                f"zero-coupon translation (kappa={kappa:g}) nondecreasing",
-                PASS if not z_drops else FAIL,
-                f"estimates {['%.9g' % v for v in z_values]}",
-            )
-        )
-        spread = max(values) - min(values)
-        data.update({"values": values, "zero_coupon_values": z_values, "spread": spread})
-        return AuditReport("long-rate monotonicity audit", tuple(checks), data)
-
-    model: Model = subject
-    if ensemble is None:
-        raise DomainError("model audits need a simulated ensemble")
-    idx = [ensemble.time_index(t) for t in ts]
-    worst_drop, max_rate = montecarlo._model_rate_extremes(model, ensemble, idx, float(xs[-1]))
-    checks.append(
-        CheckResult(
-            "long exponential rate nondecreasing along every path",
-            PASS if worst_drop <= _CONVERGENCE_TOL else FAIL,
-            f"worst decrease {worst_drop:.3g} against tolerance {_CONVERGENCE_TOL:g}",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "power-law kernel long exponential rate vanishes",
-            PASS if max_rate <= _CONVERGENCE_TOL else FAIL,
-            f"max estimate {max_rate:.3g} over {ensemble.n_paths} paths x {len(ts)} times",
-        )
-    )
-    z_worst = _zero_coupon_quote(worst_drop, kappa) if math.isfinite(worst_drop) else worst_drop
-    checks.append(
-        CheckResult(
-            f"zero-coupon translation (kappa={kappa:g}) nondecreasing",
-            PASS if worst_drop <= _CONVERGENCE_TOL else FAIL,
-            f"monotone in the exponential rate; worst decrease {z_worst:.3g}",
-        )
-    )
-    data.update({"max_rate": max_rate, "worst_drop": worst_drop})
+        for name, series in (("long exponential rate nondecreasing", values), (z_name, z_values)):
+            check(name, not any(b < a - _CONVERGENCE_TOL for a, b in zip(series, series[1:])),
+                  f"estimates {['%.9g' % v for v in series]}")
+        data.update({"values": values, "zero_coupon_values": z_values,
+                     "spread": max(values) - min(values)})
+    else:
+        if ensemble is None:
+            raise DomainError("model audits need a simulated ensemble")
+        idx = [ensemble.time_index(t) for t in ts]
+        worst_drop, max_rate = montecarlo._model_rate_extremes(
+            subject, ensemble, idx, float(xs[-1]))
+        never_falls = worst_drop <= _CONVERGENCE_TOL
+        z_worst = (_zero_coupon_quote(worst_drop, kappa) if math.isfinite(worst_drop)
+                   else worst_drop)
+        check("long exponential rate nondecreasing along every path", never_falls,
+              f"worst decrease {worst_drop:.3g} against tolerance {_CONVERGENCE_TOL:g}")
+        check("power-law kernel long exponential rate vanishes", max_rate <= _CONVERGENCE_TOL,
+              f"max estimate {max_rate:.3g} over {ensemble.n_paths} paths x {len(ts)} times")
+        check(z_name, never_falls,
+              f"monotone in the exponential rate; worst decrease {z_worst:.3g}")
+        data.update({"max_rate": max_rate, "worst_drop": worst_drop})
     return AuditReport("long-rate monotonicity audit", tuple(checks), data)
 
 

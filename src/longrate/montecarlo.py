@@ -95,19 +95,29 @@ def _path_array(shape: tuple[int, ...]) -> np.ndarray:
     mappings or no huge-page advice, this is np.empty.  A shape that
     cannot be allocated raises a DomainError naming its size.
     """
-    nbytes = 8 * math.prod(shape)
+    if not (hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE")):
+        return _heap_array(shape)
     try:
-        if not (hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE")):
-            return np.empty(shape)
-        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
     except (MemoryError, OSError) as exc:
         if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
             raise
-        raise DomainError(
-            f"a path array of shape {shape} ({nbytes} bytes) cannot be allocated"
-        ) from None
+        raise _unallocatable(shape) from None
     buf.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(buf, dtype=float).reshape(shape)
+
+
+def _heap_array(shape: tuple[int, ...]) -> np.ndarray:
+    """np.empty(shape), which reuses freed heap pages, or a DomainError naming its size."""
+    try:
+        return np.empty(shape)
+    except MemoryError:
+        raise _unallocatable(shape) from None
+
+
+def _unallocatable(shape: tuple[int, ...]) -> DomainError:
+    nbytes = 8 * math.prod(shape)
+    return DomainError(f"a path array of shape {shape} ({nbytes} bytes) cannot be allocated")
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -629,7 +639,8 @@ def _terminal_factors(model, state, T, seed, flow_index, n_paths, rho):
     drivers = _declared_drivers(model)
     # per factor: the volatility and the mean log-step -V/2 over (t, T]
     steps = [(math.sqrt(v), -0.5 * v) for v in (d.variance(state.t, T) for d in drivers)]
-    outs = _path_array((len(drivers), n_paths))
+    # from the heap, which reuses freed pages: a fresh mapping faults in every page per flow
+    outs = _heap_array((len(drivers), n_paths))
 
     def draw(start: int, stop: int, buffers: np.ndarray) -> None:
         rng = _chunk_rng(seed, (*base_key, int(flow_index)), start // _CHUNK_PATHS)

@@ -246,16 +246,15 @@ def rates_from_log_discount(lengths, conv: RateConvention, log_df) -> np.ndarray
     ld = np.asarray(log_df, dtype=float)
     if not np.all(np.isfinite(ld)):
         raise DomainError("log discount factors must be finite")
-    with np.errstate(over="ignore"):  # -ln P / x overflows at a tiny length x
-        return _rates(x, conv, ld)
+    return _rates(x, conv, ld)
 
 
 def _rates(x: np.ndarray, conv: RateConvention, ld: np.ndarray) -> np.ndarray:
     """The arithmetic of ``rates_from_log_discount``, for float arrays with ln P finite."""
-    if conv.kind == _EXP:
-        return -ld / x
-    lam = conv.pareto_index
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # -ln P / x overflows at a tiny length x
+        if conv.kind == _EXP:
+            return -ld / x
+        lam = conv.pareto_index
         if lam is not None:
             return lam * np.expm1(-ld / lam) / x
         kappa = float(conv.index)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import types
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -825,6 +826,31 @@ def test_dir_audit_flat_curve(curves):
     assert rep.verdict == "PASS", "\n".join(rep.lines())
     ests = rep.data["values"]
     assert max(ests) - min(ests) <= 1e-9
+
+
+def _greenbook_curve():
+    with resources.as_file(
+        resources.files("longrate").joinpath("data", "greenbook_example.json")
+    ) as fp:
+        return lr.STPRSchedule.load(fp).curve()
+
+
+def test_dir_audit_curve_fails_where_the_long_rate_falls():
+    """Probed to x = 100 only, the declining bands read as a falling long rate."""
+    rep = dir_monotonicity_audit(_greenbook_curve(), [0.0, 50.0, 100.0, 200.0],
+                                 horizons=np.geomspace(10.0, 100.0, 9))
+    assert [c.status for c in rep.checks] == ["FAIL", "FAIL"]
+    assert rep.data["values"][0] == pytest.approx(0.035)
+    assert rep.data["values"][-1] == pytest.approx(0.015)
+
+
+def test_dir_audit_curve_judges_the_zero_coupon_values_on_their_own():
+    """R falls by 2.4e-7 in all, within tolerance; z = kappa*expm1(R/kappa) falls by 5e-3."""
+    rep = dir_monotonicity_audit(_greenbook_curve(), [0.0, 50.0, 100.0, 200.0], kappa=0.001)
+    assert [c.status for c in rep.checks] == ["PASS", "FAIL"]
+    values, z_values = rep.data["values"], rep.data["zero_coupon_values"]
+    assert 0.0 < values[0] - values[-1] < 1e-6
+    assert z_values[0] - z_values[-1] > 1e-3
 
 
 @pytest.mark.parametrize("use_model", [False, True])

@@ -311,6 +311,12 @@ def test_aggregate_sample_writes_csv(tmp_path):
     assert len(lines) == 101
 
 
+def test_flow_at_or_before_the_valuation_time_is_expired():
+    out = run_cli("value", "--model", "ref1f", "--t", 5, "--flow", "T=1,amount=1")
+    assert out.returncode == 0
+    assert out.stdout == "0\nflow T=1 value=0 method=expired\n"
+
+
 def test_all_numbers_use_nine_significant_digits():
     out = run_cli("value", "--model", "ref2f", "--flow", "T=10,amount=1", "--seed", 1)
     head = out.stdout.splitlines()[0]
@@ -420,6 +426,37 @@ CURVE_REJECTS = {
         "error: --rho only applies to --model\n",
 }
 
+# malformed values of each option, with the error line that names the problem
+ERROR_LINES = {
+    ("value", "--model", "ref1f", "--flow", "T10"):
+        "error: --flow entry 'T10': expected key=value\n",
+    ("value", "--model", "ref1f", "--flow", "amount=1"):
+        "error: --flow 'amount=1': missing T=<time>\n",
+    ("value", "--model", "ref1f", "--flow", "T=1,payoff=Q", "--seed", 1):
+        "error: --flow 'T=1,payoff=Q': payoff must be M or N, got 'Q'\n",
+    ("value", "--model", "ref1f", "--flow", "T=1,payoff=N", "--seed", 1):
+        "error: payoff=N needs a two-factor model\n",
+    ("curve", "--curve", "flat:0.03", "--probes", "1:2:3"):
+        "error: --probes entry '1:2:3': expected t:x\n",
+    ("aggregate", "--mix", "[1,2]"):
+        "error: mixture config must be an object with a 'kind' key\n",
+    ("aggregate", "--mix", '{"kind":"gamma","shape":2}'):
+        "error: mixture config missing key 'mean_rate'\n",
+    ("aggregate", "--mix", '{"kind":"beta"}'):
+        "error: unknown mixture kind 'beta'\n",
+    ("classify", "--curve", "flat:0.03", "--window", "1e3"):
+        "error: --window '1e3': expected lo:hi\n",
+    ("greenbook", "--schedule", "nosuch"):
+        "error: cannot resolve schedule 'nosuch'\n",
+    ("curve", "--curve", "pareto:2"):
+        "error: curve spec 'pareto:2': expected pareto:<lam>:<level>\n",
+    ("longrate", "--model", "ref1f", "--n", 2, "--conv", "exp"):
+        "error: --n only applies to two-factor models\n",
+    # a number read from a numpy array prints as a plain float
+    ("aggregate", "--mix", '{"kind":"discrete","weights":[0.5,0.6],"rates":[0.01,0.02]}'):
+        "error: weights must sum to 1 within 1e-12, got 1.1\n",
+}
+
 
 @pytest.mark.parametrize(
     "args",
@@ -489,6 +526,7 @@ CURVE_REJECTS = {
         *UNUSABLE_FILES,
         *OVERFLOWING_VARIANCE,
         *CURVE_REJECTS,
+        *ERROR_LINES,
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, args):
@@ -510,6 +548,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     assert UNUSABLE_FILES.get(args, "").replace("{tmp}", str(tmp_path)) in out.stderr
     assert OVERFLOWING_VARIANCE.get(args, "") in out.stderr
     assert CURVE_REJECTS.get(args, "") in out.stderr
+    assert ERROR_LINES.get(args, "") in out.stderr
     assert "Traceback" not in out.stderr
     assert "RuntimeWarning" not in out.stderr
     assert out.stdout == ""

@@ -240,6 +240,15 @@ def test_array_rates_overflow_at_a_tiny_length_to_inf_without_warning(conv):
     assert out[0] == math.inf and math.isfinite(out[1])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("conv", [EXP, LIBOR, RateConvention.tail_pareto(2.0),
+                                  RateConvention.zero_coupon(2.0)], ids=RateConvention.label)
+def test_rates_arithmetic_overflows_at_a_tiny_length_without_warning(conv):
+    """A read of a priced ln P trace calls ``_rates`` directly, past the public conversion."""
+    out = lr.termstructure._rates(np.array([1e-310]), conv, np.array([-1.0]))
+    assert out[0] == math.inf
+
+
 def test_array_rates_overflow_to_inf_and_reject_nonfinite_logs():
     out = lr.rates_from_log_discount(np.array([1.0, 1.0]), LIBOR, np.array([-1.0, -1e4]))
     assert math.isfinite(out[0]) and out[1] == math.inf
