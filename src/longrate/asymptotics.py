@@ -33,7 +33,7 @@ import numpy as np
 from . import montecarlo
 from .errors import DomainError, InadmissibleCurveError, LongrateError
 from .kernel_models import BondEvaluator, Model, ModelState, bond_log_df
-from .reporting import FAIL, INCONCLUSIVE, PASS, AuditReport, CheckResult
+from .reporting import INCONCLUSIVE, AuditReport, CheckResult, _judged
 from .termstructure import (
     _CONVERGENCE_TOL,
     DiscountCurve,
@@ -374,7 +374,7 @@ def stratification_audit(
     checks: list[CheckResult] = []
 
     def check(name, ok, detail):
-        checks.append(CheckResult(name, PASS if ok else FAIL, detail))
+        checks.append(_judged(name, ok, detail))
 
     def trend_name(lam):
         return f"index {lam:g} trend {trends[lam]}"
@@ -463,7 +463,7 @@ def dir_monotonicity_audit(
     data: dict = {"times": ts, "kappa": kappa}
 
     def check(name, ok, detail):
-        checks.append(CheckResult(name, PASS if ok else FAIL, detail))
+        checks.append(_judged(name, ok, detail))
 
     z_name = f"zero-coupon translation (kappa={kappa:g}) nondecreasing"
     if isinstance(subject, DiscountCurve):
@@ -720,45 +720,27 @@ def pareto_kernel_certificate(
     with np.errstate(over="ignore"):
         weights = grid**lam
     minima, means = montecarlo._decade_extremes(model, ensemble, weights, bounds)
-    checks: list[CheckResult] = []
-
-    # decade over decade as products, since a decade may underflow to 0
-    collapsing = all(b < 0.7 * a for a, b in zip(minima, minima[1:]))
-    positive = all(0.0 < v < math.inf for v in minima)  # false for nan
-    checks.append(
-        CheckResult(
-            "pathwise tail positivity",
-            PASS if positive and not collapsing else FAIL,
-            f"decade minima {['%.6g' % v for v in minima]}",
-        )
-    )
-    exploding = all(b > 1.5 * a for a, b in zip(means, means[1:]))
-    checks.append(
-        CheckResult(
-            "expected tail boundedness",
-            PASS if all(map(math.isfinite, means)) and not exploding else FAIL,
-            f"decade means {['%.6g' % v for v in means]}",
-        )
-    )
-
     unit_state = ModelState(0.0, *[1.0] * model.factors)
     scales = [_scaled_bond(lam, T, bond_log_df(model, unit_state, T)) for T in _BOND_HORIZONS]
+    # decade over decade as products, since a decade may underflow to 0
+    collapsing = all(b < 0.7 * a for a, b in zip(minima, minima[1:]))
+    exploding = all(b > 1.5 * a for a, b in zip(means, means[1:]))
     ratios = [b / a for a, b in zip(scales, scales[1:])]
-    stable = all(0.5 <= r <= 2.0 for r in ratios) and all(
-        math.isfinite(s) and s > 0.0 for s in scales
+    checks = (
+        _judged("pathwise tail positivity",
+                all(0.0 < v < math.inf for v in minima) and not collapsing,  # false for nan
+                f"decade minima {['%.6g' % v for v in minima]}"),
+        _judged("expected tail boundedness", all(map(math.isfinite, means)) and not exploding,
+                f"decade means {['%.6g' % v for v in means]}"),
+        _judged("bond tail scale stable",
+                all(0.5 <= r <= 2.0 for r in ratios)
+                and all(math.isfinite(s) and s > 0.0 for s in scales),
+                f"T^lam P at horizons {list(_BOND_HORIZONS)!r}: {['%.6g' % s for s in scales]}"),
     )
-    checks.append(
-        CheckResult(
-            "bond tail scale stable",
-            PASS if stable else FAIL,
-            f"T^lam P at horizons {list(_BOND_HORIZONS)!r}: {['%.6g' % s for s in scales]}",
-        )
-    )
-
     data = {
         "lambda": lam,
         "decade_minima": minima,
         "decade_means": means,
         "bond_scales": scales,
     }
-    return AuditReport(f"tail-Pareto kernel certificate (index {lam:g})", tuple(checks), data)
+    return AuditReport(f"tail-Pareto kernel certificate (index {lam:g})", checks, data)

@@ -89,10 +89,14 @@ def _parse_float(text: str, name: str) -> float:
 
 
 def _parse_floats(text: str, name: str) -> list[float]:
+    error = DomainError(f"{name}: expected comma-separated numbers, got {text!r}")
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise DomainError(f"{name}: expected comma-separated numbers, got {text!r}") from None
+        raise error from None
+    if not values:
+        raise error
+    return values
 
 
 def _parse_grid(spec: str) -> np.ndarray:

@@ -83,7 +83,7 @@ class GBMDriver:
         turn a log-step into nan.
         """
         a, b = float(t0), float(t1)
-        if b < a or a < 0.0:
+        if not 0.0 <= a <= b:
             raise DomainError(f"need 0 <= t0 <= t1, got ({t0!r}, {t1!r})")
         total = 0.0
         times = self.times

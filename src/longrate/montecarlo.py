@@ -28,7 +28,7 @@ and every sum is one pairwise sum over the same row, so the worker count
 never changes a result.  What stays serial is the certificate's decade sums.
 
 All sample means use numpy's pairwise summation; agreement checks are
-quoted against 4 standard errors.
+quoted against 4 standard errors (``_Z_BOUND``).
 
 CSV output (``write_ensemble_csv`` and the sample files of the CLI) goes
 through one numpy kernel in ``csvformat``, whose bytes equal Python's
@@ -63,7 +63,7 @@ from .kernel_models import (
     expected_kernel,
     kernel_value,
 )
-from .reporting import FAIL, PASS, AuditReport, CheckResult
+from .reporting import AuditReport, _judged
 from .workers import _check_seed, _chunk_rng, _in_blocks
 
 __all__ = [
@@ -84,6 +84,7 @@ __all__ = [
 _CHUNK_PATHS = 4096
 _HORIZON_PROBE = 1e6
 _VANISH_TOL = 1e-3
+_Z_BOUND = 4.0
 
 
 def _path_array(shape: tuple[int, ...]) -> np.ndarray:
@@ -122,7 +123,7 @@ def _unallocatable(shape: tuple[int, ...]) -> DomainError:
 
 def _check_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 2 or g[0] != 0.0 or np.any(np.diff(g) <= 0):
+    if g.ndim != 1 or g.size < 2 or g[0] != 0.0 or not np.all(np.diff(g) > 0.0):
         raise DomainError("grid must be increasing from 0 with at least two points")
     return g
 
@@ -462,44 +463,24 @@ def kernel_condition_audit(model: Model, ensemble: PathEnsemble) -> AuditReport:
 
     stats = _row_moments(ensemble.grid.size, ensemble.n_paths, pi_row)
     min_pi = float(minima.min())
-    checks = []
-    checks.append(
-        CheckResult(
-            "kernel positivity",
-            PASS,
-            f"min pi = {min_pi:.9g} over {ensemble.n_paths} paths",
-        )
-    )
-    finite = bool(np.all(np.isfinite(stats[:, 0])))
-    checks.append(
-        CheckResult(
-            "finite kernel expectation",
-            PASS if finite else FAIL,
-            "cross-section means finite at all grid times",
-        )
-    )
-    worst_z = 0.0
+    worst_z = 0.0  # max(x, nan) is x, so a nan z never becomes the maximum
     for t, (mean, se) in zip(ensemble.grid, stats.tolist()):
         target_t = expected_kernel(model, float(t))
         worst_z = max(worst_z, _z_score(abs(mean - target_t), se, target_t))
-    checks.append(
-        CheckResult(
-            "mean kernel matches coefficients",
-            PASS if worst_z <= 4.0 else FAIL,
-            f"max |mean - ({'+'.join('abc'[: model.factors + 1])})| = {worst_z:.3g} SE",
-        )
-    )
     decay = expected_kernel(model, _HORIZON_PROBE)
-    checks.append(
-        CheckResult(
-            "expectation vanishes at long horizons",
-            PASS if decay <= _VANISH_TOL else FAIL,
-            f"E[pi] = {decay:.9g} at t = {_HORIZON_PROBE:g}",
-        )
+    checks = (
+        _judged("kernel positivity", min_pi > 0.0,
+                f"min pi = {min_pi:.9g} over {ensemble.n_paths} paths"),
+        _judged("finite kernel expectation", np.all(np.isfinite(stats[:, 0])),
+                "cross-section means finite at all grid times"),
+        _judged("mean kernel matches coefficients", worst_z <= _Z_BOUND,
+                f"max |mean - ({'+'.join('abc'[: model.factors + 1])})| = {worst_z:.3g} SE"),
+        _judged("expectation vanishes at long horizons", decay <= _VANISH_TOL,
+                f"E[pi] = {decay:.9g} at t = {_HORIZON_PROBE:g}"),
     )
     return AuditReport(
         "kernel admissibility audit",
-        tuple(checks),
+        checks,
         {"min_pi": min_pi, "max_mean_z": worst_z, "expectation_at_probe": decay},
     )
 
@@ -540,21 +521,18 @@ def deflated_bond_martingale_check(
         return np.multiply(pi, np.divide(bond, pi, out=bond), out=bond)
 
     stats = _row_moments(len(cols), ensemble.n_paths, deflated_bond, scratch=3)
-    checks = []
-    rows = []
-    for t, (mean, se) in zip(times, stats.tolist()):
-        z = _z_score(abs(mean - target), se, target)
-        rows.append({"t": float(t), "mean": mean, "se": se, "z": z})
-        checks.append(
-            CheckResult(
-                f"deflated bond mean at t={t:g}",
-                PASS if z <= 4.0 else FAIL,
-                f"mean = {mean:.9g}, target = {target:.9g}, {z:.3g} SE",
-            )
-        )
+    rows = [
+        {"t": float(t), "mean": mean, "se": se, "z": _z_score(abs(mean - target), se, target)}
+        for t, (mean, se) in zip(times, stats.tolist())
+    ]
+    checks = tuple(
+        _judged(f"deflated bond mean at t={t:g}", row["z"] <= _Z_BOUND,
+                f"mean = {row['mean']:.9g}, target = {target:.9g}, {row['z']:.3g} SE")
+        for t, row in zip(times, rows)
+    )
     return AuditReport(
         "deflated bond martingale check",
-        tuple(checks),
+        checks,
         {"maturity": float(maturity), "target": target, "rows": rows},
     )
 

@@ -27,6 +27,12 @@ class CheckResult:
         return f"[{self.status}] {self.name}" + (f": {self.detail}" if self.detail else "")
 
 
+def _judged(name: str, ok: bool, detail: str) -> CheckResult:
+    """The check ``name``, PASS where its rule ``ok`` holds, else FAIL: every audit's
+    one way to turn a rule into a status."""
+    return CheckResult(name, PASS if ok else FAIL, detail)
+
+
 @dataclass(frozen=True)
 class AuditReport:
     """A titled collection of check results with an overall verdict.

@@ -317,9 +317,8 @@ def ordering_audit(
     # Monotone up to float noise: near df == 1 the quotes may tie or cross by a few ulp.
     slack = 4.0 * np.finfo(float).eps * max(1.0, max(abs(r) for r in rates))
     ok = all(rates[i + 1] >= rates[i] - slack for i in range(len(rates) - 1))
-    check = reporting.CheckResult(
-        "quotes ordered downward in index", reporting.PASS if ok else reporting.FAIL,
-        " <= ".join(label for label, _ in entries),
+    check = reporting._judged(
+        "quotes ordered downward in index", ok, " <= ".join(label for label, _ in entries)
     )
     data = {"t": tenor.t, "T": tenor.T, "discount_factor": d, "rates": dict(entries)}
     return reporting.AuditReport("ordering audit", (check,), data)

@@ -455,6 +455,18 @@ ERROR_LINES = {
     # a number read from a numpy array prints as a plain float
     ("aggregate", "--mix", '{"kind":"discrete","weights":[0.5,0.6],"rates":[0.01,0.02]}'):
         "error: weights must sum to 1 within 1e-12, got 1.1\n",
+    # a nan grid time is no increase
+    ("simulate", "--model", "ref1f", "--seed", 1, "--grid", "0,1,nan", "--out", "{tmp}/p.csv"):
+        "error: grid must be increasing from 0 with at least two points\n",
+    ("audit", "kernel", "--model", "ref1f", "--seed", 1, "--grid", "0,nan,2"):
+        "error: grid must be increasing from 0 with at least two points\n",
+    ("audit", "pareto", "--model", "ref1f", "--seed", 1, "--grid", "0,1,10,100,1000,nan"):
+        "error: grid must be increasing from 0 with at least two points\n",
+    # a list that names no number
+    ("aggregate", "--mix", GAMMA_MIX, "--times", ","):
+        "error: --times: expected comma-separated numbers, got ','\n",
+    ("audit", "strat", "--curve", "flat:0.03", "--indices", ","):
+        "error: --indices: expected comma-separated numbers, got ','\n",
 }
 
 

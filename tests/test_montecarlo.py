@@ -614,6 +614,18 @@ def test_grid_must_start_at_zero():
         simulate_paths(GBMDriver.constant(0.2), np.array([1.0, 2.0]), 100, seed=1)
 
 
+def test_grid_with_nan_time_rejected():
+    """A nan time is no increase: the grid check asks each step to be > 0, which nan is not."""
+    with pytest.raises(DomainError, match="grid must be increasing from 0"):
+        simulate_paths(GBMDriver.constant(0.2), np.array([0.0, 1.0, math.nan]), 100, seed=1)
+
+
+@pytest.mark.parametrize("t0, t1", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_variance_rejects_nan_times(t0, t1):
+    with pytest.raises(DomainError, match="need 0 <= t0 <= t1"):
+        GBMDriver.constant(0.2).variance(t0, t1)
+
+
 def test_paths_underflow_to_zero_and_pi_stays_positive(ref1f):
     # -V/2 = -0.02 t passes float underflow around t ~ 3.7e4: M's limit there is 0
     grid = np.array([0.0, 50_000.0])
@@ -875,6 +887,46 @@ def test_deflated_bond_martingale(ref1f, small_ensemble):
     target = (0.5 / 11 + 0.5 / 12)
     assert rep.data["target"] == pytest.approx(target, rel=1e-12)
     assert all(row["z"] <= 4.0 for row in rep.data["rows"])
+
+
+# Every zoo model at a small path count, and the 20000-path ref1f case whose kernel
+# audit FAILs at 295 SE on a correct model (CLI: audit kernel --grid 0,1,10,100,1000).
+STATUS_SUBJECTS = [(name, AUDIT_GRID, 500, 7) for name in sorted(lr.zoo.model_zoo())] + [
+    ("ref1f", np.array([0.0, 1.0, 10.0, 100.0, 1000.0]), 20_000, 1)
+]
+
+
+def _statuses(*rules) -> list[str]:
+    return ["PASS" if ok else "FAIL" for ok in rules]
+
+
+@pytest.mark.parametrize("name, grid, n_paths, seed", STATUS_SUBJECTS)
+def test_audit_statuses_follow_from_their_data(name, grid, n_paths, seed):
+    """Each check's status is the rule its audit's docstring states, applied to ``data``."""
+    model = lr.zoo.zoo_model(name)
+    rho = 0.5 if model.factors == 2 else 0.0
+    ens = ensemble_for_model(model, grid, n_paths, seed=seed, rho=rho)
+    kernel = kernel_condition_audit(model, ens)
+    d = kernel.data
+    assert [c.status for c in kernel.checks if c.name != "finite kernel expectation"] == _statuses(
+        d["min_pi"] > 0.0, d["max_mean_z"] <= 4.0, d["expectation_at_probe"] <= 1e-3
+    )
+    deflated = deflated_bond_martingale_check(model, ens, list(grid), float(grid[-1]))
+    rows = deflated.data["rows"]
+    assert [c.status for c in deflated.checks] == _statuses(*(row["z"] <= 4.0 for row in rows))
+    for lam in (model.lam, model.lam + 1.0):
+        cert = lr.pareto_kernel_certificate(model, ens, lam=lam)
+        minima, means, scales = (
+            cert.data[key] for key in ("decade_minima", "decade_means", "bond_scales")
+        )
+        assert [c.status for c in cert.checks] == _statuses(
+            all(0.0 < v < math.inf for v in minima)
+            and not all(b < 0.7 * a for a, b in zip(minima, minima[1:])),
+            all(map(math.isfinite, means))
+            and not all(b > 1.5 * a for a, b in zip(means, means[1:])),
+            all(0.0 < s < math.inf for s in scales)
+            and all(0.5 <= b / a <= 2.0 for a, b in zip(scales, scales[1:])),
+        ), "\n".join(cert.lines())
 
 
 def test_deflated_check_needs_future_maturity(ref1f, small_ensemble):
