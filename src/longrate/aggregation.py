@@ -34,7 +34,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import termstructure
-from .errors import DomainError, _finite
+from .errors import DomainError, _finite, _number
 from .workers import _check_seed, _chunk_rng, _in_blocks
 
 __all__ = [
@@ -60,6 +60,15 @@ _GUIDE_BUCKETS = 1 << 12  # guide-table buckets of a discrete sample; a power of
 _GUIDE_SPAN = 16
 
 
+def _numbers(values) -> np.ndarray:
+    """``values`` as a new float array of the same shape, each entry a number as
+    ``_number`` reads it; an array of numbers converts at once."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float)
+    entries = np.asarray(values, dtype=object)
+    return np.array([_number(v) for v in entries.flat], dtype=float).reshape(entries.shape)
+
+
 @dataclass(frozen=True)
 class DiscreteMixture:
     """Finitely many agents: weights p_i (summing to 1) at rates r_i >= 0."""
@@ -69,8 +78,7 @@ class DiscreteMixture:
 
     def __post_init__(self):
         try:
-            w = np.asarray(self.weights, dtype=float)
-            r = np.asarray(self.rates, dtype=float)
+            w, r = _numbers(self.weights), _numbers(self.rates)
         except (TypeError, ValueError):
             raise DomainError("weights and rates must be numeric") from None
         if w.ndim != 1 or r.ndim != 1 or w.shape != r.shape or w.size == 0:
@@ -83,8 +91,6 @@ class DiscreteMixture:
             raise DomainError(f"weights must sum to 1 within 1e-12, got {float(w.sum())!r}")
         if np.any(r < 0.0):
             raise DomainError("rates must be nonnegative")
-        w = w.copy()
-        r = r.copy()
         w.setflags(write=False)
         r.setflags(write=False)
         object.__setattr__(self, "weights", w)

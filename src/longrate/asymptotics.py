@@ -216,9 +216,8 @@ def _log_df_trace(bond, t: float, horizons: np.ndarray | None) -> _LogDfTrace:
     """ln P(t, t + x) over the schedule, cut at the first unpriced horizon.
 
     The package's own evaluators price a (t, schedule) once and keep the
-    trace, which is looked up before the schedule is validated: only a
-    validated (t, schedule) is ever kept.  Any other evaluator is called
-    every time.
+    trace, which is looked up before ``_check_tenors``: only a checked
+    (t, schedule) is ever kept.  Any other evaluator is called every time.
     """
     xs = default_long_rate_horizons() if horizons is None else np.asarray(horizons, float)
     t = float(t)
@@ -228,15 +227,23 @@ def _log_df_trace(bond, t: float, horizons: np.ndarray | None) -> _LogDfTrace:
         cached = bond._trace
         if cached is not None and cached[0] == key:
             return cached[1]
+    _check_tenors(t, xs)
+    trace = _price_trace(bond, t, xs.copy())  # a schedule the caller cannot change
+    if caching:
+        object.__setattr__(bond, "_trace", (key, trace))
+    return trace
+
+
+def _check_tenors(t: float, xs: np.ndarray) -> None:
+    """The one rule for pricing P(t, t + x): two or more offsets x, finite, positive and
+    increasing; t finite and nonnegative; and no tenor (t + x) - t that rounds to 0."""
     if not (xs.ndim == 1 and xs.size >= 2 and np.isfinite(xs).all()
             and xs[0] > 0 and (xs[1:] > xs[:-1]).all()):
         raise DomainError("horizon offsets must be finite, positive and increasing")
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"anchor time must be finite and nonnegative, got {t!r}")
-    trace = _price_trace(bond, t, xs.copy())  # a schedule the caller cannot change
-    if caching:
-        object.__setattr__(bond, "_trace", (key, trace))
-    return trace
+    if not (t + xs[0]) - t > 0.0:
+        raise DomainError(f"horizon {float(xs[0])!r} vanishes against anchor time {t!r}")
 
 
 def _price_trace(bond, t: float, xs: np.ndarray) -> _LogDfTrace:
@@ -264,8 +271,6 @@ def _price_trace(bond, t: float, xs: np.ndarray) -> _LogDfTrace:
             else "evaluator cannot price this maturity"
         )
     xs, lengths = xs[:n], maturities[:n] - t
-    if not lengths[0] > 0.0:
-        raise DomainError(f"horizon {float(xs[0])!r} vanishes against anchor time {t!r}")
     trace = _LogDfTrace(
         t, tuple(xs.tolist()), lengths, ld[:n], _decade_window_starts(xs), truncated_at, reason
     )
@@ -430,6 +435,21 @@ def _zero_coupon_quote(rate: float, kappa: float) -> float:
         ) from None
 
 
+def _dir_audit_inputs(
+    times: Sequence[float], horizons: np.ndarray | None, kappa: float
+) -> tuple[list[float], np.ndarray]:
+    """DIR's audit times and horizon offsets, after its checks of kappa, of the
+    times, and of ``_check_tenors`` at every time."""
+    RateConvention.zero_coupon(kappa)  # kappa must be finite and positive
+    ts = [float(x) for x in times]
+    if len(ts) < 2 or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise DomainError("need at least two strictly increasing audit times")
+    xs = default_long_rate_horizons() if horizons is None else np.asarray(horizons, float)
+    for t in ts:
+        _check_tenors(t, xs)
+    return ts, xs
+
+
 def dir_monotonicity_audit(
     subject,
     times: Sequence[float],
@@ -442,37 +462,28 @@ def dir_monotonicity_audit(
     For a deterministic curve the audit estimates the rate at each time
     from forward prices and checks it is nondecreasing (for flat
     exponential curves it is constant).  For a kernel model it evaluates
-    the estimate along every simulated path (a LongrateError where a pi
-    value it forms is not > 0); power-law models are the
-    degenerate case whose long exponential rate vanishes, so estimates
-    must also sit below the estimation tolerance.  The zero-coupon
-    translation z = kappa*(exp(R/kappa) - 1) is monotone in R, so its
-    monotonicity is checked on the same data.
+    the estimate along every simulated path at the last horizon offset (a
+    LongrateError where a pi value it forms is not > 0); power-law models
+    are the degenerate case whose long exponential rate vanishes, so
+    estimates must also sit below the estimation tolerance.
 
-    A rate falls where it drops by more than the convergence tolerance
-    (1e-6, absolute).  A curve applies that rule to R and to z, each on
-    its own values; a model's z check takes the verdict of its path
-    check on R.
+    Both subjects state each rule once.  Every audit time must pass the
+    estimators' rule for pricing P(t, t + x) over ``horizons``, before any
+    curve or path is read.  The rate falls where it drops by more than the
+    convergence tolerance (1e-6, absolute).  The zero-coupon translation
+    z = kappa*(exp(R/kappa) - 1) is strictly increasing in R, so its check
+    takes the verdict on R.
     """
-    RateConvention.zero_coupon(kappa)  # kappa must be finite and positive
-    ts = [float(x) for x in times]
-    if len(ts) < 2 or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise DomainError("need at least two strictly increasing audit times")
-    xs = default_long_rate_horizons() if horizons is None else np.asarray(horizons, float)
-    checks: list[CheckResult] = []
+    ts, xs = _dir_audit_inputs(times, horizons, kappa)
     data: dict = {"times": ts, "kappa": kappa}
-
-    def check(name, ok, detail):
-        checks.append(_judged(name, ok, detail))
-
-    z_name = f"zero-coupon translation (kappa={kappa:g}) nondecreasing"
     if isinstance(subject, DiscountCurve):
         ev = curve_evaluator(subject)
         values = [estimate_long_rate(ev, t, RateConvention.exponential(), xs).value for t in ts]
         z_values = [_zero_coupon_quote(v, kappa) for v in values]
-        for name, series in (("long exponential rate nondecreasing", values), (z_name, z_values)):
-            check(name, not any(b < a - _CONVERGENCE_TOL for a, b in zip(series, series[1:])),
-                  f"estimates {['%.9g' % v for v in series]}")
+        never_falls = not any(b < a - _CONVERGENCE_TOL for a, b in zip(values, values[1:]))
+        checks = [_judged("long exponential rate nondecreasing", never_falls,
+                          f"estimates {['%.9g' % v for v in values]}")]
+        z_detail = f"estimates {['%.9g' % v for v in z_values]}"
         data.update({"values": values, "zero_coupon_values": z_values,
                      "spread": max(values) - min(values)})
     else:
@@ -484,13 +495,17 @@ def dir_monotonicity_audit(
         never_falls = worst_drop <= _CONVERGENCE_TOL
         z_worst = (_zero_coupon_quote(worst_drop, kappa) if math.isfinite(worst_drop)
                    else worst_drop)
-        check("long exponential rate nondecreasing along every path", never_falls,
-              f"worst decrease {worst_drop:.3g} against tolerance {_CONVERGENCE_TOL:g}")
-        check("power-law kernel long exponential rate vanishes", max_rate <= _CONVERGENCE_TOL,
-              f"max estimate {max_rate:.3g} over {ensemble.n_paths} paths x {len(ts)} times")
-        check(z_name, never_falls,
-              f"monotone in the exponential rate; worst decrease {z_worst:.3g}")
+        checks = [
+            _judged("long exponential rate nondecreasing along every path", never_falls,
+                    f"worst decrease {worst_drop:.3g} against tolerance {_CONVERGENCE_TOL:g}"),
+            _judged("power-law kernel long exponential rate vanishes",
+                    max_rate <= _CONVERGENCE_TOL,
+                    f"max estimate {max_rate:.3g} over {ensemble.n_paths} paths x {len(ts)} times"),
+        ]
+        z_detail = f"monotone in the exponential rate; worst decrease {z_worst:.3g}"
         data.update({"max_rate": max_rate, "worst_drop": worst_drop})
+    checks.append(_judged(f"zero-coupon translation (kappa={kappa:g}) nondecreasing",
+                          never_falls, z_detail))
     return AuditReport("long-rate monotonicity audit", tuple(checks), data)
 
 
@@ -628,42 +643,36 @@ def deterministic_long_rate(
     r; for a curve of tail-Pareto type (lam0, L), the index-lam0 long
     rate propagates as P(0,t)^(1/lam0) * L.  Requests at a convention
     the class cannot support return the degenerate limit instead: 0 when
-    the quote collapses, +inf when it diverges.
+    the quote collapses, +inf when it diverges.  A curve without a tail
+    takes the tail ``classify_curve`` fits, whose index matches a
+    convention's within 1% (an attached tail's within 1e-9).
     """
     t = float(t)
     if t < 0.0:
         raise DomainError(f"time must be nonnegative, got {t!r}")
-    tail = getattr(curve, "tail", None)
-    if isinstance(tail, ExponentialTail):
-        kind, rate, lam0, level = "exponential", float(tail.rate), None, None
-        match_tol = 1e-9
-    elif isinstance(tail, ParetoTail):
-        kind, rate, lam0, level = "tail_pareto", None, float(tail.lam), float(tail.level)
-        match_tol = 1e-9
-    else:
+    tail, match_tol = curve.tail, 1e-9
+    if tail is None:
         cls = classify_curve(curve)
-        kind, rate, lam0, level = cls.kind, cls.rate, cls.lam, cls.level
+        if cls.kind == "exponential":
+            tail = ExponentialTail(cls.rate)
+        elif cls.kind == "tail_pareto":
+            tail = ParetoTail(cls.lam, cls.level)
+        else:
+            raise DomainError("curve tail class is undetermined; cannot propagate a long rate")
         # fitted indices carry estimation error, so match within the
         # classification accuracy (1% relative), not exactly
         match_tol = 1e-2
-    if kind == "undetermined":
-        raise DomainError(
-            "curve tail class is undetermined; cannot propagate a long rate"
-        )
-    if kind == "exponential":
-        r = float(rate)
-        if convention.kind == "exponential":
-            return r
-        if convention.kind == "zero_coupon":
-            return _zero_coupon_quote(r, float(convention.index))
-        return math.inf  # simple-type quotes diverge against exponential decay
-    lam0, level = float(lam0), float(level)
-    if convention.kind in ("exponential", "zero_coupon"):
-        return 0.0
-    lam = float(convention.pareto_index)
+    lam = convention.pareto_index
+    if isinstance(tail, ExponentialTail):
+        if lam is not None:
+            return math.inf  # simple-type quotes diverge against exponential decay
+        r = float(tail.rate)
+        return r if convention.index is None else _zero_coupon_quote(r, float(convention.index))
+    if lam is None:
+        return 0.0  # exponential and zero-coupon quotes vanish against power decay
+    lam0 = float(tail.lam)
     if abs(lam - lam0) <= match_tol * max(1.0, lam0):
-        p0t = float(curve.df(t))
-        return p0t ** (1.0 / lam0) * level
+        return float(curve.df(t)) ** (1.0 / lam0) * float(tail.level)
     return 0.0 if lam > lam0 else math.inf
 
 

@@ -391,20 +391,14 @@ def cmd_value(args) -> int:
     return 0
 
 
-def _closed_form_long_rate(
-    model: kernel_models.Model, state: kernel_models.ModelState, conv: termstructure.RateConvention
-):
-    if conv.kind not in ("libor", "tail_pareto"):
-        return None
-    return kernel_models.long_rate(model, state) if conv.pareto_index == model.lam else None
-
-
 def cmd_longrate(args) -> int:
     conv = termstructure.RateConvention.parse(args.conv)
     horizons = termstructure.default_long_rate_horizons(stop=args.horizon)
     evaluator, t = _anchored_evaluator(args)
     if args.model:
-        closed = _closed_form_long_rate(evaluator.model, evaluator.state, conv)
+        model = evaluator.model
+        closed = (kernel_models.long_rate(model, evaluator.state)
+                  if conv.pareto_index == model.lam else None)
     else:
         try:
             closed = asymptotics.deterministic_long_rate(evaluator.curve, t, conv)
@@ -453,6 +447,8 @@ def _audit_dir(args) -> int:
     times = _parse_floats(args.times, "--times")
     horizons = termstructure.default_long_rate_horizons(stop=args.horizon)
     if args.model:
+        # the audit's input checks, before the simulation, so they read as for a curve
+        asymptotics._dir_audit_inputs(times, horizons, args.kappa)
         subject, ensemble = _model_ensemble(
             args, termstructure._sorted_unique(np.concatenate([[0.0], np.asarray(times)]))
         )

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _number
 
 __all__ = ["GBMDriver"]
 
@@ -62,7 +62,7 @@ class GBMDriver:
     def from_schedule(cls, pairs: Iterable[Sequence[float]]) -> "GBMDriver":
         """Build from [(start_time, sigma), ...] pairs."""
         try:
-            pts = [(float(t), float(s)) for t, s in pairs]
+            pts = [(_number(t), _number(s)) for t, s in pairs]
         except (TypeError, ValueError):
             raise DomainError(
                 f"volatility schedule must be [start_time, sigma] pairs, got {pairs!r}"

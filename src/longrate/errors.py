@@ -5,15 +5,17 @@ CLI) can distinguish bad input from genuine bugs.  ``DomainError`` and its
 subclasses mean "the request was outside the admissible domain"; the CLI
 maps them to exit code 2.
 
-The two readers of outside input live here too, so every module checks
-it the same way: ``_finite`` turns a number from a caller or a config
-file into a finite float, and ``_read_json`` loads a JSON file.
+The readers of outside input live here too, so every module checks it
+the same way: ``_number`` and ``_finite`` read a number from a caller or
+a config file, and ``_read_json`` loads a JSON file.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 
 class LongrateError(Exception):
@@ -78,10 +80,17 @@ class UnsupportedOperationError(LongrateError):
         super().__init__(f"UNSUPPORTED: {message}")
 
 
+def _number(value) -> float:
+    """``float(value)``, but a ``TypeError`` for a boolean or a string, which are no numbers."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _finite(name: str, value) -> float:
     """``value`` as a finite float, else a ``DomainError`` naming ``name``."""
     try:
-        v = float(value)
+        v = float(value) if isinstance(value, float) else _number(value)  # floats: no type test
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(v):

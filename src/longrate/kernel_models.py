@@ -796,7 +796,7 @@ def _driver_from_config(cfg: dict, path: str) -> GBMDriver:
         raise DomainError(f"model config {path}.type: unknown driver type {kind!r}")
     sched = _cfg_get(cfg, f"{path}.sigma")
     if isinstance(sched, (int, float)):
-        return GBMDriver.constant(float(sched))
+        return GBMDriver.constant(_finite(f"model config {path}.sigma", sched))
     return GBMDriver.from_schedule(sched)
 
 
@@ -822,7 +822,7 @@ def model_from_config(cfg: dict) -> Model:
     """
     factors = _cfg_get(cfg, "factors")
     lam = _finite("model config lambda", _cfg_get(cfg, "lambda"))
-    if factors not in (1, 2):
+    if isinstance(factors, (bool, np.bool_)) or factors not in (1, 2):
         raise DomainError(f"model config factors: expected 1 or 2, got {factors!r}")
     k = int(factors)
     coefs = tuple(

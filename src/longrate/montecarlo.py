@@ -45,7 +45,7 @@ import hashlib
 import math
 import mmap
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -589,18 +589,7 @@ class ValuationResult:
     flows: tuple[FlowValuation, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "flows": [
-                {
-                    "time": f.time,
-                    "value": f.value,
-                    "standard_error": f.standard_error,
-                    "method": f.method,
-                }
-                for f in self.flows
-            ],
-        }
+        return {"value": self.value, "flows": [asdict(f) for f in self.flows]}
 
 
 def _state_spawn_key(state: ModelState) -> tuple[int, ...]:

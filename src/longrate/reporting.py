@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = ["CheckResult", "AuditReport", "PASS", "FAIL", "INCONCLUSIVE"]
 
@@ -18,10 +18,6 @@ class CheckResult:
     name: str
     status: str
     detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
 
     def line(self) -> str:
         return f"[{self.status}] {self.name}" + (f": {self.detail}" if self.detail else "")
@@ -68,9 +64,6 @@ class AuditReport:
         return {
             "title": self.title,
             "verdict": self.verdict,
-            "checks": [
-                {"name": c.name, "status": c.status, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "data": self.data,
         }

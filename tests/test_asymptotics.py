@@ -797,6 +797,14 @@ def test_stratification_flat_curve_pattern(curves):
         assert rep.data["indices"][key]["trend"] == "DIVERGENT"
 
 
+def test_trend_reads_a_converged_estimate_near_zero_as_zero(curves):
+    """hyperbolic2 at index 3, probed to 1e12, converges to 3.1e-8: within 1e-6 of zero."""
+    est = estimate_long_rate(curve_evaluator(curves["hyperbolic2"]), 0.0,
+                             RateConvention.tail_pareto(3.0), default_long_rate_horizons(stop=1e12))
+    assert est.status == "CONVERGED" and 0.0 < est.value <= 1e-6
+    assert lr.asymptotics._trend(est) == "ZERO"
+
+
 def test_stratification_across_zoo():
     """No false verdicts on any bundled model."""
     for name, model in lr.zoo.model_zoo().items():
@@ -844,10 +852,11 @@ def test_dir_audit_curve_fails_where_the_long_rate_falls():
     assert rep.data["values"][-1] == pytest.approx(0.015)
 
 
-def test_dir_audit_curve_judges_the_zero_coupon_values_on_their_own():
-    """R falls by 2.4e-7 in all, within tolerance; z = kappa*expm1(R/kappa) falls by 5e-3."""
+def test_dir_audit_curve_gives_the_zero_coupon_check_the_verdict_on_the_rate():
+    """R falls by 2.4e-7 in all, within tolerance.  z = kappa*expm1(R/kappa) is strictly
+    increasing in R, so z takes R's PASS, though its own values fall by 5e-3."""
     rep = dir_monotonicity_audit(_greenbook_curve(), [0.0, 50.0, 100.0, 200.0], kappa=0.001)
-    assert [c.status for c in rep.checks] == ["PASS", "FAIL"]
+    assert [c.status for c in rep.checks] == ["PASS", "PASS"]
     values, z_values = rep.data["values"], rep.data["zero_coupon_values"]
     assert 0.0 < values[0] - values[-1] < 1e-6
     assert z_values[0] - z_values[-1] > 1e-3
@@ -939,6 +948,15 @@ def test_dir_audit_raises_where_a_coefficient_makes_pi_negative(ref1f, dip):
 def test_dir_audit_model_needs_ensemble(ref1f):
     with pytest.raises(DomainError):
         dir_monotonicity_audit(ref1f, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("horizons", [[], [np.nan], [-5.0], [1e8, 10.0]],
+                         ids=["empty", "nan", "negative", "decreasing"])
+def test_dir_audit_model_checks_the_horizons_as_the_estimators_do(ref1f, horizons):
+    """The model branch prices t + x only at offsets the estimators would price."""
+    ens = lr.ensemble_for_model(ref1f, np.array([0.0, 1.0, 2.0]), 5, seed=1)
+    with pytest.raises(DomainError, match="horizon offsets must be finite, positive and increasing"):
+        dir_monotonicity_audit(ref1f, [0.0, 1.0, 2.0], ensemble=ens, horizons=horizons)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,15 @@ BAD_MODEL_CONFIGS = {
     ],
 }
 
+# ref1f's config with booleans or strings where numbers belong: float() reads them all.
+NON_NUMBER_MODEL_CONFIGS = {
+    "factors_true": [("factors", True)],
+    "lambda_true": [("lambda", True)],
+    "sigma_true": [("drivers.m.sigma", True)],
+    "sigma_pair_true": [("drivers.m.sigma", [[0, True]])],
+    "sigma_pair_text": [("drivers.m.sigma", [["0", 0.2]])],
+}
+
 
 # Schedule files whose band fields are not [start, end, rate] numbers.
 BAD_SCHEDULES = {
@@ -44,7 +53,7 @@ BAD_SCHEDULES = {
 
 def _write_bad_model_configs(directory):
     text = json.dumps(model_to_config(zoo.zoo_model("ref1f")))
-    for name, edits in BAD_MODEL_CONFIGS.items():
+    for name, edits in {**BAD_MODEL_CONFIGS, **NON_NUMBER_MODEL_CONFIGS}.items():
         cfg = json.loads(text)
         for path, value in edits:
             *parents, key = path.split(".")
@@ -467,6 +476,29 @@ ERROR_LINES = {
         "error: --times: expected comma-separated numbers, got ','\n",
     ("audit", "strat", "--curve", "flat:0.03", "--indices", ","):
         "error: --indices: expected comma-separated numbers, got ','\n",
+    # booleans and strings are not numbers, though float() reads them
+    ("aggregate", "--mix", '{"kind":"gamma","shape":"2","mean_rate":0.04}', "--times", "0,10"):
+        "error: shape must be a number, got '2'\n",
+    ("aggregate", "--mix", '{"kind":"gamma","shape":2,"mean_rate":true}', "--times", "0,10"):
+        "error: mean rate must be a number, got True\n",
+    ("aggregate", "--mix", '{"kind":"exponential","mean_rate":"0.04"}', "--times", "0,10"):
+        "error: mean rate must be a number, got '0.04'\n",
+    ("aggregate", "--mix", '{"kind":"discrete","weights":[true],"rates":[false]}'):
+        "error: weights and rates must be numeric\n",
+    ("aggregate", "--mix", '{"kind":"discrete","weights":["0.5","0.5"],"rates":[0.01,0.02]}'):
+        "error: weights and rates must be numeric\n",
+    ("value", "--model", "{tmp}/factors_true.json", "--flow", "T=10,payoff=M", "--seed", 1,
+     "--paths", 1000): "error: model config factors: expected 1 or 2, got True\n",
+    ("value", "--model", "{tmp}/lambda_true.json", "--flow", "T=10,payoff=M", "--seed", 1,
+     "--paths", 1000): "error: model config lambda must be a number, got True\n",
+    ("value", "--model", "{tmp}/sigma_true.json", "--flow", "T=10,payoff=M", "--seed", 1,
+     "--paths", 1000): "error: model config drivers.m.sigma must be a number, got True\n",
+    ("value", "--model", "{tmp}/sigma_pair_true.json", "--flow", "T=10,payoff=M", "--seed", 1,
+     "--paths", 1000):
+        "error: volatility schedule must be [start_time, sigma] pairs, got [[0, True]]\n",
+    ("value", "--model", "{tmp}/sigma_pair_text.json", "--flow", "T=10,payoff=M", "--seed", 1,
+     "--paths", 1000):
+        "error: volatility schedule must be [start_time, sigma] pairs, got [['0', 0.2]]\n",
 }
 
 
@@ -564,6 +596,36 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     assert "Traceback" not in out.stderr
     assert "RuntimeWarning" not in out.stderr
     assert out.stdout == ""
+
+
+# audit times that no horizon schedule can price from: the same line for both subjects
+DIR_BAD_TIMES = {
+    "-1,2": "error: anchor time must be finite and nonnegative, got -1.0\n",
+    "0,nan": "error: anchor time must be finite and nonnegative, got nan\n",
+    "0,inf": "error: anchor time must be finite and nonnegative, got inf\n",
+    "0,1e25": "error: horizon 10.0 vanishes against anchor time 1e+25\n",
+}
+
+
+@pytest.mark.parametrize("times", DIR_BAD_TIMES)
+def test_dir_audit_rejects_an_unpriceable_time_alike_for_model_and_curve(times):
+    model = run_cli("audit", "dir", "--model", "ref1f", "--seed", 1, "--n", 5, f"--times={times}")
+    curve = run_cli("audit", "dir", "--curve", "flat3", f"--times={times}")
+    for out in (model, curve):
+        assert (out.returncode, out.stdout, out.stderr) == (2, "", DIR_BAD_TIMES[times])
+
+
+# one audit at an INCONCLUSIVE, a PASS and a FAIL verdict
+@pytest.mark.parametrize("args", [
+    ("--t", 100, "--indices", "2,3"),
+    (),
+    ("--t", 100),
+], ids=["inconclusive", "pass", "fail"])
+def test_audit_exits_1_exactly_when_a_check_fails(tmp_path, args):
+    out = run_cli("audit", "strat", "--curve", "hyperbolic2", *args, "--json", tmp_path / "r.json")
+    assert out.returncode == (1 if "\n[FAIL] " in "\n" + out.stdout else 0)
+    text_verdict = out.stdout.splitlines()[-1].removeprefix("stratification audit: ")
+    assert json.loads((tmp_path / "r.json").read_text())["verdict"] == text_verdict
 
 
 def test_certificate_rejects_non_adjacent_tail_decades():

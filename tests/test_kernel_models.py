@@ -404,6 +404,22 @@ def test_zoo_models_round_trip_through_config_bitwise():
         assert_same_model_bits(lr.model_from_config(lr.model_to_config(model)), model)
 
 
+def test_exp_rational_coefficient_and_one_number_sigma_load_from_config_bitwise():
+    model = lr.Model((CoefficientFunction.rational(0.5, 1.0, 1.0),
+                      CoefficientFunction.exp_rational(0.5, 2.0, 1.0, 0.1, 1.0)),
+                     (lr.GBMDriver.constant(0.2),))
+    cfg = json.loads(json.dumps(lr.model_to_config(model)))
+    cfg["drivers"]["m"]["sigma"] = 0.2
+    loaded = lr.model_from_config(cfg)
+    assert_same_model_bits(loaded, model)
+    state = ModelState(0.0, 1.3)
+    for T in (1.0, 10.0, 1e4):
+        assert np.float64(bond_price(loaded, state, T)).tobytes() == \
+            np.float64(bond_price(model, state, T)).tobytes()
+    assert np.float64(lr.short_rate(loaded, state)).tobytes() == \
+        np.float64(lr.short_rate(model, state)).tobytes()
+
+
 def test_config_missing_key_is_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"factors": 1}))
