@@ -34,7 +34,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import termstructure
-from .errors import DomainError, _finite, _number
+from .errors import DomainError, _finite, _numbers
 from .workers import _check_seed, _chunk_rng, _in_blocks
 
 __all__ = [
@@ -58,15 +58,6 @@ _GUIDE_BUCKETS = 1 << 12  # guide-table buckets of a discrete sample; a power of
 # Most atoms one guide bucket may span.  A step of the guided search costs
 # about 1.2 ns a draw, numpy's binary search over 1000 atoms about 55 ns.
 _GUIDE_SPAN = 16
-
-
-def _numbers(values) -> np.ndarray:
-    """``values`` as a new float array of the same shape, each entry a number as
-    ``_number`` reads it; an array of numbers converts at once."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        return values.astype(float)
-    entries = np.asarray(values, dtype=object)
-    return np.array([_number(v) for v in entries.flat], dtype=float).reshape(entries.shape)
 
 
 @dataclass(frozen=True)

@@ -206,8 +206,8 @@ def _anchored_evaluator(args):
     return asymptotics.curve_evaluator(_resolve_curve(args.curve)), args.t
 
 
-def _model_ensemble(args, grid: np.ndarray) -> tuple[kernel_models.Model, montecarlo.PathEnsemble]:
-    """The ``--model`` and its ensemble on ``grid`` from ``--seed``, ``--n``, ``--rho``.
+def _ensemble_request(args) -> tuple[kernel_models.Model, int, float]:
+    """The ``--model``, and the path count and correlation of ``--n`` and ``--rho``.
 
     Seeds are always explicit: no command draws entropy implicitly, which
     is what makes repeated runs byte-identical.  Seed and path count are
@@ -220,7 +220,12 @@ def _model_ensemble(args, grid: np.ndarray) -> tuple[kernel_models.Model, montec
     if n < 1:
         raise DomainError(f"n_paths must be positive, got {n!r}")
     model = _resolve_model(args.model)
-    rho = 0.0 if args.rho is None else args.rho
+    return model, n, 0.0 if args.rho is None else args.rho
+
+
+def _model_ensemble(args, grid: np.ndarray) -> tuple[kernel_models.Model, montecarlo.PathEnsemble]:
+    """The ``--model`` and its ensemble on ``grid`` from ``--seed``, ``--n``, ``--rho``."""
+    model, n, rho = _ensemble_request(args)
     return model, montecarlo.ensemble_for_model(model, grid, n, args.seed, rho=rho)
 
 
@@ -334,10 +339,12 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _, ensemble = _model_ensemble(args, _parse_grid(args.grid))
-    montecarlo.write_ensemble_csv(ensemble, args.out)
-    mean, se = montecarlo._mean_se(ensemble.m[:, -1])
-    print(f"paths {ensemble.n_paths} grid_points {ensemble.grid.size}")
+    grid = _parse_grid(args.grid)
+    model, n, rho = _ensemble_request(args)
+    # the paths go to --out a wave of chunks at a time: no ensemble is kept
+    terminal = montecarlo._write_model_paths(model, grid, n, args.seed, rho, args.out)
+    mean, se = montecarlo._mean_se(terminal)
+    print(f"paths {n} grid_points {grid.size}")
     print(f"terminal_mean {_fmt(mean)} se {_fmt(se)}")
     return 0
 

@@ -162,8 +162,9 @@ def write_g9_lines(fh, values) -> None:
         fh.write(words.tobytes().translate(None, b"\0"))
 
 
-def write_path_rows(fh, grid: np.ndarray, factors: np.ndarray) -> None:
-    """Write rows ``path,t,x_1,...,x_k`` of factors shaped (k, n_paths, len(grid)).
+def write_path_rows(fh, grid: np.ndarray, factors: np.ndarray, first: int = 0) -> None:
+    """Write rows ``path,t,x_1,...,x_k`` of factors shaped (k, n_paths, len(grid)),
+    whose paths are numbered from ``first``.
 
     Each block of whole paths, at most _ROWS rows, is one matrix of words
     with one row per CSV row, filled by ``g9_words`` and stripped of its
@@ -177,7 +178,7 @@ def write_path_rows(fh, grid: np.ndarray, factors: np.ndarray) -> None:
     times = times[:, times.any(axis=0)]
     for start in range(0, factors.shape[1], paths_per_block):
         stop = min(start + paths_per_block, factors.shape[1])
-        paths = np.arange(start, stop)
+        paths = np.arange(first + start, first + stop)
         comma = np.full(paths.size, ord(",") << 24, _WORD)
         index = np.stack([*_int_words(paths, digits), comma], axis=1)
         index = index[:, index.any(axis=0)]

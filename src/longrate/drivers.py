@@ -39,8 +39,14 @@ class GBMDriver:
     sigmas: tuple[float, ...]
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        sigmas = tuple(float(s) for s in self.sigmas)
+        try:
+            times = tuple(_number(t) for t in self.times)
+            sigmas = tuple(_number(s) for s in self.sigmas)
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"volatility schedule times and sigmas must be numbers, got {self.times!r} "
+                f"and {self.sigmas!r}"
+            ) from None
         if len(times) != len(sigmas) or not times:
             raise DomainError("schedule needs matching, nonempty times and sigmas")
         if times[0] != 0.0:
@@ -56,7 +62,7 @@ class GBMDriver:
 
     @classmethod
     def constant(cls, sigma: float) -> "GBMDriver":
-        return cls((0.0,), (float(sigma),))
+        return cls((0.0,), (sigma,))
 
     @classmethod
     def from_schedule(cls, pairs: Iterable[Sequence[float]]) -> "GBMDriver":

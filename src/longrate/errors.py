@@ -7,7 +7,8 @@ maps them to exit code 2.
 
 The readers of outside input live here too, so every module checks it
 the same way: ``_number`` and ``_finite`` read a number from a caller or
-a config file, and ``_read_json`` loads a JSON file.
+a config file, ``_numbers`` an array of them, and ``_read_json`` loads a
+JSON file.
 """
 
 from __future__ import annotations
@@ -85,6 +86,15 @@ def _number(value) -> float:
     if isinstance(value, (bool, np.bool_, str)):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
+
+
+def _numbers(values) -> np.ndarray:
+    """``values`` as a new float array of the same shape, each entry a number as
+    ``_number`` reads it; an array of numbers converts at once."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float)
+    entries = np.asarray(values, dtype=object)
+    return np.array([_number(v) for v in entries.flat], dtype=float).reshape(entries.shape)
 
 
 def _finite(name: str, value) -> float:

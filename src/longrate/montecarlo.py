@@ -13,9 +13,14 @@ At long horizons a factor underflows to 0, its correct limit, so paths
 need only be nonnegative: pi = a + b M (+ c N) carries the positivity rule.
 Paths are stored time-major, in one (k, len(grid), n_paths) array, so a
 statistic at a fixed time reads one contiguous row; the path-major
-``factors``, ``m`` and ``n`` are transposed views.  No audit stores pi:
-each forms the pi rows it reads (and the deflated bonds) from the factor
-rows, in its workers' scratch rows or blocks, and checks their positivity.
+``factors``, ``m`` and ``n`` are transposed views.  The exception is
+``simulate --out``, which needs no ensemble: ``_write_model_paths``
+fills one buffer of worker_count() chunks a wave at a time, with the
+chunk filler ``simulate_paths`` uses, and writes each wave's rows, so
+it holds one chunk per worker and the n terminal values of M.  No
+audit stores pi: each forms the pi rows it reads (and the deflated
+bonds) from the factor rows, in its workers' scratch rows or blocks,
+and checks their positivity.
 Every per-block loop (path chunks, pi rows and terminal draws) runs on
 the workers of ``workers._in_blocks``, and so do the audits' reductions:
 each per-time mean and standard error is taken over one whole row
@@ -52,7 +57,7 @@ import numpy as np
 
 from . import csvformat
 from .drivers import GBMDriver
-from .errors import DomainError, LongrateError
+from .errors import DomainError, LongrateError, _finite, _number
 from .kernel_models import (
     Model,
     ModelState,
@@ -64,7 +69,7 @@ from .kernel_models import (
     kernel_value,
 )
 from .reporting import AuditReport, _judged
-from .workers import _check_seed, _chunk_rng, _in_blocks
+from .workers import _check_seed, _chunk_rng, _in_blocks, worker_count
 
 __all__ = [
     "PathEnsemble",
@@ -133,6 +138,11 @@ def _check_correlation(rho: float) -> None:
         raise DomainError(f"correlation must lie in [-1, 1], got {rho!r}")
 
 
+def _check_nonnegative(factors: np.ndarray) -> None:
+    if not factors.min() >= 0.0:  # also false for nan
+        raise DomainError("martingale paths must stay nonnegative")
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
     """Simulated martingale paths on a fixed time grid.
@@ -159,8 +169,7 @@ class PathEnsemble:
         shape = self.factors.shape
         if len(shape) != 3 or shape[0] < 1 or shape[1] < 1 or shape[2] != grid.size:
             raise DomainError("path array shape must be (k, n_paths, len(grid))")
-        if not self.factors.min() >= 0.0:  # also false for nan
-            raise DomainError("martingale paths must stay nonnegative")
+        _check_nonnegative(self.factors)
         _check_correlation(self.rho)
         grid.setflags(write=False)
         self.factors.setflags(write=False)
@@ -219,6 +228,43 @@ def _factor_normals(rng, buffers, rho: float, steps):
         yield z
 
 
+def _path_steps(drivers, grid, n_paths: int, seed: int, rho: float):
+    """A checked simulation request: the grid, the seed and, per factor, the
+    step volatilities and the mean log-steps -V/2 that ``_fill_paths`` takes."""
+    g = _check_grid(grid)
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be positive, got {n_paths!r}")
+    seed = _check_seed(seed)
+    drivers = (drivers,) if isinstance(drivers, GBMDriver) else tuple(drivers)
+    if not drivers:
+        raise DomainError("simulation needs at least one driver")
+    _check_correlation(rho)
+    steps = [(np.sqrt(v), -0.5 * v) for v in (d.step_variances(g) for d in drivers)]
+    return g, seed, steps
+
+
+def _fill_paths(rows: np.ndarray, first: int, seed: int, rho: float, steps) -> None:
+    """Fill ``rows`` (k, len(grid), m) with paths ``first`` to ``first + m - 1`` of a
+    request, a chunk at a time on the workers; ``first`` is a multiple of _CHUNK_PATHS,
+    so every chunk draws from the generator its path numbers give it."""
+    k, size, m = rows.shape
+
+    def fill(start: int, stop: int, buffers: np.ndarray) -> None:
+        rng = _chunk_rng(seed, (), (first + start) // _CHUNK_PATHS)
+        normals = _factor_normals(rng, buffers[:, : stop - start], rho, steps)
+        for x, z in zip(rows[:, :, start:stop], normals):
+            x[0] = 1.0
+            x[1:] = z.T
+            # a running sum along each path, one time row at a time: the
+            # additions of np.cumsum(z, axis=1) in its order, at about half the cost
+            for j in range(2, size):
+                np.add(x[j - 1], x[j], out=x[j])
+            np.exp(x[1:], out=x[1:])
+
+    # per worker: one chunk of normals per factor, and one for rho * z_m
+    _in_blocks(m, _CHUNK_PATHS, fill, lambda: np.empty((k + 1, _CHUNK_PATHS, size - 1)))
+
+
 def simulate_paths(
     drivers: GBMDriver | Sequence[GBMDriver],
     grid,
@@ -233,42 +279,20 @@ def simulate_paths(
     (ignored for a single driver).  The per-chunk seeding makes output
     independent of LONGRATE_THREADS.
     """
-    g = _check_grid(grid)
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be positive, got {n_paths!r}")
-    seed = _check_seed(seed)
-    drivers = (drivers,) if isinstance(drivers, GBMDriver) else tuple(drivers)
-    if not drivers:
-        raise DomainError("simulation needs at least one driver")
-    _check_correlation(rho)
-
-    # per factor: the step volatilities and the mean log-steps -V/2
-    steps = [(np.sqrt(v), -0.5 * v) for v in (d.step_variances(g) for d in drivers)]
-    rows = _path_array((len(drivers), g.size, n_paths))
-
-    def fill(start: int, stop: int, buffers: np.ndarray) -> None:
-        rng = _chunk_rng(seed, (), start // _CHUNK_PATHS)
-        normals = _factor_normals(rng, buffers[:, : stop - start], rho, steps)
-        for x, z in zip(rows[:, :, start:stop], normals):
-            x[0] = 1.0
-            x[1:] = z.T
-            # a running sum along each path, one time row at a time: the
-            # additions of np.cumsum(z, axis=1) in its order, at about half the cost
-            for j in range(2, g.size):
-                np.add(x[j - 1], x[j], out=x[j])
-            np.exp(x[1:], out=x[1:])
-
-    # per worker: one chunk of normals per factor, and one for rho * z_m
-    _in_blocks(n_paths, _CHUNK_PATHS, fill,
-               lambda: np.empty((len(drivers) + 1, _CHUNK_PATHS, g.size - 1)))
+    g, seed, steps = _path_steps(drivers, grid, n_paths, seed, rho)
+    rows = _path_array((len(steps), g.size, n_paths))
+    _fill_paths(rows, 0, seed, rho, steps)
     return PathEnsemble(g, rows.transpose(0, 2, 1), seed, float(rho))
 
 
-def _declared_drivers(model: Model) -> tuple[GBMDriver, ...]:
+def _model_drivers(model: Model, rho: float) -> tuple[tuple[GBMDriver, ...], float]:
+    """The model's declared drivers and the correlation they take: ``rho``, which
+    must lie in [-1, 1], for a two-factor model and 0 for a one-factor one."""
     drivers = model.drivers
     if drivers is None or any(d is None for d in drivers):
         raise DomainError("model declares no driver; cannot simulate")
-    return drivers
+    _check_correlation(rho)
+    return drivers, rho if len(drivers) > 1 else 0.0
 
 
 def ensemble_for_model(
@@ -279,10 +303,34 @@ def ensemble_for_model(
     ``rho`` must lie in [-1, 1] and applies to two-factor models only;
     one-factor ensembles record 0.
     """
-    drivers = _declared_drivers(model)
-    _check_correlation(rho)
-    rho = rho if len(drivers) > 1 else 0.0
+    drivers, rho = _model_drivers(model, rho)
     return simulate_paths(drivers, grid, n_paths, seed, rho)
+
+
+def _write_model_paths(model: Model, grid, n_paths: int, seed: int, rho: float, path) -> np.ndarray:
+    """Write ``write_ensemble_csv(ensemble_for_model(...))``'s bytes to ``path`` and
+    return the paths' terminal M values, without the ensemble.
+
+    The request is checked as ``ensemble_for_model`` checks it, and the
+    terminal row allocated, before ``path`` is opened.  Paths are then
+    simulated and written a wave of worker_count() chunks at a time, in
+    one reused buffer, each wave checked nonnegative before it is
+    written, so memory stays one chunk per worker plus the terminal row.
+    """
+    drivers, rho = _model_drivers(model, rho)
+    g, seed, steps = _path_steps(drivers, grid, n_paths, seed, rho)
+    terminal = _heap_array((n_paths,))
+    wave = min(worker_count() * _CHUNK_PATHS, n_paths)
+    rows = _heap_array((len(steps), g.size, wave))
+    with open(path, "wb") as fh:
+        fh.write(_csv_header(len(steps)))
+        for first in range(0, n_paths, wave):
+            part = rows[:, :, : min(wave, n_paths - first)]
+            _fill_paths(part, first, seed, rho, steps)
+            _check_nonnegative(part)
+            terminal[first : first + part.shape[2]] = part[0, -1]
+            csvformat.write_path_rows(fh, g, part.transpose(0, 2, 1), first)
+    return terminal
 
 
 def _grid_coefficients(model: Model, ensemble: PathEnsemble) -> np.ndarray:
@@ -556,13 +604,16 @@ class CashFlow:
     payoff: Callable | None = None
 
     def __post_init__(self):
-        t = float(self.time)
+        try:
+            t = _number(self.time)
+        except (TypeError, ValueError):
+            raise DomainError(f"flow time must be a number, got {self.time!r}") from None
         if not math.isfinite(t) or t < 0.0:
             raise DomainError(f"flow time must be finite and nonnegative, got {self.time!r}")
         if (self.amount is None) == (self.payoff is None):
             raise DomainError("flow needs exactly one of amount or payoff")
-        if self.amount is not None and not math.isfinite(float(self.amount)):
-            raise DomainError(f"flow amount must be finite, got {self.amount!r}")
+        if self.amount is not None:
+            _finite("flow amount", self.amount)
 
 
 @dataclass(frozen=True)
@@ -603,7 +654,7 @@ def _state_spawn_key(state: ModelState) -> tuple[int, ...]:
 def _terminal_factors(model, state, T, seed, flow_index, n_paths, rho):
     """Draw (M_T[, N_T]) given the state, chunk-seeded from (seed, state, flow)."""
     base_key = _state_spawn_key(state)
-    drivers = _declared_drivers(model)
+    drivers, _ = _model_drivers(model, rho)
     # per factor: the volatility and the mean log-step -V/2 over (t, T]
     steps = [(math.sqrt(v), -0.5 * v) for v in (d.variance(state.t, T) for d in drivers)]
     # from the heap, which reuses freed pages: a fresh mapping faults in every page per flow
@@ -687,8 +738,11 @@ def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:
     it, byte for byte (see ``csvformat``).  Rows are built a block of
     whole paths at a time, so the buffers stay near 1 MB.
     """
-    factors = ensemble.factors
-    names = ["M", "N", *(f"X{i}" for i in range(3, len(factors) + 1))][: len(factors)]
     with open(path, "wb") as fh:
-        fh.write((",".join(["path", "t", *names]) + "\n").encode())
-        csvformat.write_path_rows(fh, ensemble.grid, factors)
+        fh.write(_csv_header(len(ensemble.factors)))
+        csvformat.write_path_rows(fh, ensemble.grid, ensemble.factors)
+
+
+def _csv_header(k: int) -> bytes:
+    names = ["M", "N", *(f"X{i}" for i in range(3, k + 1))][:k]
+    return (",".join(["path", "t", *names]) + "\n").encode()

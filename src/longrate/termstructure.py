@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import reporting
-from .errors import DomainError, ExtrapolationError, _finite, _read_json
+from .errors import DomainError, ExtrapolationError, _finite, _numbers, _read_json
 
 __all__ = [
     "Tenor",
@@ -393,8 +393,10 @@ class DiscountCurve:
     _neglog: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        try:
+            grid, values = _numbers(self.grid), _numbers(self.values)
+        except (TypeError, ValueError):
+            raise DomainError("curve grid and values must be numbers") from None
         if grid.ndim != 1 or values.ndim != 1 or grid.shape != values.shape:
             raise DomainError("grid and values must be 1-d arrays of equal length")
         if grid.size < 2:
@@ -409,9 +411,7 @@ class DiscountCurve:
             raise DomainError(f"curve value at maturity 0 must be 1, got {float(values[0])!r}")
         if not np.all(values > 0.0):
             raise DomainError("discount factors must be strictly positive")
-        values = values.copy()
         values[0] = 1.0
-        grid = grid.copy()
         grid.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)

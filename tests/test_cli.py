@@ -7,6 +7,7 @@ processes) use ``run_process``.
 
 import argparse
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -376,7 +377,7 @@ UNALLOCATABLE = {
     ("aggregate", "--mix", GAMMA_MIX, "--sample", 10**14, "--seed", 1, "--out", "{tmp}/x.csv"):
         "800000000000000-byte",
     ("simulate", "--model", "ref1f", "--seed", 1, "--n", 10**14, "--grid", "lin:0:10:3",
-     "--out", "{tmp}/x.csv"): "(2400000000000000 bytes)",
+     "--out", "{tmp}/x.csv"): "(800000000000000 bytes)",  # the terminal row: no path array
     ("audit", "kernel", "--model", "ref1f", "--seed", 1, "--n", 10**14, "--grid", "lin:0:10:3"):
         "(2400000000000000 bytes)",
     ("value", "--model", "ref1f", "--flow", "T=10,amount=1", "--simulate-constants",
@@ -596,6 +597,9 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, args):
     assert "Traceback" not in out.stderr
     assert "RuntimeWarning" not in out.stderr
     assert out.stdout == ""
+    if args[0] == "simulate":  # simulate opens --out only after every check has passed
+        out_path = str(args[args.index("--out") + 1]).replace("{tmp}", str(tmp_path))
+        assert not os.path.exists(out_path)
 
 
 # audit times that no horizon schedule can price from: the same line for both subjects

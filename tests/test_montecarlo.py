@@ -35,7 +35,7 @@ from longrate import (
 )
 from longrate import csvformat
 from longrate.errors import DomainError, LongrateError
-from conftest import run_cli
+from conftest import run_cli, run_process
 
 # Any RuntimeWarning (divide by zero, overflow, invalid value) fails a test here.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -417,6 +417,60 @@ def test_long_horizon_commands_run(tmp_path):
     out = run_cli("audit", "dir", "--model", "ref1f", "--times", "0,10,1e5,1e6", "--seed", 1)
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout.endswith("long-rate monotonicity audit: PASS\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("model, rho", [("ref1f", 0.0), ("ref2f", 0.5)])
+def test_simulate_streams_the_ensemble_csv_bytes(tmp_path, monkeypatch, model, rho, workers):
+    """simulate writes write_ensemble_csv's bytes for ensemble_for_model's paths, and
+    prints their terminal mean and SE, without simulating an ensemble: around the
+    chunk, at one path, and over several waves ending in a partial chunk."""
+    monkeypatch.setenv("LONGRATE_THREADS", str(workers))
+    grid = np.linspace(0.0, 10.0, 21)
+    wanted = {}
+    for n_paths in (1, 4095, 4096, 4097, 24577):
+        ens = ensemble_for_model(lr.zoo.zoo_model(model), grid, n_paths, seed=5, rho=rho)
+        write_ensemble_csv(ens, tmp_path / f"want{n_paths}.csv")
+        mean, se = mc._mean_se(ens.m[:, -1])
+        wanted[n_paths] = f"paths {n_paths} grid_points 21\nterminal_mean {mean:.9g} se {se:.9g}\n"
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("simulate built a path ensemble")
+
+    monkeypatch.setattr(mc, "simulate_paths", no_ensemble)
+    for n_paths, stdout in wanted.items():
+        path = tmp_path / f"got{n_paths}.csv"
+        out = run_cli("simulate", "--model", model, "--seed", 5, "--n", n_paths, "--rho", rho,
+                      "--out", path)
+        assert (out.returncode, out.stdout, out.stderr) == (0, stdout, "")
+        assert path.read_bytes() == (tmp_path / f"want{n_paths}.csv").read_bytes()
+
+
+# Runs `python -m longrate ARG...` and prints the process's peak resident set
+# (VmHWM, kB) to stderr at exit: the process's own peak, not one inherited from
+# the process that started it, as ru_maxrss of a vfork/exec child is.
+_PEAK_RSS = """
+import atexit, runpy, sys
+def peak():
+    with open("/proc/self/status") as fh:
+        sys.stderr.write(next(line for line in fh if line.startswith("VmHWM:")))
+atexit.register(peak)
+runpy.run_module("longrate", run_name="__main__")
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_simulate_peak_memory_does_not_grow_with_paths():
+    """20x the paths: a (k, n, grid) path array would add 32 MB, the stream adds
+    the terminal row (1.5 MB) and nothing per wave."""
+    peaks = []
+    for n_paths in (10_000, 200_000):
+        out = run_process("-c", _PEAK_RSS, "simulate", "--model", "ref1f", "--grid", "lin:0:10:21",
+                          "--seed", 1, "--n", n_paths, "--out", os.devnull)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith(f"paths {n_paths} grid_points 21\n")
+        peaks.append(int(out.stderr.split()[-2]) / 1024)
+    assert peaks[1] - peaks[0] < 8.0, peaks
 
 
 def _ref2f_digest(ref2f, n_paths=8193):

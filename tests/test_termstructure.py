@@ -195,6 +195,29 @@ def test_outside_numbers_are_domain_errors():
         lr.STPRSchedule(((0.0, math.inf, 0.03), (10.0, None, 0.02)))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: lr.GBMDriver((0.0,), (True,)),
+    lambda: lr.GBMDriver.constant(True),
+    lambda: lr.CashFlow(True, amount=1.0),
+    lambda: lr.CashFlow(10.0, amount=True),
+    lambda: lr.DiscountCurve([0.0, 1.0], [1.0, True]),
+    lambda: lr.DiscountCurve(np.array([0.0, 1.0]), np.array([True, True])),
+], ids=["driver", "constant-driver", "flow-time", "flow-amount", "curve-list", "curve-array"])
+def test_public_constructors_refuse_booleans(build):
+    """float() reads True as 1: each of these built sigma = 1, time 1 or P(1) = 1."""
+    with pytest.raises(DomainError, match="must be a number|must be numbers"):
+        build()
+
+
+def test_curve_sets_p0_to_one_in_its_own_copy():
+    """An integer grid converts at once; P(0) within 1e-12 of 1 is set to 1 in the
+    curve's arrays, never in the caller's."""
+    grid, values = np.array([0, 1, 2]), np.array([1.0 + 1e-13, 0.9, 0.8])
+    curve = lr.DiscountCurve(grid, values)
+    assert values[0] == 1.0 + 1e-13 and curve.values[0] == 1.0
+    assert curve.grid.dtype == float and curve.grid.tolist() == [0.0, 1.0, 2.0]
+
+
 def test_libor_below_attainable_raises():
     with pytest.raises(DomainError) as err:
         discount_from_rate(Tenor(0, 10), LIBOR, -0.2)
