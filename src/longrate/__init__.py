@@ -11,6 +11,11 @@ module on first use.  A module that needs a sibling on some paths only
 imports the sibling itself (``from . import montecarlo``) and reads its
 names where it calls them, so the sibling executes on that first call.
 So a CLI command executes only the modules it runs.
+
+numpy follows the same rule: ``cli`` and ``errors`` import it only in
+the functions that use it, and ``conventions`` (the rate conventions and
+their scalar conversions) not at all.  So ``longrate convert``, every
+``--help`` and every usage error run without numpy.
 """
 
 import sys
@@ -24,12 +29,13 @@ _EXPORTS = {
     "errors": """DegenerateModelError DomainError ExtrapolationError
         InadmissibleCurveError LongrateError UnattainableRateError
         UnsupportedOperationError""",
-    "termstructure": """DiscountCurve ExponentialTail ParetoTail RateConvention
-        STPRSchedule Tenor convert_rate curve_from_function default_curve_grid
-        default_long_rate_horizons discount_from_rate flat_exponential_curve
-        forward_discount load_curve_csv log_discount_from_rate ordering_audit
-        rate_from_discount rate_from_log_discount rates_from_log_discount save_curve_csv
-        tail_pareto_curve time_consistency_residual""",
+    "conventions": """RateConvention Tenor convert_rate discount_from_rate
+        log_discount_from_rate rate_from_discount rate_from_log_discount""",
+    "termstructure": """DiscountCurve ExponentialTail ParetoTail STPRSchedule
+        curve_from_function default_curve_grid default_long_rate_horizons
+        flat_exponential_curve forward_discount load_curve_csv ordering_audit
+        rates_from_log_discount save_curve_csv tail_pareto_curve
+        time_consistency_residual""",
     "aggregation": """AsymptoticRateEstimate CalamityTimeSample DiscreteMixture
         ExponentialMixture GammaMixture aggregate_discount asymptotic_exponential_rate
         empirical_survival log_aggregate_discount sample_calamity_time""",
@@ -55,8 +61,9 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = [*_HOME, "zoo"]
 
-_SUBMODULES = ("errors", "reporting", "workers", "csvformat", "drivers", "termstructure",
-               "aggregation", "kernel_models", "montecarlo", "asymptotics", "zoo", "cli")
+_SUBMODULES = ("errors", "conventions", "reporting", "workers", "csvformat", "drivers",
+               "termstructure", "aggregation", "kernel_models", "montecarlo", "asymptotics",
+               "zoo", "cli")
 
 # One lock for every deferred module: a thread that holds it may execute
 # several modules in turn (one imports the next), and no two threads can

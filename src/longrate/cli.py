@@ -21,13 +21,12 @@ import contextlib
 import io
 import json
 import math
+import numbers
 import os
 import sys
 
-import numpy as np
-
-from . import aggregation, asymptotics, csvformat, kernel_models, montecarlo, reporting
-from . import termstructure, zoo
+from . import aggregation, asymptotics, conventions, csvformat, kernel_models, montecarlo
+from . import reporting, termstructure, zoo
 from .errors import DomainError, LongrateError, _read_json
 
 __all__ = ["main", "build_parser", "STPRSchedule"]
@@ -44,16 +43,19 @@ def _fmt(x) -> str:
 
 
 def _round9(obj):
-    """Limit every float to 9 significant digits; make non-finite values JSON-safe."""
+    """Limit every float to 9 significant digits; make non-finite values JSON-safe.
+
+    numpy registers its integer and floating scalars as ``numbers.Integral``
+    and ``numbers.Real``, so they are read here without importing numpy."""
     if isinstance(obj, bool):
         return obj
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Integral):
+        return int(obj)
+    if isinstance(obj, numbers.Real):
         v = float(obj)
         if math.isfinite(v):
             return float(f"{v:.9g}")
         return "inf" if v == math.inf else ("-inf" if v == -math.inf else "nan")
-    if isinstance(obj, np.integer):
-        return int(obj)
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -102,6 +104,8 @@ def _parse_floats(text: str, name: str) -> list[float]:
 def _parse_grid(spec: str) -> np.ndarray:
     """Time grids: 'lin:<start>:<stop>:<count>', 'geom:<start>:<stop>:<count>'
     (0 is prepended), or a comma-separated list starting at 0."""
+    import numpy as np
+
     if spec.startswith("lin:") or spec.startswith("geom:"):
         kind, rest = spec.split(":", 1)
         parts = rest.split(":")
@@ -250,11 +254,14 @@ def _curve_table(curve: termstructure.DiscountCurve, maturities) -> tuple[list[t
 
 
 def cmd_convert(args) -> int:
-    tenor = termstructure.Tenor(args.t, args.T)
-    conv_from = termstructure.RateConvention.parse(args.conv_from)
-    conv_to = termstructure.RateConvention.parse(args.conv_to)
-    out = termstructure.convert_rate(tenor, conv_from, conv_to, args.value)
-    back = termstructure.convert_rate(tenor, conv_to, conv_from, out)
+    tenor = conventions.Tenor(args.t, args.T)
+    conv_from = conventions.RateConvention.parse(args.conv_from)
+    conv_to = conventions.RateConvention.parse(args.conv_to)
+    out = conventions.convert_rate(tenor, conv_from, conv_to, args.value)
+    if not math.isfinite(out):  # convert_rate quotes an overflow as +inf
+        raise DomainError(f"the {conv_to.label()} quote of {conv_from.label()} rate "
+                          f"{args.value!r} overflows the float range")
+    back = conventions.convert_rate(tenor, conv_to, conv_from, out)
     print(_fmt(out))
     print(f"round_trip_residual {_fmt(abs(back - args.value))}")
     return 0
@@ -454,6 +461,8 @@ def _audit_dir(args) -> int:
     times = _parse_floats(args.times, "--times")
     horizons = termstructure.default_long_rate_horizons(stop=args.horizon)
     if args.model:
+        import numpy as np
+
         # the audit's input checks, before the simulation, so they read as for a curve
         asymptotics._dir_audit_inputs(times, horizons, args.kappa)
         subject, ensemble = _model_ensemble(

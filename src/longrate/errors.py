@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-
-import numpy as np
+import sys
 
 
 class LongrateError(Exception):
@@ -83,14 +82,17 @@ class UnsupportedOperationError(LongrateError):
 
 def _number(value) -> float:
     """``float(value)``, but a ``TypeError`` for a boolean or a string, which are no numbers."""
-    if isinstance(value, (bool, np.bool_, str)):
+    np = sys.modules.get("numpy")  # a numpy bool exists only once numpy is imported
+    if isinstance(value, (bool, str)) or (np is not None and isinstance(value, np.bool_)):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
 
 
-def _numbers(values) -> np.ndarray:
+def _numbers(values):
     """``values`` as a new float array of the same shape, each entry a number as
     ``_number`` reads it; an array of numbers converts at once."""
+    import numpy as np
+
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         return values.astype(float)
     entries = np.asarray(values, dtype=object)

@@ -500,6 +500,14 @@ ERROR_LINES = {
     ("value", "--model", "{tmp}/sigma_pair_text.json", "--flow", "T=10,payoff=M", "--seed", 1,
      "--paths", 1000):
         "error: volatility schedule must be [start_time, sigma] pairs, got [['0', 0.2]]\n",
+    # a quote that overflows is named before the round trip reads it back
+    ("convert", "--T", 10, "--from", "exp", "--to", "zc:1e-300", "--value", 0.05):
+        "error: the zc:1e-300 quote of exp rate 0.05 overflows the float range\n",
+    ("convert", "--T", 10, "--from", "exp", "--to", "pareto:1e-308", "--value", 0.05):
+        "error: the pareto:1e-308 quote of exp rate 0.05 overflows the float range\n",
+    ("convert", "--t", "1e20", "--T", "1.0000000000000001e20", "--from", "exp", "--to", "libor",
+     "--value", 0.05):
+        "error: the libor quote of exp rate 0.05 overflows the float range\n",
 }
 
 

@@ -26,16 +26,16 @@ EXECUTED = textwrap.dedent("""
 """)
 
 # The README's "Subcommand | Modules executed" table; every command also executes
-# ``cli`` and ``errors``.
-CATALOGUE = {"termstructure", "zoo", "kernel_models", "drivers"}
+# ``cli`` and ``errors``, and ``termstructure`` imports ``conventions``.
+CATALOGUE = {"conventions", "termstructure", "zoo", "kernel_models", "drivers"}
 MONTE_CARLO = {*CATALOGUE, "montecarlo", "reporting", "workers"}
 LONG_RATE = {*CATALOGUE, "asymptotics", "reporting"}
 
 
 @pytest.mark.parametrize("args, modules", [
     (("convert", "--T", 10, "--from", "exp", "--to", "libor", "--value", 0.05),
-     {"termstructure"}),
-    (("curve", "--curve", "flat:0.03"), {"termstructure"}),
+     {"conventions"}),
+    (("curve", "--curve", "flat:0.03"), {"conventions", "termstructure"}),
     (("curve", "--curve", "flat3"), CATALOGUE),
     (("value", "--model", "ref1f", "--flow", "T=10,amount=1"), MONTE_CARLO),
     (("simulate", "--model", "ref2f", "--n", 100, "--seed", 3, "--out", "{tmp}/paths.csv"),
@@ -64,9 +64,36 @@ def test_command_executes_only_the_modules_it_runs(args, modules, tmp_path):
     assert executed == sorted(f"longrate.{name}" for name in {"cli", "errors", *modules})
 
 
+# Runs ``longrate.cli.main(argv)``, argparse's exits included, and prints the exit
+# code and whether anything imported numpy.
+IMPORTS_NUMPY = textwrap.dedent("""
+    import contextlib, io, json, sys
+    import longrate.cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = longrate.cli.main(sys.argv[1:])
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps([code, "numpy" in sys.modules]))
+""")
+
+
+@pytest.mark.parametrize("args, code", [
+    (("convert", "--T", 10, "--from", "exp", "--to", "libor", "--value", 0.05), 0),
+    (("convert", "--T", 10, "--from", "libor", "--to", "exp", "--value", -0.2), 2),
+    (("--help",), 0),
+    (("audit", "kernel", "--help"), 0),
+    (("convert", "--T", 10), 2),
+], ids=["convert", "convert-domain-error", "help", "audit-kernel-help", "usage-error"])
+def test_convert_help_and_usage_errors_import_no_numpy(args, code):
+    out = run_process("-c", IMPORTS_NUMPY, *args)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [code, False]
+
+
 @pytest.mark.parametrize("options, extra", [
     ((), []),
-    (("--estimate",), ["longrate.termstructure"]),  # the long-rate probe schedule
+    (("--estimate",), ["longrate.conventions", "longrate.termstructure"]),  # the probe schedule
     (("--sample", 10, "--seed", 1, "--out", "{tmp}/tau.csv"), ["longrate.csvformat"]),
 ], ids=["curve", "estimate", "sample"])
 def test_aggregate_executes_the_aggregation_leaf_alone(options, extra, tmp_path):
@@ -84,7 +111,7 @@ def test_every_submodule_is_registered_on_import():
 
 
 @pytest.mark.parametrize("home, name, args", [
-    ("termstructure", "convert_rate",
+    ("conventions", "convert_rate",
      ("convert", "--T", 10, "--from", "exp", "--to", "libor", "--value", 0.05)),
     ("asymptotics", "estimate_long_rate", ("longrate", "--curve", "flat3", "--conv", "exp")),
     ("montecarlo", "value_claim", ("value", "--model", "ref1f", "--flow", "T=10,amount=1")),

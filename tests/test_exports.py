@@ -59,3 +59,12 @@ def test_package_exports_resolve_to_their_home_modules():
         assert value is getattr(home, name), name
         if isinstance(value, (type, types.FunctionType)):
             assert value.__module__ == home.__name__, name
+
+
+def test_termstructure_imports_the_conventions_back():
+    """The same objects, so a tracer that wraps ``termstructure.convert_rate`` and
+    rewires every module holding it also wraps the CLI's ``conventions`` call."""
+    from longrate import conventions, termstructure
+
+    for name in conventions.__all__:
+        assert getattr(termstructure, name) is getattr(conventions, name), name
