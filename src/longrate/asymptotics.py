@@ -19,13 +19,24 @@ curves propagate their long rates by discounting the time-0 value.
 The probe schedule comes from ``termstructure``.  The audits that read
 simulated paths (DIR's model branch and the certificate) take their
 path statistics from ``montecarlo``, which executes only when they run.
+
+Every estimate and audit prices its schedule through ``_log_df_trace``.
+A bounded memo keeps the last ``_SCHEDULE_MEMO_SIZE`` (8) horizon
+schedules, keyed by value (the float array's shape and bytes, so a
+caller that changes its array in place gets a new entry), oldest
+dropped first.  An entry is a read-only copy of the offsets, checked
+once (finite, positive, increasing, at least two), with the offsets
+tuple and the decade window starts of each priced prefix, since a
+truncated trace has its own windows.  A call then checks only its
+anchor time and that the first tenor does not vanish against it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -71,6 +82,9 @@ _ZERO_TOL = 1e-6
 # A decade-over-decade shrink factor below this reads as "sliding to zero".
 _SHRINK_RATIO = 0.9
 _BOND_HORIZONS = (1e6, 1e7, 1e8)  # where the certificate reads T^lam P(0, T)
+_EXPONENTIAL = RateConvention.exponential()
+# The audits' tail-Pareto conventions, built (and their index checked) once per index.
+_tail_pareto = lru_cache(maxsize=32)(RateConvention.tail_pareto)
 
 
 @dataclass(frozen=True)
@@ -153,13 +167,29 @@ class LongRateEstimate:
     truncation_reason: str | None = None
 
 
+def _estimate(convention, value, horizon, status, decade_sups, trace,
+              truncated_at, truncation_reason) -> LongRateEstimate:
+    """``LongRateEstimate(convention, value, horizon, status, value, decade_sups, trace,
+    truncated_at, truncation_reason)``, its instance dict filled in one update instead
+    of one frozen-dataclass setattr per field; keys in ``__init__``'s order, with the
+    ``trace`` value in ``_OnAccess``'s slot."""
+    est = object.__new__(LongRateEstimate)
+    est.__dict__.update(
+        convention=convention, value=value, horizon=horizon, status=status, tail_sup=value,
+        decade_sups=decade_sups, _trace=trace, truncated_at=truncated_at,
+        truncation_reason=truncation_reason,
+    )
+    return est
+
+
 @dataclass(frozen=True)
 class _LogDfTrace:
     """ln P(t, t + x) over the priced prefix of a horizon schedule.
 
     Reads check nothing, on what ``_price_trace`` guarantees: ``log_df``
-    is finite, every array is read-only, and ``offsets`` is built once
-    and shared by every read's trace pairs.
+    is finite, every array is read-only, and ``offsets`` and
+    ``window_starts`` come from the schedule memo, shared by every trace
+    of the same prefix and by every read's trace pairs.
     """
 
     t: float
@@ -175,7 +205,8 @@ class _LogDfTrace:
         """One convention's read-only rates and its estimate, read from the decade
         suprema; later reads of an equal convention (with an index of the same
         type) return the same two objects."""
-        key = (convention, type(convention.index))
+        index = convention.index
+        key = (convention.kind, index, type(index))  # equal exactly for equal conventions
         hit = self._reads.get(key)
         if hit is not None:
             return hit
@@ -190,8 +221,8 @@ class _LogDfTrace:
             status = CONVERGED
         else:
             status = UNCONVERGED
-        hit = self._reads[key] = (rates, LongRateEstimate(
-            convention, final, self.t + self.offsets[-1], status, final, tuple(sups),
+        hit = self._reads[key] = (rates, _estimate(
+            convention, final, self.t + self.offsets[-1], status, tuple(sups),
             partial(_trace_pairs, self.offsets, rates), self.truncated_at, self.truncation_reason,
         ))
         return hit
@@ -212,71 +243,120 @@ def _decade_window_starts(xs: np.ndarray) -> np.ndarray:
     return ends[count:0:-1]
 
 
+class _Schedule:
+    """A checked horizon schedule: its read-only offsets ``xs`` and, per priced
+    prefix length n, the offsets tuple and decade window starts of xs[:n]."""
+
+    __slots__ = ("xs", "offsets", "_prefixes")
+
+    def __init__(self, xs: np.ndarray):
+        self.xs = xs
+        self.offsets = tuple(xs.tolist())
+        self._prefixes: dict[int, tuple[tuple[float, ...], np.ndarray]] = {}
+
+    def prefix(self, n: int) -> tuple[tuple[float, ...], np.ndarray]:
+        hit = self._prefixes.get(n)
+        if hit is None:
+            starts = _decade_window_starts(self.xs[:n])
+            starts.setflags(write=False)
+            hit = self._prefixes[n] = (self.offsets[:n], starts)
+        return hit
+
+
+_SCHEDULE_MEMO_SIZE = 8
+_SCHEDULES: dict[tuple, _Schedule] = {}
+_SCHEDULES_LOCK = threading.Lock()
+
+
+def _schedule(xs: np.ndarray) -> _Schedule:
+    """The memo entry of a float schedule, keyed by its shape and bytes.
+
+    A schedule enters the memo only after the schedule half of the one rule
+    for pricing P(t, t + x): two or more offsets x, finite, positive and
+    increasing.  Beyond ``_SCHEDULE_MEMO_SIZE`` entries the oldest is dropped.
+    """
+    key = (xs.shape, xs.tobytes())
+    sched = _SCHEDULES.get(key)
+    if sched is None:
+        if not (xs.ndim == 1 and xs.size >= 2 and np.isfinite(xs).all()
+                and xs[0] > 0 and (xs[1:] > xs[:-1]).all()):
+            raise DomainError("horizon offsets must be finite, positive and increasing")
+        xs = xs.copy()  # a schedule the caller cannot change
+        xs.setflags(write=False)
+        sched = _Schedule(xs)
+        with _SCHEDULES_LOCK:
+            if len(_SCHEDULES) >= _SCHEDULE_MEMO_SIZE:
+                del _SCHEDULES[next(iter(_SCHEDULES))]
+            _SCHEDULES[key] = sched
+    return sched
+
+
+def _check_anchor(t: float, sched: _Schedule) -> None:
+    """The anchor half of the rule: t finite and nonnegative, and no tenor
+    (t + x) - t that rounds to 0 (the first offset is the smallest)."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise DomainError(f"anchor time must be finite and nonnegative, got {t!r}")
+    x0 = sched.offsets[0]
+    if not (t + x0) - t > 0.0:
+        raise DomainError(f"horizon {x0!r} vanishes against anchor time {t!r}")
+
+
 def _log_df_trace(bond, t: float, horizons: np.ndarray | None) -> _LogDfTrace:
     """ln P(t, t + x) over the schedule, cut at the first unpriced horizon.
 
+    The schedule comes from the memo of the last ``_SCHEDULE_MEMO_SIZE``
+    (8) schedules, keyed by shape and bytes and checked once on entry.
     The package's own evaluators price a (t, schedule) once and keep the
-    trace, which is looked up before ``_check_tenors``: only a checked
-    (t, schedule) is ever kept.  Any other evaluator is called every time.
+    trace, matched by its memo entry and the value of t and looked up
+    before the anchor is checked: only a checked (t, schedule) is ever
+    kept.  Any other evaluator is called every time.
     """
     xs = default_long_rate_horizons() if horizons is None else np.asarray(horizons, float)
+    sched = _schedule(xs)
     t = float(t)
     caching = isinstance(bond, _CACHING_EVALUATORS)
     if caching:
-        key = (xs.shape, np.float64(t).tobytes() + xs.tobytes())
         cached = bond._trace
-        if cached is not None and cached[0] == key:
-            return cached[1]
-    _check_tenors(t, xs)
-    trace = _price_trace(bond, t, xs.copy())  # a schedule the caller cannot change
+        if cached is not None and cached[0] is sched and cached[1] == t:
+            return cached[2]
+    trace = _price_trace(bond, t, sched.xs)
     if caching:
-        object.__setattr__(bond, "_trace", (key, trace))
+        object.__setattr__(bond, "_trace", (sched, t, trace))
     return trace
 
 
-def _check_tenors(t: float, xs: np.ndarray) -> None:
-    """The one rule for pricing P(t, t + x): two or more offsets x, finite, positive and
-    increasing; t finite and nonnegative; and no tenor (t + x) - t that rounds to 0."""
-    if not (xs.ndim == 1 and xs.size >= 2 and np.isfinite(xs).all()
-            and xs[0] > 0 and (xs[1:] > xs[:-1]).all()):
-        raise DomainError("horizon offsets must be finite, positive and increasing")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"anchor time must be finite and nonnegative, got {t!r}")
-    if not (t + xs[0]) - t > 0.0:
-        raise DomainError(f"horizon {float(xs[0])!r} vanishes against anchor time {t!r}")
-
-
 def _price_trace(bond, t: float, xs: np.ndarray) -> _LogDfTrace:
-    """One evaluator call over the schedule; the trace's arrays are read-only.
+    """One evaluator call over the schedule, after the pricing rule's checks;
+    the trace's arrays are read-only.
 
     A ``LongrateError`` from the evaluator leaves no horizon priced; a
     non-finite ln P entry (how evaluators mark a maturity they cannot
     price) cuts the schedule there.
     """
-    maturities = t + xs
+    sched = _schedule(xs)
+    _check_anchor(t, sched)
+    maturities = t + sched.xs
     too_short = "bond evaluator failed before two horizons were probed"
     try:
         ld = np.asarray(bond.log_df(t, maturities), dtype=float)
     except LongrateError as exc:
         raise DomainError(too_short) from exc
-    unpriced = np.flatnonzero(~np.isfinite(ld))
-    n = int(unpriced[0]) if unpriced.size else xs.size
+    finite = np.isfinite(ld)
+    n = maturities.size if finite.all() else int(np.flatnonzero(~finite)[0])
     if n < 2:
         raise DomainError(too_short)
     truncated_at = reason = None
-    if n < xs.size:
+    if n < maturities.size:
         truncated_at = float(maturities[n])
         reason = (
             "discount factor underflows to 0" if ld[n] == -np.inf
             else "evaluator cannot price this maturity"
         )
-    xs, lengths = xs[:n], maturities[:n] - t
-    trace = _LogDfTrace(
-        t, tuple(xs.tolist()), lengths, ld[:n], _decade_window_starts(xs), truncated_at, reason
-    )
-    for arr in (trace.lengths, trace.log_df, trace.window_starts):
-        arr.setflags(write=False)
-    return trace
+    offsets, window_starts = sched.prefix(n)
+    lengths, log_df = maturities[:n] - t, ld[:n]
+    lengths.setflags(write=False)
+    log_df.setflags(write=False)
+    return _LogDfTrace(t, offsets, lengths, log_df, window_starts, truncated_at, reason)
 
 
 def estimate_long_rate(
@@ -371,8 +451,8 @@ def stratification_audit(
         raise DomainError("indices must be positive")
     trace = _log_df_trace(bond, t, horizons)
     _check_admissible(trace)
-    r_rates, r_est = trace.read(RateConvention.exponential())
-    l_est = {lam: trace.read(RateConvention.tail_pareto(lam))[1] for lam in lams}
+    r_rates, r_est = trace.read(_EXPONENTIAL)
+    l_est = {lam: trace.read(_tail_pareto(lam))[1] for lam in lams}
     trends = {lam: _trend(e) for lam, e in l_est.items()}
     r_trend = _trend(r_est)
 
@@ -439,14 +519,15 @@ def _dir_audit_inputs(
     times: Sequence[float], horizons: np.ndarray | None, kappa: float
 ) -> tuple[list[float], np.ndarray]:
     """DIR's audit times and horizon offsets, after its checks of kappa, of the
-    times, and of ``_check_tenors`` at every time."""
+    times, and of the estimators' pricing rule at every time."""
     RateConvention.zero_coupon(kappa)  # kappa must be finite and positive
     ts = [float(x) for x in times]
     if len(ts) < 2 or any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("need at least two strictly increasing audit times")
     xs = default_long_rate_horizons() if horizons is None else np.asarray(horizons, float)
+    sched = _schedule(xs)
     for t in ts:
-        _check_tenors(t, xs)
+        _check_anchor(t, sched)
     return ts, xs
 
 
@@ -478,7 +559,7 @@ def dir_monotonicity_audit(
     data: dict = {"times": ts, "kappa": kappa}
     if isinstance(subject, DiscountCurve):
         ev = curve_evaluator(subject)
-        values = [estimate_long_rate(ev, t, RateConvention.exponential(), xs).value for t in ts]
+        values = [estimate_long_rate(ev, t, _EXPONENTIAL, xs).value for t in ts]
         z_values = [_zero_coupon_quote(v, kappa) for v in values]
         never_falls = not any(b < a - _CONVERGENCE_TOL for a, b in zip(values, values[1:]))
         checks = [_judged("long exponential rate nondecreasing", never_falls,

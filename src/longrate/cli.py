@@ -23,6 +23,7 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
 
 from . import aggregation, asymptotics, conventions, csvformat, kernel_models, montecarlo
@@ -563,8 +564,24 @@ def _add_ensemble_args(p: argparse.ArgumentParser, paths: int, seed_required: bo
     p.set_defaults(n_default=paths)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number in exponent notation,
+    such as ``-1e-2``, as a value.
+
+    Before Python 3.13 argparse takes an argument for a negative number only
+    if it reads ``-1`` or ``-.5``; anything else that starts with ``-`` is an
+    option, so ``--value -1e-2`` failed with "expected one argument".  Each
+    subparser has this class too, since ``add_subparsers`` builds them with
+    the parser's own class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="longrate",
         description="Term-structure analytics: conversions, kernels, long-rate audits.",
     )

@@ -688,6 +688,127 @@ def test_audit_matches_the_transcribed_read_path_on_adversarial_quotes(monkeypat
     assert {"PASS", "FAIL"} == set(minima)
 
 
+def test_private_estimate_constructor_equals_the_public_one(pareto2, curves):
+    """A read builds its estimate without the frozen dataclass's setattr per field;
+    the estimate is the one ``LongRateEstimate(...)`` builds, to ==, hash and repr."""
+    subjects = [
+        (bond_evaluator(pareto2, ModelState(10.0, 1.3)), 10.0),
+        (curve_evaluator(lr.curve_from_function(lambda t: np.exp(-0.03 * t))), 5.0),  # truncated
+    ]
+    for ev, t in subjects:
+        for conv in READ_PATH_CONVENTIONS:
+            est = estimate_long_rate(ev, t, conv)
+            public = lr.LongRateEstimate(
+                est.convention, est.value, est.horizon, est.status, est.tail_sup,
+                est.decade_sups, est.trace, est.truncated_at, est.truncation_reason)
+            assert est == public and hash(est) == hash(public) and repr(est) == repr(public)
+            assert list(vars(est)) == list(vars(public))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                est.value = 0.0
+    args = (EXP, 0.25, 1e8, "CONVERGED", (0.5, 0.25), ((10.0, 0.5), (1e8, 0.25)), 1e9, "why")
+    est = lr.asymptotics._estimate(*args)
+    public = lr.LongRateEstimate(*args[:4], 0.25, *args[4:])
+    assert est == public and hash(est) == hash(public) and repr(est) == repr(public)
+
+
+@pytest.mark.filterwarnings("error")
+def test_reads_of_overflowing_quotes_warn_nothing(ref1f, curves):
+    """Quotes that overflow to +inf (simple and tail-Pareto rates of exponential decay,
+    a vanishing compounding frequency, a subnormal tenor length) raise no warning."""
+    tiny = np.array([1e-300, 2e-300, 1e-299])  # -ln P / x overflows
+    extreme = READ_PATH_CONVENTIONS + [RateConvention.tail_pareto(1e-3)]
+    subjects = [
+        (bond_evaluator(ref1f, ModelState(0.0, 1.0)), 0.0, None, extreme),
+        (curve_evaluator(curves["flat3"]), 10.0, None,
+         extreme + [RateConvention.zero_coupon(1e-300)]),
+        (_FixedLogDf([-10.0, -10.0, -10.0]), 0.0, tiny, extreme),
+    ]
+    for ev, t, xs, conventions in subjects:
+        overflowed = 0
+        for conv in conventions:
+            rates, est = lr.asymptotics._log_df_trace(ev, t, xs).read(conv)
+            overflowed += int(np.isinf(rates).any())
+            assert estimate_long_rate(ev, t, conv, xs) == est
+        stratification_audit(ev, t, (0.5, 1.0, 2.0, 3.0), xs)
+        assert overflowed
+
+
+# ---------------------------------------------------------------------------
+# The schedule memo
+# ---------------------------------------------------------------------------
+
+
+def test_schedule_memo_serves_alternating_schedules_bitwise(curves):
+    """As a curve operation alternates two schedules, every read and audit is the
+    transcribed read path's, for a package and a foreign evaluator (priced on every
+    call), on a curve with a tail and on one whose trace stops at its grid horizon:
+    a prefix of the schedule, with its own decade windows."""
+    asy = lr.asymptotics
+    schedules = (default_long_rate_horizons(), default_long_rate_horizons(stop=1e6))
+    tailless = lr.curve_from_function(lambda t: np.exp(-0.03 * t))  # grid ends at 1000
+    for curve in (curves["gamma2"], tailless):
+        ev, foreign = curve_evaluator(curve), _CountingEvaluator(curve_evaluator(curve))
+        for rounds in range(2):
+            for t in (0.0, 10.0):
+                for xs in schedules:
+                    where = f"{curve.tail} t={t:g} n={xs.size} round {rounds}"
+                    ref = _checked_trace(curve_evaluator(curve), t, xs)
+                    for subject in (ev, foreign):
+                        calls = foreign.calls
+                        trace = asy._log_df_trace(subject, t, xs)
+                        _assert_same_bits(trace.window_starts, ref.window_starts, where)
+                        assert trace.offsets == ref.offsets, where
+                        for conv in (EXP, LIBOR, RateConvention.tail_pareto(2.0)):
+                            _assert_same_bits(estimate_long_rate(subject, t, conv, xs),
+                                              _checked_read(ref, conv)[1], where)
+                        _assert_same_bits(stratification_audit(subject, t, horizons=xs),
+                                          _checked_stratification(ref, t, (1.0, 2.0, 3.0)), where)
+                        if subject is foreign:
+                            assert foreign.calls == calls + 5, where
+                    if curve is tailless:
+                        n = len(ref.offsets)
+                        assert n < xs.size, where
+                        full = asy._decade_window_starts(xs)
+                        assert not np.array_equal(ref.window_starts, full), where
+
+
+def test_schedule_memo_is_keyed_by_value_not_identity(pareto2):
+    """A caller that changes its schedule array in place gets the changed schedule,
+    checked again, while the memo keeps the copy it took."""
+    asy = lr.asymptotics
+    base = default_long_rate_horizons()
+    xs = base.copy()
+    ev = bond_evaluator(pareto2, ModelState(0.0, 1.0))
+    for scale in (1.0, 2.0, 0.5, 1.0):
+        xs[:] = base * scale
+        ref = _checked_trace(bond_evaluator(pareto2, ModelState(0.0, 1.0)), 0.0, xs.copy())
+        for subject in (ev, _CountingEvaluator(ev)):
+            _assert_same_bits(estimate_long_rate(subject, 0.0, LIBOR, xs),
+                              _checked_read(ref, LIBOR)[1], f"scale {scale}")
+            assert asy._log_df_trace(subject, 0.0, xs).offsets == tuple(xs.tolist())
+    kept = asy._schedule(xs)
+    xs[1] = xs[0]  # no longer increasing
+    with pytest.raises(DomainError, match="horizon offsets must be"):
+        estimate_long_rate(ev, 0.0, LIBOR, xs)
+    assert kept.offsets == tuple(base.tolist()) and not kept.xs.flags.writeable
+    xs[:] = base
+    assert asy._schedule(xs) is kept
+
+
+def test_schedule_memo_stays_at_its_bound():
+    """Pricing 10^4 distinct schedules keeps the memo at its bound, the newest kept."""
+    asy = lr.asymptotics
+    base = default_long_rate_horizons(stop=1e3)
+    ev = _FixedLogDf(-0.03 * base)
+    for i in range(10_000):
+        xs = base * (1.0 + i * 1e-6)
+        estimate_long_rate(ev, 0.0, EXP, xs)
+        assert len(asy._SCHEDULES) <= asy._SCHEDULE_MEMO_SIZE
+    assert len(asy._SCHEDULES) == asy._SCHEDULE_MEMO_SIZE
+    assert (xs.shape, xs.tobytes()) in asy._SCHEDULES
+    assert (base.shape, base.tobytes()) not in asy._SCHEDULES
+
+
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------

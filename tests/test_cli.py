@@ -83,6 +83,22 @@ def test_convert_domain_violation_exits_2():
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("base, option, number", [
+    (("convert", "--T", 10, "--from", "libor", "--to", "exp"), "--value", "-1e-2"),
+    (("audit", "kernel", "--model", "ref2f", "--seed", 1, "--n", 5), "--rho", "-5E-1"),
+    (("longrate", "--model", "ref1f", "--conv", "libor"), "--t", "-1.5e+1"),
+    (("audit", "dir", "--curve", "flat3"), "--kappa", "-.2e1"),
+], ids=["value", "rho", "t", "kappa"])
+def test_negative_number_in_exponent_notation_is_a_value(base, option, number):
+    """``--opt -1e-2`` reads as ``--opt=-1e-2``, in a subcommand and in a nested one."""
+    spaced, joined = run_cli(*base, option, number), run_cli(*base, f"{option}={number}")
+    assert "expected one argument" not in spaced.stderr
+    assert (spaced.returncode, spaced.stdout, spaced.stderr) == (
+        joined.returncode, joined.stdout, joined.stderr)
+    if option == "--value":
+        assert spaced.stdout.splitlines()[0] == "-0.0105360516"
+
+
 def test_unknown_subcommand_exits_2():
     out = run_cli("frobnicate")
     assert out.returncode == 2
