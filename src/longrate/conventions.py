@@ -205,8 +205,14 @@ def rate_from_log_discount(tenor: Tenor, conv: RateConvention, log_df: float) ->
         except OverflowError:
             return math.inf
     kappa = float(conv.index)
+    kx = kappa * x
+    if kx:
+        exponent = -ld / kx
+    else:  # kappa * x underflowed to 0: the quote's limit, +inf or -kappa, and at
+        # ln P = 0 the signed zero -ln P / kx gives at every positive length
+        exponent = math.copysign(math.inf, -ld) if ld else -ld
     try:
-        return kappa * math.expm1(-ld / (kappa * x))
+        return kappa * math.expm1(exponent)
     except OverflowError:
         return math.inf
 

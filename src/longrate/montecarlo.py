@@ -2,10 +2,11 @@
 
 Simulation is exact in distribution: GBM log-increments over each grid
 step are Gaussian with variance int sigma^2 and mean minus half that, so
-no discretisation bias enters at any step size.  One lognormal step,
-``_factor_normals``, forms these log-increments (correlated across
-factors) for path simulation and for claim valuation's terminal draws,
-which take a single step from the state time to the flow.  Paths are
+no discretisation bias enters at any step size.  One draw,
+``_factor_normals``, gives the standard normals of these log-increments
+(correlated across factors) to path simulation and to claim valuation's
+terminal draws, which take a single step from the state time to the
+flow; each scales and shifts them into its own log-steps.  Paths are
 generated in fixed-size chunks, each chunk seeded from (seed, chunk
 index) by ``workers._chunk_rng``; results therefore depend only on the
 request, never on how many workers ran it.
@@ -13,7 +14,13 @@ At long horizons a factor underflows to 0, its correct limit, so paths
 need only be nonnegative: pi = a + b M (+ c N) carries the positivity rule.
 Paths are stored time-major, in one (k, len(grid), n_paths) array, so a
 statistic at a fixed time reads one contiguous row; the path-major
-``factors``, ``m`` and ``n`` are transposed views.  The exception is
+``factors``, ``m`` and ``n`` are transposed views.  Each chunk's
+log-steps are written straight into its rows, and the chunk is checked
+nonnegative as it is filled, so no whole-array scan follows.  Path
+arrays (ensembles and ``kernel_paths``) live in private anonymous
+mappings: the one freed most recently is kept for the next path array
+that fits (``_path_array``), so a process holds the path arrays alive at
+once plus at most one freed mapping.  The exception is
 ``simulate --out``, which needs no ensemble: ``_write_model_paths``
 fills one buffer of worker_count() chunks a wave at a time, with the
 chunk filler ``simulate_paths`` uses, and writes each wave's rows, so
@@ -49,7 +56,9 @@ import errno
 import hashlib
 import math
 import mmap
+import os
 import struct
+import weakref
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -92,25 +101,52 @@ _VANISH_TOL = 1e-3
 _Z_BOUND = 4.0
 
 
-def _path_array(shape: tuple[int, ...]) -> np.ndarray:
-    """An empty float array of a path-sized output, in its own private anonymous mapping.
+# The path mapping freed most recently, kept for the next path array that fits.  A
+# dict's pop and store are atomic, so the finalizer that keeps a mapping takes no
+# lock: it may run from a garbage collection anywhere, _path_array included.
+_freed: dict[str, mmap.mmap] = {}
 
-    The mapping is advised for huge pages and unmapped when the array is
-    freed, so a freed path array returns to the system at once instead of
-    staying in the allocator's heap.  Where the platform has no private
-    mappings or no huge-page advice, this is np.empty.  A shape that
-    cannot be allocated raises a DomainError naming its size.
+if hasattr(os, "register_at_fork"):  # a forked child starts with no kept mapping
+    os.register_at_fork(after_in_child=_freed.clear)
+
+
+def _path_array(shape: tuple[int, ...]) -> np.ndarray:
+    """An empty float array of a path-sized output, in a private anonymous mapping.
+
+    The mapping is the one freed most recently when it is large enough,
+    with its pages past the request returned to the system; otherwise
+    that one is unmapped and a fresh one, advised for huge pages, is
+    made.  When the array and all its views are collected, their mapping
+    is kept in the place of any older one, which is unmapped.  So a
+    process holds its live path arrays plus at most one freed mapping,
+    and a reused mapping skips the page zeroing a fresh one pays on first
+    touch; its old contents are overwritten by the caller.
+    Where the platform has no private mappings or no huge-page advice,
+    this is np.empty.  A shape that cannot be allocated raises a
+    DomainError naming its size.
     """
     if not (hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE")):
         return _heap_array(shape)
-    try:
-        buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
-    except (MemoryError, OSError) as exc:
-        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
-            raise
-        raise _unallocatable(shape) from None
-    buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype=float).reshape(shape)
+    size = math.prod(shape)
+    buf = _freed.pop("path", None)
+    if buf is None or len(buf) < 8 * size:
+        buf = None  # unmapped before the fresh mapping is made
+        try:
+            buf = mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE)
+        except (MemoryError, OSError) as exc:
+            if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
+                raise
+            raise _unallocatable(shape) from None
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    else:  # the pages past the request go back, so the array holds what a fresh one would
+        tail = -(-8 * size // mmap.PAGESIZE) * mmap.PAGESIZE
+        if tail < len(buf):
+            buf.madvise(mmap.MADV_DONTNEED, tail, len(buf) - tail)
+    flat = np.frombuffer(buf, dtype=float, count=size)
+    # numpy makes ``flat`` the base of every view of the mapping, so it is collected
+    # with the last of them: a finalizer on any view could keep a mapping still in use
+    weakref.finalize(flat, _freed.__setitem__, "path", buf).atexit = False
+    return flat.reshape(shape)
 
 
 def _heap_array(shape: tuple[int, ...]) -> np.ndarray:
@@ -203,34 +239,33 @@ class PathEnsemble:
         return int(hits[0])
 
 
-def _factor_normals(rng, buffers, rho: float, steps):
-    """Lognormal log-steps vol * z + drift for each factor, in factor order.
+def _factor_normals(rng, buffers, rho: float):
+    """Correlated standard normals for each factor, in factor order.
 
-    ``steps`` holds one (vol, drift) pair per factor, scalars or arrays
-    over the steps.  Standard normals are drawn in factor order into
-    ``buffers[:-1]``; every later factor's are correlated with the
-    first's as sqrt(1 - rho^2) * z_n + rho * z_m, with rho * z_m held in
-    ``buffers[-1]`` and formed before z_m is scaled.  Each yielded array
+    Standard normals are drawn in factor order into ``buffers[:-1]``;
+    every later factor's are correlated with the first's as
+    sqrt(1 - rho^2) * z_n + rho * z_m, with rho * z_m held in
+    ``buffers[-1]`` and formed before z_m is yielded.  Each caller forms
+    its lognormal log-steps vol * z + drift from them; each yielded array
     is the caller's to overwrite.
     """
     *zs, rho_z_m = buffers
     z_m = rng.standard_normal(out=zs[0])
     if len(zs) > 1:
         np.multiply(rho, z_m, out=rho_z_m)
+    yield z_m
     scale = math.sqrt(1.0 - rho * rho)
-    for i, (z, (vol, drift)) in enumerate(zip(zs, steps)):
-        if i:
-            rng.standard_normal(out=z)
-            z *= scale
-            z += rho_z_m
-        z *= vol
-        z += drift
+    for z in zs[1:]:
+        rng.standard_normal(out=z)
+        z *= scale
+        z += rho_z_m
         yield z
 
 
 def _path_steps(drivers, grid, n_paths: int, seed: int, rho: float):
     """A checked simulation request: the grid, the seed and, per factor, the
-    step volatilities and the mean log-steps -V/2 that ``_fill_paths`` takes."""
+    step volatilities and the mean log-steps -V/2 that ``_fill_paths`` takes,
+    as columns against the time rows."""
     g = _check_grid(grid)
     if n_paths < 1:
         raise DomainError(f"n_paths must be positive, got {n_paths!r}")
@@ -239,27 +274,34 @@ def _path_steps(drivers, grid, n_paths: int, seed: int, rho: float):
     if not drivers:
         raise DomainError("simulation needs at least one driver")
     _check_correlation(rho)
-    steps = [(np.sqrt(v), -0.5 * v) for v in (d.step_variances(g) for d in drivers)]
+    steps = [(np.sqrt(v), -0.5 * v) for v in (d.step_variances(g)[:, None] for d in drivers)]
     return g, seed, steps
 
 
 def _fill_paths(rows: np.ndarray, first: int, seed: int, rho: float, steps) -> None:
     """Fill ``rows`` (k, len(grid), m) with paths ``first`` to ``first + m - 1`` of a
     request, a chunk at a time on the workers; ``first`` is a multiple of _CHUNK_PATHS,
-    so every chunk draws from the generator its path numbers give it."""
+    so every chunk draws from the generator its path numbers give it.
+
+    Each chunk's log-steps are written straight into its time rows, and
+    the chunk is checked nonnegative (a DomainError, nan included) while
+    it is in cache, so the filled rows need no further scan.
+    """
     k, size, m = rows.shape
 
     def fill(start: int, stop: int, buffers: np.ndarray) -> None:
         rng = _chunk_rng(seed, (), (first + start) // _CHUNK_PATHS)
-        normals = _factor_normals(rng, buffers[:, : stop - start], rho, steps)
-        for x, z in zip(rows[:, :, start:stop], normals):
+        normals = _factor_normals(rng, buffers[:, : stop - start], rho)
+        for x, z, (vol, drift) in zip(rows[:, :, start:stop], normals, steps):
             x[0] = 1.0
-            x[1:] = z.T
+            np.multiply(z.T, vol, out=x[1:])
+            x[1:] += drift
             # a running sum along each path, one time row at a time: the
             # additions of np.cumsum(z, axis=1) in its order, at about half the cost
             for j in range(2, size):
                 np.add(x[j - 1], x[j], out=x[j])
             np.exp(x[1:], out=x[1:])
+            _check_nonnegative(x)
 
     # per worker: one chunk of normals per factor, and one for rho * z_m
     _in_blocks(m, _CHUNK_PATHS, fill, lambda: np.empty((k + 1, _CHUNK_PATHS, size - 1)))
@@ -282,7 +324,18 @@ def simulate_paths(
     g, seed, steps = _path_steps(drivers, grid, n_paths, seed, rho)
     rows = _path_array((len(steps), g.size, n_paths))
     _fill_paths(rows, 0, seed, rho, steps)
-    return PathEnsemble(g, rows.transpose(0, 2, 1), seed, float(rho))
+    return _simulated(g, rows.transpose(0, 2, 1), seed, float(rho))
+
+
+def _simulated(grid: np.ndarray, factors: np.ndarray, seed: int, rho: float) -> PathEnsemble:
+    """``PathEnsemble(grid, factors, seed, rho)`` for a request ``_path_steps`` checked
+    and paths ``_fill_paths`` checked a chunk at a time: the same frozen ensemble,
+    without the constructor's second scan of the whole array."""
+    grid.setflags(write=False)
+    factors.setflags(write=False)
+    ens = object.__new__(PathEnsemble)
+    ens.__dict__.update(grid=grid, factors=factors, seed=seed, rho=rho)
+    return ens
 
 
 def _model_drivers(model: Model, rho: float) -> tuple[tuple[GBMDriver, ...], float]:
@@ -314,8 +367,8 @@ def _write_model_paths(model: Model, grid, n_paths: int, seed: int, rho: float, 
     The request is checked as ``ensemble_for_model`` checks it, and the
     terminal row allocated, before ``path`` is opened.  Paths are then
     simulated and written a wave of worker_count() chunks at a time, in
-    one reused buffer, each wave checked nonnegative before it is
-    written, so memory stays one chunk per worker plus the terminal row.
+    one reused buffer, each chunk checked nonnegative as it is filled, so
+    memory stays one chunk per worker plus the terminal row.
     """
     drivers, rho = _model_drivers(model, rho)
     g, seed, steps = _path_steps(drivers, grid, n_paths, seed, rho)
@@ -327,7 +380,6 @@ def _write_model_paths(model: Model, grid, n_paths: int, seed: int, rho: float, 
         for first in range(0, n_paths, wave):
             part = rows[:, :, : min(wave, n_paths - first)]
             _fill_paths(part, first, seed, rho, steps)
-            _check_nonnegative(part)
             terminal[first : first + part.shape[2]] = part[0, -1]
             csvformat.write_path_rows(fh, g, part.transpose(0, 2, 1), first)
     return terminal
@@ -662,8 +714,10 @@ def _terminal_factors(model, state, T, seed, flow_index, n_paths, rho):
 
     def draw(start: int, stop: int, buffers: np.ndarray) -> None:
         rng = _chunk_rng(seed, (*base_key, int(flow_index)), start // _CHUNK_PATHS)
-        normals = _factor_normals(rng, buffers[:, : stop - start], rho, steps)
-        for x0, out, z in zip(state.factor_values, outs, normals):
+        normals = _factor_normals(rng, buffers[:, : stop - start], rho)
+        for x0, out, z, (vol, drift) in zip(state.factor_values, outs, normals, steps):
+            z *= vol
+            z += drift
             np.multiply(x0, np.exp(z, out=z), out=out[start:stop])
 
     _in_blocks(n_paths, _CHUNK_PATHS, draw, lambda: np.empty((len(drivers) + 1, _CHUNK_PATHS)))

@@ -88,7 +88,13 @@ def _rates(x: np.ndarray, conv: RateConvention, ld: np.ndarray) -> np.ndarray:
         if lam is not None:
             return lam * np.expm1(-ld / lam) / x
         kappa = float(conv.index)
-        return kappa * np.expm1(-ld / (kappa * x))
+        kx = kappa * x
+        if kx.all():
+            return kappa * np.expm1(-ld / kx)
+        # kappa * x underflowed to 0: -ln P / 0 is the quote's limit, +inf or -kappa,
+        # and at ln P = 0 the exponent is -ln P, the signed zero of every positive length
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return kappa * np.expm1(np.where(ld == 0.0, -ld, -ld / kx))
 
 
 def ordering_audit(

@@ -1,5 +1,6 @@
 """Path simulation: exact stepping, seeding, audits, claim valuation."""
 
+import gc
 import hashlib
 import io
 import math
@@ -129,6 +130,139 @@ def test_path_arrays_fall_back_to_np_empty(ref2f, monkeypatch):
         ens = simulate_paths(ref2f.drivers, grid, n_paths, seed=7, rho=0.5)
         assert ens.factors.base.flags.owndata
         assert hashlib.sha256(ens.m.tobytes() + ens.n.tobytes()).hexdigest() == digest
+
+
+MAPPED = hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE")
+needs_mappings = pytest.mark.skipif(not MAPPED, reason="path arrays are np.empty's here")
+
+
+def _mapping(array: np.ndarray):
+    """The memory mapping under a path array: every view's base is the np.frombuffer
+    array, whose base is a memoryview of the mapping."""
+    return array.base.base.obj
+
+
+# A mapping returns for reuse only when no view of it is left: a finalizer on any
+# view but the np.frombuffer array hands out a live mapping, and each of these fails.
+def _ref2f_ensemble(ref2f, seed):
+    return simulate_paths(ref2f.drivers, np.linspace(0.0, 10.0, 21), 4097, seed=seed, rho=0.5)
+
+
+def test_two_live_ensembles_never_share_a_mapping(ref2f):
+    first, second = _ref2f_ensemble(ref2f, 7), _ref2f_ensemble(ref2f, 8)
+    assert not np.shares_memory(first.factors, second.factors)
+
+
+def test_a_view_kept_from_a_dropped_ensemble_keeps_its_mapping(ref2f):
+    kept = _ref2f_ensemble(ref2f, 7).m[:5]
+    kept_bytes = kept.tobytes()
+    later = _ref2f_ensemble(ref2f, 8)
+    assert not np.shares_memory(kept, later.factors)
+    assert kept.tobytes() == kept_bytes
+
+
+def test_kernel_paths_never_share_their_ensembles_mapping(ref2f):
+    dropped = _ref2f_ensemble(ref2f, 7)
+    freed = _mapping(dropped.factors) if MAPPED else None
+    del dropped
+    ens = _ref2f_ensemble(ref2f, 8)
+    pi = kernel_paths(ref2f, ens)
+    assert not np.shares_memory(pi, ens.factors)
+    if MAPPED:  # ens took the freed mapping, and pi a fresh one
+        assert _mapping(ens.factors) is freed and _mapping(pi) is not freed
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n_paths", sorted(CHUNK_BOUNDARY_DIGESTS))
+def test_ensemble_in_a_recycled_mapping_equals_a_fresh_one(ref2f, n_paths, workers, monkeypatch):
+    """A larger freed mapping full of nan takes the next ensemble, bitwise a fresh one's."""
+    monkeypatch.setenv("LONGRATE_THREADS", str(workers))
+    grid = np.linspace(0.0, 10.0, 21)
+    mc._freed.clear()
+    fresh = simulate_paths(ref2f.drivers, grid, n_paths, seed=7, rho=0.5)
+    want = fresh.m.tobytes() + fresh.n.tobytes()
+    del fresh
+    dirty = mc._path_array((3, grid.size, n_paths + 5000))
+    dirty.fill(np.nan)
+    mapping = _mapping(dirty) if MAPPED else None
+    del dirty
+    ens = simulate_paths(ref2f.drivers, grid, n_paths, seed=7, rho=0.5)
+    if MAPPED:
+        assert _mapping(ens.factors) is mapping and not mc._freed
+    assert ens.m.tobytes() + ens.n.tobytes() == want
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * mmap.PAGESIZE
+
+
+@needs_mappings
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="no resident size to read")
+def test_a_small_array_in_a_recycled_mapping_keeps_only_its_own_pages():
+    """A freed, fully touched 64 MB mapping taken by a 1 MB array returns the other 63 MB."""
+    mc._freed.clear()
+    big = mc._path_array((8, 2**20))
+    big.fill(1.0)
+    del big
+    kept = _resident_bytes()
+    small = mc._path_array((2**17,))
+    small.fill(1.0)
+    assert kept - _resident_bytes() > 48 * 2**20
+
+
+def _kept_mappings_in_child(conn):
+    conn.send(len(mc._freed))
+    conn.close()
+
+
+@needs_mappings
+def test_forked_child_starts_with_no_kept_mapping(ref2f):
+    mc._path_array((2, 3))
+    assert len(mc._freed) == 1
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_kept_mappings_in_child, args=(send,))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked child sent nothing"
+        assert receive.recv() == 0
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0 and len(mc._freed) == 1
+
+
+@needs_mappings
+def test_collection_inside_path_array_keeps_the_mapping_it_frees(monkeypatch):
+    """A garbage collection while _path_array maps memory runs the finalizer of a
+    path array held in a reference cycle; it must finish, keeping that mapping."""
+    real_mmap = mmap.mmap
+
+    def collecting_mmap(*args, **kwargs):
+        gc.collect()
+        return real_mmap(*args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", collecting_mmap)
+    gc.disable()  # no automatic collection may free the cycle first
+    try:
+        mc._freed.clear()
+        cycle = [mc._path_array((2, 3))]
+        cycle.append(cycle)
+        in_cycle = _mapping(cycle[0])
+        del cycle
+        made = []
+        runner = threading.Thread(target=lambda: made.append(mc._path_array((4, 5))),
+                                  daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        gc.enable()
+    assert not runner.is_alive()
+    assert made[0].shape == (4, 5) and mc._freed["path"] is in_cycle
 
 
 AUDIT_GRID = np.concatenate([[0.0], np.geomspace(1.0, 1e4, 29)])
@@ -695,6 +829,67 @@ def test_hand_built_ensemble_must_be_positive(bad):
     factors[0, 1, 2] = bad
     with pytest.raises(DomainError, match="martingale paths must stay nonnegative"):
         PathEnsemble(GRID, factors, seed=1)
+    # a simulated ensemble's time-major rows, copied and spoiled in one value
+    rows = np.array(ensemble_for_model(lr.zoo.zoo_model("ref2f"), GRID, 4097, 1, 0.5).rows)
+    rows[1, 3, 4096] = bad
+    with pytest.raises(DomainError, match="martingale paths must stay nonnegative"):
+        PathEnsemble(GRID, rows.transpose(0, 2, 1), seed=1, rho=0.5)
+
+
+def test_simulated_ensemble_is_the_public_constructors(ref2f):
+    """simulate_paths builds its ensemble without PathEnsemble's scan, with the same fields."""
+    ens = ensemble_for_model(ref2f, GRID, 4097, seed=7, rho=0.5)
+    public = PathEnsemble(ens.grid, ens.factors, ens.seed, ens.rho)
+    assert list(vars(ens)) == list(vars(public))
+    assert all(vars(ens)[k] is v for k, v in vars(public).items())
+    assert not (ens.grid.flags.writeable or ens.factors.flags.writeable)
+    with pytest.raises(AttributeError):
+        ens.seed = 8
+
+
+def _rng_planting_nan(chunk: int, draw: int, path: int, monkeypatch):
+    """Chunk ``chunk``'s generator puts a nan at ``path``, step 3, of its ``draw``-th normals."""
+    chunk_rng = mc._chunk_rng
+
+    class Planting:
+        def __init__(self, rng):
+            self.rng, self.draws = rng, 0
+
+        def standard_normal(self, out):
+            self.rng.standard_normal(out=out)
+            if self.draws == draw:
+                out[path, 3] = math.nan
+            self.draws += 1
+            return out
+
+    def rng(seed, key, index):
+        made = chunk_rng(seed, key, index)
+        return Planting(made) if index == chunk else made
+
+    monkeypatch.setattr(mc, "_chunk_rng", rng)
+
+
+# The nan sits in the last chunk, in M's normals (draw 0, which N's take in too) or in
+# N's alone (draw 1); each chunk is checked on its own worker, and no whole-array scan follows.
+@pytest.mark.parametrize("draw", [0, 1], ids=["m", "n"])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n_paths", sorted(CHUNK_BOUNDARY_DIGESTS))
+def test_nan_in_one_chunks_normals_fails_simulation(ref2f, n_paths, workers, draw, monkeypatch):
+    monkeypatch.setenv("LONGRATE_THREADS", str(workers))
+    last = (n_paths - 1) // mc._CHUNK_PATHS
+    _rng_planting_nan(last, draw, n_paths - 1 - last * mc._CHUNK_PATHS, monkeypatch)
+    with pytest.raises(DomainError, match="martingale paths must stay nonnegative"):
+        ensemble_for_model(ref2f, np.linspace(0.0, 10.0, 21), n_paths, seed=7, rho=0.5)
+
+
+def test_nan_in_one_chunks_normals_fails_simulate_out(tmp_path, monkeypatch):
+    """simulate --out streams its waves: a chunk's nan ends it with exit 2."""
+    monkeypatch.setenv("LONGRATE_THREADS", "1")
+    _rng_planting_nan(1, 0, 7, monkeypatch)
+    out = run_cli("simulate", "--model", "ref2f", "--seed", 5, "--n", 9000, "--rho", 0.5,
+                  "--out", tmp_path / "p.csv")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: martingale paths must stay nonnegative\n"
 
 
 @pytest.mark.parametrize("sigma", [1e200, 1e152])

@@ -1,6 +1,7 @@
 """Rate conventions, conversions, curves, and forward consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,20 @@ def test_rates_arithmetic_overflows_at_a_tiny_length_without_warning(conv):
     """A read of a priced ln P trace calls ``_rates`` directly, past the public conversion."""
     out = lr.termstructure._rates(np.array([1e-310]), conv, np.array([-1.0]))
     assert out[0] == math.inf
+
+
+# kappa * x = 1e-600 underflows to 0: each route gives the quote's limit as kappa * x
+# shrinks, which a length of 1 reaches too, and at ln P = +-0 the signed zero of any length.
+@pytest.mark.parametrize("log_df, limit", [(-10.0, math.inf), (10.0, -1e-300), (0.0, -0.0),
+                                           (-0.0, 0.0)])
+def test_zero_coupon_quote_of_an_underflowing_kappa_x_is_its_limit(log_df, limit):
+    zc = RateConvention.zero_coupon(1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = rate_from_log_discount(Tenor(0, 1e-300), zc, log_df)
+        array = lr.rates_from_log_discount(np.array([1e-300, 1.0]), zc, np.full(2, log_df))
+    for quote in (scalar, *array):
+        assert quote == limit and math.copysign(1.0, quote) == math.copysign(1.0, limit)
 
 
 def test_array_rates_overflow_to_inf_and_reject_nonfinite_logs():
