@@ -14,20 +14,20 @@ At long horizons a factor underflows to 0, its correct limit, so paths
 need only be nonnegative: pi = a + b M (+ c N) carries the positivity rule.
 Paths are stored time-major, in one (k, len(grid), n_paths) array, so a
 statistic at a fixed time reads one contiguous row; the path-major
-``factors``, ``m`` and ``n`` are transposed views.  Each chunk's
-log-steps are written straight into its rows, and the chunk is checked
-nonnegative as it is filled, so no whole-array scan follows.  Path
-arrays (ensembles and ``kernel_paths``) live in private anonymous
-mappings: the one freed most recently is kept for the next path array
-that fits (``_path_array``), so a process holds the path arrays alive at
-once plus at most one freed mapping.  The exception is
+``factors``, ``m`` and ``n`` are transposed views.  The exception is
 ``simulate --out``, which needs no ensemble: ``_write_model_paths``
 fills one buffer of worker_count() chunks a wave at a time, with the
 chunk filler ``simulate_paths`` uses, and writes each wave's rows, so
-it holds one chunk per worker and the n terminal values of M.  No
-audit stores pi: each forms the pi rows it reads (and the deflated
-bonds) from the factor rows, in its workers' scratch rows or blocks,
-and checks their positivity.
+it holds one chunk per worker and the n terminal values of M.  Each
+chunk's log-steps are written straight into its rows, and the chunk is
+checked nonnegative as it is filled, so no whole-array scan follows.
+Path arrays (ensembles and ``kernel_paths``) live in private anonymous
+mappings: the one freed most recently is kept for the next path array
+that fits (``_path_array``), less its pages past that array, so a
+process holds the path arrays alive at once plus at most one freed
+mapping.  No audit stores pi: each forms the pi rows it reads (and the
+deflated bonds) from the factor rows, in its workers' scratch rows or
+blocks, and checks their positivity.
 Every per-block loop (path chunks, pi rows and terminal draws) runs on
 the workers of ``workers._in_blocks``, and so do the audits' reductions:
 each per-time mean and standard error is taken over one whole row

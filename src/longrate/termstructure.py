@@ -89,7 +89,7 @@ def _rates(x: np.ndarray, conv: RateConvention, ld: np.ndarray) -> np.ndarray:
             return lam * np.expm1(-ld / lam) / x
         kappa = float(conv.index)
         kx = kappa * x
-        if kx.all():
+        if kappa >= 1.0 or kx.all():  # kappa >= 1 keeps kappa * x >= x > 0
             return kappa * np.expm1(-ld / kx)
         # kappa * x underflowed to 0: -ln P / 0 is the quote's limit, +inf or -kappa,
         # and at ln P = 0 the exponent is -ln P, the signed zero of every positive length
