@@ -21,20 +21,20 @@ simulated paths (DIR's model branch and the certificate) take their
 path statistics from ``montecarlo``, which executes only when they run.
 
 Every estimate and audit prices its schedule through ``_log_df_trace``.
-A bounded memo keeps the last ``_SCHEDULE_MEMO_SIZE`` (8) horizon
-schedules, keyed by value (the float array's shape and bytes, so a
-caller that changes its array in place gets a new entry), oldest
-dropped first.  An entry is a read-only copy of the offsets, checked
-once (finite, positive, increasing, at least two), with the offsets
-tuple and the decade window starts of each priced prefix, since a
-truncated trace has its own windows.  A call then checks only its
-anchor time and that the first tenor does not vanish against it.
+A ``functools.lru_cache`` keeps the ``_SCHEDULE_MEMO_SIZE`` (8) horizon
+schedules used most recently, keyed by value (the float array's shape
+and bytes, so a caller that changes its array in place gets a new
+entry), the least recently used dropped first.  An entry holds the
+offsets, read-only over the key's bytes and checked once (finite,
+positive, increasing, at least two), with the offsets tuple and the
+decade window starts of each priced prefix, since a truncated trace has
+its own windows.  A call then checks only its anchor time and that the
+first tenor does not vanish against it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Sequence
@@ -264,31 +264,25 @@ class _Schedule:
 
 
 _SCHEDULE_MEMO_SIZE = 8
-_SCHEDULES: dict[tuple, _Schedule] = {}
-_SCHEDULES_LOCK = threading.Lock()
 
 
 def _schedule(xs: np.ndarray) -> _Schedule:
-    """The memo entry of a float schedule, keyed by its shape and bytes.
+    """The memo entry of a float schedule, keyed by its shape and bytes."""
+    return _checked_schedule(xs.shape, xs.tobytes())
 
-    A schedule enters the memo only after the schedule half of the one rule
+
+@lru_cache(maxsize=_SCHEDULE_MEMO_SIZE)
+def _checked_schedule(shape: tuple[int, ...], data: bytes) -> _Schedule:
+    """A schedule enters the memo only after the schedule half of the one rule
     for pricing P(t, t + x): two or more offsets x, finite, positive and
-    increasing.  Beyond ``_SCHEDULE_MEMO_SIZE`` entries the oldest is dropped.
+    increasing.  Its offsets are read-only, read over the key's bytes, and
+    beyond ``_SCHEDULE_MEMO_SIZE`` entries the least recently used is dropped.
     """
-    key = (xs.shape, xs.tobytes())
-    sched = _SCHEDULES.get(key)
-    if sched is None:
-        if not (xs.ndim == 1 and xs.size >= 2 and np.isfinite(xs).all()
-                and xs[0] > 0 and (xs[1:] > xs[:-1]).all()):
-            raise DomainError("horizon offsets must be finite, positive and increasing")
-        xs = xs.copy()  # a schedule the caller cannot change
-        xs.setflags(write=False)
-        sched = _Schedule(xs)
-        with _SCHEDULES_LOCK:
-            if len(_SCHEDULES) >= _SCHEDULE_MEMO_SIZE:
-                del _SCHEDULES[next(iter(_SCHEDULES))]
-            _SCHEDULES[key] = sched
-    return sched
+    xs = np.frombuffer(data).reshape(shape)
+    if not (xs.ndim == 1 and xs.size >= 2 and np.isfinite(xs).all()
+            and xs[0] > 0 and (xs[1:] > xs[:-1]).all()):
+        raise DomainError("horizon offsets must be finite, positive and increasing")
+    return _Schedule(xs)
 
 
 def _check_anchor(t: float, sched: _Schedule) -> None:
@@ -304,12 +298,12 @@ def _check_anchor(t: float, sched: _Schedule) -> None:
 def _log_df_trace(bond, t: float, horizons: np.ndarray | None) -> _LogDfTrace:
     """ln P(t, t + x) over the schedule, cut at the first unpriced horizon.
 
-    The schedule comes from the memo of the last ``_SCHEDULE_MEMO_SIZE``
-    (8) schedules, keyed by shape and bytes and checked once on entry.
-    The package's own evaluators price a (t, schedule) once and keep the
-    trace, matched by its memo entry and the value of t and looked up
-    before the anchor is checked: only a checked (t, schedule) is ever
-    kept.  Any other evaluator is called every time.
+    The schedule comes from the memo of the 8 schedules used most recently,
+    keyed by shape and bytes and checked once on entry.  The package's own
+    evaluators price a (t, schedule) once and keep the trace, matched by
+    its memo entry and the value of t and looked up before the anchor is
+    checked: only a checked (t, schedule) is ever kept.  Any other
+    evaluator is called every time.
     """
     xs = default_long_rate_horizons() if horizons is None else np.asarray(horizons, float)
     sched = _schedule(xs)
@@ -319,21 +313,20 @@ def _log_df_trace(bond, t: float, horizons: np.ndarray | None) -> _LogDfTrace:
         cached = bond._trace
         if cached is not None and cached[0] is sched and cached[1] == t:
             return cached[2]
-    trace = _price_trace(bond, t, sched.xs)
+    trace = _price_trace(bond, t, sched)
     if caching:
         object.__setattr__(bond, "_trace", (sched, t, trace))
     return trace
 
 
-def _price_trace(bond, t: float, xs: np.ndarray) -> _LogDfTrace:
-    """One evaluator call over the schedule, after the pricing rule's checks;
-    the trace's arrays are read-only.
+def _price_trace(bond, t: float, sched: _Schedule) -> _LogDfTrace:
+    """One evaluator call over a memo entry's schedule, after the anchor's
+    checks; the trace's arrays are read-only.
 
     A ``LongrateError`` from the evaluator leaves no horizon priced; a
     non-finite ln P entry (how evaluators mark a maturity they cannot
     price) cuts the schedule there.
     """
-    sched = _schedule(xs)
     _check_anchor(t, sched)
     maturities = t + sched.xs
     too_short = "bond evaluator failed before two horizons were probed"

@@ -102,7 +102,7 @@ def _numbers(values):
 def _finite(name: str, value) -> float:
     """``value`` as a finite float, else a ``DomainError`` naming ``name``."""
     try:
-        v = float(value) if isinstance(value, float) else _number(value)  # floats: no type test
+        v = _number(value)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(v):

@@ -446,9 +446,7 @@ class BondEvaluator:
         if float(t) != float(t0):
             raise DomainError(f"evaluator is anchored at t={t0!r}, got t={t!r}")
         T = np.asarray(T, dtype=float)
-        # a nan propagates through both reductions and fails both tests
-        lo = np.minimum.reduce(T, None, initial=math.inf)
-        if not (lo >= t0 and np.maximum.reduce(T, None, initial=-math.inf) < math.inf):
+        if not np.all(np.isfinite(T) & (T >= t0)):
             raise DomainError(f"maturities must be finite and at least t={t0!r}")
         coefs = self.model.coefficients
         xs = _factor_values(self.model, self.state)

@@ -500,15 +500,24 @@ def _mean_se(values: np.ndarray, dev: np.ndarray | None = None) -> tuple[float, 
 
     The sample is summed once, as np.mean sums it; its squared deviations
     go to ``dev``, a contiguous scratch row of the sample's length (a new
-    one when None), and are summed as np.std sums them.
+    one when None), and are summed as np.std sums them.  Where a finite
+    sample's sum or squares overflow, those of the sample scaled by its
+    largest |value| are scaled back; a finite mean keeps its bits.
     """
     n = values.size
-    mean = np.add.reduce(values) / n
-    if n < 2:
-        return float(mean), 0.0
-    dev = np.subtract(values, mean, out=dev)
-    np.square(dev, out=dev)
-    return float(mean), float(np.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n))
+    with np.errstate(over="ignore"):
+        mean = np.add.reduce(values) / n
+        if n < 2:
+            return float(mean), 0.0
+        dev = np.subtract(values, mean, out=dev)
+        np.square(dev, out=dev)
+        se = np.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n)
+    if not math.isfinite(se):  # the sum or the squares overflowed, or the sample holds inf or nan
+        scale = float(np.maximum.reduce(np.abs(values)))
+        if math.isfinite(scale):  # a finite sample
+            m, s = _mean_se(values / scale, dev)
+            mean, se = (mean if math.isfinite(mean) else m * scale), s * scale
+    return float(mean), float(se)
 
 
 def _row_moments(count: int, n: int, row: Callable, scratch: int = 2) -> np.ndarray:

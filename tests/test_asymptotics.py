@@ -320,7 +320,7 @@ def test_cached_estimates_equal_fresh_reads(pareto2, curves):
         (curve_evaluator(curves["hyperbolic2"]), 1.0),
     ]
     for ev, t in subjects:
-        fresh = asy._price_trace(ev, t, default_long_rate_horizons())
+        fresh = asy._price_trace(ev, t, asy._schedule(default_long_rate_horizons()))
         for _ in range(2):
             for conv in CACHED_CONVENTIONS:
                 est = estimate_long_rate(ev, t, conv)
@@ -796,17 +796,23 @@ def test_schedule_memo_is_keyed_by_value_not_identity(pareto2):
 
 
 def test_schedule_memo_stays_at_its_bound():
-    """Pricing 10^4 distinct schedules keeps the memo at its bound, the newest kept."""
+    """Pricing 10^4 distinct schedules keeps the memo at its bound: the newest
+    schedule stays kept and the oldest is dropped."""
     asy = lr.asymptotics
+    memo = asy._checked_schedule
     base = default_long_rate_horizons(stop=1e3)
     ev = _FixedLogDf(-0.03 * base)
-    for i in range(10_000):
+    oldest = asy._schedule(base)
+    for i in range(1, 10_001):
         xs = base * (1.0 + i * 1e-6)
         estimate_long_rate(ev, 0.0, EXP, xs)
-        assert len(asy._SCHEDULES) <= asy._SCHEDULE_MEMO_SIZE
-    assert len(asy._SCHEDULES) == asy._SCHEDULE_MEMO_SIZE
-    assert (xs.shape, xs.tobytes()) in asy._SCHEDULES
-    assert (base.shape, base.tobytes()) not in asy._SCHEDULES
+        assert memo.cache_info().currsize <= asy._SCHEDULE_MEMO_SIZE
+    assert memo.cache_info().currsize == asy._SCHEDULE_MEMO_SIZE
+    hits = memo.cache_info().hits
+    newest = asy._schedule(xs)
+    assert memo.cache_info().hits == hits + 1 and asy._schedule(xs) is newest
+    misses = memo.cache_info().misses
+    assert asy._schedule(base) is not oldest and memo.cache_info().misses == misses + 1
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,29 @@ def test_two_factor_paths_at_chunk_boundaries(ref2f, n_paths, workers, monkeypat
     assert digest == CHUNK_BOUNDARY_DIGESTS[n_paths]
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n_paths", sorted(CHUNK_BOUNDARY_DIGESTS))
+def test_running_sum_equals_the_cumsum_route(ref2f, n_paths, workers, monkeypatch):
+    """_fill_paths' running sum, one time row at a time, gives the bits of the
+    plain route: np.cumsum along time over each chunk's log-steps."""
+    monkeypatch.setenv("LONGRATE_THREADS", str(workers))
+    grid = np.linspace(0.0, 10.0, 21)
+    g, seed, steps = mc._path_steps(ref2f.drivers, grid, n_paths, 7, 0.5)
+    ref = np.empty((len(steps), g.size, n_paths))
+    for first in range(0, n_paths, mc._CHUNK_PATHS):
+        stop = min(n_paths, first + mc._CHUNK_PATHS)
+        rng = mc._chunk_rng(seed, (), first // mc._CHUNK_PATHS)
+        normals = mc._factor_normals(rng, np.empty((len(steps) + 1, stop - first, g.size - 1)), 0.5)
+        for x, z, (vol, drift) in zip(ref[:, :, first:stop], normals, steps):
+            x[0] = 1.0
+            np.multiply(z.T, vol, out=x[1:])
+            x[1:] += drift
+            np.cumsum(x[1:], axis=0, out=x[1:])
+            np.exp(x[1:], out=x[1:])
+    ens = simulate_paths(ref2f.drivers, grid, n_paths, seed=7, rho=0.5)
+    assert ens.rows.tobytes() == ref.tobytes()
+
+
 def test_path_arrays_fall_back_to_np_empty(ref2f, monkeypatch):
     """Without huge-page advice, path arrays are np.empty's, with the same paths."""
     mapped = hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE")
@@ -249,6 +272,7 @@ def test_collection_inside_path_array_keeps_the_mapping_it_frees(monkeypatch):
     monkeypatch.setattr(mmap, "mmap", collecting_mmap)
     gc.disable()  # no automatic collection may free the cycle first
     try:
+        gc.collect()  # path arrays left in cycles by earlier tests, a failed one's frames say
         mc._freed.clear()
         cycle = [mc._path_array((2, 3))]
         cycle.append(cycle)
@@ -359,6 +383,34 @@ def test_mean_se_is_numpy_mean_and_std(n, stride, seed, scale, shift):
     else:
         assert se == 0.0
     assert mc._mean_se(values, np.empty(n)) == (mean, se)
+
+
+# value --model ref1f --flow T=10,amount=A --simulate-constants --seed 1; before the
+# rescaling these printed se=inf (and value=inf at 1e308) with a RuntimeWarning.
+OVERFLOWING_VALUATIONS = {
+    1e200: "flow T=10 value=1.16159243e+199 method=simulation se=1.23982062e+196",
+    1e308: "flow T=10 value=1.16159243e+307 method=simulation se=1.23982062e+304",
+}
+
+
+@pytest.mark.parametrize("amount", sorted(OVERFLOWING_VALUATIONS))
+def test_mean_se_of_a_sample_whose_sum_or_squares_overflow(amount):
+    """A finite sample whose sum (1e308) or squared deviations (1e200) overflow
+    gets the mean and standard error of the sample scaled by its largest |value|,
+    scaled back; a mean that does not overflow keeps its bits."""
+    values = np.random.default_rng(3).uniform(0.5, 1.5, 1000) * amount
+    mean, se = mc._mean_se(values)
+    scale = float(np.max(values))
+    ref_mean, ref_se = mc._mean_se(values / scale)
+    assert math.isfinite(mean) and math.isfinite(se)
+    assert mean == pytest.approx(ref_mean * scale, rel=1e-14)
+    assert se == pytest.approx(ref_se * scale, rel=1e-14)
+    if amount == 1e200:
+        assert _bits(mean) == _bits(float(np.mean(values)))
+    out = run_cli("value", "--model", "ref1f", "--flow", f"T=10,amount={amount:g}",
+                  "--simulate-constants", "--seed", 1)
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.splitlines()[-1] == OVERFLOWING_VALUATIONS[amount]
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
