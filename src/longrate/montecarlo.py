@@ -444,12 +444,13 @@ def _model_rate_extremes(
     """The largest fall between consecutive times, and the largest value, of the
     per-path exponential-rate estimates at grid indices ``idx`` and horizon x
     (DIR's model branch), formed a block of paths at a time from pi at t and
-    t + x (a LongrateError where a pi value is not > 0)."""
-    _factor_values(model, ensemble)
-    ts = [float(ensemble.grid[j]) for j in idx]
+    t + x (a LongrateError where a pi value is not > 0).  The coefficients at t
+    are ``_grid_coefficients``' columns, so pi at t has the kernel audit's bits,
+    and those at t + x are one array evaluation each."""
     # coefficient i at audit time k is [i, k, 0]: a column against time-major paths
-    at_t = np.array([_values_at(model.coefficients, t) for t in ts]).T[:, :, None]
-    at_tx = np.array([_values_at(model.coefficients, t + x) for t in ts]).T[:, :, None]
+    at_t = _grid_coefficients(model, ensemble)[:, idx, None]
+    later = ensemble.grid[idx] + x
+    at_tx = np.array([np.asarray(c(later), dtype=float) for c in model.coefficients])[:, :, None]
 
     def block(start: int, stop: int) -> tuple:
         factors = ensemble.rows[:, idx, start:stop]

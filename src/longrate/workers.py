@@ -7,9 +7,10 @@ Carlo path chunks, kernel combinations, terminal draws and audit
 reductions, and the aggregation module's horizon blocks of a discrete
 mixture and chunks of calamity draws.  Blocks depend only on the size
 of the request and each writes its own slice of the output, and a
-chunk of random draws takes its generator from ``_chunk_rng``, seeded
-by (seed, key, chunk index) alone, so the worker count never changes a
-result.
+chunk of random draws takes its generator from ``_chunk_rng``: an SFC64
+stream (numpy's Small Fast Chaotic bit generator) keyed through a
+``SeedSequence`` by (seed, key, chunk index) alone, so the worker count
+never changes a result.
 
 ``_in_blocks`` runs the first share of blocks on the calling thread and
 the others on helper threads kept for the life of the process: their
@@ -137,5 +138,11 @@ def _check_seed(seed: int) -> int:
 
 def _chunk_rng(seed: int, key: tuple[int, ...], chunk: int) -> np.random.Generator:
     """The generator of one fixed-size chunk of draws, seeded by (seed, key, chunk)
-    alone, so no result depends on how chunks are scheduled across workers."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(*key, chunk)))
+    alone, so no result depends on how chunks are scheduled across workers.
+
+    Its bit generator is SFC64, numpy's Small Fast Chaotic generator,
+    keyed through a ``SeedSequence`` with entropy ``seed`` and spawn key
+    ``(*key, chunk)``.
+    """
+    keyed = np.random.SeedSequence(entropy=seed, spawn_key=(*key, chunk))
+    return np.random.Generator(np.random.SFC64(keyed))

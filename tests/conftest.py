@@ -1,5 +1,6 @@
 """Shared fixtures: reference models, curves, and the CLI runners."""
 
+import hashlib
 import io
 import os
 import subprocess
@@ -50,6 +51,13 @@ def assert_same_model_bits(got, want):
         for a, b in ((g(grid), w(grid)), (g.derivative(grid), w.derivative(grid))):
             assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
     assert got.drivers == want.drivers
+
+
+def g9_digest(values) -> str:
+    """sha256 of each value's '%.9g' rendering, in C order: a pin that holds on every
+    SIMD target, whose exp and power differ in the last bit, not in 9 digits."""
+    rendered = " ".join(map("%.9g".__mod__, np.ravel(values).tolist()))
+    return hashlib.sha256(rendered.encode()).hexdigest()
 
 
 def run_cli(*args, env_extra=None, cwd=None):

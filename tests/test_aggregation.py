@@ -21,6 +21,7 @@ from longrate import (
     sample_calamity_time,
 )
 from longrate.errors import DomainError
+from conftest import g9_digest
 
 
 def test_discrete_mixture_is_weighted_average():
@@ -317,19 +318,19 @@ def test_zero_rate_atom_censors_at_cap():
 # around the 16384-draw chunk; any change to the seeding, draw order or chunking
 # shows here.
 CALAMITY_CHUNK_DIGESTS = {
-    ("gamma", 16383): "e5fc1832f52ccc367d7b70d8d7904a7eb5dbdc158f0572c7338f209f3a9f169f",
-    ("gamma", 16384): "336cf0b2668f8e5d9036f138e1662a3a9d1c269a85e1142d9577252fc03dd734",
-    ("gamma", 16385): "83bbad440471a441d7b011e513e64d6079fb116bd1b451f641199e8e4c8fe26d",
-    ("gamma", 32769): "60e247a56f9529d5ab619788aa744acb65d525c77ba743c2d3b9d8d2ab3b1d61",
-    ("discrete", 16383): "fcdf52fc3360ffbe1e2e26fb5ffd4dc25ae60febcaa22763316d79041fdbc1d7",
-    ("discrete", 16384): "df7bffe7bea59f6f4023c5d5da4fa5ea62b9a6152b1afb988cd93328ce7b3d4b",
-    ("discrete", 16385): "1a28ce6a7ef10d56b4c2b3d5d82663f8cc46bd19e2b752b56fc549255ec4e250",
-    ("discrete", 32769): "84a9977380073fb1afdf3e6d0a9a5891c2c7efa76f393524de31dd7567327370",
+    ("gamma", 16383): "be084e408a60d47a72513528b52f79a69e3171dbcee6f2a364bc7ce09e0a79c7",
+    ("gamma", 16384): "5f1ff0f151b76fa3e2d7120246a8a91a390f0371cc2dac7c78d06731cb5a2ff3",
+    ("gamma", 16385): "f1db7a85237bb6259f2e9f1cb8846a98ebc16d251a9f096fa72ccb18dfadb47d",
+    ("gamma", 32769): "ab5e5e9d11c7ebe7231935a8f902394b3514e220e05abc7b3fde30f49084eb4e",
+    ("discrete", 16383): "e536805f228069072d70d75ec73367a2914f7d8274e8d62737e8f99143458685",
+    ("discrete", 16384): "27d1bc1eef999dbd161c98de3f6d29867618da200814c21ca89f2a25101b497d",
+    ("discrete", 16385): "9fbb5afee7582c1ac62e90d3baab01b3d5f3fc5af80a0481a796d9df27e94beb",
+    ("discrete", 32769): "8f412bffe05b698807cac6018f2dd5ce86bf88b39fdc07172c7e06d38d33d243",
     # recorded when the exponential law drew through rng.exponential
-    ("exponential", 16383): "05513e8000d9a5ba04f88d49c790a77f91af8bea0807e09ed7666df4c9f89d27",
-    ("exponential", 16384): "64531f5af234226ab66ce7a6311b829636feb6b23f587485f11555582678e025",
-    ("exponential", 16385): "c5f8cfc6e8c248ab05d86fc7bca6d8c66261025acb041642933b00ed45ba259f",
-    ("exponential", 32769): "6f9ca39c860e34f77129381d6cc46f8a5cb2205aeb0b74154e193cd851d1efc2",
+    ("exponential", 16383): "c9b62a9fe7b80836cf14d6fca1239f9e101c91f14a2b8857d927916168654060",
+    ("exponential", 16384): "6a4e3553efffb01de3fa3ab0cd6502a6403de748ec33932239a04d98f6c2b11d",
+    ("exponential", 16385): "2d5b5027016d3552c0ad5bbf35e29a471d79cadbb591338c464c642f5bd4d24d",
+    ("exponential", 32769): "58cb27fa9ec4a2ba8ec2c332cae3e8bd994cf8c5e3b8b9706fab63ffc23e53fa",
 }
 
 
@@ -337,14 +338,14 @@ CALAMITY_CHUNK_DIGESTS = {
 # by rng.choice: Dirichlet weights with one rate-0 atom (guide table), and 999
 # atoms of weight 1e-5 bunched into the top 1% of the cdf (binary search).
 MANY_ATOM_DIGESTS = {
-    ("dirichlet", 16383): "d278d55fa86fe3a39370d00c237fc3231e576df125e707428c51491a93c167a8",
-    ("dirichlet", 16384): "6e3ed413f0b7331ca212f7e3f349aa7ee2c5c07457d4ba99ebe7e73dc87b1f84",
-    ("dirichlet", 16385): "eb2ef76f3ae557f9b7f5e886ef0b232869a27a60f6a0a0a0f1a0616fe701e012",
-    ("dirichlet", 32769): "5f9f27ab2e199d02fcfbec4d22833ad14ba199ecd058694bf0bf60c9a48463f7",
-    ("clustered", 16383): "fcae8953a68ee6b9b79d45e53ba0034788a604346182f7054913864ecdb78ac4",
-    ("clustered", 16384): "e819ee04cf3374fc95d35aee294ca555f27477848e48c6b25e596d70a964181f",
-    ("clustered", 16385): "e68fcd6aba1e4b48779c7bb25f03365d5a275eba990c0b0779078106e4eb8cbf",
-    ("clustered", 32769): "9014d81afc3ceb3dd767b29f9d192b9c18da2c8ff4552bbeb2c7164a305fcb99",
+    ("dirichlet", 16383): "abcd6cda553825bca7a8f82dd5b106bd1caae8e9f639e564b9e00aa638a1ce6b",
+    ("dirichlet", 16384): "d2511ef86cf4b52aed14fb06293928e4b34d03f3e78f337e561f2d9a68c04103",
+    ("dirichlet", 16385): "942c06adc54ce47fc37ae3bae76c234f2a8ca27eae3513b462c400468ba8c5c4",
+    ("dirichlet", 32769): "1b308ccab410ca334f5f75418625a448e8fc6c855b079379362a91d088da411b",
+    ("clustered", 16383): "8ea550351f6e8e53d3435ed9396e4bfd7110fd5584921ffec61331a60b773a47",
+    ("clustered", 16384): "31a1ed52836b60ce73fbf06d46c9dcefd1beb4c7b81636d6e49fab667dfa04c7",
+    ("clustered", 16385): "03fcdc6409a01f8d02682a821de8479bd855c6fe48a55362a4cf3d6c077f5599",
+    ("clustered", 32769): "47b9002a7d4615205988c2c07db997297e36914e04ebbdc848f7c1197ba7c111",
 }
 
 
@@ -444,33 +445,35 @@ def test_seed_is_required():
 
 
 # sha256 of the sample (times then censoring flags; seed 7, cap 1e4) at draw
-# counts around the 16384-draw chunk, and of log_aggregate_discount over
-# np.geomspace(1e-2, 1e6, n) for a k-atom Dirichlet mixture at row counts
-# around a block's 2^16 // k horizons.  Recorded on 1, 2 and 3 workers while
-# both loops still ran serially, so any dependence on the worker count shows.
+# counts around the 16384-draw chunk.  First recorded on 1, 2 and 3 workers while
+# the loop still ran serially, so any dependence on the worker count shows.
 WORKER_SAMPLE_DIGESTS = {
-    ("gamma", 1): "bcd9b18d46b09fb7692e6877d5566ac841f1ba26a11be76f14ea2a1edb0fa713",
-    ("gamma", 16383): "e5fc1832f52ccc367d7b70d8d7904a7eb5dbdc158f0572c7338f209f3a9f169f",
-    ("gamma", 16384): "336cf0b2668f8e5d9036f138e1662a3a9d1c269a85e1142d9577252fc03dd734",
-    ("gamma", 16385): "83bbad440471a441d7b011e513e64d6079fb116bd1b451f641199e8e4c8fe26d",
-    ("gamma", 49153): "247cb6cae473af6f1759bac93ad7f515bdbcbdbf1f6313cfb375839bfd3b227a",
-    ("discrete", 1): "c8b863ff5f2a497900b88cf73f319f11751017c2aa0b26048f0885e7acae15c1",
-    ("discrete", 16383): "fcdf52fc3360ffbe1e2e26fb5ffd4dc25ae60febcaa22763316d79041fdbc1d7",
-    ("discrete", 16384): "df7bffe7bea59f6f4023c5d5da4fa5ea62b9a6152b1afb988cd93328ce7b3d4b",
-    ("discrete", 16385): "1a28ce6a7ef10d56b4c2b3d5d82663f8cc46bd19e2b752b56fc549255ec4e250",
-    ("discrete", 49153): "de796729e553ed4eaaeb14a1ad410ce8b05937c0b477a433c429b186d0290264",
+    ("gamma", 1): "fcbbb1ddee61e91514edc784e6ddab4c66343e7f7b10763340b014040fe8f17d",
+    ("gamma", 16383): "be084e408a60d47a72513528b52f79a69e3171dbcee6f2a364bc7ce09e0a79c7",
+    ("gamma", 16384): "5f1ff0f151b76fa3e2d7120246a8a91a390f0371cc2dac7c78d06731cb5a2ff3",
+    ("gamma", 16385): "f1db7a85237bb6259f2e9f1cb8846a98ebc16d251a9f096fa72ccb18dfadb47d",
+    ("gamma", 49153): "2d6a674ef63b0d1fd3f5a2a40a69fc8a48f20d1887722eacd6b013a41b05ddf9",
+    ("discrete", 1): "12cd69ed5a36d2fca8f3baf24b4da1ac4916c9a12ca4cbc7365eb04f52bdfb1c",
+    ("discrete", 16383): "e536805f228069072d70d75ec73367a2914f7d8274e8d62737e8f99143458685",
+    ("discrete", 16384): "27d1bc1eef999dbd161c98de3f6d29867618da200814c21ca89f2a25101b497d",
+    ("discrete", 16385): "9fbb5afee7582c1ac62e90d3baab01b3d5f3fc5af80a0481a796d9df27e94beb",
+    ("discrete", 49153): "a2902169aaa1897d4e2ccbe94d934205d5a1e478ad96a31ae75e63a7f33965db",
 }
+# log_aggregate_discount over np.geomspace(1e-2, 1e6, n) for a k-atom Dirichlet
+# mixture at row counts around a block's 2^16 // k horizons.  On every worker
+# count each row has the unmasked log-sum-exp's bits in the same process;
+# across commits the digests pin the rows' '%.9g' renderings.
 WORKER_CURVE_DIGESTS = {
-    (1000, 1): "a90ea624098d163b25a3ab7107aa1c10c9ccf6c046d81ec696ea3374349fb1ff",
-    (1000, 64): "646bbd197c664c7e0d154a8e1b2ec7d78d1a9c3cdb8bd0a950f29ef4d0a481eb",
-    (1000, 65): "6e6333f42950cc367ef78200e4960a2be391ed0533fb3335929ec8ba329a0888",
-    (1000, 66): "37de97d5e5e9049b71141166853a6115495d934771a976d26bf95524520b7b41",
-    (1000, 131): "e33481aaf8933a7919a93ad3491a6293f7c32c560e93ff9e0423465731c4710e",
-    (1000, 196): "48b6672e0df90cb3454786b0818f6e60307160f6083685311293cea656ecc697",
-    (65537, 1): "8713beaaaa2be6a475ba244c6f64ce883f5119b4050bcd11fa93e4e7fb46a822",
-    (65537, 2): "a1b6be07f7ac25e865e13f67ac374cfa9cd04b2be138f29f42e11c4937505333",
-    (65537, 3): "1080b45d4452fcffb2e6070baf862907d0a14f38614384fede0ae9d6697b55e9",
-    (65537, 4): "70958febaaeaaa9c9a2334334d3f7d9ccb4db194108a2e9a5b116637c3eecbc9",
+    (1000, 1): "8fe8dadf75550781fce7cb306d3cc74c6f39412c8216dd9d1566432d73e51a10",
+    (1000, 64): "d3895a2239bb9204e7aab3f8fb5ffca4ee84bc508669b7edc5f1690dc36ad787",
+    (1000, 65): "c87c43b9a3a993c8736ce368e21ef9873516e83bc01afea233a6238b60732b34",
+    (1000, 66): "f77f4f0b4befd3a3fedfa932c7398f8cbc2dce1b2619d703420e9c345cb11b9a",
+    (1000, 131): "aa1f123fae864e22fb63657b4c11e4dec8d8b373bdb030f5e1a776e53fcf7f2a",
+    (1000, 196): "de6c461c6733ca31c0792e7bd9b247fc095aba000a264e9e6d86a51f4e2b03be",
+    (65537, 1): "d01eb061df2133f1bf5c3da9a3f7a8ecd5565a0cb927633a9d17496d3b98ee15",
+    (65537, 2): "76f35f4d3c4edee930fe105bca7f0d635dc27312828eb049238a2e7291add169",
+    (65537, 3): "8bbe50bcb962f7a9198d35a27c6c62fd51896856b390f2c2190d04df654672dd",
+    (65537, 4): "39ec5da7ab9c03642c34d701bf71132861bf7caabb2343dedf11571fab093177",
 }
 
 
@@ -494,8 +497,11 @@ def test_discrete_curve_is_bitwise_equal_on_any_worker_count(threads, monkeypatc
         mix = DiscreteMixture(weights / weights.sum(), rng.uniform(0.001, 0.1, k))
         for (atoms, n), digest in WORKER_CURVE_DIGESTS.items():
             if atoms == k:
-                out = log_aggregate_discount(mix, np.geomspace(1e-2, 1e6, n))
-                assert hashlib.sha256(out.tobytes()).hexdigest() == digest, (k, n)
+                t = np.geomspace(1e-2, 1e6, n)
+                out = log_aggregate_discount(mix, t)
+                a = np.log(mix.weights)[None, :] - np.outer(t, mix.rates)
+                _assert_same_bits(out, _unmasked_logsumexp_rows(a))
+                assert g9_digest(out) == digest, (k, n)
 
 
 def test_sample_chunks_run_on_the_workers(monkeypatch):

@@ -36,7 +36,7 @@ from longrate import (
 )
 from longrate import csvformat
 from longrate.errors import DomainError, LongrateError
-from conftest import run_cli, run_process
+from conftest import g9_digest, run_cli, run_process
 
 # Any RuntimeWarning (divide by zero, overflow, invalid value) fails a test here.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -96,27 +96,75 @@ def test_path_count_prefix_stability():
     np.testing.assert_array_equal(large.m[:4096], small.m)
 
 
-# sha256 of the M then the N path bytes of ref2f (seed 7, rho 0.5, 21 points on
-# [0, 10]) at path counts around the 4096-path chunk; the digests depend only on
-# the draws, so any change to the seeding, draw order or chunking shows here.
+# ref2f's paths (seed 7, rho 0.5, 21 points on [0, 10]) at path counts around the
+# 4096-path chunk.  Each simulation is compared bit for bit with the transcribed
+# route in the same process, which holds on every SIMD target; across commits the
+# digests pin bytes that no target rounds: the chunk generators' raw normals (so
+# any change to the generator, seeding or chunking shows) and the paths' 9-digit
+# renderings (so any change to the stepping shows).
+CHUNK_GRID = np.linspace(0.0, 10.0, 21)
+
+# n_paths -> (sha256 of the raw normals, sha256 of the paths' '%.9g' renderings)
 CHUNK_BOUNDARY_DIGESTS = {
-    4095: "0f8e81ed342749cdb45ad24f85cb3502f79a2c96cf0c09132d62e88d298f1841",
-    4096: "8ff20d11f61be85f54e084aae9f3760c6c901980f28a9d0bde650e6255ec94d6",
-    4097: "11a559265f0f5485f95ce061caded621e6695995c7e51d6ba652b9d410db5990",
-    8193: "987bf3fc9d86c4a9dca9321a065661cdf2a5032d8f03bd4203f44da25c2c99bc",
+    4095: ("1810bd903e338621ee87100b50e76e892162713bbc0ef79c042cdd4acec94a2a",
+           "048eb25adda180823a44a6a7896e6ae1b3f3adbdb64273cbfbf6cb2b33417b50"),
+    4096: ("fa18a3a7a01f4209e8b7c8a05ab0fe11a672df5c475a8bff0c4e2fb8a7b76440",
+           "009a72acff79025388681e50d9930a57111fbd0ae95658d0f6f0512f32cb1df9"),
+    4097: ("9c42d486a2bd292d41d2b345854cecf7c5138d35361fe548e68826556723a4a9",
+           "8c0c77e1c47003e62e74363d45cf518caf23f124875aaa2b116f3871d605a1b8"),
+    8193: ("07c82708bdd74fdf19026cd7d29cbb0527d63e15e16feb6dd101a70241bdd917",
+           "faa0168d1d08b13b3bfef5bec62e7335086a9238c532d380c3ce0519ef8676b1"),
 }
+
+
+def _reference_rows(n_paths: int) -> np.ndarray:
+    """ref2f's time-major path rows by the transcribed route: a chunk at a time, M's
+    then N's normals from the chunk's generator, N's correlated with M's, then each
+    factor's log-steps scaled, shifted, summed by np.cumsum along time and
+    exponentiated, in path rows laid out as a simulated ensemble's."""
+    drivers = lr.zoo.reference_two_factor().drivers
+    g, seed, steps = mc._path_steps(drivers, CHUNK_GRID, n_paths, 7, 0.5)
+    rows = np.empty((len(steps), g.size, n_paths))
+    for first in range(0, n_paths, mc._CHUNK_PATHS):
+        stop = min(n_paths, first + mc._CHUNK_PATHS)
+        rng = pool._chunk_rng(seed, (), first // mc._CHUNK_PATHS)
+        z_m = rng.standard_normal((stop - first, g.size - 1))
+        z_n = rng.standard_normal(z_m.shape) * math.sqrt(1.0 - 0.5**2) + 0.5 * z_m
+        for x, z, (vol, drift) in zip(rows[:, :, first:stop], (z_m, z_n), steps):
+            x[0] = 1.0
+            np.multiply(z.T, vol, out=x[1:])
+            x[1:] += drift
+            np.cumsum(x[1:], axis=0, out=x[1:])
+            np.exp(x[1:], out=x[1:])
+    return rows
+
+
+def _reference_digest() -> str:
+    """sha256 of the transcribed route's M then N paths at 8193 paths, path-major as
+    ``_ref2f_digest`` hashes them."""
+    rows = _reference_rows(8193)
+    return hashlib.sha256(rows[0].T.tobytes() + rows[1].T.tobytes()).hexdigest()
+
+
+def _draw_digest(n_paths: int) -> str:
+    """sha256 of the raw normals ref2f's request draws: per chunk, M's then N's."""
+    h = hashlib.sha256()
+    for first in range(0, n_paths, mc._CHUNK_PATHS):
+        size = min(mc._CHUNK_PATHS, n_paths - first)
+        rng = pool._chunk_rng(7, (), first // mc._CHUNK_PATHS)
+        h.update(rng.standard_normal((2, size, CHUNK_GRID.size - 1)).tobytes())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n_paths", sorted(CHUNK_BOUNDARY_DIGESTS))
 def test_two_factor_paths_at_chunk_boundaries(ref2f, n_paths, workers, monkeypatch):
     monkeypatch.setenv("LONGRATE_THREADS", str(workers))
-    grid = np.linspace(0.0, 10.0, 21)
-    ens = simulate_paths(ref2f.drivers, grid, n_paths, seed=7, rho=0.5)
-    assert ens.factors.shape == (2, n_paths, grid.size)
+    ens = simulate_paths(ref2f.drivers, CHUNK_GRID, n_paths, seed=7, rho=0.5)
+    assert ens.factors.shape == (2, n_paths, CHUNK_GRID.size)
     assert np.shares_memory(ens.m, ens.factors) and np.shares_memory(ens.n, ens.factors)
-    digest = hashlib.sha256(ens.m.tobytes() + ens.n.tobytes()).hexdigest()
-    assert digest == CHUNK_BOUNDARY_DIGESTS[n_paths]
+    assert ens.rows.tobytes() == _reference_rows(n_paths).tobytes()
+    assert (_draw_digest(n_paths), g9_digest(ens.rows)) == CHUNK_BOUNDARY_DIGESTS[n_paths]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -125,21 +173,8 @@ def test_running_sum_equals_the_cumsum_route(ref2f, n_paths, workers, monkeypatc
     """_fill_paths' running sum, one time row at a time, gives the bits of the
     plain route: np.cumsum along time over each chunk's log-steps."""
     monkeypatch.setenv("LONGRATE_THREADS", str(workers))
-    grid = np.linspace(0.0, 10.0, 21)
-    g, seed, steps = mc._path_steps(ref2f.drivers, grid, n_paths, 7, 0.5)
-    ref = np.empty((len(steps), g.size, n_paths))
-    for first in range(0, n_paths, mc._CHUNK_PATHS):
-        stop = min(n_paths, first + mc._CHUNK_PATHS)
-        rng = mc._chunk_rng(seed, (), first // mc._CHUNK_PATHS)
-        normals = mc._factor_normals(rng, np.empty((len(steps) + 1, stop - first, g.size - 1)), 0.5)
-        for x, z, (vol, drift) in zip(ref[:, :, first:stop], normals, steps):
-            x[0] = 1.0
-            np.multiply(z.T, vol, out=x[1:])
-            x[1:] += drift
-            np.cumsum(x[1:], axis=0, out=x[1:])
-            np.exp(x[1:], out=x[1:])
-    ens = simulate_paths(ref2f.drivers, grid, n_paths, seed=7, rho=0.5)
-    assert ens.rows.tobytes() == ref.tobytes()
+    ens = simulate_paths(ref2f.drivers, CHUNK_GRID, n_paths, seed=7, rho=0.5)
+    assert ens.rows.tobytes() == _reference_rows(n_paths).tobytes()
 
 
 def test_path_arrays_fall_back_to_np_empty(ref2f, monkeypatch):
@@ -148,11 +183,10 @@ def test_path_arrays_fall_back_to_np_empty(ref2f, monkeypatch):
     assert mc._path_array((2, 3)).flags.owndata is not mapped  # a mapping's view, or np.empty
     monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
     assert mc._path_array((2, 3)).flags.owndata
-    grid = np.linspace(0.0, 10.0, 21)
-    for n_paths, digest in CHUNK_BOUNDARY_DIGESTS.items():
-        ens = simulate_paths(ref2f.drivers, grid, n_paths, seed=7, rho=0.5)
+    for n_paths in CHUNK_BOUNDARY_DIGESTS:
+        ens = simulate_paths(ref2f.drivers, CHUNK_GRID, n_paths, seed=7, rho=0.5)
         assert ens.factors.base.flags.owndata
-        assert hashlib.sha256(ens.m.tobytes() + ens.n.tobytes()).hexdigest() == digest
+        assert ens.rows.tobytes() == _reference_rows(n_paths).tobytes()
 
 
 MAPPED = hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE")
@@ -291,34 +325,36 @@ def test_collection_inside_path_array_keeps_the_mapping_it_frees(monkeypatch):
 
 AUDIT_GRID = np.concatenate([[0.0], np.geomspace(1.0, 1e4, 29)])
 
-# sha256 of every check's detail and the data repr of the kernel audit, the
-# deflated-bond check (all grid times, T = 1e4; then unordered, repeated grid
-# times, whose columns are gathered rather than sliced) and the certificate at the
-# declared index and one above it, then of a simulate_constants valuation
-# (flows at T = 1 and 10); ensembles of ref1f and of ref2f (rho 0.5), seed 7.
-# The path counts straddle the 4096-path chunk that both the simulation and
-# the blocked audit statistics work in.
+# The check details and data of the kernel audit, the deflated-bond check (all grid
+# times, T = 1e4; then unordered, repeated grid times, whose columns are gathered
+# rather than sliced) and the certificate at the declared index and one above it,
+# then a simulate_constants valuation (flows at T = 1 and 10); ensembles of ref1f
+# and of ref2f (rho 0.5), seed 7.  The path counts straddle the 4096-path chunk that
+# both the simulation and the blocked audit statistics work in.  On 2 and 3 workers
+# every number keeps the one-worker run's bits; across commits the digests pin
+# every number's '%.9g' rendering (sha256 of the audits', then of the valuation's).
 AUDIT_DIGESTS = {
-    ("ref1f", 4095): ("96a19339d953fe4ba3bf066865092960a80ab175b7f3a08bfa48e49bb0bf34c9",
-                      "c4bcebbd8ef210897789832197192d0c9c3db9f927538d1775a404cbda2e86cb"),
-    ("ref1f", 4096): ("be2e998dca3cd12816a6385c636dd5e41995e79c4e41d90fbf08f0133cf2c22a",
-                      "80dc161071419c011c228e68eb6141d1f905c013b08abbc031ef0cc75e35193f"),
-    ("ref1f", 4097): ("ef8d634255e83e1d0245b18171fcbecdef07f46d966d56b285e0f851d66dcd9c",
-                      "0779c5008438ba74427b36b5e8739e35414cea85460f7d9853dfae85767669b9"),
-    ("ref1f", 8193): ("ea2b829ed233cf291912e703e13fc186eaa27f64abca9b4fa791364774bda474",
-                      "96d54a5de695c5b9d0c648b0613638dee3b5cc6d4a5e18898a31c62dde43b9da"),
-    ("ref2f", 4095): ("d4fb464164b11e3e65781019d273041e0974b3f3898f06a8b5e53242edec85b2",
-                      "49a4fafc78275f28ad71f50f099f5b8d27c9e978b4badba3f4b0df3bab70c731"),
-    ("ref2f", 4096): ("46c06cd8e34b0f785c61ac0215e9db24302d6ec88fcbef0052c6f7eecfdcd03c",
-                      "814091ac4d6214cafb4a3daee95c7ed3283e8b43ee54930fd478376d8b581fb9"),
-    ("ref2f", 4097): ("ac1555aec8ca44376b63d27ad5abe0e849586931c969d8f6d1775431a19e80e0",
-                      "79a3c92a0b18e67234e629f08ecaaec2e2a34922b367d11a70db87a329a3c5c8"),
-    ("ref2f", 8193): ("11c25767682ac3eb0476d434931b8060d75c1d198fb180ca27b4009521030980",
-                      "0aee37beae07cf2d735b42472f38b14cbc6177a99228eca0ed9a95183ea9943e"),
+    ("ref1f", 4095): ("7db45d536245055f66dfdcdfd4d1c288627c977d9a5913dfecf9e0ff68f05c18",
+                      "85537339f22563edbaa47717992d9e7360322e31300309eb5925ca66782a9a82"),
+    ("ref1f", 4096): ("6834166f954f57f29c4845de131a18693d1b0a864af5b8ecb74678d11127304c",
+                      "934c9c497bb1471a680ee08c87d7b3b17142ffbcf93332e3ae42402b959cac4c"),
+    ("ref1f", 4097): ("8d7735f0a4c70c4cd0a987e8f1a93b9f15a2ba180eaab0ade0427910a54f15a4",
+                      "05f8223888c07e2ed85f0332638deefdfdad17d2e5f3d1a4470e0d576aeff882"),
+    ("ref1f", 8193): ("0a83c01f2319bd30c570cd9a4f938c98c4fe8f9943c7347b2de24b5f86d72884",
+                      "59764af70490b1de73ef805fa254df032bd9ea01628b332fdab7887efdf3e0db"),
+    ("ref2f", 4095): ("1f71f2e4cb03f0a9159032819ea9d11ed1990129afca8e75e40e49b39af0fe90",
+                      "4f2223120b2da6d702c1756033029027ccd4d6c6587bc7179e839ce02f1f3fea"),
+    ("ref2f", 4096): ("07c6587fbeb4cad46a62f7b546491027906180724711f97ffa981a4f2c565314",
+                      "4aa8bd61d09f6acdc3a3175c2718187038948862eaeef4036b4c7f34ea0b76e1"),
+    ("ref2f", 4097): ("dd57d1cb212e8486d1f2c26acc3a24c11d7d65239419e9c282ddd2b9970dcfec",
+                      "2d5e9c1c8bfc776ca2b2f1e4ffa22299ed6b8f59d715d703221cf74655ffee2f"),
+    ("ref2f", 8193): ("53a84cc10e7a199f041d0ed4de2609ac273ec1a8333865c04db553d30aab3021",
+                      "e740d7c12120beee50dddffe8874975d288db71eb969afc67a3a5a017bb6e933"),
 }
 
 
-def _audit_digests(model, n_paths):
+def _audit_outputs(model, n_paths):
+    """(check details and data of each audit, the valuation's dict)."""
     rho = 0.5 if model.factors == 2 else 0.0
     ens = ensemble_for_model(model, AUDIT_GRID, n_paths, seed=7, rho=rho)
     g = AUDIT_GRID
@@ -329,34 +365,80 @@ def _audit_digests(model, n_paths):
         lr.pareto_kernel_certificate(model, ens),
         lr.pareto_kernel_certificate(model, ens, lam=model.lam + 1.0),
     ]
-    h = hashlib.sha256()
-    for report in reports:
-        for check in report.checks:
-            h.update(check.detail.encode())
-        h.update(repr(report.data).encode())
     state = ModelState(0.0, *[1.0] * model.factors)
     flows = CashFlowSchedule((CashFlow(1.0, amount=1.0), CashFlow(10.0, amount=2.0)))
     val = value_claim(model, state, flows, n_paths, seed=7, rho=rho, simulate_constants=True)
-    return h.hexdigest(), hashlib.sha256(repr(val.as_dict()).encode()).hexdigest()
+    return [([c.detail for c in r.checks], r.data) for r in reports], val.as_dict()
+
+
+def _g9(obj):
+    """``obj`` with every float in it rendered as '%.9g'."""
+    if isinstance(obj, float):
+        return "%.9g" % obj
+    if isinstance(obj, dict):
+        return {key: _g9(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_g9(value) for value in obj]
+    return obj
 
 
 @pytest.mark.parametrize("name, n_paths", sorted(AUDIT_DIGESTS))
 def test_audits_and_valuation_at_chunk_boundaries(request, name, n_paths, monkeypatch):
     monkeypatch.delenv("LONGRATE_THREADS", raising=False)  # the default worker count
-    model = request.getfixturevalue(name)
-    assert _audit_digests(model, n_paths) == AUDIT_DIGESTS[(name, n_paths)]
+    outputs = _audit_outputs(request.getfixturevalue(name), n_paths)
+    digests = tuple(hashlib.sha256(repr(_g9(part)).encode()).hexdigest() for part in outputs)
+    assert digests == AUDIT_DIGESTS[(name, n_paths)]
 
 
 # The kernel blocks, time-major transposes and terminal draws run on every
-# worker count with the digests recorded on one worker.
+# worker count with the bits of a one-worker run in the same process.
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize("name, n_paths", sorted(AUDIT_DIGESTS))
 def test_audits_and_valuation_at_chunk_boundaries_on_workers(
     request, name, n_paths, threads, monkeypatch
 ):
+    model = request.getfixturevalue(name)
+    monkeypatch.setenv("LONGRATE_THREADS", "1")
+    one_worker = repr(_audit_outputs(model, n_paths))
+    monkeypatch.setenv("LONGRATE_THREADS", threads)
+    assert repr(_audit_outputs(model, n_paths)) == one_worker
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("name", ["ref1f", "ref2f"])
+def test_terminal_draws_are_the_transcribed_route(request, name, threads, monkeypatch):
+    """Each simulated flow's value and SE are those of the transcribed route: per chunk,
+    the (seed, state, flow) generator's normals, M's then N's, stepped from the state
+    to the flow, kernel-weighted, then _mean_se over all paths."""
     monkeypatch.setenv("LONGRATE_THREADS", threads)
     model = request.getfixturevalue(name)
-    assert _audit_digests(model, n_paths) == AUDIT_DIGESTS[(name, n_paths)]
+    rho, n_paths, seed = 0.5, 8193, 7
+    state = ModelState(0.5, *[1.25, 0.75][: model.factors])
+    flows = CashFlowSchedule((CashFlow(1.0, amount=1.0), CashFlow(10.0, payoff=lambda *xs: xs[-1])))
+    val = value_claim(model, state, flows, n_paths, seed=seed, rho=rho, simulate_constants=True)
+    pi_t = lr.kernel_value(model, state)
+    for index, (flow, got) in enumerate(zip(flows.flows, val.flows)):
+        key = (*mc._state_spawn_key(state), index)
+        variances = [d.variance(state.t, flow.time) for d in model.drivers]
+        steps = [(math.sqrt(v), -0.5 * v) for v in variances]
+        parts = []
+        for first in range(0, n_paths, mc._CHUNK_PATHS):
+            size = min(mc._CHUNK_PATHS, n_paths - first)
+            rng = pool._chunk_rng(seed, key, first // mc._CHUNK_PATHS)
+            zs = rng.standard_normal((model.factors, size))
+            if model.factors == 2:
+                zs[1] = zs[1] * math.sqrt(1.0 - rho * rho) + rho * zs[0]
+            parts.append([x0 * np.exp(z * vol + drift)
+                          for x0, z, (vol, drift) in zip(state.factor_values, zs, steps)])
+        terminal = [np.concatenate(factor) for factor in zip(*parts)]
+        a, *coefs = (float(c.fn(flow.time)) for c in model.coefficients)
+        pi_T = a
+        for c, x in zip(coefs, terminal):
+            pi_T = pi_T + c * x
+        h = 1.0 if flow.amount is not None else terminal[-1]
+        mean, se = mc._mean_se(pi_T * h)
+        assert _bits(got.value) == _bits(mean / pi_t)
+        assert _bits(got.standard_error) == _bits(se / pi_t)
 
 
 def _bits(x: float) -> bytes:
@@ -388,8 +470,8 @@ def test_mean_se_is_numpy_mean_and_std(n, stride, seed, scale, shift):
 # value --model ref1f --flow T=10,amount=A --simulate-constants --seed 1; before the
 # rescaling these printed se=inf (and value=inf at 1e308) with a RuntimeWarning.
 OVERFLOWING_VALUATIONS = {
-    1e200: "flow T=10 value=1.16159243e+199 method=simulation se=1.23982062e+196",
-    1e308: "flow T=10 value=1.16159243e+307 method=simulation se=1.23982062e+304",
+    1e200: "flow T=10 value=1.16087995e+199 method=simulation se=1.22790998e+196",
+    1e308: "flow T=10 value=1.16087995e+307 method=simulation se=1.22790998e+304",
 }
 
 
@@ -660,7 +742,7 @@ def test_simulate_peak_memory_does_not_grow_with_paths():
 
 
 def _ref2f_digest(ref2f, n_paths=8193):
-    ens = simulate_paths(ref2f.drivers, np.linspace(0.0, 10.0, 21), n_paths, seed=7, rho=0.5)
+    ens = simulate_paths(ref2f.drivers, CHUNK_GRID, n_paths, seed=7, rho=0.5)
     return hashlib.sha256(ens.m.tobytes() + ens.n.tobytes()).hexdigest()
 
 
@@ -675,7 +757,7 @@ def test_pool_never_outnumbers_blocks(ref2f, monkeypatch):
 
     monkeypatch.setattr(mc, "_chunk_rng", recording_rng)
     monkeypatch.setenv("LONGRATE_THREADS", "16")
-    assert _ref2f_digest(ref2f) == CHUNK_BOUNDARY_DIGESTS[8193]
+    assert _ref2f_digest(ref2f) == _reference_digest()
     assert 1 < len(ran_on) <= 3 and threading.get_ident() in ran_on
 
 
@@ -696,8 +778,9 @@ def test_pool_threads_persist_across_calls(ref2f, monkeypatch):
         return chunk_rng(*args)
 
     monkeypatch.setattr(mc, "_chunk_rng", recording_rng)
+    want = _reference_digest()
     for _ in range(50):
-        assert _ref2f_digest(ref2f) == CHUNK_BOUNDARY_DIGESTS[8193]
+        assert _ref2f_digest(ref2f) == want
         assert threading.active_count() <= after_first + 1
     # the caller, and helpers that already existed after the first call
     assert threading.current_thread() in ran_on
@@ -724,7 +807,7 @@ def test_block_error_propagates_after_every_share(ref2f, failing_chunk, monkeypa
     # the other share ran its blocks to the end before the error reached the caller
     assert sorted(finished) == [c for c in range(3) if c % 2 != failing_chunk]
     monkeypatch.setattr(mc, "_chunk_rng", chunk_rng)
-    assert _ref2f_digest(ref2f) == CHUNK_BOUNDARY_DIGESTS[8193]
+    assert _ref2f_digest(ref2f) == _reference_digest()
 
 
 def test_nested_in_blocks_call_finishes(monkeypatch):
@@ -762,7 +845,7 @@ def _digest_in_child(ref2f, conn):
 
 def test_forked_child_gets_fresh_helpers(ref2f, monkeypatch):
     monkeypatch.setenv("LONGRATE_THREADS", "2")
-    assert _ref2f_digest(ref2f) == CHUNK_BOUNDARY_DIGESTS[8193]  # the parent's pool exists
+    assert _ref2f_digest(ref2f) == _reference_digest()  # the parent's pool exists
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_digest_in_child, args=(ref2f, send))
@@ -770,7 +853,7 @@ def test_forked_child_gets_fresh_helpers(ref2f, monkeypatch):
     send.close()
     try:
         assert receive.poll(60), "the forked child gave no digest"
-        assert receive.recv() == CHUNK_BOUNDARY_DIGESTS[8193]
+        assert receive.recv() == _reference_digest()
     finally:
         child.join(timeout=60)
         if child.is_alive():
@@ -1171,6 +1254,32 @@ def test_kernel_audit_is_the_full_array_formula(request, name, n_paths, threads,
         assert _bits(se) == _bits(float(np.std(column, ddof=1) / math.sqrt(n_paths)))
 
 
+# pareto2 is the model whose scalar coefficients differ in the last bit from the
+# array evaluation at grid indices 14, 19, 26 and 29 (above).
+@pytest.mark.parametrize("n_paths", [4095, 8193])
+@pytest.mark.parametrize("name", ["ref1f", "ref2f", "pareto2"])
+def test_dir_pi_at_each_audit_time_is_the_kernel_audits(request, name, n_paths, monkeypatch):
+    """DIR's model branch forms pi at each audit time with the bits of the kernel
+    audit's pi row there: both take _grid_coefficients' column for that time."""
+    monkeypatch.setenv("LONGRATE_THREADS", "1")  # the path blocks in order
+    model = request.getfixturevalue(name)
+    ens = ensemble_for_model(model, AUDIT_GRID, n_paths, seed=7, rho=0.5)
+    idx = [0, 3, 7, 14, 19, 26, 29]
+    formed = []
+    kernel_min = mc._kernel_min
+
+    def recording(coefs, xs, out, *args, **kwargs):
+        least = kernel_min(coefs, xs, out, *args, **kwargs)
+        formed.append(out.copy())
+        return least
+
+    monkeypatch.setattr(mc, "_kernel_min", recording)
+    lr.dir_monotonicity_audit(model, list(AUDIT_GRID[idx]), ensemble=ens)
+    monkeypatch.setattr(mc, "_kernel_min", kernel_min)
+    at_t = np.concatenate(formed[0::2], axis=1)  # each block forms pi at t, then at t + x
+    assert at_t.tobytes() == np.ascontiguousarray(kernel_paths(model, ens)[:, idx].T).tobytes()
+
+
 def test_kernel_condition_audit_passes(ref1f, small_ensemble):
     rep = kernel_condition_audit(ref1f, small_ensemble)
     assert rep.verdict == "PASS", "\n".join(rep.lines())
@@ -1191,7 +1300,7 @@ def test_deflated_bond_martingale(ref1f, small_ensemble):
 
 
 # Every zoo model at a small path count, and the 20000-path ref1f case whose kernel
-# audit FAILs at 295 SE on a correct model (CLI: audit kernel --grid 0,1,10,100,1000).
+# audit FAILs at 33.9 SE on a correct model (CLI: audit kernel --grid 0,1,10,100,1000).
 STATUS_SUBJECTS = [(name, AUDIT_GRID, 500, 7) for name in sorted(lr.zoo.model_zoo())] + [
     ("ref1f", np.array([0.0, 1.0, 10.0, 100.0, 1000.0]), 20_000, 1)
 ]

@@ -48,14 +48,14 @@ GOLDEN = {
     3: (0, "84075339929e1a9326f4e0d0f24140cee8b9a7e1f0ea1fa13d9f0dec35c9b728",
         {"out.json": "737d2c29d490c2b1b3d60c1800575d14abcadb1fc3124e9cc71fe7493e045287"}),
     4: (0, "b65a3186416aa9da735c6b4711cd84e66ea1fcb491c0c19eab7064e82971b1f8",
-        {"taus.csv": "44fdfc314c7f83fd8e956ddaa93ac90205400352c56e21da90ffec4cf5a2a207"}),
-    5: (0, "73551ae501f2c9ab836947e2c68bb39df02dfbe4874de932222c89ee9a231661",
-        {"paths.csv": "fe14f421834a72d3c652bfc42a072299e9cd0113595b76fafd1dbca8232442c0"}),
+        {"taus.csv": "7d8928506c3dc772ab9e840807baeb1e3e697b3cd8bc83eb93a3ceaf63797008"}),
+    5: (0, "d7e2f0e07c10e0c1f7ae0cf08cf2721d2d2e641bfdd4a300a2378c8a98337e4b",
+        {"paths.csv": "d2b47f33d81fbd8c6ba5039458de42a347ad831531a919657d74664850250192"}),
     6: (0, "945d9d3e3bc333db472d143e11b960e452ac983cf8ed7b3c6df3bc1a9985db1c", {}),
-    7: (0, "f66afb31cbac6950de558cc00fd2a4f9587269f5625bc20bb9c70caef60f3460", {}),
+    7: (0, "ba8ff97d51687b7aaac4545efc32183afad3b381deb6ea2705238371ac2412f3", {}),
     8: (0, "58e5bd553f6ce8b0e0923c72c22fec24655625dff39c3e49903e9965afbb3779", {}),
-    9: (0, "1fca74b4504209442f96de9987a74e83fa7057bac03d195e846fcc351b732783", {}),
-    10: (0, "f1487ed4609c4f0b2353f7f4e995fe91adf5d1a87f67f81d4f36cbe6dc719d8e", {}),
+    9: (0, "09f6024fe3aca3ba08ba0d05331fdb9c56073b9199f11b7f32f599eeed223aa0", {}),
+    10: (0, "9d256f84f314c0b55a118a495fd3f03ce4db7e0b775bcfa3173d7f4963e91f41", {}),
     11: (0, "104e24511d8dc593ee354167390d8cc5ab13f7034d9ec3f8b0c54d692acfe007",
          {"report.json": "53b0f2ab38e862e211b4d3682785203d8600d9ee695a7e7629c7720e612d4356"}),
 }
@@ -101,12 +101,12 @@ REPORT_GOLDEN = {
         {"out.json": "945d9d3e3bc333db472d143e11b960e452ac983cf8ed7b3c6df3bc1a9985db1c"}),
     3: (0, "b2cc61f9d7e52b66bab722f8267a35d1cbe0669fc6d3e6adb2495ca20970e731",
         {"report.json": "bdfb709e8e8d344c51f660a524eeb591d42fe38c313bb319f3edaac17f2f9b56"}),
-    4: (0, "f1a09e404668eaf233d5271f9a947d2073ea7b45c815cc939f1cfea156787731",
-        {"report.json": "2e8eaa34298848d6827e8ae632a63116fd53b5d7d7b51f350b8ee137567b6a24"}),
-    5: (0, "2c3e4cd3dc34cb8da0beded0480066f8e761b1da41f0b81ff571b89186e4bd12",
-        {"report.json": "164511b471358c5c56d6ac49b6a07b0f298210aa99c93c34884137645c5f8390"}),
-    6: (0, "51ba1beaa9b2bb6722008c9e937362a82019057684ad70d33803afcd26dfc7d7",
-        {"taus.csv": "3fad334922749e64d4ad57c0407e020a862830e9f7866f43e0062c9a98de582d"}),
+    4: (0, "8da29a4d53d68f55d5220531a3cafea409dc81d9d62217bba81596ba2d2d833d",
+        {"report.json": "408c95f03a5d91edcdc370d5b48e959e4706c92f61743f829ae07d4561ca3ed9"}),
+    5: (0, "b13988974141ef564cd8c04bc1507b7bbc8959e29a707ea74d1eccec0b68db38",
+        {"report.json": "3a43ccb804837cf163dee43ac3ca09335c51b7cbdc8df5249315cc36d01a4c3b"}),
+    6: (0, "c022e2fc623fe561a93e78f70fa74528e274548c7d5e081a39e8546488b79282",
+        {"taus.csv": "ed63423b044b6359798c54476341ac384861b12d82f90ae318889b1dee7c1f30"}),
 }
 
 
@@ -120,12 +120,12 @@ TWO_FACTOR_CASES = [
 ]
 
 TWO_FACTOR_GOLDEN = {
-    0: (0, "c877daa787733dde524c1f4f15e15642a3d6b046e800018b9fe014732aa4c0fc",
-        {"out.json": "eee011169c70f69d0e0633bd678bd79ecd029a0d5bb4389abc4935ba413210e9"}),
-    1: (0, "81e434e5c871d99107262f995c3d9ed71ac428833d46ffd80c9e1d82edad36d5",
-        {"report.json": "7ef8143f693b1b37f409f57128be547658697508d71eba69f8e07cc5482a443c"}),
-    2: (0, "23a70d3e5a1a88a6e932d9528cc1f233e68fa4025163e28276fc02b017f80530",
-        {"report.json": "bda407170c0bff5a4fa91e3717035cd1a949446733105ac72654fe9f8f9ba48e"}),
+    0: (0, "06287e8ef9c4189b787bbebde75855bae4aa002e7f231314256fd02a7d98da5b",
+        {"out.json": "1381366a55227b8576e274a898c9380666dc4e68744ad76b9541bcc60b604973"}),
+    1: (0, "a409620ce9a6c7da9a44b0d9ba53e921556240ed580983cb9c1c6e5b5c1deb48",
+        {"report.json": "fb229b46c0e80bd3479b0ecdb228680d1d13706d6f6491a3f578dbc80570b560"}),
+    2: (0, "1cb4e4fe6b371c9003d3859841ce4eedf9f90d0916e8bd246eb27dba719a9249",
+        {"report.json": "819d7d71123d42642b057faaabcf075934c8560cc2fa4f4a735b5458ba1dce8f"}),
 }
 
 
